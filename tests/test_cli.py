@@ -1,5 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+from pathlib import Path
+
 import pytest
 
 import nodalbn as nb
@@ -371,3 +373,54 @@ class TestHarness:
     def test_command_echo_first_line(self, capsys, two_path):
         _, out, _ = run(capsys, "curve", "classify", "--curve", two_path)
         assert out.splitlines()[0] == f"command: nodalbn curve classify --curve {two_path}"
+
+
+# A gamma=5 tree classified "other": component 3 carries three nodes.  Node
+# ids are scrambled and node 7 is written larger end first.  Rooted at 2,
+# node 9 has its smaller endpoint on the root side, so its split side is the
+# complement of the subtree below it.
+OTHER5 = (
+    "component 1 genus 3\ncomponent 2 genus 2\ncomponent 3 genus 4\n"
+    "component 4 genus 2\ncomponent 5 genus 3\n"
+    "node 4 1 2\nnode 9 2 3\nnode 2 3 4\nnode 7 5 3\n"
+)
+OTHER5_OMEGA = "11/52,2/13,17/52,3/26,5/26"  # canonical is 5/26,2/13,9/26,3/26,5/26
+GOLDEN_DIR = Path(__file__).parent / "golden"
+# name -> (exit code, argv with {curve} for the curve file)
+GOLDEN_CASES = {
+    "order": (0, ("order", "--curve", "{curve}", "--root", "2")),
+    "polarization_canonical": (0, ("polarization", "canonical", "--curve", "{curve}")),
+    "polarization_check": (
+        0, ("polarization", "check", "--curve", "{curve}", "--omega", OTHER5_OMEGA)),
+    "enumerate": (0, (
+        "components", "enumerate", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
+        "--root", "2", "--rank", "3", "--degree", "7")),
+    "enumerate_small_slope": (0, (
+        "components", "enumerate", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
+        "--root", "2", "--rank", "3", "--degree", "7", "--small-slope")),
+    "check_pass": (0, (
+        "components", "check", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
+        "--root", "2", "--rank", "3", "--tuple", "1,1,2,1,2")),
+    "check_fail": (1, (
+        "components", "check", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
+        "--root", "2", "--rank", "3", "--tuple", "7,0,0,0,0")),
+    "radius": (0, (
+        "components", "radius", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
+        "--root", "2", "--rank", "3", "--tuple", "1,1,2,1,2")),
+}
+
+
+def golden_run(capsys, tmp_path, name):
+    """Run one golden case; return its exit code and stdout with the path masked."""
+    path = tmp_path / "other5.crv"
+    path.write_text(OTHER5)
+    code, argv = GOLDEN_CASES[name]
+    got = main([arg.format(curve=path) for arg in argv])
+    return code, got, capsys.readouterr().out.replace(str(path), "other5.crv")
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_byte_golden(capsys, tmp_path, name):
+    code, got, out = golden_run(capsys, tmp_path, name)
+    assert got == code
+    assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
