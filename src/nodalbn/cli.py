@@ -223,27 +223,21 @@ def cmd_sheaf_info(args: argparse.Namespace) -> int:
 
 def _catalog_table(
     report: Report,
-    curve: NodalCurve,
-    omega: Polarization,
-    deco,
+    table: comp.WindowTable,
     catalog: list[comp.ComponentTuple],
 ) -> None:
     header = ["tuple"]
-    for j in range(1, curve.gamma):
-        header += [f"j{j}_lower", f"j{j}_sigma", f"j{j}_upper"]
+    for w in table.windows:
+        header += [f"j{w.j}_lower", f"j{w.j}_sigma", f"j{w.j}_upper"]
     header += ["verdict", "radius"]
     rows = []
     for t in catalog:
-        rep = comp.stability_conditions(curve, omega, deco, t)
+        rep = table.check(t)
         row: list[object] = [t.degrees]
         for r in rep.rows:
             row += [r.lower, r.partial_sum, r.upper]
-        row.append(_verdict(rep.passed))
-        if rep.passed:
-            radius = comp.robustness_radius(curve, omega, deco, t)
-            row.append("unbounded" if radius is None else radius)
-        else:
-            row.append("-")
+        found = table.binding(rep)  # every catalog tuple passes
+        row += [_verdict(rep.passed), "unbounded" if found is None else found[0]]
         rows.append(row)
     report.table("catalog", header, rows)
 
@@ -262,7 +256,8 @@ def cmd_components_enumerate(args: argparse.Namespace) -> int:
     report.kv("root", root)
     report.kv("order", deco.order)
     report.kv("count", len(catalog))
-    _catalog_table(report, curve, omega, deco, catalog)
+    table = comp.stability_windows(curve, omega, deco, args.rank, args.degree)
+    _catalog_table(report, table, catalog)
     report.emit()
     return 0
 

@@ -111,18 +111,94 @@ class Witness:
     side: str
 
 
-def _interval(
+@dataclass(frozen=True)
+class Window:
+    """Open window lower < sigma_j < upper for the degree sum over A_j."""
+
+    j: int
+    subcurve: frozenset[int]
+    node: int
+    lower: Fraction
+    upper: Fraction
+
+
+@dataclass(frozen=True)
+class WindowTable:
+    """Every window of one decomposition at rank s and degree d.
+
+    ``coeff`` = d + s(1 - p_a) is how far both bounds of a window move per
+    unit of weight moved into its subcurve.
+    """
+
+    rank: int
+    degree: int
+    coeff: int
+    windows: tuple[Window, ...]
+
+    def check(self, ctuple: ComponentTuple) -> StabilityReport:
+        """Evaluate every window condition for one tuple."""
+        gamma = len(self.windows) + 1
+        if (len(ctuple.degrees), ctuple.rank, ctuple.total) != (gamma, self.rank, self.degree):
+            raise ValueError(
+                f"tuple {ctuple} does not fit the windows of rank {self.rank}, "
+                f"degree {self.degree} on {gamma} components"
+            )
+        rows = []
+        for w in self.windows:
+            sigma = sum(ctuple.degrees[i - 1] for i in w.subcurve)
+            rows.append(
+                StabilityRow(
+                    j=w.j,
+                    subcurve=w.subcurve,
+                    node=w.node,
+                    lower=w.lower,
+                    partial_sum=sigma,
+                    upper=w.upper,
+                    ok=w.lower < sigma < w.upper,
+                    slack_lower=sigma - w.lower,
+                    slack_upper=w.upper - sigma,
+                )
+            )
+        return StabilityReport(passed=all(r.ok for r in rows), rows=tuple(rows))
+
+    def binding(self, report: StabilityReport) -> tuple[Fraction, StabilityRow] | None:
+        """Least slack / (|coeff| |A_j|) of a passing report, with its row.
+
+        Ties go to the smallest j.  None means unbounded: no conditions
+        (gamma = 1), or coeff = 0 so that the bounds do not move at all.
+        """
+        if not report.passed:
+            bad = next(r for r in report.rows if not r.ok)
+            raise HypothesisError(
+                f"tuple fails condition {bad.j}: "
+                f"{bad.lower} < {bad.partial_sum} < {bad.upper} is false"
+            )
+        if not report.rows or self.coeff == 0:
+            return None
+        ratio, _, row = min(
+            (min(r.slack_lower, r.slack_upper) / (abs(self.coeff) * len(r.subcurve)), r.j, r)
+            for r in report.rows
+        )
+        return ratio, row
+
+
+def stability_windows(
     curve: NodalCurve,
     omega: Polarization,
-    subcurve: frozenset[int],
+    deco: OrderedDecomposition,
     s: int,
     d: int,
-) -> tuple[Fraction, Fraction]:
-    wr = omega.subcurve_weight(subcurve)
-    defect = delta_structure_sheaf(curve, omega, subcurve)
-    lower = wr * d - s * defect
-    upper = wr * d + s * (1 - defect)
-    return lower, upper
+) -> WindowTable:
+    """Build the window of every A_j once, for rank s and total degree d."""
+    if s < 1:
+        raise ValueError(f"rank must be >= 1, got {s}")
+    if deco.gamma != curve.gamma:
+        raise ValueError("decomposition does not match the curve")
+    windows = []
+    for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1):
+        lower = omega.subcurve_weight(A) * d - s * delta_structure_sheaf(curve, omega, A)
+        windows.append(Window(j=j, subcurve=A, node=p, lower=lower, upper=lower + s))
+    return WindowTable(s, d, d + s * (1 - curve.arithmetic_genus()), tuple(windows))
 
 
 def stability_conditions(
@@ -132,35 +208,7 @@ def stability_conditions(
     ctuple: ComponentTuple,
 ) -> StabilityReport:
     """Evaluate every per-subcurve degree interval condition for a tuple."""
-    if len(ctuple.degrees) != curve.gamma:
-        raise ValueError(
-            f"tuple has {len(ctuple.degrees)} degrees for {curve.gamma} components"
-        )
-    if deco.gamma != curve.gamma:
-        raise ValueError("decomposition does not match the curve")
-    s = ctuple.rank
-    d = ctuple.total
-    rows = []
-    passed = True
-    for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1):
-        lower, upper = _interval(curve, omega, A, s, d)
-        sigma = sum(ctuple.degrees[i - 1] for i in A)
-        ok = lower < sigma < upper
-        passed = passed and ok
-        rows.append(
-            StabilityRow(
-                j=j,
-                subcurve=A,
-                node=p,
-                lower=lower,
-                partial_sum=sigma,
-                upper=upper,
-                ok=ok,
-                slack_lower=sigma - lower,
-                slack_upper=upper - sigma,
-            )
-        )
-    return StabilityReport(passed=passed, rows=tuple(rows))
+    return stability_windows(curve, omega, deco, ctuple.rank, ctuple.total).check(ctuple)
 
 
 def enumerate_components(
@@ -176,26 +224,22 @@ def enumerate_components(
     through the unit-triangular incidence of the decomposition; the root
     absorbs the remaining degree.  Each solution appears exactly once.
     """
-    if s < 1:
-        raise ValueError(f"rank must be >= 1, got {s}")
-    if deco.gamma != curve.gamma:
-        raise ValueError("decomposition does not match the curve")
+    table = stability_windows(curve, omega, deco, s, d)
     gamma = curve.gamma
     order = deco.order
     position = {comp: idx for idx, comp in enumerate(order, start=1)}
 
-    ranges = []
     preceding: list[list[int]] = []
-    for j, A in enumerate(deco.subcurves, start=1):
-        lower, upper = _interval(curve, omega, A, s, d)
-        ranges.append(range(math.floor(lower) + 1, math.ceil(upper)))
-        inside = sorted(position[c] for c in A)
-        if inside[-1] != j:
-            raise ValueError(f"decomposition is not triangular at position {j}")
+    for w in table.windows:
+        inside = sorted(position[c] for c in w.subcurve)
+        if inside[-1] != w.j:
+            raise ValueError(f"decomposition is not triangular at position {w.j}")
         preceding.append(inside[:-1])
 
     catalog = []
-    for sigmas in itertools.product(*ranges):
+    for sigmas in itertools.product(
+        *(range(math.floor(w.lower) + 1, math.ceil(w.upper)) for w in table.windows)
+    ):
         by_position = [0] * (gamma + 1)
         for j, sigma in enumerate(sigmas, start=1):
             by_position[j] = sigma - sum(by_position[i] for i in preceding[j - 1])
@@ -215,11 +259,6 @@ def small_slope_filter(
     return [t for t in catalog if all(0 < x <= s for x in t.degrees)]
 
 
-def _perturbation_coefficient(curve: NodalCurve, s: int, d: int) -> int:
-    # shift of both interval bounds per unit of weight moved into A_j
-    return d + s * (1 - curve.arithmetic_genus())
-
-
 def robustness_radius(
     curve: NodalCurve,
     omega: Polarization,
@@ -234,20 +273,9 @@ def robustness_radius(
     d + s(1 - p_a) = 0.  The radius is a sound lower bound, not the exact
     persistence boundary.
     """
-    report = stability_conditions(curve, omega, deco, ctuple)
-    if not report.passed:
-        bad = next(r for r in report.rows if not r.ok)
-        raise HypothesisError(
-            f"tuple fails condition {bad.j}: "
-            f"{bad.lower} < {bad.partial_sum} < {bad.upper} is false"
-        )
-    coeff = _perturbation_coefficient(curve, ctuple.rank, ctuple.total)
-    if not report.rows or coeff == 0:
-        return None
-    return min(
-        min(r.slack_lower, r.slack_upper) / (abs(coeff) * len(r.subcurve))
-        for r in report.rows
-    )
+    table = stability_windows(curve, omega, deco, ctuple.rank, ctuple.total)
+    found = table.binding(table.check(ctuple))
+    return None if found is None else found[0]
 
 
 def binding_witness(
@@ -265,24 +293,14 @@ def binding_witness(
     per-component magnitude relative to the binding slack/coefficient
     ratio; any value above 1 produces a violation.
     """
-    report = stability_conditions(curve, omega, deco, ctuple)
-    if not report.passed:
-        raise HypothesisError("witness needs a tuple passing all conditions")
-    coeff = _perturbation_coefficient(curve, ctuple.rank, ctuple.total)
-    if not report.rows or coeff == 0:
+    table = stability_windows(curve, omega, deco, ctuple.rank, ctuple.total)
+    found = table.binding(table.check(ctuple))
+    if found is None:
         raise HypothesisError("no binding bound: the radius is unbounded")
-
-    def ratio(row: StabilityRow) -> Fraction:
-        return min(row.slack_lower, row.slack_upper) / (abs(coeff) * len(row.subcurve))
-
-    binding = min(report.rows, key=lambda r: (ratio(r), r.j))
+    ratio, binding = found
     side = "lower" if binding.slack_lower <= binding.slack_upper else "upper"
-    magnitude = multiplier * ratio(binding)
     # lower bound rises (fails) when coeff * shift > 0, upper falls when < 0
-    direction = 1 if coeff > 0 else -1
-    if side == "upper":
-        direction = -direction
-    inside = direction * magnitude
+    inside = multiplier * ratio * (1 if (table.coeff > 0) == (side == "lower") else -1)
     a = len(binding.subcurve)
     outside = -inside * a / (curve.gamma - a)
     epsilon = tuple(
@@ -372,21 +390,6 @@ def build_small_slope_tuple(curve: NodalCurve, s: int, d: int) -> BuilderResult:
     )
 
 
-def _path_order(curve: NodalCurve) -> list[int]:
-    if curve.gamma == 1:
-        return [1]
-    adj = curve.adjacency()
-    ends = [i for i in curve.component_ids if len(adj[i]) == 1]
-    start = min(ends)
-    path = [start]
-    prev = None
-    while len(path) < curve.gamma:
-        nxt = [w for w, _ in adj[path[-1]] if w != prev]
-        prev = path[-1]
-        path.append(nxt[0])
-    return path
-
-
 def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     """Stepwise construction along a chain, smallest feasible sums first.
 
@@ -405,18 +408,16 @@ def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     if not gamma <= d <= s:
         raise HypothesisError(f"degree {d} outside gamma <= d <= s = [{gamma}, {s}]")
 
-    eta = canonical(curve)
-    path = _path_order(curve)
+    ends = [i for i in curve.component_ids if curve.node_degree(i) == 1]
+    deco = order_components(curve, max(ends, default=1))
+    path = deco.order
     degrees = [0] * gamma
     running = 0
-    eta_prefix = Fraction(0)
-    for j in range(1, gamma):
-        eta_prefix += eta[path[j - 1]]
-        lo = max(running + 1, math.floor(d * eta_prefix - Fraction(s, 2)) + 1)
-        hi = min(
-            d - (gamma - j),
-            math.ceil(d * eta_prefix + Fraction(s, 2) - (gamma - j - 1)) - 1,
-        )
+    # rooted at an end, A_j is the first j components of the path
+    for w in stability_windows(curve, canonical(curve), deco, s, d).windows:
+        j = w.j
+        lo = max(running + 1, math.floor(w.lower) + 1)
+        hi = min(d, math.ceil(w.upper)) - (gamma - j)
         if lo > hi:
             raise HypothesisError(
                 f"no integer prefix sum at position {j}: need {lo} <= x <= {hi}"

@@ -38,6 +38,15 @@ class Node(NamedTuple):
     second: int
 
 
+class Branch(NamedTuple):
+    """A component of a rooted tree seen from its parent: see ``branches``."""
+
+    component: int
+    parent: int
+    node: int
+    subtree: frozenset[int]
+
+
 class CurveClass(enum.Enum):
     CHAIN = "chain"
     COMB = "comb"
@@ -82,9 +91,14 @@ class NodalCurve:
                 node = Node(node.id, node.second, node.first)
             normalized.append(node)
         nodes = tuple(sorted(normalized, key=lambda n: n.id))
+        adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, len(genera) + 1)}
+        for n in nodes:
+            adj[n.first].append((n.second, n.id))
+            adj[n.second].append((n.first, n.id))
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "nodes", nodes)
-        if not self._connected():
+        object.__setattr__(self, "_adj", adj)  # built once; not a dataclass field
+        if self._reachable_from(1, frozenset(self.component_ids)) != set(self.component_ids):
             raise CurveError("dual graph is not connected")
 
     # -- basic counts -------------------------------------------------
@@ -116,30 +130,19 @@ class NodalCurve:
         """Number of node endpoints lying on component i."""
         if not 1 <= i <= self.gamma:
             raise CurveError(f"unknown component {i}")
-        return sum(1 for n in self.nodes for end in (n.first, n.second) if end == i)
+        return len(self._adj[i])
 
     def adjacency(self) -> dict[int, list[tuple[int, int]]]:
         """Map component id -> list of (neighbor id, node id), node-id order."""
-        adj: dict[int, list[tuple[int, int]]] = {i: [] for i in self.component_ids}
-        for n in self.nodes:
-            adj[n.first].append((n.second, n.id))
-            adj[n.second].append((n.first, n.id))
-        return adj
+        return {i: list(edges) for i, edges in self._adj.items()}
 
-    def _connected(self) -> bool:
-        return self._reachable_from(1) == set(self.component_ids)
-
-    def _reachable_from(self, start: int, within: frozenset[int] | None = None) -> set[int]:
-        allowed = within if within is not None else frozenset(self.component_ids)
-        if start not in allowed:
-            return set()
-        adj = self.adjacency()
+    def _reachable_from(self, start: int, within: frozenset[int]) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
-            for w, _ in adj[v]:
-                if w in allowed and w not in seen:
+            for w, _ in self._adj[v]:
+                if w in within and w not in seen:
                     seen.add(w)
                     stack.append(w)
         return seen
@@ -195,7 +198,7 @@ class NodalCurve:
 
     def is_connected_subcurve(self, ids: Iterable[int]) -> bool:
         B = self.check_subcurve(ids)
-        return self._reachable_from(min(B), within=B) == set(B)
+        return self._reachable_from(min(B), B) == set(B)
 
     def crossing_node_count(self, ids: Iterable[int]) -> int:
         """Number of nodes with exactly one endpoint in the subcurve."""
@@ -206,29 +209,47 @@ class NodalCurve:
         B = self.check_subcurve(ids)
         return sum(self.genera[i - 1] for i in B)
 
+    def branches(self, root: int) -> list[Branch]:
+        """One rooted pass over a tree: every component but ``root``.
+
+        Each branch records the component, its parent toward ``root``, the
+        node joining the two and the subtree hanging below that node.  A
+        branch comes after every branch inside its subtree.
+        """
+        self.require_compact_type()
+        if not 1 <= root <= self.gamma:
+            raise CurveError(f"unknown root component {root}")
+        parent = {root: (root, 0)}
+        reached = [root]
+        for v in reached:  # grows while it is read: breadth first
+            for w, nid in self._adj[v]:
+                if w not in parent:
+                    parent[w] = (v, nid)
+                    reached.append(w)
+        below = {v: [v] for v in reached}
+        out = []
+        for v in reversed(reached[1:]):
+            up, nid = parent[v]
+            out.append(Branch(v, up, nid, frozenset(below[v])))
+            below[up] += below.pop(v)
+        return out
+
     def edge_splits(self) -> list[tuple[int, frozenset[int], frozenset[int]]]:
         """Two-sided splits obtained by deleting one node of a tree.
 
         Returns (node id, B, complement) triples sorted by node id, where
-        B is the side containing the node's smaller-id endpoint.
+        B is the side containing the node's smaller-id endpoint: the
+        subtree below the node, or its complement when that endpoint is
+        the parent.
         """
-        self.require_compact_type()
-        out: list[tuple[int, frozenset[int], frozenset[int]]] = []
         all_ids = frozenset(self.component_ids)
-        adj = self.adjacency()
-        for node in self.nodes:
-            anchor = min(node.first, node.second)
-            seen = {anchor}
-            stack = [anchor]
-            while stack:
-                v = stack.pop()
-                for w, nid in adj[v]:
-                    if nid != node.id and w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-            side = frozenset(seen)
-            out.append((node.id, side, all_ids - side))
-        return out
+        splits = []
+        for b in self.branches(self.gamma):
+            rest = all_ids - b.subtree
+            splits.append((b.node, rest, b.subtree) if b.parent < b.component
+                          else (b.node, b.subtree, rest))
+        splits.sort(key=lambda split: split[0])
+        return splits
 
 
 def chain_curve(genera: Iterable[int]) -> NodalCurve:

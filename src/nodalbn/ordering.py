@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .curve import CurveError, NodalCurve
+from .curve import NodalCurve
 
 
 @dataclass(frozen=True)
@@ -57,31 +57,10 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
     Iterative (explicit stack) so that long chains do not hit the
     interpreter recursion limit.
     """
-    curve.require_compact_type()
-    if not 1 <= root <= curve.gamma:
-        raise CurveError(f"unknown root component {root}")
-
-    adj = curve.adjacency()
-    parent: dict[int, tuple[int, int] | None] = {root: None}
+    below = {b.component: b for b in curve.branches(root)}
     children: dict[int, list[int]] = {i: [] for i in curve.component_ids}
-    stack = [root]
-    dfs_order = []
-    while stack:
-        v = stack.pop()
-        dfs_order.append(v)
-        for w, nid in adj[v]:
-            if w not in parent:
-                parent[w] = (v, nid)
-                children[v].append(w)
-                stack.append(w)
-
-    # smallest id in each rooted subtree, filled leaves-first
-    subtree_min: dict[int, int] = {}
-    subtree: dict[int, frozenset[int]] = {}
-    for v in reversed(dfs_order):
-        ids = frozenset({v}).union(*(subtree[c] for c in children[v])) if children[v] else frozenset({v})
-        subtree[v] = ids
-        subtree_min[v] = min(ids)
+    for b in below.values():
+        children[b.parent].append(b.component)
 
     order: list[int] = []
     visit: list[tuple[int, bool]] = [(root, False)]
@@ -92,19 +71,14 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
             continue
         visit.append((v, True))
         # reversed so the smallest-subtree-min branch is visited first
-        for c in sorted(children[v], key=lambda c: subtree_min[c], reverse=True):
+        for c in sorted(children[v], key=lambda c: min(below[c].subtree), reverse=True):
             visit.append((c, False))
 
-    subcurves = []
-    separating = []
-    for v in order[:-1]:
-        subcurves.append(subtree[v])
-        separating.append(parent[v][1])  # type: ignore[index]
     return OrderedDecomposition(
         root=root,
         order=tuple(order),
-        subcurves=tuple(subcurves),
-        separating_nodes=tuple(separating),
+        subcurves=tuple(below[v].subtree for v in order[:-1]),
+        separating_nodes=tuple(below[v].node for v in order[:-1]),
     )
 
 

@@ -101,8 +101,11 @@ def delta_structure_sheaf(
     """Defect 1 - sum_{i in B} g_i - wrank(O_B)(1 - p_a) of a subcurve B."""
     B = curve.check_subcurve(ids)
     _check_lengths(curve, omega)
-    pa = curve.arithmetic_genus()
-    return 1 - curve.genus_sum(B) - omega.subcurve_weight(B) * (1 - pa)
+    return _defect(curve.genus_sum(B), omega.subcurve_weight(B), curve.arithmetic_genus())
+
+
+def _defect(genus: int, weight: Fraction, pa: int) -> Fraction:
+    return 1 - genus - weight * (1 - pa)
 
 
 def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
@@ -111,16 +114,18 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
     This is the decidable slice of goodness used by the certification
     pipeline; it does not quantify over all depth-one subsheaves.
     """
-    curve.require_compact_type()
+    splits = curve.edge_splits()
     _check_lengths(curve, omega)
+    pa = curve.arithmetic_genus()
     rows = []
-    passed = True
-    for node_id, side, _ in curve.edge_splits():
-        d = delta_structure_sheaf(curve, omega, side)
-        ok = 0 < d < 1
-        passed = passed and ok
-        rows.append(SplitDefect(node=node_id, side=side, defect=d, ok=ok))
-    return GoodnessReport(passed=passed, splits=tuple(rows))
+    for node_id, side, rest in splits:
+        # sum over the smaller side: on a tree the two defects add up to 1
+        small = min(side, rest, key=len)
+        d = _defect(sum(curve.genera[i - 1] for i in small), omega.subcurve_weight(small), pa)
+        if small is not side:
+            d = 1 - d
+        rows.append(SplitDefect(node=node_id, side=side, defect=d, ok=0 < d < 1))
+    return GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
 
 
 def perturb(omega: Polarization, eps: Sequence[Fraction | int]) -> Polarization:

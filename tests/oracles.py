@@ -32,6 +32,28 @@ def raw_defect(genera, nodes, weights, ids) -> Fraction:
     return 1 - gsum - wsum * (1 - pa)
 
 
+def raw_split_sides(gamma, nodes):
+    """(node id, side, other side) for every node of a tree, by node id.
+
+    The side holds the node's smaller-id endpoint: a fresh search from it
+    over every other node, with no traversal shared between nodes.
+    """
+    out = []
+    for cut in sorted(nodes, key=lambda n: n.id):
+        side = {min(cut.first, cut.second)}
+        stack = list(side)
+        while stack:
+            v = stack.pop()
+            for n in nodes:
+                if n.id != cut.id and v in (n.first, n.second):
+                    w = n.second if v == n.first else n.first
+                    if w not in side:
+                        side.add(w)
+                        stack.append(w)
+        out.append((cut.id, frozenset(side), frozenset(range(1, gamma + 1)) - side))
+    return out
+
+
 def _sigma_windows(curve, omega, deco, s, d):
     """Closed integer window [lo, hi] of admissible partial sums per tail."""
     genera = curve.genera

@@ -1,6 +1,7 @@
 """Interval conditions, catalog enumeration, robustness, builders."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -14,7 +15,13 @@ from conftest import (
     random_valid_polarization,
     scaled_zero_sum_eps,
 )
-from oracles import brute_force_catalog, brute_force_small_slope
+from oracles import (
+    _sigma_windows,
+    brute_force_catalog,
+    brute_force_small_slope,
+    raw_defect,
+    raw_split_sides,
+)
 
 
 def canonical_deco(curve):
@@ -362,3 +369,27 @@ def test_catalog_root_invariance_random(seed):
     d = rng.randint(0, 8)
     report = nb.catalog_invariance_check(curve, omega, s, d)
     assert report.passed, report.mismatches
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), s=st.integers(1, 6), d=st.integers(-4, 12))
+def test_split_window_core_matches_oracles(seed, s, d):
+    """Splits, split defects and stability windows against from-scratch sums."""
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=8)
+    omega = random_valid_polarization(rng, curve.gamma)
+    splits = curve.edge_splits()
+    assert splits == raw_split_sides(curve.gamma, curve.nodes)
+
+    good = nb.goodness_proxy(curve, omega)
+    assert [(row.node, row.side) for row in good.splits] == [(n, B) for n, B, _ in splits]
+    for row in good.splits:
+        assert row.defect == raw_defect(curve.genera, curve.nodes, omega.weights, row.side)
+
+    deco = nb.order_components(curve, rng.randint(1, curve.gamma))
+    degrees = [rng.randint(-2, 5) for _ in range(curve.gamma - 1)]
+    ctuple = nb.ComponentTuple(s, (*degrees, d - sum(degrees)))
+    report = nb.stability_conditions(curve, omega, deco, ctuple)
+    assert [(math.floor(r.lower) + 1, math.ceil(r.upper) - 1) for r in report.rows] == (
+        _sigma_windows(curve, omega, deco, s, d)
+    )
