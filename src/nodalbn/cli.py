@@ -518,6 +518,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per error class; the first match wins, so subclasses come first.
+# 1 is a negative answer about usable input, 2 is input that cannot be used.
+EXIT_CODES: tuple[tuple[type[ValueError], int], ...] = (
+    (ParseError, 2),
+    (comp.HypothesisError, 1),
+    (NotCompactTypeError, 1),
+    (PolarizationError, 1),
+    (CurveError, 2),
+    (DescriptorError, 2),
+    (ValueError, 2),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
@@ -528,21 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except ParseError as exc:
+    except ValueError as exc:  # every error class below is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except comp.HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NotCompactTypeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except PolarizationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (CurveError, DescriptorError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

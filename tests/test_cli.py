@@ -375,6 +375,25 @@ class TestHarness:
         assert out.splitlines()[0] == f"command: nodalbn curve classify --curve {two_path}"
 
 
+CYCLE = "component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\nnode 2 1 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("order", "--root", "1"),
+        ("components", "enumerate", "--rank", "2", "--degree", "2"),
+    ],
+)
+def test_cyclic_curve_to_tree_command_exit_one(capsys, tmp_path, argv):
+    path = tmp_path / "cycle.crv"
+    path.write_text(CYCLE)
+    code, out, err = run(capsys, *argv, "--curve", str(path))
+    assert code == 1
+    assert out == ""
+    assert "tree dual graph" in err
+
+
 # A gamma=5 tree classified "other": component 3 carries three nodes.  Node
 # ids are scrambled and node 7 is written larger end first.  Rooted at 2,
 # node 9 has its smaller endpoint on the root side, so its split side is the
