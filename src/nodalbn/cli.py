@@ -541,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv
     try:
         return args.func(args)
-    except ValueError as exc:  # every error class below is a ValueError
+    except ValueError as exc:  # every class in EXIT_CODES is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
