@@ -59,20 +59,18 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
     """
     below = {b.component: b for b in curve.branches(root)}
     children: dict[int, list[int]] = {i: [] for i in curve.component_ids}
-    for b in below.values():
+    for b in sorted(below.values(), key=lambda b: min(b.subtree)):
         children[b.parent].append(b.component)
 
+    # pre-order that pops the largest-minimum branch first, read backwards:
+    # the post-order with the smallest-minimum branch first
     order: list[int] = []
-    visit: list[tuple[int, bool]] = [(root, False)]
+    visit = [root]
     while visit:
-        v, expanded = visit.pop()
-        if expanded:
-            order.append(v)
-            continue
-        visit.append((v, True))
-        # reversed so the smallest-subtree-min branch is visited first
-        for c in sorted(children[v], key=lambda c: min(below[c].subtree), reverse=True):
-            visit.append((c, False))
+        v = visit.pop()
+        order.append(v)
+        visit += children[v]
+    order.reverse()
 
     return OrderedDecomposition(
         root=root,
