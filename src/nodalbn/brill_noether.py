@@ -20,16 +20,11 @@ every component, and a small-slope degree tuple in the rank-s catalog.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .components import (
-    ComponentTuple,
-    enumerate_components,
-    small_slope_filter,
-)
+from .components import ComponentTuple, SmallSlopeSearch, stability_windows
 from .curve import NodalCurve
 from .ordering import order_components
 from .polarization import Polarization, PolarizationError, canonical, goodness_proxy
@@ -188,15 +183,6 @@ def coherent_slope(
     return (wdeg + Fraction(alpha) * k) / wrank
 
 
-@functools.lru_cache(maxsize=4096)
-def _small_slope_catalog(
-    curve: NodalCurve, omega: Polarization, s: int, d: int
-) -> tuple[ComponentTuple, ...]:
-    # scans revisit the same (curve, s, d) cell for every k
-    deco = order_components(curve, curve.gamma)
-    return tuple(small_slope_filter(enumerate_components(curve, omega, deco, s, d), s))
-
-
 def certify_bn_component(
     curve: NodalCurve, omega: Polarization, s: int, k: int, d: int
 ) -> BNCertificate | CertificationFailure:
@@ -245,13 +231,15 @@ def certify_bn_component(
         )
     )
 
-    catalog = _small_slope_catalog(curve, omega, s, d)
-    tuple_ok = bool(catalog)
+    deco = order_components(curve, curve.gamma)
+    search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
+    chosen = search.first()
+    tuple_ok = chosen is not None
     checklist.append(
         ChecklistItem(
             "small_slope_tuple",
             tuple_ok,
-            f"first of {len(catalog)} small-slope tuples: {catalog[0].degrees}"
+            f"first of {search.count()} small-slope tuples: {chosen.degrees}"
             if tuple_ok
             else f"no rank-{s} degree-{d} tuple with every degree in 1..{s}",
         )
@@ -259,7 +247,6 @@ def certify_bn_component(
     if not (k_bound_ok and tuple_ok):
         return CertificationFailure(checklist=tuple(checklist))
 
-    chosen = catalog[0]
     r = s + k
     per_comp = per_component_bgn(r, k, chosen.degrees, curve.genera)
     checklist.append(

@@ -247,16 +247,14 @@ def cmd_components_enumerate(args: argparse.Namespace) -> int:
     omega = _resolve_omega(args.omega, curve)
     root = args.root if args.root is not None else curve.gamma
     deco = order_components(curve, root)
-    catalog = comp.enumerate_components(curve, omega, deco, args.rank, args.degree)
-    if args.small_slope:
-        catalog = comp.small_slope_filter(catalog, args.rank)
+    table = comp.stability_windows(curve, omega, deco, args.rank, args.degree)
+    catalog = comp.SmallSlopeSearch(table).tuples() if args.small_slope else table.catalog()
     report.kv("omega", omega.weights)
     report.kv("rank", args.rank)
     report.kv("degree", args.degree)
     report.kv("root", root)
     report.kv("order", deco.order)
     report.kv("count", len(catalog))
-    table = comp.stability_windows(curve, omega, deco, args.rank, args.degree)
     _catalog_table(report, table, catalog)
     report.emit()
     return 0

@@ -19,6 +19,21 @@ choice of (sigma_1, ..., sigma_{gamma-1}) determines the degrees by back
 substitution, the root receiving the remainder.  The catalog is the same
 for every root choice; `catalog_invariance_check` re-derives that fact.
 
+Small-slope questions (every degree in 1..s) never build the catalog.
+The subcurves A_j are the subtrees of the rooted tree, so a dynamic
+program over subtree sums answers them: f_v[sigma] counts the ways to
+fill the subtree of v with degrees in 1..s so that every window inside
+it holds.  It is the convolution of the children's tables with the s
+ones of v's own degree, trimmed to v's integer window; the count is
+f_root[d], in O(gamma s^2) integer operations for bounded branching.
+Each f_v is positive on exactly one interval (a sum of intervals cut by
+an interval), so whether a partial assignment still has a completion is
+interval arithmetic over the tree, O(gamma).  The least tuple fixes ids
+1..gamma in turn at the least degree that keeps a completion (a binary
+search each, O(gamma^2 log s) in all), and the full list walks only
+branches that have one, so its cost follows the number of tuples, not
+s^(gamma-1).
+
 The builders construct one small-slope catalog member directly (without
 enumeration) whenever their hypotheses hold, always at the canonical
 polarization: a three-case general construction, a stepwise recurrence
@@ -127,13 +142,15 @@ class WindowTable:
     """Every window of one decomposition at rank s and degree d.
 
     ``coeff`` = d + s(1 - p_a) is how far both bounds of a window move per
-    unit of weight moved into its subcurve.
+    unit of weight moved into its subcurve; ``order`` is the
+    decomposition's component order, root last.
     """
 
     rank: int
     degree: int
     coeff: int
     windows: tuple[Window, ...]
+    order: tuple[int, ...]
 
     def check(self, ctuple: ComponentTuple) -> StabilityReport:
         """Evaluate every window condition for one tuple."""
@@ -181,6 +198,221 @@ class WindowTable:
         )
         return ratio, row
 
+    def catalog(self) -> list[ComponentTuple]:
+        """All degree tuples meeting every window, sorted.
+
+        Walks the integer points of each sigma_j interval and
+        back-substitutes through the unit-triangular incidence of the
+        decomposition; the root absorbs the remaining degree.  Each
+        solution appears exactly once.
+        """
+        gamma = len(self.order)
+        position = {comp: idx for idx, comp in enumerate(self.order, start=1)}
+
+        preceding: list[list[int]] = []
+        for w in self.windows:
+            inside = sorted(position[c] for c in w.subcurve)
+            if inside[-1] != w.j:
+                raise ValueError(f"decomposition is not triangular at position {w.j}")
+            preceding.append(inside[:-1])
+
+        catalog = []
+        for sigmas in itertools.product(*(range(*_integer_window(w)) for w in self.windows)):
+            by_position = [0] * (gamma + 1)
+            for j, sigma in enumerate(sigmas, start=1):
+                by_position[j] = sigma - sum(by_position[i] for i in preceding[j - 1])
+            by_position[gamma] = self.degree - sum(by_position[1:gamma])
+            degrees = [0] * gamma
+            for idx, comp in enumerate(self.order, start=1):
+                degrees[comp - 1] = by_position[idx]
+            catalog.append(ComponentTuple(rank=self.rank, degrees=tuple(degrees)))
+        catalog.sort()
+        return catalog
+
+
+def _integer_window(w: Window) -> tuple[int, int]:
+    """range() bounds of the integers strictly inside the window."""
+    return math.floor(w.lower) + 1, math.ceil(w.upper)
+
+
+class SmallSlopeSearch:
+    """Tuples of one window table with every degree in 1..s, by subtree sums.
+
+    Position p (0-based, root last) is a vertex of the rooted tree; its
+    children are the positions of the largest subcurves strictly inside
+    A_p.  ``support[p]`` is the interval of sums the subtree of p can take,
+    None when some subtree can take none.
+    """
+
+    def __init__(self, table: WindowTable):
+        self.table = table
+        self.children = _subtree_children(table)
+        # integer window of each position's subtree sum; the root's is d itself
+        self.bounds = [
+            (lo, hi - 1) for lo, hi in map(_integer_window, table.windows)
+        ] + [(table.degree, table.degree)]
+        self.support = self._supports([(1, table.rank)] * len(table.order))
+
+    def _supports(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        """Reachable subtree sums per position when position p's degree lies in ranges[p]."""
+        out: list[tuple[int, int]] = []
+        for p, kids in enumerate(self.children):
+            wlo, whi = self.bounds[p]
+            lo = max(wlo, ranges[p][0] + sum(out[c][0] for c in kids))
+            hi = min(whi, ranges[p][1] + sum(out[c][1] for c in kids))
+            if lo > hi:
+                return None
+            out.append((lo, hi))
+        return out
+
+    def count(self) -> int:
+        """Number of tuples: f_root[d]."""
+        if self.support is None:
+            return 0
+        tables: list[list[int]] = []
+        for p, kids in enumerate(self.children):
+            f, low = [1], 1  # low: the sum that f[0] counts, once v's degree is in
+            for c in kids:
+                f, low = _convolve(f, tables[c]), low + self.support[c][0]
+            f = _convolve_ones(f, self.table.rank)
+            lo, hi = self.support[p]
+            tables.append(f[lo - low : hi - low + 1])
+        return tables[-1][0]
+
+    def first(self) -> ComponentTuple | None:
+        """The least tuple in component-id order, None when there is none.
+
+        Ids take their degree in turn: the least x such that a degree in
+        1..x still leaves a completion, found by binary search.
+        """
+        if self.support is None:
+            return None
+        s, order = self.table.rank, self.table.order
+        ranges = [(1, s)] * len(order)
+        degrees = []
+        for p in sorted(range(len(order)), key=order.__getitem__):
+            lo, hi = 1, s
+            while lo < hi:
+                mid = (lo + hi) // 2
+                ranges[p] = (1, mid)
+                if self._supports(ranges) is None:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            ranges[p] = (lo, lo)
+            degrees.append(lo)
+        return ComponentTuple(s, tuple(degrees))
+
+    def tuples(self) -> list[ComponentTuple]:
+        """Every tuple, sorted.
+
+        Positions are visited root first; each splits the sum its parent
+        gave it between its own degree and its children's supports, so
+        every branch taken ends in a tuple.
+        """
+        if self.support is None:
+            return []
+        s, order = self.table.rank, self.table.order
+        gamma = len(order)
+        parts = [[(1, s)] + [self.support[c] for c in kids] for kids in self.children]
+        target = [0] * gamma
+        degrees = [0] * gamma
+        found = []
+        pending = [_splits(self.table.degree, parts[-1])]
+        while pending:
+            p = gamma - len(pending)
+            values = next(pending[-1], None)
+            if values is None:
+                pending.pop()
+                continue
+            degrees[order[p] - 1] = values[0]
+            for c, sigma in zip(self.children[p], values[1:]):
+                target[c] = sigma
+            if p == 0:
+                found.append(ComponentTuple(s, tuple(degrees)))
+            else:
+                pending.append(_splits(target[p - 1], parts[p - 1]))
+        found.sort()
+        return found
+
+
+def _subtree_children(table: WindowTable) -> list[list[int]]:
+    """Children of every position, read off the nested subcurves.
+
+    In post-order each A_j is the block of positions ending at j, and the
+    blocks still open when j is reached and starting inside A_j are its
+    children.
+    """
+    position = {comp: p for p, comp in enumerate(table.order)}
+    children: list[list[int]] = [[] for _ in table.order]
+    open_blocks: list[tuple[int, int]] = []  # (position, first position of its block)
+    for w in table.windows:
+        inside = sorted(position[c] for c in w.subcurve)
+        j = w.j - 1
+        if inside[-1] != j:
+            raise ValueError(f"decomposition is not triangular at position {w.j}")
+        start = j + 1 - len(inside)
+        while open_blocks and open_blocks[-1][1] >= start:
+            children[j].append(open_blocks.pop()[0])
+        if inside[0] != start or (open_blocks and open_blocks[-1][0] >= start):
+            raise ValueError(f"decomposition is not nested at position {w.j}")
+        open_blocks.append((j, start))
+    children[-1] = [p for p, _ in open_blocks]
+    return children
+
+
+def _convolve(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for k, b in enumerate(g):
+            out[i + k] += a * b
+    return out
+
+
+def _convolve_ones(f: list[int], s: int) -> list[int]:
+    """Convolution with s ones: out[i] = f[i-s+1] + ... + f[i]."""
+    out, run = [], 0
+    for i in range(len(f) + s - 1):
+        if i < len(f):
+            run += f[i]
+        if i >= s:
+            run -= f[i - s]
+        out.append(run)
+    return out
+
+
+def _splits(total: int, ranges: list[tuple[int, int]]):
+    """Every way, in increasing order, to write total as one integer per range.
+
+    The caller guarantees that total is reachable.  Each step takes a value
+    that leaves the rest reachable, so no branch is a dead end.
+    """
+    lo_after, hi_after = [0], [0]
+    for lo, hi in reversed(ranges):
+        lo_after.append(lo_after[-1] + lo)
+        hi_after.append(hi_after[-1] + hi)
+    lo_after.reverse()
+    hi_after.reverse()
+    last = len(ranges) - 1
+    values: list[int] = []
+    tops: list[int] = []  # the largest value step i may take
+    left = total
+    while True:
+        while len(values) < last:
+            i = len(values)
+            x = max(ranges[i][0], left - hi_after[i + 1])
+            values.append(x)
+            tops.append(min(ranges[i][1], left - lo_after[i + 1]))
+            left -= x
+        yield (*values, left)  # the last range takes what is left
+        while values and values[-1] == tops[-1]:
+            left += values.pop()
+            tops.pop()
+        if not values:
+            return
+        values[-1] += 1
+        left -= 1
+
 
 def stability_windows(
     curve: NodalCurve,
@@ -198,7 +430,9 @@ def stability_windows(
     for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1):
         lower = omega.subcurve_weight(A) * d - s * delta_structure_sheaf(curve, omega, A)
         windows.append(Window(j=j, subcurve=A, node=p, lower=lower, upper=lower + s))
-    return WindowTable(s, d, d + s * (1 - curve.arithmetic_genus()), tuple(windows))
+    return WindowTable(
+        s, d, d + s * (1 - curve.arithmetic_genus()), tuple(windows), deco.order
+    )
 
 
 def stability_conditions(
@@ -218,38 +452,8 @@ def enumerate_components(
     s: int,
     d: int,
 ) -> list[ComponentTuple]:
-    """All degree tuples meeting every interval condition, sorted.
-
-    Walks the integer points of each sigma_j interval and back-substitutes
-    through the unit-triangular incidence of the decomposition; the root
-    absorbs the remaining degree.  Each solution appears exactly once.
-    """
-    table = stability_windows(curve, omega, deco, s, d)
-    gamma = curve.gamma
-    order = deco.order
-    position = {comp: idx for idx, comp in enumerate(order, start=1)}
-
-    preceding: list[list[int]] = []
-    for w in table.windows:
-        inside = sorted(position[c] for c in w.subcurve)
-        if inside[-1] != w.j:
-            raise ValueError(f"decomposition is not triangular at position {w.j}")
-        preceding.append(inside[:-1])
-
-    catalog = []
-    for sigmas in itertools.product(
-        *(range(math.floor(w.lower) + 1, math.ceil(w.upper)) for w in table.windows)
-    ):
-        by_position = [0] * (gamma + 1)
-        for j, sigma in enumerate(sigmas, start=1):
-            by_position[j] = sigma - sum(by_position[i] for i in preceding[j - 1])
-        by_position[gamma] = d - sum(by_position[1:gamma])
-        degrees = [0] * gamma
-        for idx, comp in enumerate(order, start=1):
-            degrees[comp - 1] = by_position[idx]
-        catalog.append(ComponentTuple(rank=s, degrees=tuple(degrees)))
-    catalog.sort()
-    return catalog
+    """All degree tuples meeting every interval condition, sorted."""
+    return stability_windows(curve, omega, deco, s, d).catalog()
 
 
 def small_slope_filter(

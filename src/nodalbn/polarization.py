@@ -20,7 +20,8 @@ complement; in particular every one-node split scores exactly 1/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -33,9 +34,16 @@ class PolarizationError(ValueError):
 
 @dataclass(frozen=True)
 class Polarization:
-    """Exact rational weight vector: positive entries summing to 1."""
+    """Exact rational weight vector: positive entries summing to 1.
+
+    Weight i is ``_numerators[i] / _denominator`` over the lcm of the
+    denominators (``_numerators[0]`` pads the 1-based ids), so a subcurve
+    weight is one integer sum.
+    """
 
     weights: tuple[Fraction, ...]
+    _denominator: int = field(init=False, repr=False, compare=False)
+    _numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         ws = tuple(Fraction(w) for w in self.weights)
@@ -46,10 +54,15 @@ class Polarization:
                 raise PolarizationError(f"weight {i} is {w}; weights must be positive")
             if len(ws) > 1 and w >= 1:
                 raise PolarizationError(f"weight {i} is {w}; weights must be strictly below 1")
-        total = sum(ws)
-        if total != 1:
-            raise PolarizationError(f"weights sum to {total}, not 1")
+        denominator = math.lcm(*(w.denominator for w in ws))
+        numerators = (0, *(w.numerator * (denominator // w.denominator) for w in ws))
+        if sum(numerators) != denominator:
+            raise PolarizationError(
+                f"weights sum to {Fraction(sum(numerators), denominator)}, not 1"
+            )
         object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_numerators", numerators)
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -62,7 +75,11 @@ class Polarization:
 
     def subcurve_weight(self, ids: Iterable[int]) -> Fraction:
         """wrank of the structure sheaf of the subcurve: sum of weights."""
-        return sum((self[i] for i in ids), Fraction(0))
+        ids = tuple(ids)
+        if ids and not (1 <= min(ids) and max(ids) <= len(self.weights)):
+            bad = next(i for i in ids if not 1 <= i <= len(self.weights))
+            raise PolarizationError(f"no weight for component {bad}")
+        return Fraction(sum(map(self._numerators.__getitem__, ids)), self._denominator)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,40 @@ def _sigma_windows(curve, omega, deco, s, d):
     return windows
 
 
+def _position_box(curve, omega, deco, s, d):
+    """Windows, tail positions and per-position degree ranges, or None if empty.
+
+    The ranges come from interval arithmetic on the windows in position
+    order; every catalog tuple lies in their product.
+    """
+    gamma = curve.gamma
+    windows = _sigma_windows(curve, omega, deco, s, d)
+    if any(lo > hi for lo, hi in windows):
+        return None
+    positions = {comp: j for j, comp in enumerate(deco.order)}
+    tail_positions = [
+        frozenset(positions[c] for c in sub) for sub in deco.subcurves
+    ]
+    lo_deg = [0] * (gamma - 1)
+    hi_deg = [0] * (gamma - 1)
+    for j in range(gamma - 1):
+        preceding = [i for i in range(j) if i in tail_positions[j]]
+        lo_deg[j] = windows[j][0] - sum(hi_deg[i] for i in preceding)
+        hi_deg[j] = windows[j][1] - sum(lo_deg[i] for i in preceding)
+    return windows, tail_positions, lo_deg, hi_deg
+
+
+def brute_force_box_size(curve, omega, deco, s, d):
+    """Number of points `brute_force_catalog` visits."""
+    if curve.gamma == 1:
+        return 1
+    box = _position_box(curve, omega, deco, s, d)
+    if box is None:
+        return 0
+    _, _, lo_deg, hi_deg = box
+    return math.prod(max(0, hi - lo + 1) for lo, hi in zip(lo_deg, hi_deg))
+
+
 def brute_force_catalog(curve, omega, deco, s, d):
     """Every integer degree tuple meeting the strict tail inequalities.
 
@@ -80,20 +114,11 @@ def brute_force_catalog(curve, omega, deco, s, d):
     gamma = curve.gamma
     if gamma == 1:
         return [(d,)]
-    windows = _sigma_windows(curve, omega, deco, s, d)
-    if any(lo > hi for lo, hi in windows):
+    box = _position_box(curve, omega, deco, s, d)
+    if box is None:
         return []
+    windows, tail_positions, lo_deg, hi_deg = box
     order = deco.order
-    positions = {comp: j for j, comp in enumerate(order)}
-    tail_positions = [
-        frozenset(positions[c] for c in sub) for sub in deco.subcurves
-    ]
-    lo_deg = [0] * (gamma - 1)
-    hi_deg = [0] * (gamma - 1)
-    for j in range(gamma - 1):
-        preceding = [i for i in range(j) if i in tail_positions[j]]
-        lo_deg[j] = windows[j][0] - sum(hi_deg[i] for i in preceding)
-        hi_deg[j] = windows[j][1] - sum(lo_deg[i] for i in preceding)
     found = []
     for point in itertools.product(
         *(range(lo_deg[j], hi_deg[j] + 1) for j in range(gamma - 1))

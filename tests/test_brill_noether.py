@@ -1,11 +1,13 @@
 """Expected-dimension arithmetic, existence bounds, certification, scans."""
 
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from conftest import random_good_polarization, random_tree_curve
 
 
 class TestBnNumber:
@@ -237,3 +239,37 @@ class TestScan:
             s_values=iter((2, 3)),
         )
         assert {row.genera for row in rows} == {(2, 2), (3, 3)}
+
+
+@given(s=st.integers(1, 12), data=st.data())
+def test_section_bound_and_small_slope_imply_degree_rows(s, data):
+    """k <= 1 + s(g_i - 1) with every degree in 1..s gives the last two rows.
+
+    Per component: k <= 1 + s(g_i - 1) <= d_i + s(g_i - 1), which is
+    k g_i <= d_i + r(g_i - 1) for r = s + k; and 1 <= d_i <= s < r.
+    """
+    genera = data.draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    k = data.draw(st.integers(1, min(1 + s * (g - 1) for g in genera)))
+    degrees = data.draw(st.lists(st.integers(1, s), min_size=len(genera), max_size=len(genera)))
+    r = s + k
+    assert all(c.ok for c in nb.per_component_bgn(r, k, degrees, genera))
+    assert all(0 < x <= r for x in degrees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_certify_fails_only_on_section_or_small_slope(seed):
+    """On random trees the two degree rows never fail once the first four pass."""
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
+    omega = random_good_polarization(rng, curve)
+    s = rng.randint(1, 10)
+    k = rng.randint(1, 4)
+    d = rng.randint(-1, s * curve.gamma + 2)
+    result = nb.certify_bn_component(curve, omega, s, k, d)
+    names = [item.name for item in result.checklist]
+    if isinstance(result, nb.BNCertificate):
+        assert names[-2:] == ["per_component_degree_bound", "degree_range"]
+    else:
+        assert {item.name for item in result.failed} <= {"section_bound", "small_slope_tuple"}
+        assert result.failed

@@ -404,8 +404,13 @@ OTHER5 = (
     "node 4 1 2\nnode 9 2 3\nnode 2 3 4\nnode 7 5 3\n"
 )
 OTHER5_OMEGA = "11/52,2/13,17/52,3/26,5/26"  # canonical is 5/26,2/13,9/26,3/26,5/26
+# A chain of seven genus-2 components: bn certify at s = d = 12 picks the first
+# of 462 small-slope tuples out of a catalog of about three million.
+CHAIN7 = "".join(f"component {i} genus 2\n" for i in range(1, 8)) + "".join(
+    f"node {i} {i} {i + 1}\n" for i in range(1, 7)
+)
 GOLDEN_DIR = Path(__file__).parent / "golden"
-# name -> (exit code, argv with {curve} for the curve file)
+# name -> (exit code, argv with {curve} for OTHER5 and {chain7} for CHAIN7)
 GOLDEN_CASES = {
     "order": (0, ("order", "--curve", "{curve}", "--root", "2")),
     "polarization_canonical": (0, ("polarization", "canonical", "--curve", "{curve}")),
@@ -426,16 +431,21 @@ GOLDEN_CASES = {
     "radius": (0, (
         "components", "radius", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
         "--root", "2", "--rank", "3", "--tuple", "1,1,2,1,2")),
+    "certify_chain7": (0, (
+        "bn", "certify", "--curve", "{chain7}", "--s", "12", "--k", "1", "--d", "12")),
 }
 
 
 def golden_run(capsys, tmp_path, name):
-    """Run one golden case; return its exit code and stdout with the path masked."""
+    """Run one golden case; return its exit code and stdout with the paths masked."""
     path = tmp_path / "other5.crv"
     path.write_text(OTHER5)
+    chain7 = tmp_path / "chain7.crv"
+    chain7.write_text(CHAIN7)
     code, argv = GOLDEN_CASES[name]
-    got = main([arg.format(curve=path) for arg in argv])
-    return code, got, capsys.readouterr().out.replace(str(path), "other5.crv")
+    got = main([arg.format(curve=path, chain7=chain7) for arg in argv])
+    out = capsys.readouterr().out
+    return code, got, out.replace(str(path), "other5.crv").replace(str(chain7), "chain7.crv")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))

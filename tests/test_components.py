@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from nodalbn.components import SmallSlopeSearch, stability_windows
 from conftest import (
     random_good_polarization,
     random_tree_curve,
@@ -17,6 +18,7 @@ from conftest import (
 )
 from oracles import (
     _sigma_windows,
+    brute_force_box_size,
     brute_force_catalog,
     brute_force_small_slope,
     raw_defect,
@@ -393,3 +395,79 @@ def test_split_window_core_matches_oracles(seed, s, d):
     assert [(math.floor(r.lower) + 1, math.ceil(r.upper) - 1) for r in report.rows] == (
         _sigma_windows(curve, omega, deco, s, d)
     )
+
+
+# The oracle's box grows like s^(gamma-1) times 2^depth and can pass 10^7
+# points at gamma = 6; above this size the filtered library catalog, itself
+# checked against the oracle above, is the reference.
+ORACLE_BOX_LIMIT = 20_000
+
+
+def _check_small_slope_search(curve, omega, deco, s, d):
+    if brute_force_box_size(curve, omega, deco, s, d) <= ORACLE_BOX_LIMIT:
+        want = brute_force_small_slope(curve, omega, deco, s, d)
+    else:
+        catalog = nb.enumerate_components(curve, omega, deco, s, d)
+        want = [t.degrees for t in nb.small_slope_filter(catalog, s)]
+    search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
+    assert search.count() == len(want)
+    first = search.first()
+    assert (first.degrees if first is not None else None) == (want[0] if want else None)
+    tuples = search.tuples()
+    assert [t.degrees for t in tuples] == want
+    assert all(t.rank == s for t in tuples)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_small_slope_search_matches_brute_force(seed):
+    """Count, least tuple and full list of the subtree-sum search against the oracle."""
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
+    s = rng.randint(1, 7)  # uniform: the oracle's box grows like s^(gamma-1)
+    deco = nb.order_components(curve, rng.randint(1, curve.gamma))
+    d = rng.randint(-1, s * curve.gamma + 2)
+    for omega in (nb.canonical(curve), random_good_polarization(rng, curve)):
+        _check_small_slope_search(curve, omega, deco, s, d)
+
+
+@pytest.mark.parametrize("gamma", [1, 2, 3, 4])
+def test_small_slope_search_every_degree(gamma):
+    """Every d from -1 to s*gamma + 2, so both ends of the range are crossed."""
+    rng = random.Random(gamma)
+    curve = None
+    while curve is None or curve.gamma != gamma:
+        curve = random_tree_curve(rng, gamma_max=gamma, genus_range=(2, 4))
+    for s in range(1, 6):
+        deco = nb.order_components(curve, rng.randint(1, gamma))
+        omega = random_good_polarization(rng, curve)
+        for d in range(-1, s * gamma + 3):
+            _check_small_slope_search(curve, omega, deco, s, d)
+
+
+def test_small_slope_search_rejects_crossed_subcurves(chain4):
+    # A_3 = {1, 3} is triangular but skips position 2, so it is no subtree
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1}), frozenset({2}), frozenset({1, 3})),
+        separating_nodes=(1, 2, 3),
+    )
+    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
+    assert table.catalog()  # back substitution needs triangularity only
+    with pytest.raises(ValueError, match="not nested at position 3"):
+        SmallSlopeSearch(table)
+
+
+def test_small_slope_search_rejects_non_triangular(chain4):
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
+        separating_nodes=(2, 2, 3),
+    )
+    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
+    with pytest.raises(ValueError, match="not triangular at position 1"):
+        table.catalog()
+    with pytest.raises(ValueError, match="not triangular at position 1"):
+        SmallSlopeSearch(table)
