@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 
 from .components import ComponentTuple, SmallSlopeSearch, stability_windows
 from .curve import NodalCurve
-from .ordering import order_components
+from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, PolarizationError, canonical, goodness_proxy
 
 
@@ -198,6 +198,12 @@ def certify_bn_component(
         raise ValueError(f"rank s must be >= 1, got {s}")
     if k < 1:
         raise ValueError(f"section count k must be >= 1, got {k}")
+    _require_good(curve, omega)
+    deco = order_components(curve, curve.gamma)
+    return _certify_cell(curve, omega, s, k, d, *_small_slope_cell(curve, omega, deco, s, d))
+
+
+def _require_good(curve: NodalCurve, omega: Polarization) -> None:
     good = goodness_proxy(curve, omega)
     if not good.passed:
         bad = [row for row in good.splits if not row.ok]
@@ -206,6 +212,25 @@ def certify_bn_component(
             + ", ".join(f"{row.node} (defect {row.defect})" for row in bad)
         )
 
+
+def _small_slope_cell(
+    curve: NodalCurve, omega: Polarization, deco: OrderedDecomposition, s: int, d: int
+) -> tuple[ComponentTuple | None, int]:
+    """The least small-slope tuple at rank s and degree d, and how many there are."""
+    search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
+    return search.first(), search.count()
+
+
+def _certify_cell(
+    curve: NodalCurve,
+    omega: Polarization,
+    s: int,
+    k: int,
+    d: int,
+    chosen: ComponentTuple | None,
+    count: int,
+) -> BNCertificate | CertificationFailure:
+    """Checklist and certificate for k sections, given the cell's small-slope answer."""
     checklist = [
         ChecklistItem("compact_type", True, f"tree with {curve.gamma} components"),
         ChecklistItem(
@@ -231,15 +256,12 @@ def certify_bn_component(
         )
     )
 
-    deco = order_components(curve, curve.gamma)
-    search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
-    chosen = search.first()
     tuple_ok = chosen is not None
     checklist.append(
         ChecklistItem(
             "small_slope_tuple",
             tuple_ok,
-            f"first of {search.count()} small-slope tuples: {chosen.degrees}"
+            f"first of {count} small-slope tuples: {chosen.degrees}"
             if tuple_ok
             else f"no rank-{s} degree-{d} tuple with every degree in 1..{s}",
         )
@@ -320,6 +342,9 @@ def conjecture_scan(
         gamma = curve.gamma
         eta = canonical(curve)
         shape = curve.classify().value
+        # certify's hard error, once per curve; canonical split defects are all 1/2
+        _require_good(curve, eta)
+        deco = order_components(curve, curve.gamma)
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
@@ -328,12 +353,15 @@ def conjecture_scan(
                 if not gamma <= d <= s:
                     continue
                 ks = k_values if k_values is not None else range(1, max_section_count(curve, s) + 1)
+                ks = [
+                    k for k in ks
+                    if k >= 1 and all(k * g <= 1 + s * (g - 1) for g in curve.genera)
+                ]
+                if not ks:
+                    continue
+                cell = _small_slope_cell(curve, eta, deco, s, d)
                 for k in ks:
-                    if k < 1 or any(
-                        k * g > 1 + s * (g - 1) for g in curve.genera
-                    ):
-                        continue
-                    result = certify_bn_component(curve, eta, s, k, d)
+                    result = _certify_cell(curve, eta, s, k, d, *cell)
                     rows.append(
                         ScanRow(
                             shape=shape,

@@ -230,12 +230,14 @@ def _catalog_table(
     for w in table.windows:
         header += [f"j{w.j}_lower", f"j{w.j}_sigma", f"j{w.j}_upper"]
     header += ["verdict", "radius"]
+    # the bounds are the same on every row: format them once per window
+    bounds = [(_fmt(w.lower), _fmt(w.upper)) for w in table.windows]
     rows = []
     for t in catalog:
         rep = table.check(t)
         row: list[object] = [t.degrees]
-        for r in rep.rows:
-            row += [r.lower, r.partial_sum, r.upper]
+        for r, (lower, upper) in zip(rep.rows, bounds):
+            row += [lower, r.partial_sum, upper]
         found = table.binding(rep)  # every catalog tuple passes
         row += [_verdict(rep.passed), "unbounded" if found is None else found[0]]
         rows.append(row)
@@ -308,7 +310,7 @@ def cmd_components_invariance(args: argparse.Namespace) -> int:
     report.kv("rank", args.rank)
     report.kv("degree", args.degree)
     report.kv("invariance", _verdict(inv.passed))
-    report.kv("count", len(inv.catalog))
+    report.kv("count", inv.count)
     if not inv.passed:
         report.table(
             "mismatches",

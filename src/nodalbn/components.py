@@ -16,8 +16,18 @@ in position i lies in A_j only for i <= j, and position j itself always
 does.  So the incidence matrix of {position in A_j} is lower triangular
 with unit diagonal, each sigma_j ranges over at most s integers, and the
 choice of (sigma_1, ..., sigma_{gamma-1}) determines the degrees by back
-substitution, the root receiving the remainder.  The catalog is the same
-for every root choice; `catalog_invariance_check` re-derives that fact.
+substitution, the root receiving the remainder.  So the catalog size is
+the product of the integer window widths, and `WindowTable.size` gives it
+in O(gamma) without enumerating.
+
+The catalog is the same for every root choice.  Each A_j is one side of
+its separating node, and on a tree the two sides of a node have weights
+that add up to 1 and defects that add up to 1, so the window on A is the
+reflection (d - upper, d - lower) of the window on its complement.
+`catalog_invariance_check` confirms this node by node: every root's
+windows must equal the first root's or their reflections, one lookup
+per window per root.  It enumerates catalogs only for a root whose
+windows disagree, to list the tuples one side has and the other lacks.
 
 Small-slope questions (every degree in 1..s) never build the catalog.
 The subcurves A_j are the subtrees of the rooted tree, so a dynamic
@@ -45,8 +55,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .curve import CurveClass, NodalCurve
 from .ordering import OrderedDecomposition, order_components
@@ -104,9 +115,20 @@ class RootMismatch:
 
 @dataclass(frozen=True)
 class InvarianceReport:
+    """Root-invariance verdict; ``count`` is the first root's catalog size.
+
+    ``table`` holds the first root's windows, and ``catalog`` enumerates
+    them (sorted) only when it is read.
+    """
+
     passed: bool
-    catalog: tuple[ComponentTuple, ...]
+    count: int
     mismatches: tuple[RootMismatch, ...]
+    table: WindowTable = field(repr=False)
+
+    @cached_property
+    def catalog(self) -> tuple[ComponentTuple, ...]:
+        return tuple(self.table.catalog())
 
 
 @dataclass(frozen=True)
@@ -207,15 +229,7 @@ class WindowTable:
         solution appears exactly once.
         """
         gamma = len(self.order)
-        position = {comp: idx for idx, comp in enumerate(self.order, start=1)}
-
-        preceding: list[list[int]] = []
-        for w in self.windows:
-            inside = sorted(position[c] for c in w.subcurve)
-            if inside[-1] != w.j:
-                raise ValueError(f"decomposition is not triangular at position {w.j}")
-            preceding.append(inside[:-1])
-
+        preceding = self._preceding()
         catalog = []
         for sigmas in itertools.product(*(range(*_integer_window(w)) for w in self.windows)):
             by_position = [0] * (gamma + 1)
@@ -228,6 +242,26 @@ class WindowTable:
             catalog.append(ComponentTuple(rank=self.rank, degrees=tuple(degrees)))
         catalog.sort()
         return catalog
+
+    def size(self) -> int:
+        """Number of catalog tuples, without building them.
+
+        Each choice of (sigma_1, ..., sigma_{gamma-1}) gives exactly one
+        tuple, so the size is the product of the integer window widths.
+        """
+        self._preceding()
+        return math.prod(max(hi - lo, 0) for lo, hi in map(_integer_window, self.windows))
+
+    def _preceding(self) -> list[list[int]]:
+        """Earlier positions inside each A_j; raises unless A_j ends at position j."""
+        position = {comp: idx for idx, comp in enumerate(self.order, start=1)}
+        preceding = []
+        for w in self.windows:
+            inside = sorted(position[c] for c in w.subcurve)
+            if inside[-1] != w.j:
+                raise ValueError(f"decomposition is not triangular at position {w.j}")
+            preceding.append(inside[:-1])
+        return preceding
 
 
 def _integer_window(w: Window) -> tuple[int, int]:
@@ -516,16 +550,40 @@ def binding_witness(
 def catalog_invariance_check(
     curve: NodalCurve, omega: Polarization, s: int, d: int
 ) -> InvarianceReport:
-    """Enumerate with every root choice and compare the catalogs."""
+    """Compare every root's windows with the first root's, node by node.
+
+    A root agrees when each of its windows, keyed by separating node, is
+    the first root's window on the same subcurve, or the reflection
+    (d - upper, d - lower) of it on the complementary subcurve: both say
+    the same of the degree sum across that node.  Only for a root that
+    does not agree are both catalogs enumerated, and it is a mismatch
+    only when they differ.
+    """
     curve.require_compact_type()
-    baseline: tuple[ComponentTuple, ...] | None = None
+    tables = [
+        (root, stability_windows(curve, omega, order_components(curve, root), s, d))
+        for root in curve.component_ids
+    ]
+    first = tables[0][1]
+    everything = frozenset(curve.component_ids)
+    reference = {
+        w.node: {
+            (w.subcurve, w.lower, w.upper),
+            (everything - w.subcurve, d - w.upper, d - w.lower),
+        }
+        for w in first.windows
+    }
+    baseline: list[ComponentTuple] | None = None
     mismatches = []
-    for root in curve.component_ids:
-        deco = order_components(curve, root)
-        catalog = tuple(enumerate_components(curve, omega, deco, s, d))
-        if baseline is None:
-            baseline = catalog
+    for root, table in tables[1:]:
+        if all(
+            (w.subcurve, w.lower, w.upper) in reference.get(w.node, ())
+            for w in table.windows
+        ):
             continue
+        if baseline is None:
+            baseline = first.catalog()
+        catalog = table.catalog()
         if catalog != baseline:
             base_set, this_set = set(baseline), set(catalog)
             mismatches.append(
@@ -535,9 +593,11 @@ def catalog_invariance_check(
                     extra=tuple(sorted(this_set - base_set)),
                 )
             )
-    assert baseline is not None
     return InvarianceReport(
-        passed=not mismatches, catalog=baseline, mismatches=tuple(mismatches)
+        passed=not mismatches,
+        count=first.size(),
+        mismatches=tuple(mismatches),
+        table=first,
     )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import random
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import nodalbn as nb
+from nodalbn import components
 
 
 @pytest.fixture
@@ -122,3 +124,26 @@ def scaled_zero_sum_eps(
     theta = Fraction(rng.randint(1, 99), 100)
     scale = bound * theta / max(abs(x) for x in ints)
     return [x * scale for x in ints]
+
+
+def shift_first_window(monkeypatch, root, shift):
+    """Make `stability_windows` move the first window of one root by ``shift``."""
+    real = components.stability_windows
+
+    def shifted(curve, omega, deco, s, d):
+        table = real(curve, omega, deco, s, d)
+        if deco.root != root:
+            return table
+        w = table.windows[0]
+        moved = dataclasses.replace(w, lower=w.lower + shift, upper=w.upper + shift)
+        return dataclasses.replace(table, windows=(moved, *table.windows[1:]))
+
+    monkeypatch.setattr(components, "stability_windows", shifted)
+
+
+def forbid_enumeration(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the catalog was enumerated")
+
+    monkeypatch.setattr(components.WindowTable, "catalog", refuse)
+    monkeypatch.setattr(components, "enumerate_components", refuse)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 
 def raw_arithmetic_genus(genera, nodes) -> int:
@@ -144,3 +145,39 @@ def brute_force_small_slope(curve, omega, deco, s, d):
         t for t in brute_force_catalog(curve, omega, deco, s, d)
         if all(0 < x <= s for x in t)
     ]
+
+
+class EnumeratedInvariance(NamedTuple):
+    passed: bool
+    catalog: tuple
+    mismatches: tuple
+
+
+def enumerating_invariance_check(curve, omega, s, d):
+    """Enumerate the catalog from every root and compare it with the first root's.
+
+    Builds gamma full catalogs, so it costs gamma s^(gamma-1) tuples.
+    ``catalog`` is the first root's sorted catalog; each root whose catalog
+    differs gets a `RootMismatch` with the sorted tuples it lacks and adds.
+    """
+    import nodalbn as nb  # imported here: perfbench loads this file without src on its path
+
+    curve.require_compact_type()
+    baseline = None
+    mismatches = []
+    for root in curve.component_ids:
+        deco = nb.order_components(curve, root)
+        catalog = tuple(nb.enumerate_components(curve, omega, deco, s, d))
+        if baseline is None:
+            baseline = catalog
+            continue
+        if catalog != baseline:
+            base_set, this_set = set(baseline), set(catalog)
+            mismatches.append(
+                nb.components.RootMismatch(
+                    root=root,
+                    missing=tuple(sorted(base_set - this_set)),
+                    extra=tuple(sorted(this_set - base_set)),
+                )
+            )
+    return EnumeratedInvariance(not mismatches, baseline, tuple(mismatches))

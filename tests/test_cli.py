@@ -6,6 +6,8 @@ import pytest
 
 import nodalbn as nb
 from nodalbn.cli import main
+from conftest import forbid_enumeration, shift_first_window
+from oracles import enumerating_invariance_check
 
 TWO_CURVE = "component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n"
 COMB4 = (
@@ -453,3 +455,42 @@ def test_byte_golden(capsys, tmp_path, name):
     code, got, out = golden_run(capsys, tmp_path, name)
     assert got == code
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+
+
+class TestInvarianceCommand:
+    """`components invariance` reads windows, and enumerates only on a mismatch."""
+
+    def test_agreeing_windows_enumerate_nothing(self, capsys, monkeypatch, comb4_path):
+        curve = nb.parse_curve(COMB4)
+        oracle = enumerating_invariance_check(curve, nb.canonical(curve), 3, 5)
+        forbid_enumeration(monkeypatch)
+        code, out, _ = run(
+            capsys,
+            "components", "invariance", "--curve", comb4_path,
+            "--rank", "3", "--degree", "5",
+        )
+        assert code == 0
+        assert kv(out)["invariance"] == "pass"
+        assert kv(out)["count"] == str(len(oracle.catalog))
+        assert "#table" not in out
+
+    def test_mismatch_exits_one_with_table(self, capsys, monkeypatch, comb4_path):
+        shift_first_window(monkeypatch, root=2, shift=1)
+        curve = nb.parse_curve(COMB4)
+        oracle = enumerating_invariance_check(curve, nb.canonical(curve), 3, 5)
+        code, out, _ = run(
+            capsys,
+            "components", "invariance", "--curve", comb4_path,
+            "--rank", "3", "--degree", "5",
+        )
+        assert code == 1
+        pairs = kv(out)
+        assert pairs["invariance"] == "fail"
+        assert pairs["count"] == str(len(oracle.catalog))
+
+        def cell(tuples):
+            return ",".join(",".join(map(str, t.degrees)) for t in tuples) or "-"
+
+        rows = [f"{m.root}\t{cell(m.missing)}\t{cell(m.extra)}" for m in oracle.mismatches]
+        assert rows
+        assert out.endswith("\n".join(["#table mismatches", "root\tmissing\textra", *rows]) + "\n")

@@ -9,18 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from nodalbn import components
 from nodalbn.components import SmallSlopeSearch, stability_windows
 from conftest import (
+    forbid_enumeration,
     random_good_polarization,
     random_tree_curve,
     random_valid_polarization,
     scaled_zero_sum_eps,
+    shift_first_window,
 )
 from oracles import (
     _sigma_windows,
     brute_force_box_size,
     brute_force_catalog,
     brute_force_small_slope,
+    enumerating_invariance_check,
     raw_defect,
     raw_split_sides,
 )
@@ -471,3 +475,89 @@ def test_small_slope_search_rejects_non_triangular(chain4):
         table.catalog()
     with pytest.raises(ValueError, match="not triangular at position 1"):
         SmallSlopeSearch(table)
+
+
+def _assert_invariance_matches_oracle(curve, omega, s, d):
+    report = nb.catalog_invariance_check(curve, omega, s, d)
+    oracle = enumerating_invariance_check(curve, omega, s, d)
+    assert report.passed == oracle.passed
+    assert report.count == len(oracle.catalog)
+    assert report.catalog == oracle.catalog
+    assert report.mismatches == oracle.mismatches
+    for root in curve.component_ids:
+        table = stability_windows(curve, omega, nb.order_components(curve, root), s, d)
+        assert table.size() == len(table.catalog())
+    return report
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), s=st.integers(1, 5))
+def test_invariance_from_windows_matches_enumeration(seed, s):
+    """Window comparison and closed-form count against every root's catalog."""
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
+    omega = nb.canonical(curve) if rng.random() < 0.5 else random_good_polarization(rng, curve)
+    d = rng.randint(-2, s * curve.gamma + 2)
+    _assert_invariance_matches_oracle(curve, omega, s, d)
+
+
+@pytest.mark.parametrize(
+    "genera, nodes, s, d, count",
+    [
+        ((3,), (), 4, 7, 1),  # gamma = 1: no windows, the one tuple (d)
+        ((2, 3), ((1, 1, 2),), 1, 4, 0),  # the window (1, 2) holds no integer
+        ((2, 3), ((1, 1, 2),), 2, 2, 2),
+    ],
+)
+def test_invariance_count_edge_cases(genera, nodes, s, d, count):
+    curve = nb.NodalCurve(genera, nodes)
+    report = _assert_invariance_matches_oracle(curve, nb.canonical(curve), s, d)
+    assert report.passed
+    assert report.count == count
+
+
+def test_catalog_size_rejects_non_triangular(chain4):
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
+        separating_nodes=(2, 2, 3),
+    )
+    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
+    with pytest.raises(ValueError, match="not triangular at position 1"):
+        table.size()
+
+
+class TestInvarianceFromWindows:
+    def test_agreeing_windows_enumerate_nothing(self, monkeypatch, comb4):
+        eta = nb.canonical(comb4)
+        expected = len(nb.enumerate_components(comb4, eta, canonical_deco(comb4), 3, 5))
+        forbid_enumeration(monkeypatch)
+        report = nb.catalog_invariance_check(comb4, eta, s=3, d=5)
+        assert report.passed
+        assert report.count == expected > 0
+
+    def test_shifted_window_is_a_mismatch(self, monkeypatch, comb4):
+        eta = nb.canonical(comb4)
+        shift_first_window(monkeypatch, root=2, shift=1)
+        report = _assert_invariance_matches_oracle(comb4, eta, 3, 5)
+        assert not report.passed
+        assert [m.root for m in report.mismatches] == [2]
+        assert report.mismatches[0].missing and report.mismatches[0].extra
+
+    def test_disagreeing_windows_with_equal_catalogs_pass(self, monkeypatch, comb4):
+        eta = nb.canonical(comb4)
+        calls = []
+        real_catalog = components.WindowTable.catalog
+
+        def counted(table):
+            calls.append(table.order[-1])
+            return real_catalog(table)
+
+        # a nudge too small to move any integer window
+        shift_first_window(monkeypatch, root=3, shift=Fraction(1, 10**6))
+        monkeypatch.setattr(components.WindowTable, "catalog", counted)
+        report = nb.catalog_invariance_check(comb4, eta, s=3, d=5)
+        assert calls == [1, 3]  # the fallback ran, for the first root and root 3
+        assert report.passed
+        assert not report.mismatches
