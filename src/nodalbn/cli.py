@@ -73,12 +73,13 @@ class Report:
 
 
 def _fmt(value: object) -> str:
-    if isinstance(value, bool):
-        return "yes" if value else "no"
-    if isinstance(value, Fraction):
+    kind = type(value)  # exact types: isinstance on Fraction goes through the ABCs
+    if kind is int or kind is str or kind is Fraction:
         return str(value)
+    if kind is bool:
+        return "yes" if value else "no"
     if isinstance(value, frozenset):
-        return ",".join(str(i) for i in sorted(value))
+        return ",".join(map(str, sorted(value)))
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
     return str(value)

@@ -61,7 +61,7 @@ from functools import cached_property
 
 from .curve import CurveClass, NodalCurve
 from .ordering import OrderedDecomposition, order_components
-from .polarization import Polarization, canonical, delta_structure_sheaf
+from .polarization import Polarization, _check_lengths, _defect, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
 
@@ -460,13 +460,17 @@ def stability_windows(
         raise ValueError(f"rank must be >= 1, got {s}")
     if deco.gamma != curve.gamma:
         raise ValueError("decomposition does not match the curve")
+    pa = curve.arithmetic_genus()
     windows = []
     for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1):
-        lower = omega.subcurve_weight(A) * d - s * delta_structure_sheaf(curve, omega, A)
+        weight = omega.subcurve_weight(A)
+        B = curve.check_subcurve(A)
+        if j == 1:  # after the first subcurve's checks: delta_structure_sheaf's error order
+            _check_lengths(curve, omega)
+        defect = _defect(sum(curve.genera[i - 1] for i in B), weight, pa)
+        lower = weight * d - s * defect
         windows.append(Window(j=j, subcurve=A, node=p, lower=lower, upper=lower + s))
-    return WindowTable(
-        s, d, d + s * (1 - curve.arithmetic_genus()), tuple(windows), deco.order
-    )
+    return WindowTable(s, d, d + s * (1 - pa), tuple(windows), deco.order)
 
 
 def stability_conditions(

@@ -191,7 +191,8 @@ class NodalCurve:
         B = frozenset(int(i) for i in ids)
         if not B:
             raise CurveError("subcurve must be nonempty")
-        unknown = B - set(self.component_ids)
+        gamma = self.gamma
+        unknown = [i for i in B if not 1 <= i <= gamma]
         if unknown:
             raise CurveError(f"unknown components in subcurve: {sorted(unknown)}")
         return B

@@ -13,6 +13,11 @@ smallest component id they contain.  A_j is then the set of components in
 the subtree of the j-th visited vertex, and p_j the node joining that
 vertex to its parent.  The triangularity fact used elsewhere: C_(i) lies
 in A_j only when i <= j.
+
+The verifier searches nothing.  On a tree, a set of k components is
+connected exactly when k - 1 nodes join two of its members, so each tail,
+each A_j and each complement is tested by counting nodes, and the whole
+check is linear in the size of the decomposition.
 """
 
 from __future__ import annotations
@@ -84,12 +89,12 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
     """Re-check every clause of an ordered decomposition from scratch.
 
     Independent of how the decomposition was produced; each failed clause
-    contributes one violation string.
+    contributes one violation string.  Connectivity is decided by counting
+    nodes, so the check is linear in the size of the decomposition.
     """
     curve.require_compact_type()
     violations: list[str] = []
     gamma = curve.gamma
-    all_ids = frozenset(curve.component_ids)
 
     if sorted(deco.order) != list(curve.component_ids):
         violations.append(f"order {deco.order} is not a permutation of 1..{gamma}")
@@ -103,39 +108,54 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
         )
         return DecompositionCheck(False, tuple(violations))
 
+    adj = curve.adjacency()
+    position = {c: i for i, c in enumerate(deco.order, start=1)}
+    # the tail after position j holds the components at positions > j; add
+    # them from the root end, counting the nodes each shares with the tail
+    tail_nodes = [0] * (gamma + 1)
+    for j in range(gamma - 1, 0, -1):
+        v = deco.order[j]
+        tail_nodes[j] = tail_nodes[j + 1] + sum(1 for w, _ in adj[v] if position[w] > j + 1)
     for j in range(1, gamma):
-        tail = frozenset(deco.order[j:])
-        if not curve.is_connected_subcurve(tail):
+        if tail_nodes[j] != gamma - j - 1:
             violations.append(f"tail after position {j} is not connected")
 
-    nodes_by_id = {n.id: n for n in curve.nodes}
+    node_ids = {n.id for n in curve.nodes}
     for j in range(1, gamma):
         A = deco.subcurves[j - 1]
-        comp = all_ids - A
         label = f"A_{j}"
         if deco.order[j - 1] not in A:
             violations.append(f"{label} does not contain component {deco.order[j - 1]}")
-        if not A or not curve.is_connected_subcurve(A):
+        if A:
+            curve.check_subcurve(A)
+        # on a tree, a set of k components is connected iff it holds k - 1 nodes
+        inner = 0
+        boundary = []
+        for v in A:
+            for w, nid in adj[v]:
+                if w in A:
+                    inner += 1
+                else:
+                    boundary.append(nid)
+        inner //= 2
+        if not A or inner != len(A) - 1:
             violations.append(f"{label} is not a connected subcurve")
-        if not comp or not curve.is_connected_subcurve(comp):
+        rest = gamma - len(A)
+        if not rest or (gamma - 1) - inner - len(boundary) != rest - 1:
             violations.append(f"complement of {label} is not a connected subcurve")
-        boundary = [
-            n.id for n in curve.nodes if (n.first in A) != (n.second in A)
-        ]
         if len(boundary) != 1:
             violations.append(f"{label} meets its complement in {len(boundary)} nodes, not 1")
         else:
             p = deco.separating_nodes[j - 1]
-            if p not in nodes_by_id:
+            if p not in node_ids:
                 violations.append(f"separating node {p} of {label} does not exist")
             elif boundary[0] != p:
                 violations.append(
                     f"recorded separating node {p} of {label} differs from actual {boundary[0]}"
                 )
-        for i in range(1, gamma + 1):
-            if deco.order[i - 1] in A and i > j:
-                violations.append(
-                    f"triangularity: position-{i} component {deco.order[i - 1]} lies in {label}"
-                )
+        for i in sorted(position[c] for c in A if position[c] > j):
+            violations.append(
+                f"triangularity: position-{i} component {deco.order[i - 1]} lies in {label}"
+            )
 
     return DecompositionCheck(not violations, tuple(violations))

@@ -102,12 +102,13 @@ class SheafDescriptor:
         object.__setattr__(self, "chi", int(self.chi))
         object.__setattr__(self, "stalks", stalks)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_by_node", by_node)  # not a dataclass field
 
     def stalk(self, node_id: int) -> LocalType:
-        for nid, lt in self.stalks:
-            if nid == node_id:
-                return lt
-        raise DescriptorError(f"no stalk recorded at node {node_id}")
+        lt = self._by_node.get(node_id)
+        if lt is None:
+            raise DescriptorError(f"no stalk recorded at node {node_id}")
+        return lt
 
     def is_locally_free(self) -> bool:
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
@@ -140,8 +141,8 @@ def locally_free_descriptor(
 
 def wrank(desc: SheafDescriptor, omega: Polarization) -> Fraction:
     _check_lengths(desc.curve, omega)
-    return sum(
-        (Fraction(r) * w for r, w in zip(desc.multirank, omega.weights)), Fraction(0)
+    return Fraction(
+        sum(r * n for r, n in zip(desc.multirank, omega._numerators[1:])), omega._denominator
     )
 
 

@@ -181,3 +181,68 @@ def enumerating_invariance_check(curve, omega, s, d):
                 )
             )
     return EnumeratedInvariance(not mismatches, baseline, tuple(mismatches))
+
+
+def search_verify_decomposition(curve, deco):
+    """Re-check every clause of an ordered decomposition from scratch.
+
+    The search-based verifier: one connectivity search per tail, per A_j
+    and per complement, and a scan of every node for each boundary, so it
+    costs about gamma^2.  Violation strings and exceptions are the
+    library's.
+    """
+    from nodalbn.ordering import DecompositionCheck  # see enumerating_invariance_check
+
+    curve.require_compact_type()
+    violations: list[str] = []
+    gamma = curve.gamma
+    all_ids = frozenset(curve.component_ids)
+
+    if sorted(deco.order) != list(curve.component_ids):
+        violations.append(f"order {deco.order} is not a permutation of 1..{gamma}")
+        return DecompositionCheck(False, tuple(violations))
+    if deco.order[-1] != deco.root:
+        violations.append(f"root {deco.root} is not last in the order")
+    if len(deco.subcurves) != gamma - 1 or len(deco.separating_nodes) != gamma - 1:
+        violations.append(
+            f"expected {gamma - 1} subcurves and separating nodes, got "
+            f"{len(deco.subcurves)} and {len(deco.separating_nodes)}"
+        )
+        return DecompositionCheck(False, tuple(violations))
+
+    for j in range(1, gamma):
+        tail = frozenset(deco.order[j:])
+        if not curve.is_connected_subcurve(tail):
+            violations.append(f"tail after position {j} is not connected")
+
+    nodes_by_id = {n.id: n for n in curve.nodes}
+    for j in range(1, gamma):
+        A = deco.subcurves[j - 1]
+        comp = all_ids - A
+        label = f"A_{j}"
+        if deco.order[j - 1] not in A:
+            violations.append(f"{label} does not contain component {deco.order[j - 1]}")
+        if not A or not curve.is_connected_subcurve(A):
+            violations.append(f"{label} is not a connected subcurve")
+        if not comp or not curve.is_connected_subcurve(comp):
+            violations.append(f"complement of {label} is not a connected subcurve")
+        boundary = [
+            n.id for n in curve.nodes if (n.first in A) != (n.second in A)
+        ]
+        if len(boundary) != 1:
+            violations.append(f"{label} meets its complement in {len(boundary)} nodes, not 1")
+        else:
+            p = deco.separating_nodes[j - 1]
+            if p not in nodes_by_id:
+                violations.append(f"separating node {p} of {label} does not exist")
+            elif boundary[0] != p:
+                violations.append(
+                    f"recorded separating node {p} of {label} differs from actual {boundary[0]}"
+                )
+        for i in range(1, gamma + 1):
+            if deco.order[i - 1] in A and i > j:
+                violations.append(
+                    f"triangularity: position-{i} component {deco.order[i - 1]} lies in {label}"
+                )
+
+    return DecompositionCheck(not violations, tuple(violations))

@@ -1,11 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import nodalbn as nb
-from nodalbn.cli import main
+from nodalbn.cli import _fmt, main
 from conftest import forbid_enumeration, shift_first_window
 from oracles import enumerating_invariance_check
 
@@ -494,3 +495,26 @@ class TestInvarianceCommand:
         rows = [f"{m.root}\t{cell(m.missing)}\t{cell(m.extra)}" for m in oracle.mismatches]
         assert rows
         assert out.endswith("\n".join(["#table mismatches", "root\tmissing\textra", *rows]) + "\n")
+
+
+class StrSubclass(str):
+    pass
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "yes"),
+    (False, "no"),
+    (7, "7"),
+    (-2, "-2"),
+    ("pass", "pass"),
+    (StrSubclass("chain"), "chain"),
+    (Fraction(3, 4), "3/4"),
+    (Fraction(4, 2), "2"),
+    (frozenset({10, 2, 3}), "2,3,10"),
+    (frozenset(), ""),
+    ((1, True, Fraction(1, 2)), "1,yes,1/2"),
+    ([frozenset({2, 1}), 3], "1,2,3"),
+    (None, "None"),
+])
+def test_fmt_cells(value, text):
+    assert _fmt(value) == text

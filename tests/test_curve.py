@@ -117,6 +117,16 @@ class TestSubcurves:
         with pytest.raises(nb.CurveError):
             chain3_222.check_subcurve([])
 
+    @pytest.mark.parametrize("ids, unknown", [
+        ([0, 1], "[0]"),
+        ([4], "[4]"),
+        ([5, 0, 2, -1, 3], "[-1, 0, 5]"),
+    ])
+    def test_check_subcurve_names_unknown_ids(self, chain3_222, ids, unknown):
+        with pytest.raises(nb.CurveError) as info:
+            chain3_222.check_subcurve(ids)
+        assert str(info.value) == f"unknown components in subcurve: {unknown}"
+
     def test_connected_subcurve(self, chain4):
         assert chain4.is_connected_subcurve([2, 3])
         assert not chain4.is_connected_subcurve([1, 3])

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
 from conftest import random_tree_curve
+from oracles import search_verify_decomposition
 
 
 class TestOrderWorked:
@@ -133,3 +134,97 @@ def test_every_root_of_random_tree_verifies(seed):
         check = nb.verify_decomposition(curve, deco)
         assert check.ok, check.violations
         assert deco.order[-1] == root
+
+
+def _random_connected(rng, curve):
+    """A connected subcurve grown from a random component."""
+    adj = curve.adjacency()
+    grown = [rng.choice(curve.component_ids)]
+    for _ in range(rng.randrange(curve.gamma)):
+        frontier = [w for v in grown for w, _ in adj[v] if w not in grown]
+        if not frontier:
+            break
+        grown.append(rng.choice(frontier))
+    return frozenset(grown)
+
+
+def _mutate(rng, curve, deco):
+    """Apply one random corruption to a decomposition."""
+    gamma = curve.gamma
+    order = list(deco.order)
+    subs = list(deco.subcurves)
+    seps = list(deco.separating_nodes)
+    root = deco.root
+    node_ids = [n.id for n in curve.nodes]
+    kind = rng.choice((
+        "shuffle", "swap", "random", "connected", "complement", "empty", "unknown",
+        "wrong_node", "missing_node", "truncate", "root", "duplicate",
+    ))
+    j = rng.randrange(len(subs)) if subs else None
+    k = rng.randrange(len(seps)) if seps else None
+    swappable = min(gamma - 1, len(subs), len(seps))
+    if kind == "shuffle":
+        rng.shuffle(order)
+    elif kind == "swap" and swappable >= 2:
+        a, b = rng.sample(range(swappable), 2)
+        order[a], order[b] = order[b], order[a]
+        subs[a], subs[b] = subs[b], subs[a]
+        seps[a], seps[b] = seps[b], seps[a]
+    elif kind == "random" and subs:
+        subs[j] = frozenset(i for i in curve.component_ids if rng.random() < 0.5)
+    elif kind == "connected" and subs:
+        subs[j] = _random_connected(rng, curve)
+    elif kind == "complement" and subs:
+        subs[j] = frozenset(curve.component_ids) - subs[j]
+    elif kind == "empty" and subs:
+        subs[j] = frozenset()
+    elif kind == "unknown" and subs:
+        subs[j] = subs[j] | {rng.choice((0, -1, gamma + 1, gamma + 5))}
+    elif kind == "wrong_node" and seps:
+        seps[k] = rng.choice(node_ids + [0, max(node_ids) + 1])
+    elif kind == "missing_node" and seps:
+        del seps[k]
+    elif kind == "truncate" and subs:
+        subs = subs[:rng.randrange(len(subs))]
+    elif kind == "root":
+        root = rng.choice(curve.component_ids)
+    elif kind == "duplicate" and gamma >= 2:
+        a, b = rng.sample(range(gamma), 2)
+        order[a] = order[b]
+    return nb.OrderedDecomposition(root, tuple(order), tuple(subs), tuple(seps))
+
+
+def _outcome(verify, curve, deco):
+    try:
+        check = verify(curve, deco)
+    except Exception as exc:  # the exception itself is what is compared
+        return type(exc), str(exc)
+    return check.ok, check.violations
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_verifier_matches_search_oracle_on_mutations(seed):
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=9)
+    for _ in range(10):
+        deco = nb.order_components(curve, rng.choice(curve.component_ids))
+        for _ in range(rng.randint(0, 3)):
+            deco = _mutate(rng, curve, deco)
+        assert _outcome(nb.verify_decomposition, curve, deco) == _outcome(
+            search_verify_decomposition, curve, deco
+        )
+
+
+def test_verifier_reports_in_oracle_order():
+    chain5 = nb.chain_curve((2, 2, 2, 2, 2))
+    deco = nb.order_components(chain5, root=5)
+    bad = dataclasses.replace(
+        deco, subcurves=(frozenset({3}), frozenset({1, 2, 4}), frozenset({1, 2, 3}),
+                         frozenset({1, 2, 3, 4}))
+    )
+    check = nb.verify_decomposition(chain5, bad)
+    assert (check.ok, check.violations) == _outcome(search_verify_decomposition, chain5, bad)
+    assert "complement of A_1 is not a connected subcurve" in check.violations
+    assert "triangularity: position-4 component 4 lies in A_2" in check.violations
+

@@ -1,11 +1,14 @@
 """Sheaf descriptors, weighted numerics, local and global Ext counts."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from conftest import random_good_polarization, random_tree_curve, random_valid_polarization
 
 
 def descriptor(curve, multirank, chi, stalks, degrees=None):
@@ -45,6 +48,15 @@ class TestDescriptorValidation:
         desc = descriptor(two_curve, (2, 2), -6, [(1, (1, 1, 1))])
         assert not desc.is_locally_free()
 
+    def test_stalk_lookup(self, chain3_222):
+        desc = descriptor(chain3_222, (2, 1, 1), -9, [(1, (1, 1, 0)), (2, (1, 0, 0))])
+        assert desc.stalk(1) == nb.LocalType(1, 1, 0)
+        assert desc.stalk(2) == nb.LocalType(1, 0, 0)
+        for missing in (0, 3):
+            with pytest.raises(nb.DescriptorError) as info:
+                desc.stalk(missing)
+            assert str(info.value) == f"no stalk recorded at node {missing}"
+
 
 class TestWeightedNumerics:
     def test_structure_sheaf_slope_zero(self, two_curve):
@@ -77,6 +89,30 @@ class TestWeightedNumerics:
         eta = nb.canonical(two_curve)
         desc = descriptor(two_curve, (1, 3), -8, [(1, (1, 0, 2))])
         assert nb.wrank(desc, eta) == Fraction(3, 8) + 3 * Fraction(5, 8)
+
+
+    def test_wrank_needs_matching_lengths(self, two_curve, chain3_222):
+        desc = nb.locally_free_descriptor(two_curve, 1, (0, 0))
+        with pytest.raises(nb.PolarizationError):
+            nb.wrank(desc, nb.canonical(chain3_222))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_wrank_is_the_raw_fraction_sum(seed):
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=10)
+    ranks = [rng.randint(0, 6) for _ in curve.component_ids]
+    stalks = []
+    for n in curve.nodes:
+        free = rng.randint(0, min(ranks[n.first - 1], ranks[n.second - 1]))
+        stalks.append((n.id, (free, ranks[n.first - 1] - free, ranks[n.second - 1] - free)))
+    desc = descriptor(curve, ranks, rng.randint(-20, 20), stalks)
+    for omega in (random_valid_polarization(rng, curve.gamma),
+                  random_good_polarization(rng, curve)):
+        want = sum((Fraction(r) * w for r, w in zip(ranks, omega.weights)), Fraction(0))
+        got = nb.wrank(desc, omega)
+        assert type(got) is Fraction and got == want
 
 
 class TestLocalExt:
