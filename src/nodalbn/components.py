@@ -11,14 +11,30 @@ over A_j lies strictly inside an interval of width exactly s:
 At the canonical polarization every defect is 1/2 and the bounds collapse
 to wrank(O_Aj) d -+ s/2.
 
-Enumeration uses the triangular structure of the decomposition: component
-in position i lies in A_j only for i <= j, and position j itself always
-does.  So the incidence matrix of {position in A_j} is lower triangular
-with unit diagonal, each sigma_j ranges over at most s integers, and the
-choice of (sigma_1, ..., sigma_{gamma-1}) determines the degrees by back
-substitution, the root receiving the remainder.  So the catalog size is
-the product of the integer window widths, and `WindowTable.size` gives it
-in O(gamma) without enumerating.
+One search answers every catalog question.  Component in position i
+lies in A_j only for i <= j, position j itself always does, and the A_j
+of a tree are nested or disjoint, so they are the subtrees of a rooted
+tree on the positions: A_j's children are the largest subcurves strictly
+inside it.  A dynamic program over subtree sums counts the tuples whose
+position-p degree lies in a range: f_v[sigma] counts the ways to fill
+the subtree of v so that every window inside it holds.  It is the
+convolution of the children's tables with the ones of v's own range,
+trimmed to v's integer window; the count is f_root[d], in O(gamma s^2)
+integer operations for ranges 1..s and bounded branching.  Each f_v is
+positive on exactly one interval (a sum of intervals cut by an
+interval), so whether a partial assignment still has a completion is
+interval arithmetic over the tree, O(gamma).  The least tuple fixes ids 1..gamma in turn at the
+least degree that keeps a completion (a binary search each), and the
+full list walks only branches that have one, so its cost follows the
+number of tuples, not s^(gamma-1).
+
+Small-slope questions take every range to be 1..s.  The whole catalog
+takes the widest ranges the windows allow: with integer windows [lo, hi]
+and the root's window (d, d), position p may take degrees
+[lo_p - sum of the children's hi, hi_p - sum of the children's lo].  The
+subtree sums then reach exactly the integer windows, and since they fix
+the degrees, `WindowTable.size` is the product of the window widths,
+read in one pass over the subcurves without enumerating.
 
 The catalog is the same for every root choice.  Each A_j is one side of
 its separating node, and on a tree the two sides of a node have weights
@@ -29,21 +45,6 @@ windows must equal the first root's or their reflections, one lookup
 per window per root.  It enumerates catalogs only for a root whose
 windows disagree, to list the tuples one side has and the other lacks.
 
-Small-slope questions (every degree in 1..s) never build the catalog.
-The subcurves A_j are the subtrees of the rooted tree, so a dynamic
-program over subtree sums answers them: f_v[sigma] counts the ways to
-fill the subtree of v with degrees in 1..s so that every window inside
-it holds.  It is the convolution of the children's tables with the s
-ones of v's own degree, trimmed to v's integer window; the count is
-f_root[d], in O(gamma s^2) integer operations for bounded branching.
-Each f_v is positive on exactly one interval (a sum of intervals cut by
-an interval), so whether a partial assignment still has a completion is
-interval arithmetic over the tree, O(gamma).  The least tuple fixes ids
-1..gamma in turn at the least degree that keeps a completion (a binary
-search each, O(gamma^2 log s) in all), and the full list walks only
-branches that have one, so its cost follows the number of tuples, not
-s^(gamma-1).
-
 The builders construct one small-slope catalog member directly (without
 enumeration) whenever their hypotheses hold, always at the canonical
 polarization: a three-case general construction, a stepwise recurrence
@@ -53,7 +54,6 @@ assignment for combs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -221,47 +221,17 @@ class WindowTable:
         return ratio, row
 
     def catalog(self) -> list[ComponentTuple]:
-        """All degree tuples meeting every window, sorted.
-
-        Walks the integer points of each sigma_j interval and
-        back-substitutes through the unit-triangular incidence of the
-        decomposition; the root absorbs the remaining degree.  Each
-        solution appears exactly once.
-        """
-        gamma = len(self.order)
-        preceding = self._preceding()
-        catalog = []
-        for sigmas in itertools.product(*(range(*_integer_window(w)) for w in self.windows)):
-            by_position = [0] * (gamma + 1)
-            for j, sigma in enumerate(sigmas, start=1):
-                by_position[j] = sigma - sum(by_position[i] for i in preceding[j - 1])
-            by_position[gamma] = self.degree - sum(by_position[1:gamma])
-            degrees = [0] * gamma
-            for idx, comp in enumerate(self.order, start=1):
-                degrees[comp - 1] = by_position[idx]
-            catalog.append(ComponentTuple(rank=self.rank, degrees=tuple(degrees)))
-        catalog.sort()
-        return catalog
+        """All degree tuples meeting every window, sorted."""
+        return SmallSlopeSearch(self, _whole_catalog=True).tuples()
 
     def size(self) -> int:
         """Number of catalog tuples, without building them.
 
-        Each choice of (sigma_1, ..., sigma_{gamma-1}) gives exactly one
-        tuple, so the size is the product of the integer window widths.
+        The subtree sums fix the degrees, so the size is the product of
+        the integer window widths.
         """
-        self._preceding()
-        return math.prod(max(hi - lo, 0) for lo, hi in map(_integer_window, self.windows))
-
-    def _preceding(self) -> list[list[int]]:
-        """Earlier positions inside each A_j; raises unless A_j ends at position j."""
-        position = {comp: idx for idx, comp in enumerate(self.order, start=1)}
-        preceding = []
-        for w in self.windows:
-            inside = sorted(position[c] for c in w.subcurve)
-            if inside[-1] != w.j:
-                raise ValueError(f"decomposition is not triangular at position {w.j}")
-            preceding.append(inside[:-1])
-        return preceding
+        support = SmallSlopeSearch(self, _whole_catalog=True).support
+        return 0 if support is None else math.prod(hi - lo + 1 for lo, hi in support)
 
 
 def _integer_window(w: Window) -> tuple[int, int]:
@@ -274,18 +244,31 @@ class SmallSlopeSearch:
 
     Position p (0-based, root last) is a vertex of the rooted tree; its
     children are the positions of the largest subcurves strictly inside
-    A_p.  ``support[p]`` is the interval of sums the subtree of p can take,
-    None when some subtree can take none.
+    A_p, read off by containment (`_subtree_children`).  ``ranges[p]`` is
+    the interval position p's own degree may take, and ``support[p]`` the
+    interval of sums the subtree of p can take, None when some subtree can
+    take none.
+
+    With the private ``_whole_catalog`` the ranges are the widest the
+    windows allow, so the same search lists and counts the whole catalog.
     """
 
-    def __init__(self, table: WindowTable):
+    def __init__(self, table: WindowTable, *, _whole_catalog: bool = False):
         self.table = table
         self.children = _subtree_children(table)
         # integer window of each position's subtree sum; the root's is d itself
         self.bounds = [
             (lo, hi - 1) for lo, hi in map(_integer_window, table.windows)
         ] + [(table.degree, table.degree)]
-        self.support = self._supports([(1, table.rank)] * len(table.order))
+        if _whole_catalog:  # every degree a tuple in the windows can give p
+            self.ranges = [
+                (lo - sum(self.bounds[c][1] for c in kids),
+                 hi - sum(self.bounds[c][0] for c in kids))
+                for (lo, hi), kids in zip(self.bounds, self.children)
+            ]
+        else:
+            self.ranges = [(1, table.rank)] * len(table.order)
+        self.support = self._supports(self.ranges)
 
     def _supports(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """Reachable subtree sums per position when position p's degree lies in ranges[p]."""
@@ -305,10 +288,11 @@ class SmallSlopeSearch:
             return 0
         tables: list[list[int]] = []
         for p, kids in enumerate(self.children):
-            f, low = [1], 1  # low: the sum that f[0] counts, once v's degree is in
+            own_lo, own_hi = self.ranges[p]
+            f, low = [1], own_lo  # low: the sum that f[0] counts, once v's degree is in
             for c in kids:
                 f, low = _convolve(f, tables[c]), low + self.support[c][0]
-            f = _convolve_ones(f, self.table.rank)
+            f = _convolve_ones(f, own_hi - own_lo + 1)
             lo, hi = self.support[p]
             tables.append(f[lo - low : hi - low + 1])
         return tables[-1][0]
@@ -317,81 +301,92 @@ class SmallSlopeSearch:
         """The least tuple in component-id order, None when there is none.
 
         Ids take their degree in turn: the least x such that a degree in
-        1..x still leaves a completion, found by binary search.
+        the id's range up to x still leaves a completion, found by binary
+        search.
         """
         if self.support is None:
             return None
-        s, order = self.table.rank, self.table.order
-        ranges = [(1, s)] * len(order)
+        order = self.table.order
+        ranges = list(self.ranges)
         degrees = []
         for p in sorted(range(len(order)), key=order.__getitem__):
-            lo, hi = 1, s
+            lo, hi = ranges[p]
             while lo < hi:
                 mid = (lo + hi) // 2
-                ranges[p] = (1, mid)
+                ranges[p] = (ranges[p][0], mid)
                 if self._supports(ranges) is None:
                     lo = mid + 1
                 else:
                     hi = mid
             ranges[p] = (lo, lo)
             degrees.append(lo)
-        return ComponentTuple(s, tuple(degrees))
+        return ComponentTuple(self.table.rank, tuple(degrees))
 
     def tuples(self) -> list[ComponentTuple]:
         """Every tuple, sorted.
 
         Positions are visited root first; each splits the sum its parent
         gave it between its own degree and its children's supports, so
-        every branch taken ends in a tuple.
+        every branch taken ends in a tuple.  A leaf has no choice: its
+        degree is the sum it was given.
         """
         if self.support is None:
             return []
-        s, order = self.table.rank, self.table.order
-        gamma = len(order)
-        parts = [[(1, s)] + [self.support[c] for c in kids] for kids in self.children]
-        target = [0] * gamma
-        degrees = [0] * gamma
+        s, order, children = self.table.rank, self.table.order, self.children
+        parts = [
+            [own] + [self.support[c] for c in kids]
+            for own, kids in zip(self.ranges, children)
+        ]
+        target = [0] * len(order)
+        degrees = [0] * len(order)
         found = []
-        pending = [_splits(self.table.degree, parts[-1])]
+        pending = [(len(order) - 1, _splits(self.table.degree, parts[-1]))]
         while pending:
-            p = gamma - len(pending)
-            values = next(pending[-1], None)
+            p, splits = pending[-1]
+            values = next(splits, None)
             if values is None:
                 pending.pop()
                 continue
             degrees[order[p] - 1] = values[0]
-            for c, sigma in zip(self.children[p], values[1:]):
+            for c, sigma in zip(children[p], values[1:]):
                 target[c] = sigma
-            if p == 0:
-                found.append(ComponentTuple(s, tuple(degrees)))
+            p -= 1
+            while p >= 0 and not children[p]:
+                degrees[order[p] - 1] = target[p]
+                p -= 1
+            if p < 0:
+                found.append(tuple(degrees))
             else:
-                pending.append(_splits(target[p - 1], parts[p - 1]))
-        found.sort()
-        return found
+                pending.append((p, _splits(target[p], parts[p])))
+        found.sort()  # plain tuples compare far faster than ComponentTuples
+        return [ComponentTuple(s, degrees) for degrees in found]
 
 
 def _subtree_children(table: WindowTable) -> list[list[int]]:
-    """Children of every position, read off the nested subcurves.
+    """Children of every position, read off the subcurves by containment.
 
-    In post-order each A_j is the block of positions ending at j, and the
-    blocks still open when j is reached and starting inside A_j are its
-    children.
+    The windows are walked in position order, keeping for each position
+    the largest subcurve seen so far that holds it.  A_j's children are
+    the distinct such subcurves among A_j's other members, and A_j is
+    nested exactly when their sizes sum to |A_j| - 1: they then partition
+    A_j minus position j.
     """
     position = {comp: p for p, comp in enumerate(table.order)}
     children: list[list[int]] = [[] for _ in table.order]
-    open_blocks: list[tuple[int, int]] = []  # (position, first position of its block)
+    size = [0] * len(table.order)
+    top = list(range(len(table.order)))  # the largest subcurve seen so far holding p
     for w in table.windows:
-        inside = sorted(position[c] for c in w.subcurve)
         j = w.j - 1
-        if inside[-1] != j:
+        inside = [position[c] for c in w.subcurve]
+        if max(inside) != j:
             raise ValueError(f"decomposition is not triangular at position {w.j}")
-        start = j + 1 - len(inside)
-        while open_blocks and open_blocks[-1][1] >= start:
-            children[j].append(open_blocks.pop()[0])
-        if inside[0] != start or (open_blocks and open_blocks[-1][0] >= start):
+        kids = sorted({top[q] for q in inside if q != j})
+        if sum(size[c] for c in kids) != len(inside) - 1:
             raise ValueError(f"decomposition is not nested at position {w.j}")
-        open_blocks.append((j, start))
-    children[-1] = [p for p, _ in open_blocks]
+        children[j], size[j] = kids, len(inside)
+        for q in inside:
+            top[q] = j
+    children[-1] = sorted(set(top[:-1]))
     return children
 
 
@@ -403,14 +398,14 @@ def _convolve(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _convolve_ones(f: list[int], s: int) -> list[int]:
-    """Convolution with s ones: out[i] = f[i-s+1] + ... + f[i]."""
+def _convolve_ones(f: list[int], width: int) -> list[int]:
+    """Convolution with width ones: out[i] = f[i-width+1] + ... + f[i]."""
     out, run = [], 0
-    for i in range(len(f) + s - 1):
+    for i in range(len(f) + width - 1):
         if i < len(f):
             run += f[i]
-        if i >= s:
-            run -= f[i - s]
+        if i >= width:
+            run -= f[i - width]
         out.append(run)
     return out
 

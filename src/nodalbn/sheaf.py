@@ -25,6 +25,7 @@ either side contributes nothing.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -49,7 +50,8 @@ class LocalType(NamedTuple):
 class SheafDescriptor:
     """Discrete model of a depth-one sheaf on a fixed curve.
 
-    ``stalks`` maps node id -> LocalType and must cover every node.
+    ``stalks`` gives every node its LocalType, as (node id, value) pairs
+    or as a mapping; each value is three integers.
     """
 
     curve: NodalCurve
@@ -66,11 +68,8 @@ class SheafDescriptor:
             )
         if any(r < 0 for r in ranks):
             raise DescriptorError("multirank entries must be nonnegative")
-        stalks = self.stalks
-        if isinstance(stalks, Mapping):
-            stalks = tuple(sorted(stalks.items()))
-        else:
-            stalks = tuple(sorted((int(nid), LocalType(*lt)) for nid, lt in stalks))
+        pairs = self.stalks.items() if isinstance(self.stalks, Mapping) else self.stalks
+        stalks = tuple(sorted(_local_type(nid, lt) for nid, lt in pairs))
         by_node = dict(stalks)
         expected = [n.id for n in self.curve.nodes]
         if sorted(by_node) != expected:
@@ -112,6 +111,17 @@ class SheafDescriptor:
 
     def is_locally_free(self) -> bool:
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
+
+
+def _local_type(nid, value) -> tuple[int, LocalType]:
+    """(node id, LocalType) from a stalk value of three integers."""
+    try:
+        lt = LocalType(*map(operator.index, value))
+    except TypeError:
+        raise DescriptorError(
+            f"stalk at node {nid} is not three integers: {value!r}"
+        ) from None
+    return int(nid), lt
 
 
 def locally_free_descriptor(

@@ -81,6 +81,36 @@ def random_tree_curve(
     return nb.NodalCurve(genera, nodes)
 
 
+def pruning_decomposition(
+    rng: random.Random, curve: nb.NodalCurve, root: int
+) -> nb.OrderedDecomposition:
+    """A valid decomposition from a random leaf-pruning order, often not post-order.
+
+    Removes a random non-root leaf of what is left of the tree until only
+    the root remains.  A_j and p_j are the removed component's subtree and
+    joining node from `curve.branches(root)`.
+    """
+    below = {b.component: b for b in curve.branches(root)}
+    kept_children = dict.fromkeys(curve.component_ids, 0)
+    for b in below.values():
+        kept_children[b.parent] += 1
+    leaves = [v for v in below if kept_children[v] == 0]
+    order = []
+    while leaves:
+        v = leaves.pop(rng.randrange(len(leaves)))
+        order.append(v)
+        up = below[v].parent
+        kept_children[up] -= 1
+        if kept_children[up] == 0 and up != root:
+            leaves.append(up)
+    return nb.OrderedDecomposition(
+        root=root,
+        order=(*order, root),
+        subcurves=tuple(below[v].subtree for v in order),
+        separating_nodes=tuple(below[v].node for v in order),
+    )
+
+
 def random_valid_polarization(rng: random.Random, gamma: int) -> nb.Polarization:
     raw = [rng.randint(1, 40) for _ in range(gamma)]
     total = sum(raw)

@@ -13,6 +13,7 @@ from nodalbn import components
 from nodalbn.components import SmallSlopeSearch, stability_windows
 from conftest import (
     forbid_enumeration,
+    pruning_decomposition,
     random_good_polarization,
     random_tree_curve,
     random_valid_polarization,
@@ -449,18 +450,95 @@ def test_small_slope_search_every_degree(gamma):
             _check_small_slope_search(curve, omega, deco, s, d)
 
 
+def _check_whole_catalog(curve, omega, deco, s, d):
+    """catalog() and size() against the oracle and the post-order catalog."""
+    table = stability_windows(curve, omega, deco, s, d)
+    catalog = table.catalog()
+    post_order = nb.order_components(curve, deco.root)
+    assert catalog == nb.enumerate_components(curve, omega, post_order, s, d)
+    assert table.size() == len(catalog)
+    if brute_force_box_size(curve, omega, deco, s, d) <= ORACLE_BOX_LIMIT:
+        assert [t.degrees for t in catalog] == brute_force_catalog(curve, omega, deco, s, d)
+    return catalog
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_every_valid_decomposition_is_searched(seed):
+    """Any leaf-pruning order, post-order or not, gives the same catalogs as the oracles."""
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
+    deco = pruning_decomposition(rng, curve, rng.randint(1, curve.gamma))
+    assert nb.verify_decomposition(curve, deco).ok
+    eta = nb.canonical(curve)
+    s = rng.randint(1, 5)
+    cells = [
+        (eta if rng.random() < 0.5 else random_good_polarization(rng, curve),
+         s, rng.randint(-1, s * curve.gamma + 2)),
+        # canonical windows at rank 1 and degree p_a - 1 have integer ends: all empty
+        (eta, 1, curve.arithmetic_genus() - 1),
+    ]
+    for omega, s, d in cells:
+        catalog = _check_whole_catalog(curve, omega, deco, s, d)
+        want = nb.small_slope_filter(catalog, s)
+        search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
+        assert search.count() == len(want)
+        assert search.first() == (want[0] if want else None)
+        assert search.tuples() == want
+        _check_small_slope_search(curve, omega, deco, s, d)
+
+
 def test_small_slope_search_rejects_crossed_subcurves(chain4):
-    # A_3 = {1, 3} is triangular but skips position 2, so it is no subtree
+    # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}, so it is no subtree
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1}), frozenset({1, 2}), frozenset({2, 3})),
+        separating_nodes=(1, 2, 3),
+    )
+    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
+    with pytest.raises(ValueError, match="not nested at position 3"):
+        table.catalog()
+    with pytest.raises(ValueError, match="not nested at position 3"):
+        table.size()
+    with pytest.raises(ValueError, match="not nested at position 3"):
+        SmallSlopeSearch(table)
+
+
+def test_search_accepts_laminar_non_contiguous_subcurves(chain4):
+    # A_3 = {1, 3} skips position 2, but the family is laminar: a tree
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
         subcurves=(frozenset({1}), frozenset({2}), frozenset({1, 3})),
         separating_nodes=(1, 2, 3),
     )
-    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
-    assert table.catalog()  # back substitution needs triangularity only
-    with pytest.raises(ValueError, match="not nested at position 3"):
-        SmallSlopeSearch(table)
+    eta = nb.canonical(chain4)
+    table = stability_windows(chain4, eta, deco, 3, 6)
+    want = brute_force_catalog(chain4, eta, deco, 3, 6)
+    assert want
+    assert [t.degrees for t in table.catalog()] == want
+    assert table.size() == len(want)
+    search = SmallSlopeSearch(table)
+    assert [t.degrees for t in search.tuples()] == brute_force_small_slope(
+        chain4, eta, deco, 3, 6
+    )
+
+
+def test_search_accepts_valid_non_post_order_decomposition():
+    # every A_j is a subtree, but A_3 = {1, 3} does not follow A_2 = {2} in post-order
+    curve = nb.NodalCurve((2, 2, 2, 2), ((1, 1, 3), (2, 3, 4), (3, 2, 4)))
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1}), frozenset({2}), frozenset({1, 3})),
+        separating_nodes=(1, 3, 2),
+    )
+    assert nb.verify_decomposition(curve, deco).ok
+    eta = nb.canonical(curve)
+    for s, d in [(3, 6), (4, 8), (2, 5)]:
+        _check_whole_catalog(curve, eta, deco, s, d)
+        _check_small_slope_search(curve, eta, deco, s, d)
 
 
 def test_small_slope_search_rejects_non_triangular(chain4):

@@ -48,6 +48,23 @@ class TestDescriptorValidation:
         desc = descriptor(two_curve, (2, 2), -6, [(1, (1, 1, 1))])
         assert not desc.is_locally_free()
 
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    def test_stalks_as_pairs_or_mapping(self, chain3_222, as_mapping):
+        pairs = [(2, (1, 0, 0)), (1, [1, 1, 0])]
+        stalks = dict(pairs) if as_mapping else tuple(pairs)
+        desc = nb.SheafDescriptor(chain3_222, (2, 1, 1), -9, stalks)
+        assert desc.stalks == ((1, nb.LocalType(1, 1, 0)), (2, nb.LocalType(1, 0, 0)))
+        assert desc.stalk(1).free_rank == 1
+        assert all(type(lt) is nb.LocalType for _, lt in desc.stalks)
+
+    @pytest.mark.parametrize("as_mapping", [False, True])
+    @pytest.mark.parametrize("value", [(1, 0), (1, 0, 0, 0), (1, 0.5, 0), 3, "100"])
+    def test_malformed_stalk_value(self, two_curve, as_mapping, value):
+        stalks = {1: value} if as_mapping else ((1, value),)
+        with pytest.raises(nb.DescriptorError) as info:
+            nb.SheafDescriptor(two_curve, (1, 1), -4, stalks)
+        assert str(info.value) == f"stalk at node 1 is not three integers: {value!r}"
+
     def test_stalk_lookup(self, chain3_222):
         desc = descriptor(chain3_222, (2, 1, 1), -9, [(1, (1, 1, 0)), (2, (1, 0, 0))])
         assert desc.stalk(1) == nb.LocalType(1, 1, 0)
