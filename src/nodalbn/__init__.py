@@ -2,85 +2,83 @@
 
 Everything that decides a statement works over ``fractions.Fraction``;
 no verdict depends on floating point.
+
+Names load on first use (PEP 562).  ``_EXPORTS`` maps each public name
+to the submodule that defines it; the module-level ``__getattr__``
+imports that submodule the first time the name is read, binds the value
+here so later reads skip the hook, and returns it.  The submodule names
+themselves resolve the same way.  So ``import nodalbn`` loads no
+submodule, ``nodalbn.comb_curve`` loads ``curve`` alone, and
+``from nodalbn import *`` loads every submodule that ``__all__`` names.
 """
 
-from .brill_noether import (
-    BNCertificate,
-    CertificationFailure,
-    ScanRow,
-    alpha_range,
-    bgn_bounds,
-    bn_number,
-    certify_bn_component,
-    coherent_slope,
-    conjecture_scan,
-    expected_codim,
-    max_section_count,
-    necessary_conditions,
-    per_component_bgn,
-)
-from .components import (
-    DEFAULT_WITNESS_MULTIPLIER,
-    BuilderResult,
-    ComponentTuple,
-    HypothesisError,
-    InvarianceReport,
-    StabilityReport,
-    Witness,
-    binding_witness,
-    build_chain_tuple,
-    build_comb_tuple,
-    build_small_slope_tuple,
-    catalog_invariance_check,
-    enumerate_components,
-    robustness_radius,
-    small_slope_filter,
-    stability_conditions,
-)
-from .curve import (
-    CurveClass,
-    CurveError,
-    NodalCurve,
-    Node,
-    NotCompactTypeError,
-    chain_curve,
-    comb_curve,
-)
-from .ordering import (
-    DecompositionCheck,
-    OrderedDecomposition,
-    order_components,
-    verify_decomposition,
-)
-from .parsing import (
-    ParseError,
-    parse_curve,
-    parse_curve_with_sheaf,
-    parse_ints,
-    parse_rationals,
-    render_curve,
-)
-from .polarization import (
-    GoodnessReport,
-    Polarization,
-    PolarizationError,
-    canonical,
-    delta_structure_sheaf,
-    goodness_proxy,
-    perturb,
-)
-from .sheaf import (
-    DescriptorError,
-    LocalType,
-    SheafDescriptor,
-    degree_defect,
-    global_ext_defect,
-    local_ext_dim,
-    locally_free_descriptor,
-    wdeg,
-    wrank,
-    wslope,
-)
+from importlib import import_module as _import_module
+
+_EXPORTS = {
+    "BNCertificate": "brill_noether",
+    "CertificationFailure": "brill_noether",
+    "ScanRow": "brill_noether",
+    "alpha_range": "brill_noether",
+    "bgn_bounds": "brill_noether",
+    "bn_number": "brill_noether",
+    "certify_bn_component": "brill_noether",
+    "coherent_slope": "brill_noether",
+    "conjecture_scan": "brill_noether",
+    "expected_codim": "brill_noether",
+    "max_section_count": "brill_noether",
+    "necessary_conditions": "brill_noether",
+    "per_component_bgn": "brill_noether",
+    "DEFAULT_WITNESS_MULTIPLIER": "components",
+    "BuilderResult": "components",
+    "ComponentTuple": "components",
+    "InvarianceReport": "components",
+    "StabilityReport": "components",
+    "Witness": "components",
+    "binding_witness": "components",
+    "build_chain_tuple": "components",
+    "build_comb_tuple": "components",
+    "build_small_slope_tuple": "components",
+    "catalog_invariance_check": "components",
+    "enumerate_components": "components",
+    "robustness_radius": "components",
+    "small_slope_filter": "components",
+    "stability_conditions": "components",
+    "HypothesisError": "curve",
+    "CurveClass": "curve",
+    "CurveError": "curve",
+    "NodalCurve": "curve",
+    "Node": "curve",
+    "NotCompactTypeError": "curve",
+    "chain_curve": "curve",
+    "comb_curve": "curve",
+    "DecompositionCheck": "ordering",
+    "OrderedDecomposition": "ordering",
+    "order_components": "ordering",
+    "verify_decomposition": "ordering",
+    "ParseError": "parsing",
+    "parse_curve": "parsing",
+    "parse_curve_with_sheaf": "parsing",
+    "parse_ints": "parsing",
+    "parse_rationals": "parsing",
+    "render_curve": "parsing",
+    "GoodnessReport": "polarization",
+    "Polarization": "polarization",
+    "PolarizationError": "polarization",
+    "canonical": "polarization",
+    "delta_structure_sheaf": "polarization",
+    "goodness_proxy": "polarization",
+    "perturb": "polarization",
+    "DescriptorError": "sheaf",
+    "LocalType": "sheaf",
+    "SheafDescriptor": "sheaf",
+    "degree_defect": "sheaf",
+    "global_ext_defect": "sheaf",
+    "local_ext_dim": "sheaf",
+    "locally_free_descriptor": "sheaf",
+    "wdeg": "sheaf",
+    "wrank": "sheaf",
+    "wslope": "sheaf",
+}
 
 __version__ = "0.1.0"
 
@@ -149,3 +147,22 @@ __all__ = [
     "wrank",
     "wslope",
 ]
+
+
+_SUBMODULES = frozenset(_EXPORTS.values())
+
+
+def __getattr__(name: str) -> object:
+    if name in _EXPORTS:
+        value = getattr(_import_module(f".{_EXPORTS[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = _import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    shown = {name for name in globals() if not name.startswith("_") or name.endswith("__")}
+    return sorted((shown - {"__getattr__", "__dir__"}) | set(__all__) | _SUBMODULES)

@@ -22,12 +22,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .components import ComponentTuple, SmallSlopeSearch, stability_windows
 from .curve import NodalCurve
 from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, PolarizationError, canonical, goodness_proxy
+
+if TYPE_CHECKING:
+    from .components import ComponentTuple
 
 
 @dataclass(frozen=True)
@@ -217,6 +219,8 @@ def _small_slope_cell(
     curve: NodalCurve, omega: Polarization, deco: OrderedDecomposition, s: int, d: int
 ) -> tuple[ComponentTuple | None, int]:
     """The least small-slope tuple at rank s and degree d, and how many there are."""
+    from .components import SmallSlopeSearch, stability_windows
+
     search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
     return search.first(), search.count()
 

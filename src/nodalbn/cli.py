@@ -7,6 +7,12 @@ integers).  Output for identical inputs is byte-identical.
 
 Exit codes: 0 for pass/certified, 1 for a failed hypothesis or verdict,
 2 for unparseable input or bad command lines.
+
+Each handler imports the modules it runs: ``ordering``, ``components``
+and ``brill_noether`` load inside the handlers that call them, so a
+command pays at start-up only for what it uses.  Parsing, curves,
+sheaves and polarizations load with this module, since almost every
+command reads a curve.
 """
 
 from __future__ import annotations
@@ -16,11 +22,16 @@ import hashlib
 import itertools
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import brill_noether as bn
-from . import components as comp
-from .curve import CurveError, NodalCurve, NotCompactTypeError, chain_curve, comb_curve
-from .ordering import order_components
+from .curve import (
+    CurveError,
+    HypothesisError,
+    NodalCurve,
+    NotCompactTypeError,
+    chain_curve,
+    comb_curve,
+)
 from .parsing import (
     ParseError,
     parse_curve_with_sheaf,
@@ -43,6 +54,9 @@ from .sheaf import (
     wrank,
     wslope,
 )
+
+if TYPE_CHECKING:
+    from . import components as comp
 
 
 class Report:
@@ -144,8 +158,10 @@ def cmd_curve_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_order(args: argparse.Namespace) -> int:
+    from . import ordering
+
     report, curve, _ = _begin(args)
-    deco = order_components(curve, args.root)
+    deco = ordering.order_components(curve, args.root)
     report.kv("root", deco.root)
     report.kv("order", deco.order)
     rows = [
@@ -246,10 +262,13 @@ def _catalog_table(
 
 
 def cmd_components_enumerate(args: argparse.Namespace) -> int:
+    from . import components as comp
+    from . import ordering
+
     report, curve, _ = _begin(args)
     omega = _resolve_omega(args.omega, curve)
     root = args.root if args.root is not None else curve.gamma
-    deco = order_components(curve, root)
+    deco = ordering.order_components(curve, root)
     table = comp.stability_windows(curve, omega, deco, args.rank, args.degree)
     catalog = comp.SmallSlopeSearch(table).tuples() if args.small_slope else table.catalog()
     report.kv("omega", omega.weights)
@@ -264,10 +283,13 @@ def cmd_components_enumerate(args: argparse.Namespace) -> int:
 
 
 def _tuple_setup(args: argparse.Namespace):
+    from . import components as comp
+    from . import ordering
+
     report, curve, _ = _begin(args)
     omega = _resolve_omega(args.omega, curve)
     root = args.root if args.root is not None else curve.gamma
-    deco = order_components(curve, root)
+    deco = ordering.order_components(curve, root)
     degrees = parse_ints(args.tuple)
     if len(degrees) != curve.gamma:
         raise ParseError(0, f"tuple has {len(degrees)} degrees for {curve.gamma} components")
@@ -280,6 +302,8 @@ def _tuple_setup(args: argparse.Namespace):
 
 
 def cmd_components_check(args: argparse.Namespace) -> int:
+    from . import components as comp
+
     report, curve, omega, deco, ctuple = _tuple_setup(args)
     rep = comp.stability_conditions(curve, omega, deco, ctuple)
     report.kv("verdict", _verdict(rep.passed))
@@ -296,6 +320,8 @@ def cmd_components_check(args: argparse.Namespace) -> int:
 
 
 def cmd_components_radius(args: argparse.Namespace) -> int:
+    from . import components as comp
+
     report, curve, omega, deco, ctuple = _tuple_setup(args)
     radius = comp.robustness_radius(curve, omega, deco, ctuple)
     report.kv("radius", "unbounded" if radius is None else radius)
@@ -304,6 +330,8 @@ def cmd_components_radius(args: argparse.Namespace) -> int:
 
 
 def cmd_components_invariance(args: argparse.Namespace) -> int:
+    from . import components as comp
+
     report, curve, _ = _begin(args)
     omega = _resolve_omega(args.omega, curve)
     inv = comp.catalog_invariance_check(curve, omega, args.rank, args.degree)
@@ -329,6 +357,8 @@ def cmd_components_invariance(args: argparse.Namespace) -> int:
 
 
 def cmd_bn_number(args: argparse.Namespace) -> int:
+    from . import brill_noether as bn
+
     report = Report(args.argv)
     report.kv("beta", bn.bn_number(args.pa, args.r, args.d, args.k))
     report.emit()
@@ -336,6 +366,8 @@ def cmd_bn_number(args: argparse.Namespace) -> int:
 
 
 def cmd_bn_bounds(args: argparse.Namespace) -> int:
+    from . import brill_noether as bn
+
     report = Report(args.argv)
     verdict = bn.bgn_bounds(args.pa, args.r, args.d, args.k)
     report.kv("bgn_bounds", _verdict(verdict.ok))
@@ -346,6 +378,8 @@ def cmd_bn_bounds(args: argparse.Namespace) -> int:
 
 
 def cmd_bn_certify(args: argparse.Namespace) -> int:
+    from . import brill_noether as bn
+
     report, curve, _ = _begin(args)
     omega = _resolve_omega(args.omega, curve)
     result = bn.certify_bn_component(curve, omega, args.s, args.k, args.d)
@@ -397,6 +431,8 @@ def _genus_vectors(gamma: int, genus_max: int):
 
 
 def cmd_bn_scan(args: argparse.Namespace) -> int:
+    from . import brill_noether as bn
+
     report = Report(args.argv)
     curves = _scan_family(args.family, args.gamma_max, args.genus_max)
     rows = bn.conjecture_scan(curves, range(1, args.s_max + 1))
@@ -523,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
 # 1 is a negative answer about usable input, 2 is input that cannot be used.
 EXIT_CODES: tuple[tuple[type[ValueError], int], ...] = (
     (ParseError, 2),
-    (comp.HypothesisError, 1),
+    (HypothesisError, 1),
     (NotCompactTypeError, 1),
     (PolarizationError, 1),
     (CurveError, 2),

@@ -59,15 +59,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .curve import CurveClass, NodalCurve
+from .curve import CurveClass, HypothesisError, NodalCurve
 from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, _check_lengths, _defect, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
-
-
-class HypothesisError(ValueError):
-    """Raised when a construction's hypotheses fail; names the inequality."""
 
 
 @dataclass(frozen=True, order=True)
@@ -455,6 +451,12 @@ def stability_windows(
         raise ValueError(f"rank must be >= 1, got {s}")
     if deco.gamma != curve.gamma:
         raise ValueError("decomposition does not match the curve")
+    if not len(deco.subcurves) == len(deco.separating_nodes) == curve.gamma - 1:
+        raise ValueError(
+            f"decomposition has {len(deco.subcurves)} subcurves and "
+            f"{len(deco.separating_nodes)} separating nodes for {curve.gamma} "
+            f"components; each must number {curve.gamma - 1}"
+        )
     pa = curve.arithmetic_genus()
     windows = []
     for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1):

@@ -30,6 +30,10 @@ class NotCompactTypeError(CurveError):
     """Raised when an operation defined only for trees meets a cycle."""
 
 
+class HypothesisError(ValueError):
+    """Raised when a construction's hypotheses fail; names the inequality."""
+
+
 class Node(NamedTuple):
     """A node (edge of the dual graph); stored with first < second."""
 

@@ -104,13 +104,17 @@ def brute_force_box_size(curve, omega, deco, s, d):
     return math.prod(max(0, hi - lo + 1) for lo, hi in zip(lo_deg, hi_deg))
 
 
-def brute_force_catalog(curve, omega, deco, s, d):
+def brute_force_catalog(curve, omega, deco, s, d, _clamp=None):
     """Every integer degree tuple meeting the strict tail inequalities.
 
     Enumerates a finite box obtained by interval arithmetic on the
     per-position degrees, then keeps exactly the points whose tail sums
     land in the open windows.  Returns plain tuples in component order,
     sorted.
+
+    The private ``_clamp`` = (lo, hi) also cuts every non-root position's
+    range to lo..hi.  The root's degree is whatever is left, unclamped, so
+    a caller wanting every degree in lo..hi must still filter the result.
     """
     gamma = curve.gamma
     if gamma == 1:
@@ -119,6 +123,9 @@ def brute_force_catalog(curve, omega, deco, s, d):
     if box is None:
         return []
     windows, tail_positions, lo_deg, hi_deg = box
+    if _clamp is not None:
+        lo_deg = [max(lo, _clamp[0]) for lo in lo_deg]
+        hi_deg = [min(hi, _clamp[1]) for hi in hi_deg]
     order = deco.order
     found = []
     for point in itertools.product(
@@ -142,7 +149,7 @@ def brute_force_catalog(curve, omega, deco, s, d):
 
 def brute_force_small_slope(curve, omega, deco, s, d):
     return [
-        t for t in brute_force_catalog(curve, omega, deco, s, d)
+        t for t in brute_force_catalog(curve, omega, deco, s, d, _clamp=(1, s))
         if all(0 < x <= s for x in t)
     ]
 

@@ -1,5 +1,6 @@
 """Interval conditions, catalog enumeration, robustness, builders."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -553,6 +554,23 @@ def test_small_slope_search_rejects_non_triangular(chain4):
         table.catalog()
     with pytest.raises(ValueError, match="not triangular at position 1"):
         SmallSlopeSearch(table)
+
+
+@pytest.mark.parametrize(
+    "subcurves, nodes",
+    [(2, 3), (3, 2), (2, 2)],
+    ids=["short-subcurves", "short-nodes", "both-short"],
+)
+def test_stability_windows_rejects_short_decomposition(chain4, subcurves, nodes):
+    deco = nb.order_components(chain4, 4)
+    cut = dataclasses.replace(
+        deco,
+        subcurves=deco.subcurves[:subcurves],
+        separating_nodes=deco.separating_nodes[:nodes],
+    )
+    want = f"{subcurves} subcurves and {nodes} separating nodes for 4 components"
+    with pytest.raises(ValueError, match=want):
+        stability_windows(chain4, nb.canonical(chain4), cut, 3, 6)
 
 
 def _assert_invariance_matches_oracle(curve, omega, s, d):

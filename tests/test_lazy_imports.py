@@ -1,0 +1,103 @@
+"""Which modules each entry point loads.
+
+The test session has imported every module already, so each check runs in
+a fresh interpreter and reads ``sys.modules`` there.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import nodalbn as nb
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+SUBMODULES = {
+    "brill_noether", "components", "curve", "ordering", "parsing", "polarization", "sheaf",
+}
+# dir(nodalbn) after a bare import, as the package listed it when it imported
+# every submodule eagerly: __all__, these dunders and the submodules
+DUNDERS = {
+    "__all__", "__builtins__", "__cached__", "__doc__", "__file__", "__loader__",
+    "__name__", "__package__", "__path__", "__spec__", "__version__",
+}
+
+RUN_CLI = """
+import contextlib, io, json, sys
+from nodalbn import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps({"code": code, "loaded": sorted(sys.modules)}))
+"""
+
+BARE_IMPORT = """
+import json, sys
+import nodalbn
+loaded = sorted(m for m in sys.modules if m.startswith("nodalbn"))
+names = sorted(dir(nodalbn))
+star = {}
+exec("from nodalbn import *", star)
+unresolved = [
+    n for n in [*nodalbn.__all__, *sys.argv[1:]]
+    if getattr(nodalbn, n, None) is None
+]
+print(json.dumps({
+    "loaded": loaded,
+    "dir": names,
+    "unbound": sorted(set(nodalbn.__all__) - set(star)),
+    "unresolved": unresolved,
+    "same_error": nodalbn.HypothesisError is nodalbn.components.HypothesisError,
+}))
+"""
+
+
+def fresh_python(code: str, *argv: str) -> dict:
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (("curve", "validate", "--curve", "{curve}"), ("components", "brill_noether")),
+        (("polarization", "canonical", "--curve", "{curve}"), ("components", "brill_noether")),
+        (("order", "--curve", "{curve}", "--root", "2"), ("components", "brill_noether")),
+        (("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"), ("components",)),
+    ],
+    ids=["curve-validate", "polarization-canonical", "order", "bn-number"],
+)
+def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
+    curve = tmp_path / "two.crv"
+    curve.write_text("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n")
+    got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
+    assert got["code"] == 0
+    assert not {f"nodalbn.{m}" for m in absent} & set(got["loaded"])
+
+
+def test_bare_import_loads_nothing_and_resolves_every_name():
+    got = fresh_python(BARE_IMPORT, *sorted(SUBMODULES))
+    assert got["loaded"] == ["nodalbn"]
+    assert got["unresolved"] == []
+    assert got["unbound"] == []
+    assert got["same_error"]
+
+
+def test_dir_lists_exports_dunders_and_submodules():
+    got = fresh_python(BARE_IMPORT)
+    assert set(got["dir"]) == set(nb.__all__) | DUNDERS | SUBMODULES
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'nodalbn' has no attribute 'no_such_name'"):
+        nb.no_such_name
