@@ -4,9 +4,10 @@ Everything that decides a statement works over ``fractions.Fraction``;
 no verdict depends on floating point.
 
 Names load on first use (PEP 562).  ``_EXPORTS`` maps each public name
-to the submodule that defines it; the module-level ``__getattr__``
-imports that submodule the first time the name is read, binds the value
-here so later reads skip the hook, and returns it.  The submodule names
+to the submodule that defines it, and ``__all__`` is its keys.  The
+module-level ``__getattr__`` imports that submodule the first time the
+name is read, binds the value here so later reads skip the hook, and
+returns it.  The submodule names
 themselves resolve the same way.  So ``import nodalbn`` loads no
 submodule, ``nodalbn.comb_curve`` loads ``curve`` alone, and
 ``from nodalbn import *`` loads every submodule that ``__all__`` names.
@@ -82,71 +83,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BNCertificate",
-    "DEFAULT_WITNESS_MULTIPLIER",
-    "BuilderResult",
-    "CertificationFailure",
-    "ComponentTuple",
-    "CurveClass",
-    "CurveError",
-    "DecompositionCheck",
-    "DescriptorError",
-    "GoodnessReport",
-    "HypothesisError",
-    "InvarianceReport",
-    "LocalType",
-    "NodalCurve",
-    "Node",
-    "NotCompactTypeError",
-    "OrderedDecomposition",
-    "ParseError",
-    "Polarization",
-    "PolarizationError",
-    "ScanRow",
-    "SheafDescriptor",
-    "StabilityReport",
-    "Witness",
-    "alpha_range",
-    "bgn_bounds",
-    "binding_witness",
-    "bn_number",
-    "build_chain_tuple",
-    "build_comb_tuple",
-    "build_small_slope_tuple",
-    "canonical",
-    "catalog_invariance_check",
-    "certify_bn_component",
-    "chain_curve",
-    "coherent_slope",
-    "comb_curve",
-    "conjecture_scan",
-    "degree_defect",
-    "delta_structure_sheaf",
-    "enumerate_components",
-    "expected_codim",
-    "global_ext_defect",
-    "goodness_proxy",
-    "local_ext_dim",
-    "locally_free_descriptor",
-    "max_section_count",
-    "necessary_conditions",
-    "order_components",
-    "parse_curve",
-    "parse_curve_with_sheaf",
-    "parse_ints",
-    "parse_rationals",
-    "per_component_bgn",
-    "perturb",
-    "render_curve",
-    "robustness_radius",
-    "small_slope_filter",
-    "stability_conditions",
-    "verify_decomposition",
-    "wdeg",
-    "wrank",
-    "wslope",
-]
+__all__ = list(_EXPORTS)
 
 
 _SUBMODULES = frozenset(_EXPORTS.values())

@@ -42,6 +42,7 @@ from .parsing import (
 from .polarization import (
     Polarization,
     PolarizationError,
+    _check_lengths,
     canonical,
     goodness_proxy,
 )
@@ -118,9 +119,11 @@ def _resolve_omega(text: str, curve: NodalCurve) -> Polarization:
     if text == "canonical":
         return canonical(curve)
     try:
-        return Polarization(parse_rationals(text))
+        omega = Polarization(parse_rationals(text))
+        _check_lengths(curve, omega)
     except PolarizationError as exc:
         raise ValueError(f"bad omega: {exc}") from exc
+    return omega
 
 
 def _begin(args: argparse.Namespace) -> tuple[Report, NodalCurve, SheafDescriptor | None]:

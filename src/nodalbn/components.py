@@ -23,10 +23,13 @@ trimmed to v's integer window; the count is f_root[d], in O(gamma s^2)
 integer operations for ranges 1..s and bounded branching.  Each f_v is
 positive on exactly one interval (a sum of intervals cut by an
 interval), so whether a partial assignment still has a completion is
-interval arithmetic over the tree, O(gamma).  The least tuple fixes ids 1..gamma in turn at the
-least degree that keeps a completion (a binary search each), and the
-full list walks only branches that have one, so its cost follows the
-number of tuples, not s^(gamma-1).
+interval arithmetic over the tree, O(gamma), and one more pass from the
+root down narrows every position's range to exactly the degrees some
+tuple takes.  One walk lists the tuples in increasing order: ids
+1..gamma take their degrees in turn within the narrowed ranges, each
+choice narrowed again, so no branch is a dead end and its cost follows
+the number of tuples, not s^(gamma-1).  The least tuple is the walk's
+first.
 
 Small-slope questions take every range to be 1..s.  The whole catalog
 takes the widest ranges the windows allow: with integer windows [lo, hi]
@@ -55,6 +58,8 @@ assignment for combs.
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -76,7 +81,11 @@ class ComponentTuple:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError(f"rank must be >= 1, got {self.rank}")
-        object.__setattr__(self, "degrees", tuple(int(x) for x in self.degrees))
+        try:
+            degrees = tuple(map(operator.index, self.degrees))
+        except TypeError as exc:
+            raise ValueError(f"degrees must be integers: {exc}") from None
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def total(self) -> int:
@@ -243,7 +252,9 @@ class SmallSlopeSearch:
     A_p, read off by containment (`_subtree_children`).  ``ranges[p]`` is
     the interval position p's own degree may take, and ``support[p]`` the
     interval of sums the subtree of p can take, None when some subtree can
-    take none.
+    take none.  `_narrow` cuts ranges to the degrees some tuple within
+    them takes, and `_walk` lists the tuples in increasing order from it;
+    `first` is the walk's head and `tuples` the whole walk.
 
     With the private ``_whole_catalog`` the ranges are the widest the
     windows allow, so the same search lists and counts the whole catalog.
@@ -269,14 +280,85 @@ class SmallSlopeSearch:
     def _supports(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
         """Reachable subtree sums per position when position p's degree lies in ranges[p]."""
         out: list[tuple[int, int]] = []
-        for p, kids in enumerate(self.children):
-            wlo, whi = self.bounds[p]
-            lo = max(wlo, ranges[p][0] + sum(out[c][0] for c in kids))
-            hi = min(whi, ranges[p][1] + sum(out[c][1] for c in kids))
+        for (wlo, whi), kids, (lo, hi) in zip(self.bounds, self.children, ranges):
+            for c in kids:  # plain loops: the walk runs this once per choice
+                lo += out[c][0]
+                hi += out[c][1]
+            lo, hi = max(wlo, lo), min(whi, hi)
             if lo > hi:
                 return None
             out.append((lo, hi))
         return out
+
+    def _narrow(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        """Each position's degrees over the tuples within ranges, None when there are none.
+
+        After `_supports`, a pass from the root down cuts each subtree's
+        sums to those some whole tuple gives it, and reads off the own
+        degrees that go with them.  Both passes are exact because each
+        subtree's reachable sums form one interval.
+        """
+        sums = self._supports(ranges)
+        if sums is None:
+            return None
+        out = list(ranges)
+        for p in reversed(range(len(ranges))):  # a parent's sums are cut before its children's
+            lo, hi = sums[p]
+            own_lo, own_hi = ranges[p]
+            kids = self.children[p]
+            kids_lo = kids_hi = 0
+            for c in kids:
+                kids_lo += sums[c][0]
+                kids_hi += sums[c][1]
+            out[p] = (max(own_lo, lo - kids_hi), min(own_hi, hi - kids_lo))
+            for c in kids:
+                c_lo, c_hi = sums[c]
+                sums[c] = (max(c_lo, lo - own_hi - kids_hi + c_hi),
+                           min(c_hi, hi - own_lo - kids_lo + c_lo))
+        return out
+
+    def _walk(self) -> Iterator[ComponentTuple]:
+        """Every tuple, in increasing order.
+
+        Ids take their degrees in turn, each over its narrowed range, so
+        every choice has a completion.  Only ids with more than one degree
+        left branch, and each choice is narrowed once.  When two ids are
+        left free, the fixed total settles the second once the first is
+        chosen.
+        """
+        s = self.table.rank
+        where = sorted(range(len(self.ranges)), key=self.table.order.__getitem__)
+        ranges = self._narrow(self.ranges)
+        if ranges is None:
+            return
+        choosing = []  # (ranges, position, degrees left) for each id that branches
+        while True:
+            free = [i for i, p in enumerate(where) if ranges[p][0] < ranges[p][1]]
+            if len(free) > 2:
+                p = where[free[0]]
+                choosing.append((ranges, p, iter(range(ranges[p][0], ranges[p][1] + 1))))
+            else:
+                degrees = [ranges[p][0] for p in where]
+                if not free:
+                    yield ComponentTuple(s, tuple(degrees))
+                else:
+                    a, b = free
+                    lo, hi = ranges[where[a]]
+                    total = lo + ranges[where[b]][1]
+                    for x in range(lo, hi + 1):
+                        degrees[a], degrees[b] = x, total - x
+                        yield ComponentTuple(s, tuple(degrees))
+            while choosing:
+                parent, p, left = choosing[-1]
+                x = next(left, None)
+                if x is not None:
+                    break
+                choosing.pop()
+            else:
+                return
+            ranges = list(parent)
+            ranges[p] = (x, x)
+            ranges = self._narrow(ranges)
 
     def count(self) -> int:
         """Number of tuples: f_root[d]."""
@@ -294,68 +376,12 @@ class SmallSlopeSearch:
         return tables[-1][0]
 
     def first(self) -> ComponentTuple | None:
-        """The least tuple in component-id order, None when there is none.
-
-        Ids take their degree in turn: the least x such that a degree in
-        the id's range up to x still leaves a completion, found by binary
-        search.
-        """
-        if self.support is None:
-            return None
-        order = self.table.order
-        ranges = list(self.ranges)
-        degrees = []
-        for p in sorted(range(len(order)), key=order.__getitem__):
-            lo, hi = ranges[p]
-            while lo < hi:
-                mid = (lo + hi) // 2
-                ranges[p] = (ranges[p][0], mid)
-                if self._supports(ranges) is None:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            ranges[p] = (lo, lo)
-            degrees.append(lo)
-        return ComponentTuple(self.table.rank, tuple(degrees))
+        """The least tuple in component-id order, None when there is none."""
+        return next(self._walk(), None)
 
     def tuples(self) -> list[ComponentTuple]:
-        """Every tuple, sorted.
-
-        Positions are visited root first; each splits the sum its parent
-        gave it between its own degree and its children's supports, so
-        every branch taken ends in a tuple.  A leaf has no choice: its
-        degree is the sum it was given.
-        """
-        if self.support is None:
-            return []
-        s, order, children = self.table.rank, self.table.order, self.children
-        parts = [
-            [own] + [self.support[c] for c in kids]
-            for own, kids in zip(self.ranges, children)
-        ]
-        target = [0] * len(order)
-        degrees = [0] * len(order)
-        found = []
-        pending = [(len(order) - 1, _splits(self.table.degree, parts[-1]))]
-        while pending:
-            p, splits = pending[-1]
-            values = next(splits, None)
-            if values is None:
-                pending.pop()
-                continue
-            degrees[order[p] - 1] = values[0]
-            for c, sigma in zip(children[p], values[1:]):
-                target[c] = sigma
-            p -= 1
-            while p >= 0 and not children[p]:
-                degrees[order[p] - 1] = target[p]
-                p -= 1
-            if p < 0:
-                found.append(tuple(degrees))
-            else:
-                pending.append((p, _splits(target[p], parts[p])))
-        found.sort()  # plain tuples compare far faster than ComponentTuples
-        return [ComponentTuple(s, degrees) for degrees in found]
+        """Every tuple, sorted."""
+        return list(self._walk())
 
 
 def _subtree_children(table: WindowTable) -> list[list[int]]:
@@ -404,39 +430,6 @@ def _convolve_ones(f: list[int], width: int) -> list[int]:
             run -= f[i - width]
         out.append(run)
     return out
-
-
-def _splits(total: int, ranges: list[tuple[int, int]]):
-    """Every way, in increasing order, to write total as one integer per range.
-
-    The caller guarantees that total is reachable.  Each step takes a value
-    that leaves the rest reachable, so no branch is a dead end.
-    """
-    lo_after, hi_after = [0], [0]
-    for lo, hi in reversed(ranges):
-        lo_after.append(lo_after[-1] + lo)
-        hi_after.append(hi_after[-1] + hi)
-    lo_after.reverse()
-    hi_after.reverse()
-    last = len(ranges) - 1
-    values: list[int] = []
-    tops: list[int] = []  # the largest value step i may take
-    left = total
-    while True:
-        while len(values) < last:
-            i = len(values)
-            x = max(ranges[i][0], left - hi_after[i + 1])
-            values.append(x)
-            tops.append(min(ranges[i][1], left - lo_after[i + 1]))
-            left -= x
-        yield (*values, left)  # the last range takes what is left
-        while values and values[-1] == tops[-1]:
-            left += values.pop()
-            tops.pop()
-        if not values:
-            return
-        values[-1] += 1
-        left -= 1
 
 
 def stability_windows(

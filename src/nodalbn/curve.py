@@ -18,6 +18,7 @@ A curve is of compact type exactly when its dual graph is a tree
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
@@ -59,6 +60,14 @@ class CurveClass(enum.Enum):
     NOT_COMPACT_TYPE = "not_compact_type"
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as ints; a float or any other non-integer is a CurveError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise CurveError(f"{what} must be integers: {exc}") from None
+
+
 @dataclass(frozen=True)
 class NodalCurve:
     """Immutable dual-graph model of a nodal reducible curve.
@@ -71,13 +80,13 @@ class NodalCurve:
     nodes: tuple[Node, ...] = ()
 
     def __post_init__(self) -> None:
-        genera = tuple(int(g) for g in self.genera)
+        genera = _integers(self.genera, "genera")
         if not genera:
             raise CurveError("curve needs at least one component")
         for i, g in enumerate(genera, start=1):
             if g < 2:
                 raise CurveError(f"component {i} has genus {g}; each genus must be >= 2")
-        raw = tuple(Node(int(n[0]), int(n[1]), int(n[2])) for n in self.nodes)
+        raw = tuple(Node(*_integers(n[:3], "node entries")) for n in self.nodes)
         seen: set[int] = set()
         normalized: list[Node] = []
         for node in raw:
@@ -192,7 +201,7 @@ class NodalCurve:
     # -- subcurves -----------------------------------------------------
 
     def check_subcurve(self, ids: Iterable[int]) -> frozenset[int]:
-        B = frozenset(int(i) for i in ids)
+        B = frozenset(_integers(ids, "subcurve ids"))
         if not B:
             raise CurveError("subcurve must be nonempty")
         gamma = self.gamma

@@ -61,7 +61,7 @@ class SheafDescriptor:
     degrees: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        ranks = tuple(int(r) for r in self.multirank)
+        ranks = _integers(self.multirank, "multirank")
         if len(ranks) != self.curve.gamma:
             raise DescriptorError(
                 f"multirank has {len(ranks)} entries for {self.curve.gamma} components"
@@ -92,13 +92,13 @@ class SheafDescriptor:
                 )
         degrees = self.degrees
         if degrees is not None:
-            degrees = tuple(int(d) for d in degrees)
+            degrees = _integers(degrees, "degrees")
             if len(degrees) != self.curve.gamma:
                 raise DescriptorError(
                     f"degrees has {len(degrees)} entries for {self.curve.gamma} components"
                 )
         object.__setattr__(self, "multirank", ranks)
-        object.__setattr__(self, "chi", int(self.chi))
+        object.__setattr__(self, "chi", _integers((self.chi,), "chi")[0])
         object.__setattr__(self, "stalks", stalks)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_by_node", by_node)  # not a dataclass field
@@ -113,6 +113,14 @@ class SheafDescriptor:
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
 
 
+def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as ints; a float or any other non-integer is a DescriptorError."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise DescriptorError(f"{what} must be integers: {exc}") from None
+
+
 def _local_type(nid, value) -> tuple[int, LocalType]:
     """(node id, LocalType) from a stalk value of three integers."""
     try:
@@ -121,7 +129,7 @@ def _local_type(nid, value) -> tuple[int, LocalType]:
         raise DescriptorError(
             f"stalk at node {nid} is not three integers: {value!r}"
         ) from None
-    return int(nid), lt
+    return _integers((nid,), "stalk node ids")[0], lt
 
 
 def locally_free_descriptor(
@@ -133,7 +141,7 @@ def locally_free_descriptor(
     """
     if rank < 0:
         raise DescriptorError("rank must be nonnegative")
-    ds = tuple(int(d) for d in degrees)
+    ds = _integers(degrees, "degrees")
     if len(ds) != curve.gamma:
         raise DescriptorError(
             f"degrees has {len(ds)} entries for {curve.gamma} components"

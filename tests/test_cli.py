@@ -146,6 +146,19 @@ class TestPolarizationCommands:
         assert "error:" in err
 
 
+# a wrong number of weights is unusable input (exit 2), not a negative verdict (exit 1)
+@pytest.mark.parametrize("argv", [
+    ("polarization", "check"),
+    ("components", "enumerate", "--rank", "2", "--degree", "2"),
+    ("bn", "certify", "--s", "2", "--k", "1", "--d", "2"),
+])
+def test_wrong_length_omega_exits_two(capsys, two_path, argv):
+    code, out, err = run(capsys, *argv, "--curve", two_path, "--omega", "1/2,1/4,1/4")
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad omega: polarization has 3 weights for 2 components\n"
+
+
 class TestSheafCommand:
     def test_info(self, capsys, tmp_path):
         path = tmp_path / "sheaf.crv"

@@ -44,6 +44,10 @@ class TestComponentTuple:
         with pytest.raises(ValueError):
             nb.ComponentTuple(0, (1,))
 
+    def test_rejects_float_degrees(self):
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            nb.ComponentTuple(3, (1.5, 2.9))
+
     def test_orderable(self):
         tuples = [nb.ComponentTuple(2, (1, 1)), nb.ComponentTuple(2, (0, 2))]
         assert sorted(tuples)[0].degrees == (0, 2)
@@ -487,6 +491,48 @@ def test_every_valid_decomposition_is_searched(seed):
         assert search.first() == (want[0] if want else None)
         assert search.tuples() == want
         _check_small_slope_search(curve, omega, deco, s, d)
+
+
+def _sub_range(rng, lo, hi):
+    if lo > hi or rng.random() < 0.2:
+        return lo, hi
+    a, b = rng.randint(lo, hi), rng.randint(lo, hi)
+    return min(a, b), max(a, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_narrowing_is_exact(seed):
+    """`_narrow` gives each position the span of its degree over the tuples within the ranges.
+
+    The ranges are random sub-ranges of the small-slope and whole-catalog
+    ranges, and the tuples within them come from the oracle.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
+    deco = pruning_decomposition(rng, curve, rng.randint(1, curve.gamma))
+    omega = nb.canonical(curve) if rng.random() < 0.5 else random_good_polarization(rng, curve)
+    while True:  # at s = 1 the box is a single point, so this ends
+        s = rng.randint(1, 5)
+        d = rng.randint(-1, s * curve.gamma + 2)
+        if brute_force_box_size(curve, omega, deco, s, d) <= ORACLE_BOX_LIMIT:
+            break
+    # each catalog tuple's degrees in position order
+    catalog = [
+        [t[c - 1] for c in deco.order] for t in brute_force_catalog(curve, omega, deco, s, d)
+    ]
+    table = stability_windows(curve, omega, deco, s, d)
+    for whole in (False, True):
+        search = SmallSlopeSearch(table, _whole_catalog=whole)
+        for k in range(6):
+            ranges = [
+                (lo, hi) if k == 0 else _sub_range(rng, lo, hi) for lo, hi in search.ranges
+            ]
+            inside = [
+                t for t in catalog if all(lo <= x <= hi for x, (lo, hi) in zip(t, ranges))
+            ]
+            want = [(min(xs), max(xs)) for xs in zip(*inside)] if inside else None
+            assert search._narrow(ranges) == want
 
 
 def test_small_slope_search_rejects_crossed_subcurves(chain4):

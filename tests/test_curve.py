@@ -28,6 +28,14 @@ class TestConstruction:
         with pytest.raises(nb.CurveError):
             nb.NodalCurve((1, 3), ((1, 1, 2),))
 
+    @pytest.mark.parametrize("genera, nodes, what", [
+        ((2.9, 3), ((1, 1, 2),), "genera"),
+        ((2, 3), ((1, 1.5, 2),), "node entries"),
+    ])
+    def test_rejects_float_entries(self, genera, nodes, what):
+        with pytest.raises(nb.CurveError, match=f"{what} must be integers"):
+            nb.NodalCurve(genera, nodes)
+
     def test_rejects_empty_genera(self):
         with pytest.raises(nb.CurveError):
             nb.NodalCurve(())
@@ -116,6 +124,10 @@ class TestSubcurves:
             chain3_222.check_subcurve([0, 1])
         with pytest.raises(nb.CurveError):
             chain3_222.check_subcurve([])
+
+    def test_check_subcurve_rejects_float_ids(self, chain3_222):
+        with pytest.raises(nb.CurveError, match="subcurve ids must be integers"):
+            chain3_222.check_subcurve([1.7])
 
     @pytest.mark.parametrize("ids, unknown", [
         ([0, 1], "[0]"),

@@ -43,6 +43,19 @@ class TestDescriptorValidation:
         with pytest.raises(nb.DescriptorError):
             nb.locally_free_descriptor(two_curve, 1, (0, 0, 0))
 
+    @pytest.mark.parametrize("multirank, chi, degrees, what", [
+        ((1.5, 1), -4, None, "multirank"),
+        ((1, 1), -4.5, None, "chi"),
+        ((1, 1), -4, (0.5, 0), "degrees"),
+    ])
+    def test_descriptor_rejects_float_entries(self, two_curve, multirank, chi, degrees, what):
+        with pytest.raises(nb.DescriptorError, match=f"{what} must be integers"):
+            descriptor(two_curve, multirank, chi, [(1, (1, 0, 0))], degrees)
+
+    def test_locally_free_rejects_float_degrees(self, two_curve):
+        with pytest.raises(nb.DescriptorError, match="degrees must be integers"):
+            nb.locally_free_descriptor(two_curve, 1, (0.5, 0))
+
     def test_mixed_stalk_accepted(self, two_curve):
         # rank (2, 2) with one free direction and one torn pair at the node
         desc = descriptor(two_curve, (2, 2), -6, [(1, (1, 1, 1))])
