@@ -78,7 +78,7 @@ class Report:
         self.lines.append(f"#table {name}")
         self.lines.append("\t".join(header))
         for row in rows:
-            self.lines.append("\t".join(_fmt(cell) for cell in row))
+            self.lines.append("\t".join(map(_fmt, row)))
 
     def raw(self, text: str) -> None:
         self.lines.append(text)
@@ -252,14 +252,15 @@ def _catalog_table(
     header += ["verdict", "radius"]
     # the bounds are the same on every row: format them once per window
     bounds = [(_fmt(w.lower), _fmt(w.upper)) for w in table.windows]
+    passed = _verdict(True)  # `binding` raises for a failing tuple
     rows = []
     for t in catalog:
-        rep = table.check(t)
+        sums = table.sums(t)
+        found = table.binding(sums)
         row: list[object] = [t.degrees]
-        for r, (lower, upper) in zip(rep.rows, bounds):
-            row += [lower, r.partial_sum, upper]
-        found = table.binding(rep)  # every catalog tuple passes
-        row += [_verdict(rep.passed), "unbounded" if found is None else found[0]]
+        for sigma, (lower, upper) in zip(sums, bounds):
+            row += [lower, sigma, upper]
+        row += [passed, "unbounded" if found is None else found[1]]
         rows.append(row)
     report.table("catalog", header, rows)
 

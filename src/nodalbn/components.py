@@ -9,15 +9,28 @@ over A_j lies strictly inside an interval of width exactly s:
     wrank(O_Aj) d - s defect(O_Aj)  <  sigma_j  <  wrank(O_Aj) d + s (1 - defect(O_Aj)).
 
 At the canonical polarization every defect is 1/2 and the bounds collapse
-to wrank(O_Aj) d -+ s/2.
+to wrank(O_Aj) d -+ s/2.  Written with w_j = wrank(O_Aj), g_j the genus
+sum over A_j and coeff = d + s(1 - p_a), the lower bound is
+w_j coeff + s(g_j - 1).
+
+A table keeps every bound as an integer numerator over one denominator
+D, the lcm of the bounds' own denominators, so a catalog row is integer
+work: sigma_j is a subtree sum of the degrees (O(gamma) for all j), a
+window holds when its lower numerator < sigma_j D < its upper numerator,
+and the binding window of the robustness radius is found by comparing
+slack_j |A_k| with slack_k |A_j|.  The radius is the one Fraction a row
+builds.
 
 One search answers every catalog question.  Component in position i
 lies in A_j only for i <= j, position j itself always does, and the A_j
 of a tree are nested or disjoint, so they are the subtrees of a rooted
 tree on the positions: A_j's children are the largest subcurves strictly
-inside it.  A dynamic program over subtree sums counts the tuples whose
-position-p degree lies in a range: f_v[sigma] counts the ways to fill
-the subtree of v so that every window inside it holds.  It is the
+inside it.  The windows are built in one pass up this tree: A_j's
+weight numerator (over the polarization's lcm) and genus sum are its own
+component's plus its children's.  A dynamic program over subtree sums
+counts the tuples whose position-p degree lies in a range: f_v[sigma]
+counts the ways to fill the subtree of v so that every window inside it
+holds.  It is the
 convolution of the children's tables with the ones of v's own range,
 trimmed to v's integer window; the count is f_root[d], in O(gamma s^2)
 integer operations for ranges 1..s and bounded branching.  Each f_v is
@@ -44,9 +57,10 @@ its separating node, and on a tree the two sides of a node have weights
 that add up to 1 and defects that add up to 1, so the window on A is the
 reflection (d - upper, d - lower) of the window on its complement.
 `catalog_invariance_check` confirms this node by node: every root's
-windows must equal the first root's or their reflections, one lookup
-per window per root.  It enumerates catalogs only for a root whose
-windows disagree, to list the tuples one side has and the other lacks.
+windows must equal the first root's or their reflections, one lookup of
+integer bounds per window per root, keyed by the node and its end on the
+subcurve's side.  It enumerates catalogs only for a root whose windows
+disagree, to list the tuples one side has and the other lacks.
 
 The builders construct one small-slope catalog member directly (without
 enumeration) whenever their hypotheses hold, always at the canonical
@@ -59,14 +73,14 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 from .curve import CurveClass, HypothesisError, NodalCurve
 from .ordering import OrderedDecomposition, order_components
-from .polarization import Polarization, _check_lengths, _defect, canonical
+from .polarization import Polarization, _check_lengths, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
 
@@ -79,12 +93,17 @@ class ComponentTuple:
     degrees: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be >= 1, got {self.rank}")
+        try:
+            rank = operator.index(self.rank)
+        except TypeError as exc:
+            raise ValueError(f"rank must be an integer: {exc}") from None
+        if rank < 1:
+            raise ValueError(f"rank must be >= 1, got {rank}")
         try:
             degrees = tuple(map(operator.index, self.degrees))
         except TypeError as exc:
             raise ValueError(f"degrees must be integers: {exc}") from None
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degrees", degrees)
 
     @property
@@ -171,6 +190,13 @@ class WindowTable:
     ``coeff`` = d + s(1 - p_a) is how far both bounds of a window move per
     unit of weight moved into its subcurve; ``order`` is the
     decomposition's component order, root last.
+
+    The bounds are also kept as integers over one denominator: window k
+    is ``lowers[k] / denominator < sigma < uppers[k] / denominator``.
+    The denominator is the lcm of the windows' own bound denominators, so
+    a table built or shifted by hand stays exact.  A row is then integer
+    work: `sums` reads every sigma_j off the subtree sums and `binding`
+    compares slacks by cross-multiplication.
     """
 
     rank: int
@@ -178,52 +204,89 @@ class WindowTable:
     coeff: int
     windows: tuple[Window, ...]
     order: tuple[int, ...]
+    denominator: int = field(init=False, repr=False, compare=False)
+    lowers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    uppers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def check(self, ctuple: ComponentTuple) -> StabilityReport:
-        """Evaluate every window condition for one tuple."""
+    def __post_init__(self) -> None:
+        bounds = [b for w in self.windows for b in (w.lower, w.upper)]
+        denominator = math.lcm(*(b.denominator for b in bounds))
+        numerators = [b.numerator * (denominator // b.denominator) for b in bounds]
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "lowers", tuple(numerators[0::2]))
+        object.__setattr__(self, "uppers", tuple(numerators[1::2]))
+
+    @cached_property
+    def children(self) -> list[list[int]]:
+        """Children of every position in the tree of subcurves (`_subtree_children`)."""
+        return _subtree_children(self.order, [w.subcurve for w in self.windows])
+
+    def sums(self, ctuple: ComponentTuple) -> list[int]:
+        """sigma_j of every window, in window order: subtree sums, O(gamma)."""
         gamma = len(self.windows) + 1
         if (len(ctuple.degrees), ctuple.rank, ctuple.total) != (gamma, self.rank, self.degree):
             raise ValueError(
                 f"tuple {ctuple} does not fit the windows of rank {self.rank}, "
                 f"degree {self.degree} on {gamma} components"
             )
-        rows = []
-        for w in self.windows:
-            sigma = sum(ctuple.degrees[i - 1] for i in w.subcurve)
-            rows.append(
-                StabilityRow(
-                    j=w.j,
-                    subcurve=w.subcurve,
-                    node=w.node,
-                    lower=w.lower,
-                    partial_sum=sigma,
-                    upper=w.upper,
-                    ok=w.lower < sigma < w.upper,
-                    slack_lower=sigma - w.lower,
-                    slack_upper=w.upper - sigma,
-                )
-            )
-        return StabilityReport(passed=all(r.ok for r in rows), rows=tuple(rows))
+        degrees = ctuple.degrees
+        out: list[int] = []
+        for comp, kids in zip(self.order, self.children):
+            sigma = degrees[comp - 1]
+            for c in kids:
+                sigma += out[c]
+            out.append(sigma)
+        out.pop()  # the root's: the whole degree
+        return out
 
-    def binding(self, report: StabilityReport) -> tuple[Fraction, StabilityRow] | None:
-        """Least slack / (|coeff| |A_j|) of a passing report, with its row.
+    def check(self, ctuple: ComponentTuple) -> StabilityReport:
+        """Evaluate every window condition for one tuple, as `Fraction` rows.
 
-        Ties go to the smallest j.  None means unbounded: no conditions
-        (gamma = 1), or coeff = 0 so that the bounds do not move at all.
+        The verdicts are integer comparisons; the slacks are built as
+        Fractions for the report.
         """
-        if not report.passed:
-            bad = next(r for r in report.rows if not r.ok)
-            raise HypothesisError(
-                f"tuple fails condition {bad.j}: "
-                f"{bad.lower} < {bad.partial_sum} < {bad.upper} is false"
+        sums = self.sums(ctuple)
+        D = self.denominator
+        rows = tuple(
+            StabilityRow(
+                j=w.j,
+                subcurve=w.subcurve,
+                node=w.node,
+                lower=w.lower,
+                partial_sum=sigma,
+                upper=w.upper,
+                ok=lo < sigma * D < hi,
+                slack_lower=Fraction(sigma * D - lo, D),
+                slack_upper=Fraction(hi - sigma * D, D),
             )
-        if not report.rows or self.coeff == 0:
-            return None
-        ratio, _, row = min(
-            (min(r.slack_lower, r.slack_upper) / (abs(self.coeff) * len(r.subcurve)), r.j, r)
-            for r in report.rows
+            for w, sigma, lo, hi in zip(self.windows, sums, self.lowers, self.uppers)
         )
-        return ratio, row
+        return StabilityReport(passed=all(r.ok for r in rows), rows=rows)
+
+    def binding(self, sums: list[int]) -> tuple[int, Fraction] | None:
+        """Index k and value of the least slack / (|coeff| |A_j|) over the windows.
+
+        ``sums`` are a tuple's sigma_j (`sums`).  The slacks are compared
+        as slack_j |A_k| against slack_k |A_j|, and ties go to the smallest
+        j; the one `Fraction` built is the value.  A failing window raises
+        `HypothesisError`.  None means unbounded: no windows (gamma = 1),
+        or coeff = 0 so that the bounds do not move at all.
+        """
+        D = self.denominator
+        best = None  # (k, slack numerator, |A_k|)
+        for k, (w, sigma, lo, hi) in enumerate(zip(self.windows, sums, self.lowers, self.uppers)):
+            x = sigma * D
+            if not lo < x < hi:
+                raise HypothesisError(
+                    f"tuple fails condition {w.j}: {w.lower} < {sigma} < {w.upper} is false"
+                )
+            slack, size = min(x - lo, hi - x), len(w.subcurve)
+            if best is None or slack * best[2] < best[1] * size:
+                best = (k, slack, size)
+        if best is None or self.coeff == 0:
+            return None
+        k, slack, size = best
+        return k, Fraction(slack, D * abs(self.coeff) * size)
 
     def catalog(self) -> list[ComponentTuple]:
         """All degree tuples meeting every window, sorted."""
@@ -237,11 +300,6 @@ class WindowTable:
         """
         support = SmallSlopeSearch(self, _whole_catalog=True).support
         return 0 if support is None else math.prod(hi - lo + 1 for lo, hi in support)
-
-
-def _integer_window(w: Window) -> tuple[int, int]:
-    """range() bounds of the integers strictly inside the window."""
-    return math.floor(w.lower) + 1, math.ceil(w.upper)
 
 
 class SmallSlopeSearch:
@@ -262,10 +320,11 @@ class SmallSlopeSearch:
 
     def __init__(self, table: WindowTable, *, _whole_catalog: bool = False):
         self.table = table
-        self.children = _subtree_children(table)
-        # integer window of each position's subtree sum; the root's is d itself
+        self.children = table.children
+        # integers strictly inside each position's window; the root's sum is d itself
+        D = table.denominator
         self.bounds = [
-            (lo, hi - 1) for lo, hi in map(_integer_window, table.windows)
+            (lo // D + 1, (hi - 1) // D) for lo, hi in zip(table.lowers, table.uppers)
         ] + [(table.degree, table.degree)]
         if _whole_catalog:  # every degree a tuple in the windows can give p
             self.ranges = [
@@ -384,27 +443,61 @@ class SmallSlopeSearch:
         return list(self._walk())
 
 
-def _subtree_children(table: WindowTable) -> list[list[int]]:
+def _subtree_children(
+    order: Sequence[int], subcurves: Sequence[frozenset[int]]
+) -> list[list[int]]:
     """Children of every position, read off the subcurves by containment.
 
-    The windows are walked in position order, keeping for each position
+    Position j's children are the largest subcurves strictly inside A_j.
+    In post-order they are the last of the subtrees that have no parent
+    yet, so one stack finds them: A_j takes the top subtrees whose
+    component it holds.  A_j is exactly position j plus those subtrees
+    when it holds position j's component and every taken subcurve, and
+    their sizes sum to |A_j| - 1.  That costs O(gamma) plus the subset
+    tests; any other laminar order is read in full by `_read_children`.
+    """
+    if len(set(order)) != len(order):
+        return _read_children(order, subcurves)
+    children: list[list[int]] = [[] for _ in order]
+    roots: list[int] = []  # positions with no parent yet, increasing
+    for j, A in enumerate(subcurves):
+        kids, size = [], 1
+        while roots and order[roots[-1]] in A and subcurves[roots[-1]] <= A:
+            kids.append(roots.pop())
+            size += len(subcurves[kids[-1]])
+        if order[j] not in A or size != len(A):
+            return _read_children(order, subcurves)
+        kids.reverse()
+        children[j] = kids
+        roots.append(j)
+    children[-1] = roots
+    return children
+
+
+def _read_children(
+    order: Sequence[int], subcurves: Sequence[frozenset[int]]
+) -> list[list[int]]:
+    """`_subtree_children` for any order, reading every member of every A_j.
+
+    The subcurves are walked in position order, keeping for each position
     the largest subcurve seen so far that holds it.  A_j's children are
     the distinct such subcurves among A_j's other members, and A_j is
     nested exactly when their sizes sum to |A_j| - 1: they then partition
-    A_j minus position j.
+    A_j minus position j.  A member outside the order counts as lying
+    past every position.
     """
-    position = {comp: p for p, comp in enumerate(table.order)}
-    children: list[list[int]] = [[] for _ in table.order]
-    size = [0] * len(table.order)
-    top = list(range(len(table.order)))  # the largest subcurve seen so far holding p
-    for w in table.windows:
-        j = w.j - 1
-        inside = [position[c] for c in w.subcurve]
-        if max(inside) != j:
-            raise ValueError(f"decomposition is not triangular at position {w.j}")
+    n = len(order)
+    position = {comp: p for p, comp in enumerate(order)}
+    children: list[list[int]] = [[] for _ in order]
+    size = [0] * n
+    top = list(range(n))  # the largest subcurve seen so far holding p
+    for j, A in enumerate(subcurves):
+        inside = [position.get(c, n) for c in A]
+        if max(inside, default=-1) != j:
+            raise ValueError(f"decomposition is not triangular at position {j + 1}")
         kids = sorted({top[q] for q in inside if q != j})
         if sum(size[c] for c in kids) != len(inside) - 1:
-            raise ValueError(f"decomposition is not nested at position {w.j}")
+            raise ValueError(f"decomposition is not nested at position {j + 1}")
         children[j], size[j] = kids, len(inside)
         for q in inside:
             top[q] = j
@@ -439,7 +532,16 @@ def stability_windows(
     s: int,
     d: int,
 ) -> WindowTable:
-    """Build the window of every A_j once, for rank s and total degree d."""
+    """Build the window of every A_j in one rooted pass, for rank s and total degree d.
+
+    With w_j the weight and g_j the genus sum of A_j, window j is
+    w_j coeff + s (g_j - 1) < sigma_j < that + s.  A_j's weight numerator
+    (over the polarization's lcm) and genus sum are its own component's
+    plus its children's in the tree of subcurves, so the pass is O(gamma)
+    once the children are read.  A family of subcurves that is no such
+    tree is summed subcurve by subcurve, and `SmallSlopeSearch` and
+    `WindowTable.sums` name its fault.
+    """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if deco.gamma != curve.gamma:
@@ -450,17 +552,39 @@ def stability_windows(
             f"{len(deco.separating_nodes)} separating nodes for {curve.gamma} "
             f"components; each must number {curve.gamma - 1}"
         )
-    pa = curve.arithmetic_genus()
+    order, subcurves = deco.order, deco.subcurves
+    try:
+        # over a permutation of the ids, a tree of subcurves holds only known ids
+        children = (
+            _subtree_children(order, subcurves)
+            if sorted(order) == list(curve.component_ids) else None
+        )
+    except ValueError:
+        children = None
+    if children is None or len(omega) != curve.gamma:
+        for j, A in enumerate(subcurves, start=1):  # the faults, in delta_structure_sheaf's order
+            omega.subcurve_weight(A)
+            curve.check_subcurve(A)
+            if j == 1:
+                _check_lengths(curve, omega)
+    numerators, D = omega._numerators, omega._denominator
+    genera = (0, *curve.genera)  # padded like the numerators: index = component id
+    if children is None:
+        weight = [sum(map(numerators.__getitem__, A)) for A in subcurves]
+        genus = [sum(map(genera.__getitem__, A)) for A in subcurves]
+    else:
+        weight = [numerators[c] for c in order]
+        genus = [genera[c] for c in order]
+        for p, kids in enumerate(children):
+            for c in kids:
+                weight[p] += weight[c]
+                genus[p] += genus[c]
+    coeff = d + s * (1 - curve.arithmetic_genus())
     windows = []
-    for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1):
-        weight = omega.subcurve_weight(A)
-        B = curve.check_subcurve(A)
-        if j == 1:  # after the first subcurve's checks: delta_structure_sheaf's error order
-            _check_lengths(curve, omega)
-        defect = _defect(sum(curve.genera[i - 1] for i in B), weight, pa)
-        lower = weight * d - s * defect
-        windows.append(Window(j=j, subcurve=A, node=p, lower=lower, upper=lower + s))
-    return WindowTable(s, d, d + s * (1 - pa), tuple(windows), deco.order)
+    for j, (A, p) in enumerate(zip(subcurves, deco.separating_nodes), start=1):
+        lower = weight[j - 1] * coeff + s * (genus[j - 1] - 1) * D
+        windows.append(Window(j, A, p, Fraction(lower, D), Fraction(lower + s * D, D)))
+    return WindowTable(s, d, coeff, tuple(windows), order)
 
 
 def stability_conditions(
@@ -506,8 +630,8 @@ def robustness_radius(
     persistence boundary.
     """
     table = stability_windows(curve, omega, deco, ctuple.rank, ctuple.total)
-    found = table.binding(table.check(ctuple))
-    return None if found is None else found[0]
+    found = table.binding(table.sums(ctuple))
+    return None if found is None else found[1]
 
 
 def binding_witness(
@@ -526,11 +650,14 @@ def binding_witness(
     ratio; any value above 1 produces a violation.
     """
     table = stability_windows(curve, omega, deco, ctuple.rank, ctuple.total)
-    found = table.binding(table.check(ctuple))
+    sums = table.sums(ctuple)
+    found = table.binding(sums)
     if found is None:
         raise HypothesisError("no binding bound: the radius is unbounded")
-    ratio, binding = found
-    side = "lower" if binding.slack_lower <= binding.slack_upper else "upper"
+    k, ratio = found
+    binding = table.windows[k]
+    x = sums[k] * table.denominator
+    side = "lower" if x - table.lowers[k] <= table.uppers[k] - x else "upper"
     # lower bound rises (fails) when coeff * shift > 0, upper falls when < 0
     inside = multiplier * ratio * (1 if (table.coeff > 0) == (side == "lower") else -1)
     a = len(binding.subcurve)
@@ -546,33 +673,37 @@ def catalog_invariance_check(
 ) -> InvarianceReport:
     """Compare every root's windows with the first root's, node by node.
 
-    A root agrees when each of its windows, keyed by separating node, is
-    the first root's window on the same subcurve, or the reflection
-    (d - upper, d - lower) of it on the complementary subcurve: both say
-    the same of the degree sum across that node.  Only for a root that
-    does not agree are both catalogs enumerated, and it is a mismatch
-    only when they differ.
+    A root agrees when each of its windows is the first root's window on
+    the same subcurve, or the reflection (d - upper, d - lower) of it on
+    the complementary subcurve: both say the same of the degree sum across
+    that node.  A subcurve is keyed by its separating node and the node's
+    end inside it, the component in its own position, and its bounds by
+    their integer numerators, so each window is one lookup.  Only for a
+    root that does not agree are both catalogs enumerated, and it is a
+    mismatch only when they differ.  One root's table is held at a time
+    besides the first's.
     """
     curve.require_compact_type()
-    tables = [
-        (root, stability_windows(curve, omega, order_components(curve, root), s, d))
-        for root in curve.component_ids
-    ]
-    first = tables[0][1]
-    everything = frozenset(curve.component_ids)
-    reference = {
-        w.node: {
-            (w.subcurve, w.lower, w.upper),
-            (everything - w.subcurve, d - w.upper, d - w.lower),
-        }
-        for w in first.windows
-    }
+
+    def table_at(root: int) -> WindowTable:
+        return stability_windows(curve, omega, order_components(curve, root), s, d)
+
+    first = table_at(1)
+    D = first.denominator
+    ends = {n.id: (n.first, n.second) for n in curve.nodes}
+    reference = {}
+    for w, lo, hi in zip(first.windows, first.lowers, first.uppers):
+        inner = first.order[w.j - 1]
+        a, b = ends[w.node]
+        reference[w.node, inner] = (lo, hi)
+        reference[w.node, b if inner == a else a] = (d * D - hi, d * D - lo)
     baseline: list[ComponentTuple] | None = None
     mismatches = []
-    for root, table in tables[1:]:
-        if all(
-            (w.subcurve, w.lower, w.upper) in reference.get(w.node, ())
-            for w in table.windows
+    for root in curve.component_ids[1:]:
+        table = table_at(root)
+        if table.denominator == D and all(
+            reference.get((w.node, table.order[w.j - 1])) == (lo, hi)
+            for w, lo, hi in zip(table.windows, table.lowers, table.uppers)
         ):
             continue
         if baseline is None:

@@ -62,9 +62,14 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
     Iterative (explicit stack) so that long chains do not hit the
     interpreter recursion limit.
     """
-    below = {b.component: b for b in curve.branches(root)}
+    branches = curve.branches(root)
+    below = {b.component: b for b in branches}
+    # least id of each subtree: a branch comes after every branch inside it
+    least = list(range(curve.gamma + 1))
+    for b in branches:
+        least[b.parent] = min(least[b.parent], least[b.component])
     children: dict[int, list[int]] = {i: [] for i in curve.component_ids}
-    for b in sorted(below.values(), key=lambda b: min(b.subtree)):
+    for b in sorted(branches, key=lambda b: least[b.component]):
         children[b.parent].append(b.component)
 
     # pre-order that pops the largest-minimum branch first, read backwards:

@@ -55,19 +55,51 @@ def raw_split_sides(gamma, nodes):
     return out
 
 
-def _sigma_windows(curve, omega, deco, s, d):
-    """Closed integer window [lo, hi] of admissible partial sums per tail."""
-    genera = curve.genera
-    nodes = curve.nodes
+def raw_windows(curve, omega, deco, s, d):
+    """(A_j, lower, upper) per tail: the open window of sigma_j, in Fractions."""
     weights = tuple(omega[i] for i in curve.component_ids)
     windows = []
     for sub in deco.subcurves:
-        defect = raw_defect(genera, nodes, weights, sub)
+        defect = raw_defect(curve.genera, curve.nodes, weights, sub)
         wsum = sum((weights[i - 1] for i in sub), Fraction(0))
-        lower = wsum * d - s * defect
-        upper = wsum * d + s * (1 - defect)
-        windows.append((math.floor(lower) + 1, math.ceil(upper) - 1))
+        windows.append((sub, wsum * d - s * defect, wsum * d + s * (1 - defect)))
     return windows
+
+
+def _sigma_windows(curve, omega, deco, s, d):
+    """Closed integer window [lo, hi] of admissible partial sums per tail."""
+    return [
+        (math.floor(lower) + 1, math.ceil(upper) - 1)
+        for _, lower, upper in raw_windows(curve, omega, deco, s, d)
+    ]
+
+
+class RawRow(NamedTuple):
+    sums: tuple
+    passed: bool
+    radius: Fraction | None
+    binding_j: int | None
+
+
+def raw_row(windows, coeff, degrees) -> RawRow:
+    """sigma_j, verdict, radius and binding j of one tuple, in Fractions.
+
+    ``windows`` are `raw_windows` (or any (A_j, lower, upper) list) and
+    ``coeff`` is d + s(1 - p_a).  The radius is the least
+    min(sigma_j - lower, upper - sigma_j) / (|coeff| |A_j|) and the
+    binding j the first that attains it; both are None for a failing
+    tuple and when the radius is unbounded (no windows, or coeff = 0).
+    """
+    sums = tuple(sum(degrees[i - 1] for i in sub) for sub, _, _ in windows)
+    passed = all(lower < x < upper for x, (_, lower, upper) in zip(sums, windows))
+    if not passed or not windows or coeff == 0:
+        return RawRow(sums, passed, None, None)
+    ratios = [
+        min(x - lower, upper - x) / (abs(coeff) * len(sub))
+        for x, (sub, lower, upper) in zip(sums, windows)
+    ]
+    radius = min(ratios)
+    return RawRow(sums, passed, radius, ratios.index(radius) + 1)
 
 
 def _position_box(curve, omega, deco, s, d):

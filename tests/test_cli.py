@@ -196,6 +196,48 @@ class TestComponentsCommands:
         assert body[1].startswith("0,2\t")
         assert body[2].startswith("1,1\t-1/4\t1\t7/4\tpass\t1/8")
 
+    @pytest.mark.parametrize(
+        "fixture, rank, degree", [("two_path", 2, 8), ("two_path", 3, 12), ("comb4_path", 3, 39)]
+    )
+    def test_enumerate_unbounded_when_coefficient_vanishes(
+        self, capsys, request, fixture, rank, degree
+    ):
+        # d = s (p_a - 1): the bounds do not move with the weights
+        path = request.getfixturevalue(fixture)
+        curve = nb.parse_curve(Path(path).read_text())
+        assert degree == rank * (curve.arithmetic_genus() - 1)
+        code, out, _ = run(
+            capsys,
+            "components", "enumerate", "--curve", path,
+            "--rank", str(rank), "--degree", str(degree),
+        )
+        assert code == 0
+        body = out.split("#table catalog\n", 1)[1].strip().splitlines()
+        assert int(kv(out)["count"]) == len(body) - 1 > 0
+        assert body[0].endswith("\tverdict\tradius")
+        assert all(row.endswith("\tpass\tunbounded") for row in body[1:])
+
+    @pytest.mark.parametrize("extra", [(), ("--small-slope",)])
+    def test_enumerate_builds_no_stability_rows(self, capsys, monkeypatch, comb4_path, extra):
+        from nodalbn import components
+
+        code, want, _ = run(
+            capsys,
+            "components", "enumerate", "--curve", comb4_path,
+            "--rank", "3", "--degree", "5", *extra,
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a StabilityRow was built")
+
+        monkeypatch.setattr(components, "StabilityRow", refuse)
+        assert run(
+            capsys,
+            "components", "enumerate", "--curve", comb4_path,
+            "--rank", "3", "--degree", "5", *extra,
+        ) == (code, want, "")
+        assert code == 0 and "\tpass\t" in want
+
     def test_enumerate_small_slope(self, capsys, two_path):
         code, out, _ = run(
             capsys,

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
 from nodalbn import components
-from nodalbn.components import SmallSlopeSearch, stability_windows
+from nodalbn.components import HypothesisError, SmallSlopeSearch, stability_windows
 from conftest import (
     forbid_enumeration,
     pruning_decomposition,
@@ -27,8 +27,11 @@ from oracles import (
     brute_force_catalog,
     brute_force_small_slope,
     enumerating_invariance_check,
+    raw_arithmetic_genus,
     raw_defect,
+    raw_row,
     raw_split_sides,
+    raw_windows,
 )
 
 
@@ -47,6 +50,18 @@ class TestComponentTuple:
     def test_rejects_float_degrees(self):
         with pytest.raises(ValueError, match="degrees must be integers"):
             nb.ComponentTuple(3, (1.5, 2.9))
+
+    @pytest.mark.parametrize("rank", [2.5, 2.0, "2"])
+    def test_rejects_non_integer_rank(self, rank):
+        with pytest.raises(ValueError, match="rank must be an integer"):
+            nb.ComponentTuple(rank, (1,))
+
+    def test_rank_is_an_int(self):
+        class Rank:
+            def __index__(self):
+                return 3
+
+        assert type(nb.ComponentTuple(Rank(), (1,)).rank) is int
 
     def test_orderable(self):
         tuples = [nb.ComponentTuple(2, (1, 1)), nb.ComponentTuple(2, (0, 2))]
@@ -630,6 +645,180 @@ def _assert_invariance_matches_oracle(curve, omega, s, d):
         table = stability_windows(curve, omega, nb.order_components(curve, root), s, d)
         assert table.size() == len(table.catalog())
     return report
+
+
+# no polarization drawn in these tests has this prime in its denominator
+SHIFT_PRIME = 1009
+
+
+def _assert_rows_match_oracle(rng, curve, omega, deco, s, d, shift=0):
+    """The integer row path against `raw_row`, on catalog members and random tuples.
+
+    A nonzero ``shift`` moves the first window by `shift_first_window`,
+    and the oracle's first window with it.
+    """
+    windows = raw_windows(curve, omega, deco, s, d)
+    with pytest.MonkeyPatch.context() as mp:
+        if shift:
+            shift_first_window(mp, deco.root, shift)
+            sub, lower, upper = windows[0]
+            windows[0] = (sub, lower + shift, upper + shift)
+        table = components.stability_windows(curve, omega, deco, s, d)
+        coeff = d + s * (1 - raw_arithmetic_genus(curve.genera, curve.nodes))
+        assert table.coeff == coeff
+        D = table.denominator
+        assert [
+            (w.subcurve, w.lower, w.upper, Fraction(lo, D), Fraction(hi, D))
+            for w, lo, hi in zip(table.windows, table.lowers, table.uppers)
+        ] == [(sub, lower, upper, lower, upper) for sub, lower, upper in windows]
+        if shift:
+            assert D % SHIFT_PRIME == 0 != omega._denominator % SHIFT_PRIME
+        catalog = table.catalog()
+        picks = [t.degrees for t in catalog[:: max(1, len(catalog) // 8)]]
+        for _ in range(8):
+            head = [rng.randint(-2, s + 2) for _ in range(curve.gamma - 1)]
+            picks.append((*head, d - sum(head)))
+        for degrees in picks:
+            ctuple = nb.ComponentTuple(s, degrees)
+            want = raw_row(windows, coeff, degrees)
+            sums = table.sums(ctuple)
+            assert tuple(sums) == want.sums
+            report = table.check(ctuple)
+            assert report.passed == want.passed
+            assert [(r.partial_sum, r.ok, r.slack_lower, r.slack_upper) for r in report.rows] == [
+                (x, lower < x < upper, x - lower, upper - x)
+                for x, (_, lower, upper) in zip(want.sums, windows)
+            ]
+            if not want.passed:
+                with pytest.raises(HypothesisError, match="tuple fails condition"):
+                    table.binding(sums)
+                with pytest.raises(HypothesisError, match="tuple fails condition"):
+                    nb.robustness_radius(curve, omega, deco, ctuple)
+                continue
+            found = table.binding(sums)
+            assert nb.robustness_radius(curve, omega, deco, ctuple) == want.radius
+            if want.radius is None:
+                assert found is None
+                continue
+            k, radius = found
+            assert (table.windows[k].j, radius) == (want.binding_j, want.radius)
+            _, lower, upper = windows[k]
+            x = want.sums[k]
+            witness = nb.binding_witness(curve, omega, deco, ctuple)
+            assert (witness.j, witness.side) == (
+                want.binding_j, "lower" if x - lower <= upper - x else "upper"
+            )
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), s=st.integers(1, 5))
+def test_integer_rows_match_raw_fractions(seed, s):
+    """sigma_j, verdict, radius and binding j in integers against raw Fractions.
+
+    Random Pruefer trees (gamma = 1 included), random roots, post-order and
+    leaf-pruning decompositions, canonical and good perturbed polarizations;
+    d = s (p_a - 1), where coeff = 0, in a quarter of the draws, and a first
+    window shifted by a fraction with a new prime denominator in some.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
+    omega = nb.canonical(curve) if rng.random() < 0.5 else random_good_polarization(rng, curve)
+    root = rng.randint(1, curve.gamma)
+    if rng.random() < 0.5:
+        deco = nb.order_components(curve, root)
+    else:
+        deco = pruning_decomposition(rng, curve, root)
+    if rng.random() < 0.25:
+        d = s * (curve.arithmetic_genus() - 1)
+    else:
+        d = rng.randint(-2, s * curve.gamma + 2)
+    shift = 0
+    if curve.gamma > 1 and rng.random() < 0.3:
+        shift = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), SHIFT_PRIME)
+    _assert_rows_match_oracle(rng, curve, omega, deco, s, d, shift)
+
+
+@pytest.mark.parametrize(
+    "genera, root, s, d, shift",
+    [
+        ((3,), 1, 4, 7, 0),  # gamma = 1: no windows, unbounded
+        ((2, 3), 2, 2, 8, 0),  # d = s (p_a - 1): coeff = 0, unbounded
+        ((2, 3, 4, 5), 4, 3, 39, 0),
+        ((2, 2, 2, 2), 1, 4, 7, 0),  # exact ties between windows
+        ((2, 2, 2), 3, 5, 5, Fraction(2, SHIFT_PRIME)),
+        ((2, 3, 2, 4, 2), 3, 4, 12, Fraction(-1, SHIFT_PRIME)),
+    ],
+)
+def test_integer_rows_match_raw_fractions_fixed(genera, root, s, d, shift):
+    curve = nb.chain_curve(genera)
+    deco = nb.order_components(curve, root)
+    _assert_rows_match_oracle(random.Random(0), curve, nb.canonical(curve), deco, s, d, shift)
+
+
+def test_binding_tie_goes_to_the_smallest_j():
+    # chain of four rooted at 1: A_1 = {4} and A_3 = {2, 3, 4} both bind
+    curve = nb.chain_curve((2, 2, 2, 2))
+    eta = nb.canonical(curve)
+    deco = nb.order_components(curve, 1)
+    ctuple = nb.ComponentTuple(4, (1, 2, 1, 3))
+    windows = raw_windows(curve, eta, deco, 4, 7)
+    sums = [sum(ctuple.degrees[i - 1] for i in sub) for sub, _, _ in windows]
+    ratios = [
+        min(x - lower, upper - x) / len(sub) for x, (sub, lower, upper) in zip(sums, windows)
+    ]
+    assert ratios[0] == ratios[2] == min(ratios) < ratios[1]
+    table = stability_windows(curve, eta, deco, 4, 7)
+    k, _ = table.binding(table.sums(ctuple))
+    assert table.windows[k].j == 1
+    assert nb.binding_witness(curve, eta, deco, ctuple).j == 1
+
+
+@pytest.mark.parametrize(
+    "root, weights, subcurves, error, message",
+    [
+        (4, 3, None, nb.PolarizationError, "polarization has 3 weights for 4 components"),
+        (1, 3, None, nb.PolarizationError, "no weight for component 4"),
+        (4, 5, None, nb.PolarizationError, "polarization has 5 weights for 4 components"),
+        (4, 4, ({7}, {1, 2}, {1, 2, 3}), nb.PolarizationError, "no weight for component 7"),
+        (4, 4, ({1}, set(), {1, 2, 3}), nb.CurveError, "subcurve must be nonempty"),
+        (4, 9, ({1}, {2}, {1, 2, 3}), nb.PolarizationError, "polarization has 9 weights"),
+        (4, 9, ({8}, {1, 2}, {1, 2, 3}), nb.CurveError, r"unknown components in subcurve: \[8\]"),
+    ],
+)
+def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcurves, error, message):
+    """The first subcurve's weight, then its ids, then the weight count; then the next subcurve."""
+    omega = nb.Polarization(tuple(Fraction(1, weights) for _ in range(weights)))
+    deco = nb.order_components(chain4, root)
+    if subcurves is not None:
+        deco = dataclasses.replace(deco, subcurves=tuple(map(frozenset, subcurves)))
+    with pytest.raises(error, match=message):
+        stability_windows(chain4, omega, deco, 3, 6)
+
+
+@pytest.mark.parametrize(
+    "last, fault",
+    [
+        ({2, 3}, "not nested at position 3"),  # crosses A_2 = {1, 2}
+        # holds A_2's top component and has its size, but not all of A_2
+        ({2, 3, 4}, "not triangular at position 3"),
+    ],
+)
+def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1}), frozenset({1, 2}), frozenset(last)),
+        separating_nodes=(1, 2, 3),
+    )
+    eta = nb.canonical(chain4)
+    table = stability_windows(chain4, eta, deco, 3, 6)
+    assert [(w.lower, w.upper) for w in table.windows] == [
+        (lower, upper) for _, lower, upper in raw_windows(chain4, eta, deco, 3, 6)
+    ]
+    with pytest.raises(ValueError, match=fault):
+        table.check(nb.ComponentTuple(3, (1, 2, 1, 2)))
+    with pytest.raises(ValueError, match=fault):
+        SmallSlopeSearch(table)
 
 
 @settings(max_examples=100, deadline=None)
