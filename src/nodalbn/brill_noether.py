@@ -20,9 +20,8 @@ every component, and a small-slope degree tuple in the rank-s catalog.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .curve import NodalCurve
 from .ordering import OrderedDecomposition, order_components
@@ -32,28 +31,24 @@ if TYPE_CHECKING:
     from .components import ComponentTuple
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     ok: bool
     failures: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ComponentBound:
+class ComponentBound(NamedTuple):
     component: int
     bound: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class ChecklistItem:
+class ChecklistItem(NamedTuple):
     name: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class BNCertificate:
+class BNCertificate(NamedTuple):
     """Machine-checkable record of a nonempty Brill-Noether component."""
 
     gamma: int
@@ -73,8 +68,7 @@ class BNCertificate:
     identity_ok: bool
 
 
-@dataclass(frozen=True)
-class CertificationFailure:
+class CertificationFailure(NamedTuple):
     """Named hypothesis failures; no certificate was produced."""
 
     checklist: tuple[ChecklistItem, ...]
@@ -84,8 +78,7 @@ class CertificationFailure:
         return tuple(item for item in self.checklist if not item.ok)
 
 
-@dataclass(frozen=True)
-class ScanRow:
+class ScanRow(NamedTuple):
     shape: str
     gamma: int
     genera: tuple[int, ...]

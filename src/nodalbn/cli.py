@@ -296,7 +296,7 @@ def _tuple_setup(args: argparse.Namespace):
     deco = ordering.order_components(curve, root)
     degrees = parse_ints(args.tuple)
     if len(degrees) != curve.gamma:
-        raise ParseError(0, f"tuple has {len(degrees)} degrees for {curve.gamma} components")
+        raise ValueError(f"--tuple has {len(degrees)} degrees for {curve.gamma} components")
     ctuple = comp.ComponentTuple(rank=args.rank, degrees=degrees)
     report.kv("omega", omega.weights)
     report.kv("rank", args.rank)

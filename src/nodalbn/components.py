@@ -73,46 +73,54 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, total_ordering
+from typing import NamedTuple
 
-from .curve import CurveClass, HypothesisError, NodalCurve
+from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen
 from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, _check_lengths, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
 
 
-@dataclass(frozen=True, order=True)
-class ComponentTuple:
-    """Uniform rank together with one degree per component (id order)."""
+@total_ordering
+class ComponentTuple(_Frozen):
+    """Uniform rank together with one degree per component (id order).
 
+    Tuples order by (rank, degrees).
+    """
+
+    __match_args__ = ("rank", "degrees")
     rank: int
     degrees: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, rank: int, degrees: Iterable[int]) -> None:
         try:
-            rank = operator.index(self.rank)
+            rank = operator.index(rank)
         except TypeError as exc:
             raise ValueError(f"rank must be an integer: {exc}") from None
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
         try:
-            degrees = tuple(map(operator.index, self.degrees))
+            degrees = tuple(map(operator.index, degrees))
         except TypeError as exc:
             raise ValueError(f"degrees must be integers: {exc}") from None
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degrees", degrees)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rank, self.degrees) < (other.rank, other.degrees)
 
     @property
     def total(self) -> int:
         return sum(self.degrees)
 
 
-@dataclass(frozen=True)
-class StabilityRow:
+class StabilityRow(NamedTuple):
     j: int
     subcurve: frozenset[int]
     node: int
@@ -124,47 +132,57 @@ class StabilityRow:
     slack_upper: Fraction
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     passed: bool
     rows: tuple[StabilityRow, ...]
 
 
-@dataclass(frozen=True)
-class RootMismatch:
+class RootMismatch(NamedTuple):
     root: int
     missing: tuple[ComponentTuple, ...]
     extra: tuple[ComponentTuple, ...]
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(_Frozen):
     """Root-invariance verdict; ``count`` is the first root's catalog size.
 
     ``table`` holds the first root's windows, and ``catalog`` enumerates
-    them (sorted) only when it is read.
+    them (sorted) only when it is read.  The repr leaves ``table`` out.
     """
 
+    __match_args__ = ("passed", "count", "mismatches", "table")
     passed: bool
     count: int
     mismatches: tuple[RootMismatch, ...]
-    table: WindowTable = field(repr=False)
+    table: WindowTable
+
+    def __init__(
+        self, passed: bool, count: int, mismatches: tuple[RootMismatch, ...], table: WindowTable
+    ) -> None:
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "mismatches", mismatches)
+        object.__setattr__(self, "table", table)
+
+    def __repr__(self) -> str:
+        return (
+            f"InvarianceReport(passed={self.passed!r}, count={self.count!r}, "
+            f"mismatches={self.mismatches!r})"
+        )
 
     @cached_property
     def catalog(self) -> tuple[ComponentTuple, ...]:
         return tuple(self.table.catalog())
 
 
-@dataclass(frozen=True)
-class BuilderResult:
+class BuilderResult(NamedTuple):
     """Construction outcome: which case fired and the tuple it produced."""
 
     case: str
     tuple: ComponentTuple
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Perturbation aimed at the binding stability bound of a tuple."""
 
     epsilon: tuple[Fraction, ...]
@@ -172,8 +190,7 @@ class Witness:
     side: str
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Open window lower < sigma_j < upper for the degree sum over A_j."""
 
     j: int
@@ -183,8 +200,7 @@ class Window:
     upper: Fraction
 
 
-@dataclass(frozen=True)
-class WindowTable:
+class WindowTable(_Frozen):
     """Every window of one decomposition at rank s and degree d.
 
     ``coeff`` = d + s(1 - p_a) is how far both bounds of a window move per
@@ -199,19 +215,27 @@ class WindowTable:
     compares slacks by cross-multiplication.
     """
 
+    __match_args__ = ("rank", "degree", "coeff", "windows", "order")
     rank: int
     degree: int
     coeff: int
     windows: tuple[Window, ...]
     order: tuple[int, ...]
-    denominator: int = field(init=False, repr=False, compare=False)
-    lowers: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    uppers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    denominator: int
+    lowers: tuple[int, ...]
+    uppers: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        bounds = [b for w in self.windows for b in (w.lower, w.upper)]
+    def __init__(
+        self, rank: int, degree: int, coeff: int, windows: tuple[Window, ...], order: tuple[int, ...]
+    ) -> None:
+        bounds = [b for w in windows for b in (w.lower, w.upper)]
         denominator = math.lcm(*(b.denominator for b in bounds))
         numerators = [b.numerator * (denominator // b.denominator) for b in bounds]
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "windows", windows)
+        object.__setattr__(self, "order", order)
         object.__setattr__(self, "denominator", denominator)
         object.__setattr__(self, "lowers", tuple(numerators[0::2]))
         object.__setattr__(self, "uppers", tuple(numerators[1::2]))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
@@ -68,25 +67,60 @@ def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
         raise CurveError(f"{what} must be integers: {exc}") from None
 
 
-@dataclass(frozen=True)
-class NodalCurve:
+class _Frozen:
+    """Immutable value over the fields named in ``__match_args__``.
+
+    ``__match_args__`` lists the ``__init__`` parameters in order; equality
+    (same class only), the hash and the repr read exactly those.  An
+    ``__init__`` stores its attributes with ``object.__setattr__``; any
+    other setting or deleting raises AttributeError.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class NodalCurve(_Frozen):
     """Immutable dual-graph model of a nodal reducible curve.
 
     ``genera[i-1]`` is the genus of component ``i``; ``nodes`` holds the
     edges in ascending node-id order.
     """
 
+    __match_args__ = ("genera", "nodes")
     genera: tuple[int, ...]
-    nodes: tuple[Node, ...] = ()
+    nodes: tuple[Node, ...]
 
-    def __post_init__(self) -> None:
-        genera = _integers(self.genera, "genera")
+    def __init__(
+        self, genera: Iterable[int], nodes: Iterable[Node | tuple[int, int, int]] = ()
+    ) -> None:
+        genera = _integers(genera, "genera")
         if not genera:
             raise CurveError("curve needs at least one component")
         for i, g in enumerate(genera, start=1):
             if g < 2:
                 raise CurveError(f"component {i} has genus {g}; each genus must be >= 2")
-        raw = tuple(Node(*_integers(n[:3], "node entries")) for n in self.nodes)
+        raw = tuple(Node(*_integers(n[:3], "node entries")) for n in nodes)
         seen: set[int] = set()
         normalized: list[Node] = []
         for node in raw:
@@ -110,7 +144,7 @@ class NodalCurve:
             adj[n.second].append((n.first, n.id))
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "_adj", adj)  # built once; not a dataclass field
+        object.__setattr__(self, "_adj", adj)  # built once; not a field
         if self._reachable_from(1, frozenset(self.component_ids)) != set(self.component_ids):
             raise CurveError("dual graph is not connected")
 

@@ -22,13 +22,12 @@ check is linear in the size of the decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curve import NodalCurve
 
 
-@dataclass(frozen=True)
-class OrderedDecomposition:
+class OrderedDecomposition(NamedTuple):
     """A root-first component order with its nested separating subcurves.
 
     ``order[j-1]`` is the component id in position j (the root is last);
@@ -50,8 +49,7 @@ class OrderedDecomposition:
         return self.order.index(component) + 1
 
 
-@dataclass(frozen=True)
-class DecompositionCheck:
+class DecompositionCheck(NamedTuple):
     ok: bool
     violations: tuple[str, ...]
 

@@ -21,19 +21,17 @@ complement; in particular every one-node split scores exactly 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .curve import NodalCurve
+from .curve import NodalCurve, _Frozen
 
 
 class PolarizationError(ValueError):
     """Raised for weight vectors that are not valid polarizations."""
 
 
-@dataclass(frozen=True)
-class Polarization:
+class Polarization(_Frozen):
     """Exact rational weight vector: positive entries summing to 1.
 
     Weight i is ``_numerators[i] / _denominator`` over the lcm of the
@@ -41,12 +39,11 @@ class Polarization:
     weight is one integer sum.
     """
 
+    __match_args__ = ("weights",)
     weights: tuple[Fraction, ...]
-    _denominator: int = field(init=False, repr=False, compare=False)
-    _numerators: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        ws = tuple(Fraction(w) for w in self.weights)
+    def __init__(self, weights: Iterable[Fraction | int]) -> None:
+        ws = tuple(Fraction(w) for w in weights)
         if not ws:
             raise PolarizationError("polarization needs at least one weight")
         for i, w in enumerate(ws, start=1):
@@ -82,16 +79,14 @@ class Polarization:
         return Fraction(sum(map(self._numerators.__getitem__, ids)), self._denominator)
 
 
-@dataclass(frozen=True)
-class SplitDefect:
+class SplitDefect(NamedTuple):
     node: int
     side: frozenset[int]
     defect: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(NamedTuple):
     """Per-split defect values for the goodness proxy 0 < defect < 1."""
 
     passed: bool

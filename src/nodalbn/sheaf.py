@@ -26,11 +26,10 @@ either side contributes nothing.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .curve import NodalCurve
+from .curve import NodalCurve, _Frozen
 from .polarization import Polarization, _check_lengths
 
 
@@ -46,37 +45,44 @@ class LocalType(NamedTuple):
     a_second: int
 
 
-@dataclass(frozen=True)
-class SheafDescriptor:
+class SheafDescriptor(_Frozen):
     """Discrete model of a depth-one sheaf on a fixed curve.
 
     ``stalks`` gives every node its LocalType, as (node id, value) pairs
     or as a mapping; each value is three integers.
     """
 
+    __match_args__ = ("curve", "multirank", "chi", "stalks", "degrees")
     curve: NodalCurve
     multirank: tuple[int, ...]
     chi: int
     stalks: tuple[tuple[int, LocalType], ...]
-    degrees: tuple[int, ...] | None = None
+    degrees: tuple[int, ...] | None
 
-    def __post_init__(self) -> None:
-        ranks = _integers(self.multirank, "multirank")
-        if len(ranks) != self.curve.gamma:
+    def __init__(
+        self,
+        curve: NodalCurve,
+        multirank: Iterable[int],
+        chi: int,
+        stalks: Iterable[tuple[int, Iterable[int]]] | Mapping[int, Iterable[int]],
+        degrees: Iterable[int] | None = None,
+    ) -> None:
+        ranks = _integers(multirank, "multirank")
+        if len(ranks) != curve.gamma:
             raise DescriptorError(
-                f"multirank has {len(ranks)} entries for {self.curve.gamma} components"
+                f"multirank has {len(ranks)} entries for {curve.gamma} components"
             )
         if any(r < 0 for r in ranks):
             raise DescriptorError("multirank entries must be nonnegative")
-        pairs = self.stalks.items() if isinstance(self.stalks, Mapping) else self.stalks
+        pairs = stalks.items() if isinstance(stalks, Mapping) else stalks
         stalks = tuple(sorted(_local_type(nid, lt) for nid, lt in pairs))
         by_node = dict(stalks)
-        expected = [n.id for n in self.curve.nodes]
+        expected = [n.id for n in curve.nodes]
         if sorted(by_node) != expected:
             raise DescriptorError(
                 f"stalks cover nodes {sorted(by_node)}, curve has {expected}"
             )
-        for node in self.curve.nodes:
+        for node in curve.nodes:
             lt = by_node[node.id]
             if min(lt) < 0:
                 raise DescriptorError(f"negative stalk exponent at node {node.id}")
@@ -90,18 +96,18 @@ class SheafDescriptor:
                     f"node {node.id}: rank {ranks[node.second - 1]} on component "
                     f"{node.second} != free rank {lt.free_rank} + {lt.a_second}"
                 )
-        degrees = self.degrees
         if degrees is not None:
             degrees = _integers(degrees, "degrees")
-            if len(degrees) != self.curve.gamma:
+            if len(degrees) != curve.gamma:
                 raise DescriptorError(
-                    f"degrees has {len(degrees)} entries for {self.curve.gamma} components"
+                    f"degrees has {len(degrees)} entries for {curve.gamma} components"
                 )
+        object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "multirank", ranks)
-        object.__setattr__(self, "chi", _integers((self.chi,), "chi")[0])
+        object.__setattr__(self, "chi", _integers((chi,), "chi")[0])
         object.__setattr__(self, "stalks", stalks)
         object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "_by_node", by_node)  # not a dataclass field
+        object.__setattr__(self, "_by_node", by_node)  # not a field
 
     def stalk(self, node_id: int) -> LocalType:
         lt = self._by_node.get(node_id)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import random
 from fractions import Fraction
@@ -165,8 +164,10 @@ def shift_first_window(monkeypatch, root, shift):
         if deco.root != root:
             return table
         w = table.windows[0]
-        moved = dataclasses.replace(w, lower=w.lower + shift, upper=w.upper + shift)
-        return dataclasses.replace(table, windows=(moved, *table.windows[1:]))
+        moved = w._replace(lower=w.lower + shift, upper=w.upper + shift)
+        return components.WindowTable(
+            table.rank, table.degree, table.coeff, (moved, *table.windows[1:]), table.order
+        )
 
     monkeypatch.setattr(components, "stability_windows", shifted)
 

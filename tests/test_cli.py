@@ -159,6 +159,19 @@ def test_wrong_length_omega_exits_two(capsys, two_path, argv):
     assert err == "error: bad omega: polarization has 3 weights for 2 components\n"
 
 
+# the degrees come from --tuple, not from a line of the curve file
+@pytest.mark.parametrize("action", ["check", "radius"])
+@pytest.mark.parametrize("degrees", ["1", "1,1,1"])
+def test_wrong_length_tuple_names_the_option(capsys, two_path, action, degrees):
+    code, out, err = run(
+        capsys, "components", action, "--curve", two_path, "--rank", "2", "--tuple", degrees
+    )
+    assert code == 2
+    assert out == ""
+    n = degrees.count(",") + 1
+    assert err == f"error: --tuple has {n} degrees for 2 components\n"
+
+
 class TestSheafCommand:
     def test_info(self, capsys, tmp_path):
         path = tmp_path / "sheaf.crv"

@@ -1,6 +1,5 @@
 """Interval conditions, catalog enumeration, robustness, builders."""
 
-import dataclasses
 import itertools
 import math
 import random
@@ -624,8 +623,7 @@ def test_small_slope_search_rejects_non_triangular(chain4):
 )
 def test_stability_windows_rejects_short_decomposition(chain4, subcurves, nodes):
     deco = nb.order_components(chain4, 4)
-    cut = dataclasses.replace(
-        deco,
+    cut = deco._replace(
         subcurves=deco.subcurves[:subcurves],
         separating_nodes=deco.separating_nodes[:nodes],
     )
@@ -790,7 +788,7 @@ def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcu
     omega = nb.Polarization(tuple(Fraction(1, weights) for _ in range(weights)))
     deco = nb.order_components(chain4, root)
     if subcurves is not None:
-        deco = dataclasses.replace(deco, subcurves=tuple(map(frozenset, subcurves)))
+        deco = deco._replace(subcurves=tuple(map(frozenset, subcurves)))
     with pytest.raises(error, match=message):
         stability_windows(chain4, omega, deco, 3, 6)
 

@@ -26,11 +26,25 @@ DUNDERS = {
 }
 
 RUN_CLI = """
-import contextlib, io, json, sys
+import sys
+start = set(sys.modules)
+import contextlib, io, json
 from nodalbn import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps({"code": code, "loaded": sorted(sys.modules)}))
+print(json.dumps({
+    "code": code, "loaded": sorted(sys.modules), "added": sorted(set(sys.modules) - start),
+}))
+"""
+
+RUN_VERIFY = """
+import sys
+start = set(sys.modules)
+import json
+import nodalbn as nb
+curve = nb.chain_curve([2, 3, 2])
+check = nb.verify_decomposition(curve, nb.order_components(curve, 1))
+print(json.dumps({"ok": check.ok, "added": sorted(set(sys.modules) - start)}))
 """
 
 BARE_IMPORT = """
@@ -101,3 +115,35 @@ def test_dir_lists_exports_dunders_and_submodules():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="module 'nodalbn' has no attribute 'no_such_name'"):
         nb.no_such_name
+
+
+# dataclasses pulls in inspect, ast, dis and tokenize: about 10 ms of every start-up
+CODE_GENERATION = {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("bn", "scan", "--family", "chain", "--gamma-max", "3", "--genus-max", "2",
+         "--s-max", "4"),
+        ("bn", "certify", "--curve", "{curve}", "--s", "2", "--k", "1", "--d", "2"),
+        ("components", "enumerate", "--curve", "{curve}", "--rank", "2", "--degree", "2"),
+        ("components", "invariance", "--curve", "{curve}", "--rank", "2", "--degree", "2"),
+        ("order", "--curve", "{curve}", "--root", "2"),
+        ("curve", "validate", "--curve", "{curve}"),
+    ],
+    ids=["bn-scan", "bn-certify", "components-enumerate", "components-invariance", "order",
+         "curve-validate"],
+)
+def test_command_loads_no_dataclass_machinery(tmp_path, argv):
+    curve = tmp_path / "two.crv"
+    curve.write_text("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n")
+    got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
+    assert got["code"] == 0
+    assert not CODE_GENERATION & set(got["added"])
+
+
+def test_verify_decomposition_loads_no_dataclass_machinery():
+    got = fresh_python(RUN_VERIFY)
+    assert got["ok"]
+    assert not CODE_GENERATION & set(got["added"])

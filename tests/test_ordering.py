@@ -1,6 +1,5 @@
 """Ordered one-node decompositions and their independent verifier."""
 
-import dataclasses
 import random
 
 import pytest
@@ -93,7 +92,7 @@ class TestVerifier:
 
     def test_rejects_swapped_order(self, chain4):
         deco = nb.order_components(chain4, root=4)
-        bad = dataclasses.replace(deco, order=(2, 1, 3, 4))
+        bad = deco._replace(order=(2, 1, 3, 4))
         check = nb.verify_decomposition(chain4, bad)
         assert not check.ok
         assert check.violations
@@ -102,7 +101,7 @@ class TestVerifier:
         deco = nb.order_components(chain4, root=4)
         subs = list(deco.subcurves)
         subs[1] = frozenset({2, 3})
-        bad = dataclasses.replace(deco, subcurves=tuple(subs))
+        bad = deco._replace(subcurves=tuple(subs))
         check = nb.verify_decomposition(chain4, bad)
         assert not check.ok
 
@@ -110,7 +109,7 @@ class TestVerifier:
         deco = nb.order_components(chain4, root=4)
         seps = list(deco.separating_nodes)
         seps[0] = 3
-        bad = dataclasses.replace(deco, separating_nodes=tuple(seps))
+        bad = deco._replace(separating_nodes=tuple(seps))
         check = nb.verify_decomposition(chain4, bad)
         assert not check.ok
 
@@ -119,7 +118,7 @@ class TestVerifier:
         deco = nb.order_components(chain5, root=5)
         subs = list(deco.subcurves)
         subs[2] = frozenset({1, 2, 4})
-        bad = dataclasses.replace(deco, subcurves=tuple(subs))
+        bad = deco._replace(subcurves=tuple(subs))
         check = nb.verify_decomposition(chain5, bad)
         assert not check.ok
 
@@ -219,9 +218,9 @@ def test_verifier_matches_search_oracle_on_mutations(seed):
 def test_verifier_reports_in_oracle_order():
     chain5 = nb.chain_curve((2, 2, 2, 2, 2))
     deco = nb.order_components(chain5, root=5)
-    bad = dataclasses.replace(
-        deco, subcurves=(frozenset({3}), frozenset({1, 2, 4}), frozenset({1, 2, 3}),
-                         frozenset({1, 2, 3, 4}))
+    bad = deco._replace(
+        subcurves=(frozenset({3}), frozenset({1, 2, 4}), frozenset({1, 2, 3}),
+                   frozenset({1, 2, 3, 4}))
     )
     check = nb.verify_decomposition(chain5, bad)
     assert (check.ok, check.violations) == _outcome(search_verify_decomposition, chain5, bad)
