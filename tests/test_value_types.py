@@ -192,7 +192,7 @@ def test_equal_values_are_equal_with_equal_hashes(name):
 @pytest.mark.parametrize("name", CASES)
 def test_attributes_cannot_be_set_or_deleted(name):
     value = CASES[name][0]()
-    field = repr(value).split("(", 1)[1].split("=", 1)[0]
+    field = type(value).__match_args__[0]
     before = getattr(value, field)
     with pytest.raises(AttributeError):
         setattr(value, field, before)
