@@ -12,13 +12,14 @@ Each handler imports the modules it runs: ``ordering``, ``components``
 and ``brill_noether`` load inside the handlers that call them, so a
 command pays at start-up only for what it uses.  Parsing, curves,
 sheaves and polarizations load with this module, since almost every
-command reads a curve.
+command reads a curve; ``hashlib`` loads only to take a curve file's
+digest.  The parser is built for the command named on the command line
+(see ``_build_parser``).
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import sys
 from fractions import Fraction
@@ -87,6 +88,10 @@ class Report:
         sys.stdout.write("\n".join(self.lines).rstrip("\n") + "\n")
 
 
+# _ID_TEXT[i] is str(i): a subcurve column prints each component id from here
+_ID_TEXT: list[str] = []
+
+
 def _fmt(value: object) -> str:
     kind = type(value)  # exact types: isinstance on Fraction goes through the ABCs
     if kind is int or kind is str or kind is Fraction:
@@ -94,7 +99,12 @@ def _fmt(value: object) -> str:
     if kind is bool:
         return "yes" if value else "no"
     if isinstance(value, frozenset):
-        return ",".join(map(str, sorted(value)))
+        ids = sorted(value)
+        if not ids or ids[0] < 0:
+            return ",".join(map(str, ids))
+        if ids[-1] >= len(_ID_TEXT):
+            _ID_TEXT.extend(map(str, range(len(_ID_TEXT), ids[-1] + 1)))
+        return ",".join(map(_ID_TEXT.__getitem__, ids))
     if isinstance(value, (tuple, list)):
         return ",".join(_fmt(v) for v in value)
     return str(value)
@@ -110,16 +120,27 @@ def _load_curve(path: str) -> tuple[NodalCurve, SheafDescriptor | None, str]:
             data = fh.read()
     except OSError as exc:
         raise CurveError(f"cannot read {path}: {exc.strerror}") from exc
+    import hashlib  # loaded here: ``bn number`` reads no curve
+
     text = data.decode("utf-8")
     curve, sheaf = parse_curve_with_sheaf(text)
     return curve, sheaf, hashlib.sha256(data).hexdigest()[:12]
 
 
+def _option(flag: str, parse, text: str):
+    """``parse(text)`` for the value of ``flag``; a bad token names the flag."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise ParseError(None, f"{flag}: {exc}") from None
+
+
 def _resolve_omega(text: str, curve: NodalCurve) -> Polarization:
     if text == "canonical":
         return canonical(curve)
+    weights = _option("--omega", parse_rationals, text)
     try:
-        omega = Polarization(parse_rationals(text))
+        omega = Polarization(weights)
         _check_lengths(curve, omega)
     except PolarizationError as exc:
         raise ValueError(f"bad omega: {exc}") from exc
@@ -294,7 +315,7 @@ def _tuple_setup(args: argparse.Namespace):
     omega = _resolve_omega(args.omega, curve)
     root = args.root if args.root is not None else curve.gamma
     deco = ordering.order_components(curve, root)
-    degrees = parse_ints(args.tuple)
+    degrees = _option("--tuple", parse_ints, args.tuple)
     if len(degrees) != curve.gamma:
         raise ValueError(f"--tuple has {len(degrees)} degrees for {curve.gamma} components")
     ctuple = comp.ComponentTuple(rank=args.rank, degrees=degrees)
@@ -460,103 +481,88 @@ def cmd_bn_scan(args: argparse.Namespace) -> int:
 # -- wiring -----------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_CURVE = ("--curve", {"required": True, "help": "curve file"})
+_OMEGA = ("--omega", {"default": "canonical", "help": "'canonical' or w_1,...,w_gamma"})
+_ROOT = ("--root", {"type": int, "default": None})
+
+
+def _ints(*flags: str) -> tuple:
+    return tuple((flag, {"type": int, "required": True}) for flag in flags)
+
+
+_TUPLE = (_CURVE, _OMEGA, *_ints("--rank"),
+          ("--tuple", {"required": True, "help": "d_1,...,d_gamma"}), _ROOT)
+_NUMBERS = _ints("--pa", "--r", "--d", "--k")
+
+
+# group -> (help, leaves): each leaf maps an action to its options, and a group
+# given options in place of leaves is a leaf itself.  The leaf `G A` runs
+# cmd_G_A (`G` runs cmd_G), looked up by name when the parser is built, so a
+# handler rebound on this module (as perfbench's tracer does) is the one run.
+COMMANDS: dict[str, tuple[str, dict | tuple]] = {
+    "curve": ("validate and classify curve files", {
+        "validate": (_CURVE, ("--echo", {"action": "store_true",
+                                         "help": "re-emit the canonical file"})),
+        "classify": (_CURVE,),
+    }),
+    "order": ("root-first component order of a tree curve", (_CURVE, *_ints("--root"))),
+    "polarization": ("canonical weights and goodness proxy", {
+        "canonical": (_CURVE,),
+        "check": (_CURVE, ("--omega", {"required": True, "help": "w_1,...,w_gamma"})),
+    }),
+    "sheaf": ("weighted invariants of a sheaf block", {
+        "info": (_CURVE, _OMEGA),
+    }),
+    "components": ("degree-tuple catalogs and stability", {
+        "enumerate": (_CURVE, _OMEGA, *_ints("--rank", "--degree"),
+                      ("--small-slope", {"action": "store_true"}), _ROOT),
+        "check": _TUPLE,
+        "radius": _TUPLE,
+        "invariance": (_CURVE, _OMEGA, *_ints("--rank", "--degree")),
+    }),
+    "bn": ("Brill-Noether numbers and certificates", {
+        "number": _NUMBERS,
+        "bounds": _NUMBERS,
+        "certify": (_CURVE, _OMEGA, *_ints("--s", "--k", "--d")),
+        "scan": (("--family", {"required": True, "choices": ["chain", "comb"]}),
+                 *_ints("--gamma-max", "--genus-max", "--s-max")),
+    }),
+}
+
+
+def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv, with every group and leaf of ``COMMANDS`` listed.
+
+    Only a group whose name is a word of argv gets its actions, and only
+    such a leaf gets its options and handler.  argparse picks a subparser
+    by its exact name, so the leaf that a parse of argv reaches is always
+    built in full, and every help or error text is the full parser's.
+    """
+    words = set(argv)
     parser = argparse.ArgumentParser(
         prog="nodalbn",
         description="Exact-rational Brill-Noether toolkit for nodal reducible curves",
     )
     top = parser.add_subparsers(dest="group", required=True)
-
-    def curve_arg(p):
-        p.add_argument("--curve", required=True, help="curve file")
-
-    def omega_arg(p):
-        p.add_argument("--omega", default="canonical", help="'canonical' or w_1,...,w_gamma")
-
-    curve_p = top.add_parser("curve", help="validate and classify curve files")
-    curve_sub = curve_p.add_subparsers(dest="action", required=True)
-    p = curve_sub.add_parser("validate")
-    curve_arg(p)
-    p.add_argument("--echo", action="store_true", help="re-emit the canonical file")
-    p.set_defaults(func=cmd_curve_validate)
-    p = curve_sub.add_parser("classify")
-    curve_arg(p)
-    p.set_defaults(func=cmd_curve_classify)
-
-    p = top.add_parser("order", help="root-first component order of a tree curve")
-    curve_arg(p)
-    p.add_argument("--root", type=int, required=True)
-    p.set_defaults(func=cmd_order)
-
-    pol_p = top.add_parser("polarization", help="canonical weights and goodness proxy")
-    pol_sub = pol_p.add_subparsers(dest="action", required=True)
-    p = pol_sub.add_parser("canonical")
-    curve_arg(p)
-    p.set_defaults(func=cmd_polarization_canonical)
-    p = pol_sub.add_parser("check")
-    curve_arg(p)
-    p.add_argument("--omega", required=True, help="w_1,...,w_gamma")
-    p.set_defaults(func=cmd_polarization_check)
-
-    sheaf_p = top.add_parser("sheaf", help="weighted invariants of a sheaf block")
-    sheaf_sub = sheaf_p.add_subparsers(dest="action", required=True)
-    p = sheaf_sub.add_parser("info")
-    curve_arg(p)
-    omega_arg(p)
-    p.set_defaults(func=cmd_sheaf_info)
-
-    comp_p = top.add_parser("components", help="degree-tuple catalogs and stability")
-    comp_sub = comp_p.add_subparsers(dest="action", required=True)
-    p = comp_sub.add_parser("enumerate")
-    curve_arg(p)
-    omega_arg(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--small-slope", action="store_true")
-    p.add_argument("--root", type=int, default=None)
-    p.set_defaults(func=cmd_components_enumerate)
-    for name, func in (
-        ("check", cmd_components_check),
-        ("radius", cmd_components_radius),
-    ):
-        p = comp_sub.add_parser(name)
-        curve_arg(p)
-        omega_arg(p)
-        p.add_argument("--rank", type=int, required=True)
-        p.add_argument("--tuple", required=True, help="d_1,...,d_gamma")
-        p.add_argument("--root", type=int, default=None)
-        p.set_defaults(func=func)
-    p = comp_sub.add_parser("invariance")
-    curve_arg(p)
-    omega_arg(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.set_defaults(func=cmd_components_invariance)
-
-    bn_p = top.add_parser("bn", help="Brill-Noether numbers and certificates")
-    bn_sub = bn_p.add_subparsers(dest="action", required=True)
-    p = bn_sub.add_parser("number")
-    for flag in ("--pa", "--r", "--d", "--k"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(func=cmd_bn_number)
-    p = bn_sub.add_parser("bounds")
-    for flag in ("--pa", "--r", "--d", "--k"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(func=cmd_bn_bounds)
-    p = bn_sub.add_parser("certify")
-    curve_arg(p)
-    omega_arg(p)
-    for flag in ("--s", "--k", "--d"):
-        p.add_argument(flag, type=int, required=True)
-    p.set_defaults(func=cmd_bn_certify)
-    p = bn_sub.add_parser("scan")
-    p.add_argument("--family", required=True, choices=["chain", "comb"])
-    p.add_argument("--gamma-max", type=int, required=True)
-    p.add_argument("--genus-max", type=int, required=True)
-    p.add_argument("--s-max", type=int, required=True)
-    p.set_defaults(func=cmd_bn_scan)
-
+    for group, (help_text, leaves) in COMMANDS.items():
+        group_parser = top.add_parser(group, help=help_text)
+        if group not in words:
+            continue
+        if isinstance(leaves, tuple):
+            _leaf(group_parser, group, leaves)
+            continue
+        actions = group_parser.add_subparsers(dest="action", required=True)
+        for action, options in leaves.items():
+            leaf_parser = actions.add_parser(action)
+            if action in words:
+                _leaf(leaf_parser, f"{group}_{action}", options)
     return parser
+
+
+def _leaf(parser: argparse.ArgumentParser, name: str, options: tuple) -> None:
+    for flag, spec in options:
+        parser.add_argument(flag, **spec)
+    parser.set_defaults(func=globals()[f"cmd_{name}"])
 
 
 # Exit code per error class; the first match wins, so subclasses come first.
@@ -574,7 +580,7 @@ EXIT_CODES: tuple[tuple[type[ValueError], int], ...] = (
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,14 +25,22 @@ from .sheaf import DescriptorError, LocalType, SheafDescriptor
 
 
 class ParseError(ValueError):
-    """Input text violating the grammar; names the line and the rule."""
+    """Input text violating the grammar; names the line and the rule.
 
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
+    ``line_no`` is None for text that is not a line of a file, such as a
+    comma-separated value; the message then names no line.
+    """
+
+    def __init__(self, line_no: int | None, message: str):
+        super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
 
 
-def _tokens(text: str) -> list[tuple[int, list[str]]]:
+# (line number, words) per line that is not blank or only a comment
+_Tokens = list[tuple[int, list[str]]]
+
+
+def _tokens(text: str) -> _Tokens:
     out = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].strip()
@@ -49,26 +57,31 @@ def _int(token: str, line_no: int, what: str) -> int:
 
 
 def parse_curve(text: str) -> NodalCurve:
-    curve, sheaf_start = _parse_curve_part(text)
-    if sheaf_start is not None:
-        raise ParseError(sheaf_start, "unexpected sheaf block; this input takes a bare curve")
+    tokens = _tokens(text)
+    curve, sheaf_at = _parse_curve_part(tokens)
+    if sheaf_at is not None:
+        raise ParseError(
+            tokens[sheaf_at][0], "unexpected sheaf block; this input takes a bare curve"
+        )
     return curve
 
 
 def parse_curve_with_sheaf(text: str) -> tuple[NodalCurve, SheafDescriptor | None]:
-    curve, sheaf_start = _parse_curve_part(text)
-    if sheaf_start is None:
+    tokens = _tokens(text)
+    curve, sheaf_at = _parse_curve_part(tokens)
+    if sheaf_at is None:
         return curve, None
-    return curve, _parse_sheaf_part(text, curve, sheaf_start)
+    return curve, _parse_sheaf_part(tokens[sheaf_at:], curve)
 
 
-def _parse_curve_part(text: str) -> tuple[NodalCurve, int | None]:
+def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
+    """The curve, and the index in ``tokens`` of the ``sheaf`` line if there is one."""
     components: dict[int, int] = {}
     nodes: list[tuple[int, int, int]] = []
     seen_node = False
-    sheaf_start: int | None = None
+    sheaf_at: int | None = None
 
-    for line_no, toks in _tokens(text):
+    for at, (line_no, toks) in enumerate(tokens):
         if toks[0] == "component":
             if seen_node:
                 raise ParseError(line_no, "component lines must precede node lines")
@@ -91,7 +104,7 @@ def _parse_curve_part(text: str) -> tuple[NodalCurve, int | None]:
                 )
             )
         elif toks[0] == "sheaf":
-            sheaf_start = line_no
+            sheaf_at = at
             break
         else:
             raise ParseError(line_no, f"unknown directive {toks[0]!r}")
@@ -108,19 +121,19 @@ def _parse_curve_part(text: str) -> tuple[NodalCurve, int | None]:
         curve = NodalCurve(genera, tuple(nodes))
     except CurveError as exc:
         raise ParseError(1, str(exc)) from exc
-    return curve, sheaf_start
+    return curve, sheaf_at
 
 
-def _parse_sheaf_part(text: str, curve: NodalCurve, start: int) -> SheafDescriptor:
+def _parse_sheaf_part(tokens: _Tokens, curve: NodalCurve) -> SheafDescriptor:
+    """The sheaf block from the tokens of its ``sheaf`` line on."""
+    start = tokens[0][0]
     rank: tuple[int, ...] | None = None
     chi: int | None = None
     degrees: tuple[int, ...] | None = None
     stalks: dict[int, LocalType] = {}
     in_block = False
 
-    for line_no, toks in _tokens(text):
-        if line_no < start:
-            continue
+    for line_no, toks in tokens:
         if toks[0] == "sheaf":
             if len(toks) != 1:
                 raise ParseError(line_no, "expected a bare 'sheaf' line")
@@ -192,7 +205,7 @@ def parse_rationals(text: str) -> tuple[Fraction, ...]:
         try:
             out.append(Fraction(token))
         except (ValueError, ZeroDivisionError):
-            raise ParseError(1, f"bad rational token {token!r}") from None
+            raise ParseError(None, f"bad rational token {token!r}") from None
     return tuple(out)
 
 
@@ -204,5 +217,5 @@ def parse_ints(text: str) -> tuple[int, ...]:
         try:
             out.append(int(token))
         except ValueError:
-            raise ParseError(1, f"bad integer token {token!r}") from None
+            raise ParseError(None, f"bad integer token {token!r}") from None
     return tuple(out)

@@ -125,18 +125,34 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
 
     This is the decidable slice of goodness used by the certification
     pipeline; it does not quantify over all depth-one subsheaves.
+
+    One rooted pass sums the weight numerators and genera up the tree, so
+    each split's defect is an integer over the weights' common denominator.
+    A row's side holds the node's smaller-id endpoint, as in
+    ``NodalCurve.edge_splits``; only a side that is the complement of a
+    subtree is built as a new set.
     """
-    splits = curve.edge_splits()
+    branches = curve.branches(curve.gamma)
     _check_lengths(curve, omega)
     pa = curve.arithmetic_genus()
+    denominator = omega._denominator
+    weight = list(omega._numerators)  # grows into subtree sums, 1-based
+    genus = [0, *curve.genera]
+    everything = frozenset(curve.component_ids)
     rows = []
-    for node_id, side, rest in splits:
-        # sum over the smaller side: on a tree the two defects add up to 1
-        small = min(side, rest, key=len)
-        d = _defect(sum(curve.genera[i - 1] for i in small), omega.subcurve_weight(small), pa)
-        if small is not side:
-            d = 1 - d
-        rows.append(SplitDefect(node=node_id, side=side, defect=d, ok=0 < d < 1))
+    for b in branches:  # a subtree's sums are complete when its branch comes
+        w, g = weight[b.component], genus[b.component]
+        weight[b.parent] += w
+        genus[b.parent] += g
+        num = (1 - g) * denominator - w * (1 - pa)
+        side = b.subtree
+        if b.parent < b.component:  # on a tree the two defects add up to 1
+            num = denominator - num
+            side = everything - side
+        rows.append(
+            SplitDefect(b.node, side, Fraction(num, denominator), 0 < num < denominator)
+        )
+    rows.sort(key=lambda row: row.node)
     return GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
 
 

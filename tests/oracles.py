@@ -285,3 +285,132 @@ def search_verify_decomposition(curve, deco):
                 )
 
     return DecompositionCheck(not violations, tuple(violations))
+
+
+def complement_goodness_proxy(curve, omega):
+    """The goodness proxy from both sides of every split, as frozensets.
+
+    The set-building version: `NodalCurve.edge_splits` builds each side and
+    its complement, and each defect is summed over the smaller side, so it
+    costs about gamma^2 on a chain.  Exceptions and the report are the
+    library's.
+    """
+    import nodalbn as nb  # see enumerating_invariance_check
+
+    splits = curve.edge_splits()
+    if len(omega) != curve.gamma:
+        raise nb.PolarizationError(
+            f"polarization has {len(omega)} weights for {curve.gamma} components"
+        )
+    rows = []
+    for node_id, side, rest in splits:
+        small = min(side, rest, key=len)
+        d = raw_defect(curve.genera, curve.nodes, omega.weights, small)
+        if small is not side:
+            d = 1 - d
+        rows.append(nb.polarization.SplitDefect(node=node_id, side=side, defect=d, ok=0 < d < 1))
+    return nb.GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
+
+
+def full_parser():
+    """The command-line parser with every group and leaf built in full."""
+    import argparse
+
+    from nodalbn import cli  # see enumerating_invariance_check
+
+    parser = argparse.ArgumentParser(
+        prog="nodalbn",
+        description="Exact-rational Brill-Noether toolkit for nodal reducible curves",
+    )
+    top = parser.add_subparsers(dest="group", required=True)
+
+    def curve_arg(p):
+        p.add_argument("--curve", required=True, help="curve file")
+
+    def omega_arg(p):
+        p.add_argument("--omega", default="canonical", help="'canonical' or w_1,...,w_gamma")
+
+    curve_p = top.add_parser("curve", help="validate and classify curve files")
+    curve_sub = curve_p.add_subparsers(dest="action", required=True)
+    p = curve_sub.add_parser("validate")
+    curve_arg(p)
+    p.add_argument("--echo", action="store_true", help="re-emit the canonical file")
+    p.set_defaults(func=cli.cmd_curve_validate)
+    p = curve_sub.add_parser("classify")
+    curve_arg(p)
+    p.set_defaults(func=cli.cmd_curve_classify)
+
+    p = top.add_parser("order", help="root-first component order of a tree curve")
+    curve_arg(p)
+    p.add_argument("--root", type=int, required=True)
+    p.set_defaults(func=cli.cmd_order)
+
+    pol_p = top.add_parser("polarization", help="canonical weights and goodness proxy")
+    pol_sub = pol_p.add_subparsers(dest="action", required=True)
+    p = pol_sub.add_parser("canonical")
+    curve_arg(p)
+    p.set_defaults(func=cli.cmd_polarization_canonical)
+    p = pol_sub.add_parser("check")
+    curve_arg(p)
+    p.add_argument("--omega", required=True, help="w_1,...,w_gamma")
+    p.set_defaults(func=cli.cmd_polarization_check)
+
+    sheaf_p = top.add_parser("sheaf", help="weighted invariants of a sheaf block")
+    sheaf_sub = sheaf_p.add_subparsers(dest="action", required=True)
+    p = sheaf_sub.add_parser("info")
+    curve_arg(p)
+    omega_arg(p)
+    p.set_defaults(func=cli.cmd_sheaf_info)
+
+    comp_p = top.add_parser("components", help="degree-tuple catalogs and stability")
+    comp_sub = comp_p.add_subparsers(dest="action", required=True)
+    p = comp_sub.add_parser("enumerate")
+    curve_arg(p)
+    omega_arg(p)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--small-slope", action="store_true")
+    p.add_argument("--root", type=int, default=None)
+    p.set_defaults(func=cli.cmd_components_enumerate)
+    for name, func in (
+        ("check", cli.cmd_components_check),
+        ("radius", cli.cmd_components_radius),
+    ):
+        p = comp_sub.add_parser(name)
+        curve_arg(p)
+        omega_arg(p)
+        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--tuple", required=True, help="d_1,...,d_gamma")
+        p.add_argument("--root", type=int, default=None)
+        p.set_defaults(func=func)
+    p = comp_sub.add_parser("invariance")
+    curve_arg(p)
+    omega_arg(p)
+    p.add_argument("--rank", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True)
+    p.set_defaults(func=cli.cmd_components_invariance)
+
+    bn_p = top.add_parser("bn", help="Brill-Noether numbers and certificates")
+    bn_sub = bn_p.add_subparsers(dest="action", required=True)
+    p = bn_sub.add_parser("number")
+    for flag in ("--pa", "--r", "--d", "--k"):
+        p.add_argument(flag, type=int, required=True)
+    p.set_defaults(func=cli.cmd_bn_number)
+    p = bn_sub.add_parser("bounds")
+    for flag in ("--pa", "--r", "--d", "--k"):
+        p.add_argument(flag, type=int, required=True)
+    p.set_defaults(func=cli.cmd_bn_bounds)
+    p = bn_sub.add_parser("certify")
+    curve_arg(p)
+    omega_arg(p)
+    for flag in ("--s", "--k", "--d"):
+        p.add_argument(flag, type=int, required=True)
+    p.set_defaults(func=cli.cmd_bn_certify)
+    p = bn_sub.add_parser("scan")
+    p.add_argument("--family", required=True, choices=["chain", "comb"])
+    p.add_argument("--gamma-max", type=int, required=True)
+    p.add_argument("--genus-max", type=int, required=True)
+    p.add_argument("--s-max", type=int, required=True)
+    p.set_defaults(func=cli.cmd_bn_scan)
+
+    return parser

@@ -172,6 +172,20 @@ def test_wrong_length_tuple_names_the_option(capsys, two_path, action, degrees):
     assert err == f"error: --tuple has {n} degrees for 2 components\n"
 
 
+# a bad token in an option value names the option, not a line of the curve file
+@pytest.mark.parametrize("argv, err", [
+    (("components", "check", "--rank", "2", "--tuple", "1,x"),
+     "error: --tuple: bad integer token 'x'\n"),
+    (("polarization", "check", "--omega", "1/2,y"),
+     "error: --omega: bad rational token 'y'\n"),
+])
+def test_bad_option_token_names_the_option(capsys, two_path, argv, err):
+    code, out, got = run(capsys, *argv, "--curve", two_path)
+    assert code == 2
+    assert out == ""
+    assert got == err
+
+
 class TestSheafCommand:
     def test_info(self, capsys, tmp_path):
         path = tmp_path / "sheaf.crv"

@@ -99,6 +99,30 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
     assert not {f"nodalbn.{m}" for m in absent} & set(got["loaded"])
 
 
+# only the curve digest takes a hash; loading hashlib is about 3 ms of start-up
+DIGEST = {"hashlib", "_hashlib"}
+IMPORT_CLI = """
+import sys
+start = set(sys.modules)
+import json
+import nodalbn.cli
+print(json.dumps({"added": sorted(set(sys.modules) - start)}))
+"""
+
+
+@pytest.mark.parametrize(
+    "code, argv",
+    [
+        (RUN_CLI, ("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1")),
+        (IMPORT_CLI, ()),
+    ],
+    ids=["bn-number", "import-cli"],
+)
+def test_no_digest_without_a_curve(code, argv):
+    got = fresh_python(code, *argv)
+    assert not DIGEST & set(got["added"])
+
+
 def test_bare_import_loads_nothing_and_resolves_every_name():
     got = fresh_python(BARE_IMPORT, *sorted(SUBMODULES))
     assert got["loaded"] == ["nodalbn"]

@@ -12,7 +12,7 @@ from conftest import (
     random_tree_curve,
     random_valid_polarization,
 )
-from oracles import raw_crossing_count, raw_defect
+from oracles import complement_goodness_proxy, raw_crossing_count, raw_defect
 
 
 class TestPolarizationType:
@@ -184,6 +184,27 @@ def test_random_good_polarization_is_good(seed):
     curve = random_tree_curve(rng, gamma_max=6)
     omega = random_good_polarization(rng, curve)
     assert nb.goodness_proxy(curve, omega).passed
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), good=st.booleans())
+def test_goodness_proxy_matches_complement_oracle(seed, good):
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=12)
+    if good:
+        omega = random_good_polarization(rng, curve)
+    else:  # arbitrary weights: some splits fail
+        omega = random_valid_polarization(rng, curve.gamma)
+    assert nb.goodness_proxy(curve, omega) == complement_goodness_proxy(curve, omega)
+
+
+def test_goodness_proxy_errors_match_complement_oracle(cycle_curve, chain4):
+    # three weights fit neither curve: a cycle is refused before the lengths are checked
+    omega = nb.Polarization((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
+    for curve, error in ((cycle_curve, nb.NotCompactTypeError), (chain4, nb.PolarizationError)):
+        for proxy in (nb.goodness_proxy, complement_goodness_proxy):
+            with pytest.raises(error):
+                proxy(curve, omega)
 
 
 @settings(max_examples=60, deadline=None)
