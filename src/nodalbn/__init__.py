@@ -19,15 +19,11 @@ _EXPORTS = {
     "BNCertificate": "brill_noether",
     "CertificationFailure": "brill_noether",
     "ScanRow": "brill_noether",
-    "alpha_range": "brill_noether",
     "bgn_bounds": "brill_noether",
     "bn_number": "brill_noether",
     "certify_bn_component": "brill_noether",
-    "coherent_slope": "brill_noether",
     "conjecture_scan": "brill_noether",
-    "expected_codim": "brill_noether",
     "max_section_count": "brill_noether",
-    "necessary_conditions": "brill_noether",
     "per_component_bgn": "brill_noether",
     "DEFAULT_WITNESS_MULTIPLIER": "components",
     "BuilderResult": "components",

@@ -98,37 +98,6 @@ def bn_number(pa: int, r: int, d: int, k: int) -> int:
     return r * r * (pa - 1) + 1 - k * (k - d + r * (pa - 1))
 
 
-def expected_codim(
-    omega: Polarization, multirank: Sequence[int], d: int, k: int, pa: int
-) -> Fraction:
-    """k (k - d + wrank (p_a - 1)) with wrank = sum w_i r_i, exact."""
-    if len(multirank) != len(omega):
-        raise ValueError(
-            f"multirank has {len(multirank)} entries for {len(omega)} weights"
-        )
-    wr = sum((w * r for w, r in zip(omega.weights, multirank)), Fraction(0))
-    return k * (k - d + wr * (pa - 1))
-
-
-def necessary_conditions(
-    omega: Polarization, multirank: Sequence[int], d: int, k: int
-) -> Verdict:
-    """Degree conditions forced by k independent sections."""
-    if k < 1:
-        raise ValueError(f"section count k must be >= 1, got {k}")
-    if len(multirank) != len(omega):
-        raise ValueError(
-            f"multirank has {len(multirank)} entries for {len(omega)} weights"
-        )
-    failures = []
-    if d < 0:
-        failures.append(f"total degree {d} is negative")
-    wr = sum((w * r for w, r in zip(omega.weights, multirank)), Fraction(0))
-    if k < wr and d <= 0:
-        failures.append(f"k = {k} < weighted rank {wr} forces degree > 0, got {d}")
-    return Verdict(ok=not failures, failures=tuple(failures))
-
-
 def bgn_bounds(pa: int, r: int, d: int, k: int) -> Verdict:
     """Existence bounds for rank r, degree d, k sections at genus p_a."""
     if r < 2:
@@ -158,24 +127,6 @@ def per_component_bgn(
         bound = Fraction(d_i + r * (g_i - 1), g_i)
         out.append(ComponentBound(component=i, bound=bound, ok=k <= bound))
     return tuple(out)
-
-
-def alpha_range(r: int, d: int, k: int) -> tuple[Fraction, Fraction]:
-    """Open interval (0, d/(r-k)) of admissible coherent-system weights."""
-    if not 1 <= k < r:
-        raise ValueError(f"need 1 <= k < r, got k = {k}, r = {r}")
-    if d <= 0:
-        raise ValueError(f"degree must be positive, got {d}")
-    return Fraction(0), Fraction(d, r - k)
-
-
-def coherent_slope(
-    wrank: Fraction, wdeg: Fraction, k: int, alpha: Fraction
-) -> Fraction:
-    """Slope wdeg/wrank shifted by alpha*k/wrank."""
-    if wrank <= 0:
-        raise ValueError(f"weighted rank must be positive, got {wrank}")
-    return (wdeg + Fraction(alpha) * k) / wrank
 
 
 def certify_bn_component(

@@ -25,9 +25,11 @@ One search answers every catalog question.  Component in position i
 lies in A_j only for i <= j, position j itself always does, and the A_j
 of a tree are nested or disjoint, so they are the subtrees of a rooted
 tree on the positions: A_j's children are the largest subcurves strictly
-inside it.  The windows are built in one pass up this tree: A_j's
-weight numerator (over the polarization's lcm) and genus sum are its own
-component's plus its children's.  A dynamic program over subtree sums
+inside it.  One reader finds them for any valid order, with one set
+intersection per subcurve, and each table reads the tree once.  The
+windows are built in one pass up this tree: A_j's weight numerator (over
+the polarization's lcm) and genus sum are its own component's plus its
+children's.  A dynamic program over subtree sums
 counts the tuples whose position-p degree lies in a range: f_v[sigma]
 counts the ways to fill the subtree of v so that every window inside it
 holds.  It is the
@@ -242,7 +244,12 @@ class WindowTable(_Frozen):
 
     @cached_property
     def children(self) -> list[list[int]]:
-        """Children of every position in the tree of subcurves (`_subtree_children`)."""
+        """Children of every position in the tree of subcurves (`_subtree_children`).
+
+        `stability_windows` hands its table the tree it has just read; a
+        table built by hand, or from a family that is no tree, reads it
+        here on first use.
+        """
         return _subtree_children(self.order, [w.subcurve for w in self.windows])
 
     def sums(self, ctuple: ComponentTuple) -> list[int]:
@@ -470,62 +477,40 @@ class SmallSlopeSearch:
 def _subtree_children(
     order: Sequence[int], subcurves: Sequence[frozenset[int]]
 ) -> list[list[int]]:
-    """Children of every position, read off the subcurves by containment.
+    """Children of every position, read off the subcurves by containment, for any valid order.
 
-    Position j's children are the largest subcurves strictly inside A_j.
-    In post-order they are the last of the subtrees that have no parent
-    yet, so one stack finds them: A_j takes the top subtrees whose
-    component it holds.  A_j is exactly position j plus those subtrees
-    when it holds position j's component and every taken subcurve, and
-    their sizes sum to |A_j| - 1.  That costs O(gamma) plus the subset
-    tests; any other laminar order is read in full by `_read_children`.
-    """
-    if len(set(order)) != len(order):
-        return _read_children(order, subcurves)
-    children: list[list[int]] = [[] for _ in order]
-    roots: list[int] = []  # positions with no parent yet, increasing
-    for j, A in enumerate(subcurves):
-        kids, size = [], 1
-        while roots and order[roots[-1]] in A and subcurves[roots[-1]] <= A:
-            kids.append(roots.pop())
-            size += len(subcurves[kids[-1]])
-        if order[j] not in A or size != len(A):
-            return _read_children(order, subcurves)
-        kids.reverse()
-        children[j] = kids
-        roots.append(j)
-    children[-1] = roots
-    return children
-
-
-def _read_children(
-    order: Sequence[int], subcurves: Sequence[frozenset[int]]
-) -> list[list[int]]:
-    """`_subtree_children` for any order, reading every member of every A_j.
-
-    The subcurves are walked in position order, keeping for each position
-    the largest subcurve seen so far that holds it.  A_j's children are
-    the distinct such subcurves among A_j's other members, and A_j is
-    nested exactly when their sizes sum to |A_j| - 1: they then partition
-    A_j minus position j.  A member outside the order counts as lying
-    past every position.
+    Position j's children are the largest subcurves strictly inside A_j:
+    the subtrees with no parent yet whose top component A_j holds, found
+    by one set intersection with ``tops`` (top component -> position),
+    iterating the smaller side.  A_j is exactly position j plus those
+    subtrees when position j holds a component of its own that A_j
+    contains, every child's subcurve lies inside A_j and their sizes sum
+    to |A_j| - 1.  Otherwise A_j is not triangular when a member lies
+    past position j or none at it (a member outside the order lies past
+    every position), and not nested when not.
     """
     n = len(order)
     position = {comp: p for p, comp in enumerate(order)}
     children: list[list[int]] = [[] for _ in order]
-    size = [0] * n
-    top = list(range(n))  # the largest subcurve seen so far holding p
+    tops: dict[int, int] = {}  # top component -> position, for subtrees without a parent
     for j, A in enumerate(subcurves):
-        inside = [position.get(c, n) for c in A]
-        if max(inside, default=-1) != j:
-            raise ValueError(f"decomposition is not triangular at position {j + 1}")
-        kids = sorted({top[q] for q in inside if q != j})
-        if sum(size[c] for c in kids) != len(inside) - 1:
+        comp = order[j]
+        # tops is the smaller side along a chain, A_j on the leaves of a comb
+        met = A.intersection(tops) if len(tops) < len(A) else tops.keys() & A
+        kids = sorted(map(tops.pop, met))
+        size = 1
+        for c in kids:
+            if not subcurves[c] <= A:
+                size = -1
+                break
+            size += len(subcurves[c])
+        if size != len(A) or position[comp] != j or comp not in A:
+            if max((position.get(c, n) for c in A), default=-1) != j:
+                raise ValueError(f"decomposition is not triangular at position {j + 1}")
             raise ValueError(f"decomposition is not nested at position {j + 1}")
-        children[j], size[j] = kids, len(inside)
-        for q in inside:
-            top[q] = j
-    children[-1] = sorted(set(top[:-1]))
+        children[j] = kids
+        tops[comp] = j
+    children[-1] = sorted(tops.values())
     return children
 
 
@@ -562,9 +547,9 @@ def stability_windows(
     w_j coeff + s (g_j - 1) < sigma_j < that + s.  A_j's weight numerator
     (over the polarization's lcm) and genus sum are its own component's
     plus its children's in the tree of subcurves, so the pass is O(gamma)
-    once the children are read.  A family of subcurves that is no such
-    tree is summed subcurve by subcurve, and `SmallSlopeSearch` and
-    `WindowTable.sums` name its fault.
+    once the children are read, and the table keeps them.  A family of
+    subcurves that is no such tree is summed subcurve by subcurve, and
+    `SmallSlopeSearch` and `WindowTable.sums` name its fault.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
@@ -608,7 +593,10 @@ def stability_windows(
     for j, (A, p) in enumerate(zip(subcurves, deco.separating_nodes), start=1):
         lower = weight[j - 1] * coeff + s * (genus[j - 1] - 1) * D
         windows.append(Window(j, A, p, Fraction(lower, D), Fraction(lower + s * D, D)))
-    return WindowTable(s, d, coeff, tuple(windows), order)
+    table = WindowTable(s, d, coeff, tuple(windows), order)
+    if children is not None:  # the tree just read: the table need not read it again
+        object.__setattr__(table, "children", children)
+    return table
 
 
 def stability_conditions(

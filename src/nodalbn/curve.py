@@ -23,7 +23,20 @@ from typing import Iterable, NamedTuple
 
 
 class CurveError(ValueError):
-    """Raised when curve data violates a structural invariant."""
+    """Raised when curve data violates a structural invariant.
+
+    ``item`` names the input item at fault when the fault is one item's:
+    ``("component", i)`` for component i, ``("node", k)`` for the k-th
+    node given (from 0).  It is None for a fault of the whole curve.
+    """
+
+    item: tuple[str, int] | None = None
+
+
+def _item_fault(message: str, kind: str, index: int) -> CurveError:
+    exc = CurveError(message)
+    exc.item = (kind, index)
+    return exc
 
 
 class NotCompactTypeError(CurveError):
@@ -119,21 +132,27 @@ class NodalCurve(_Frozen):
             raise CurveError("curve needs at least one component")
         for i, g in enumerate(genera, start=1):
             if g < 2:
-                raise CurveError(f"component {i} has genus {g}; each genus must be >= 2")
+                raise _item_fault(
+                    f"component {i} has genus {g}; each genus must be >= 2", "component", i
+                )
         raw = tuple(Node(*_integers(n[:3], "node entries")) for n in nodes)
         seen: set[int] = set()
         normalized: list[Node] = []
-        for node in raw:
+        for k, node in enumerate(raw):
             if node.id < 1:
-                raise CurveError(f"node id {node.id} must be a positive integer")
+                raise _item_fault(f"node id {node.id} must be a positive integer", "node", k)
             if node.id in seen:
-                raise CurveError(f"duplicate node id {node.id}")
+                raise _item_fault(f"duplicate node id {node.id}", "node", k)
             seen.add(node.id)
             if node.first == node.second:
-                raise CurveError(f"node {node.id} joins component {node.first} to itself")
+                raise _item_fault(
+                    f"node {node.id} joins component {node.first} to itself", "node", k
+                )
             for end in (node.first, node.second):
                 if not 1 <= end <= len(genera):
-                    raise CurveError(f"node {node.id} references unknown component {end}")
+                    raise _item_fault(
+                        f"node {node.id} references unknown component {end}", "node", k
+                    )
             if node.first > node.second:
                 node = Node(node.id, node.second, node.first)
             normalized.append(node)
@@ -247,11 +266,6 @@ class NodalCurve(_Frozen):
     def is_connected_subcurve(self, ids: Iterable[int]) -> bool:
         B = self.check_subcurve(ids)
         return self._reachable_from(min(B), B) == set(B)
-
-    def crossing_node_count(self, ids: Iterable[int]) -> int:
-        """Number of nodes with exactly one endpoint in the subcurve."""
-        B = self.check_subcurve(ids)
-        return sum(1 for n in self.nodes if (n.first in B) != (n.second in B))
 
     def genus_sum(self, ids: Iterable[int]) -> int:
         B = self.check_subcurve(ids)

@@ -44,10 +44,6 @@ class OrderedDecomposition(NamedTuple):
     def gamma(self) -> int:
         return len(self.order)
 
-    def position(self, component: int) -> int:
-        """1-based position of a component in the order."""
-        return self.order.index(component) + 1
-
 
 class DecompositionCheck(NamedTuple):
     ok: bool

@@ -78,6 +78,8 @@ def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
     """The curve, and the index in ``tokens`` of the ``sheaf`` line if there is one."""
     components: dict[int, int] = {}
     nodes: list[tuple[int, int, int]] = []
+    # the line defining each item, indexed like CurveError.item
+    lines: dict[str, dict[int, int] | list[int]] = {"component": {}, "node": []}
     seen_node = False
     sheaf_at: int | None = None
 
@@ -92,6 +94,7 @@ def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
             if cid in components:
                 raise ParseError(line_no, f"component {cid} defined twice")
             components[cid] = g
+            lines["component"][cid] = line_no
         elif toks[0] == "node":
             if len(toks) != 4:
                 raise ParseError(line_no, "expected: node <id> <comp_a> <comp_b>")
@@ -103,24 +106,27 @@ def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
                     _int(toks[3], line_no, "endpoint"),
                 )
             )
+            lines["node"].append(line_no)
         elif toks[0] == "sheaf":
             sheaf_at = at
             break
         else:
             raise ParseError(line_no, f"unknown directive {toks[0]!r}")
 
+    # faults of the whole file name no line
     if not components:
-        raise ParseError(1, "no component lines found")
+        raise ParseError(None, "no component lines found")
     gamma = len(components)
     if sorted(components) != list(range(1, gamma + 1)):
         raise ParseError(
-            1, f"component ids must be exactly 1..{gamma}, got {sorted(components)}"
+            None, f"component ids must be exactly 1..{gamma}, got {sorted(components)}"
         )
     genera = tuple(components[i] for i in range(1, gamma + 1))
     try:
         curve = NodalCurve(genera, tuple(nodes))
     except CurveError as exc:
-        raise ParseError(1, str(exc)) from exc
+        line_no = None if exc.item is None else lines[exc.item[0]][exc.item[1]]
+        raise ParseError(line_no, str(exc)) from exc
     return curve, sheaf_at
 
 

@@ -21,6 +21,7 @@ complement; in particular every one-node split scores exactly 1/2.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -43,7 +44,7 @@ class Polarization(_Frozen):
     weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Iterable[Fraction | int]) -> None:
-        ws = tuple(Fraction(w) for w in weights)
+        ws = _exact(weights, "weight")
         if not ws:
             raise PolarizationError("polarization needs at least one weight")
         for i, w in enumerate(ws, start=1):
@@ -162,11 +163,26 @@ def perturb(omega: Polarization, eps: Sequence[Fraction | int]) -> Polarization:
         raise PolarizationError(
             f"perturbation has {len(eps)} entries for {len(omega)} weights"
         )
-    es = tuple(Fraction(e) for e in eps)
+    es = _exact(eps, "perturbation entry")
     total = sum(es)
     if total != 0:
         raise PolarizationError(f"perturbation entries sum to {total}, not 0")
     return Polarization(tuple(w + e for w, e in zip(omega.weights, es)))
+
+
+def _exact(values: Iterable[Fraction | int], what: str) -> tuple[Fraction, ...]:
+    """The values as Fractions; only an int or a Fraction is exact enough to take."""
+    out = []
+    for i, v in enumerate(values, start=1):
+        if not isinstance(v, Fraction):
+            try:
+                v = operator.index(v)
+            except TypeError:
+                raise PolarizationError(
+                    f"{what} {i} is {v!r}; it must be an integer or a Fraction"
+                ) from None
+        out.append(Fraction(v))
+    return tuple(out)
 
 
 def _check_lengths(curve: NodalCurve, omega: Polarization) -> None:

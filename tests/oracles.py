@@ -287,6 +287,36 @@ def search_verify_decomposition(curve, deco):
     return DecompositionCheck(not violations, tuple(violations))
 
 
+def read_children(order, subcurves):
+    """Children of every position in the tree of subcurves, reading every member of every A_j.
+
+    The reference for `components._subtree_children`: the same children,
+    or the same ValueError text.  The subcurves are walked in position
+    order, keeping for each position the largest subcurve seen so far that
+    holds it.  A_j's children are the distinct such subcurves among A_j's
+    other members, and A_j is nested exactly when their sizes sum to
+    |A_j| - 1: they then partition A_j minus position j.  A member outside
+    the order counts as lying past every position.
+    """
+    n = len(order)
+    position = {comp: p for p, comp in enumerate(order)}
+    children: list[list[int]] = [[] for _ in order]
+    size = [0] * n
+    top = list(range(n))  # the largest subcurve seen so far holding p
+    for j, A in enumerate(subcurves):
+        inside = [position.get(c, n) for c in A]
+        if max(inside, default=-1) != j:
+            raise ValueError(f"decomposition is not triangular at position {j + 1}")
+        kids = sorted({top[q] for q in inside if q != j})
+        if sum(size[c] for c in kids) != len(inside) - 1:
+            raise ValueError(f"decomposition is not nested at position {j + 1}")
+        children[j], size[j] = kids, len(inside)
+        for q in inside:
+            top[q] = j
+    children[-1] = sorted(set(top[:-1]))
+    return children
+
+
 def complement_goodness_proxy(curve, omega):
     """The goodness proxy from both sides of every split, as frozensets.
 

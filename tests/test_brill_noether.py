@@ -29,48 +29,6 @@ class TestBnNumber:
         assert lhs == s * s * (pa - 1) + 1 + k * (d + s * (pa - 1) - k)
 
 
-class TestExpectedCodim:
-    def test_worked_value(self):
-        omega = nb.Polarization((Fraction(1, 2), Fraction(1, 2)))
-        assert nb.expected_codim(omega, (1, 2), d=2, k=1, pa=5) == 5
-
-    def test_integral_multirank_matches_bn_number(self):
-        omega = nb.Polarization((Fraction(1, 3), Fraction(2, 3)))
-        # constant multirank r: codim equals k(k - d + r(pa-1))
-        for r in (1, 2, 3):
-            codim = nb.expected_codim(omega, (r, r), d=3, k=2, pa=4)
-            assert codim == 2 * (2 - 3 + r * 3)
-
-    def test_length_mismatch(self):
-        omega = nb.Polarization((Fraction(1, 2), Fraction(1, 2)))
-        with pytest.raises(ValueError):
-            nb.expected_codim(omega, (1, 2, 3), d=1, k=1, pa=2)
-
-
-class TestNecessaryConditions:
-    def test_passes_positive_degree(self):
-        omega = nb.Polarization((Fraction(1, 2), Fraction(1, 2)))
-        verdict = nb.necessary_conditions(omega, (2, 2), d=1, k=1)
-        assert verdict.ok
-
-    def test_negative_degree_fails(self):
-        omega = nb.Polarization((Fraction(1, 2), Fraction(1, 2)))
-        verdict = nb.necessary_conditions(omega, (2, 2), d=-1, k=2)
-        assert not verdict.ok
-
-    def test_zero_degree_needs_enough_sections(self):
-        omega = nb.Polarization((Fraction(1, 2), Fraction(1, 2)))
-        low = nb.necessary_conditions(omega, (2, 2), d=0, k=1)
-        assert not low.ok
-        high = nb.necessary_conditions(omega, (2, 2), d=0, k=2)
-        assert high.ok
-
-    def test_rejects_bad_k(self):
-        omega = nb.Polarization((Fraction(1),))
-        with pytest.raises(ValueError):
-            nb.necessary_conditions(omega, (1,), d=1, k=0)
-
-
 class TestBgnBounds:
     def test_passing_instance(self):
         assert nb.bgn_bounds(pa=5, r=3, d=2, k=1).ok
@@ -106,25 +64,6 @@ class TestPerComponent:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nb.per_component_bgn(r=2, k=1, degrees=(1,), genera=(2, 2))
-
-
-class TestCoherentSystems:
-    def test_alpha_range(self):
-        assert nb.alpha_range(r=3, d=2, k=1) == (0, 1)
-        assert nb.alpha_range(r=5, d=3, k=2) == (0, 1)
-        assert nb.alpha_range(r=4, d=3, k=1) == (0, 1)
-
-    def test_alpha_range_validation(self):
-        with pytest.raises(ValueError):
-            nb.alpha_range(r=2, d=1, k=2)
-        with pytest.raises(ValueError):
-            nb.alpha_range(r=2, d=0, k=1)
-
-    def test_coherent_slope(self):
-        value = nb.coherent_slope(Fraction(2), Fraction(4), k=1, alpha=Fraction(1, 2))
-        assert value == Fraction(9, 4)
-        with pytest.raises(ValueError):
-            nb.coherent_slope(Fraction(0), Fraction(1), 1, Fraction(1))
 
 
 class TestCertify:

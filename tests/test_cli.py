@@ -78,6 +78,16 @@ class TestCurveCommands:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("nodes, err", [
+        ("node 1 1 2\nnode 2 1 9\n", "error: line 5: node 2 references unknown component 9\n"),
+        ("node 1 1 2\n", "error: dual graph is not connected\n"),
+    ], ids=["unknown-endpoint", "disconnected"])
+    def test_validate_names_the_faulty_line(self, capsys, tmp_path, nodes, err):
+        bad = tmp_path / "bad.crv"
+        bad.write_text("component 1 genus 2\ncomponent 2 genus 2\ncomponent 3 genus 2\n" + nodes)
+        code, out, got = run(capsys, "curve", "validate", "--curve", str(bad))
+        assert (code, out, got) == (2, "", err)
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "curve", "validate", "--curve", str(tmp_path / "x.crv"))
         assert code == 2

@@ -31,6 +31,7 @@ from oracles import (
     raw_row,
     raw_split_sides,
     raw_windows,
+    read_children,
 )
 
 
@@ -614,6 +615,116 @@ def test_small_slope_search_rejects_non_triangular(chain4):
         table.catalog()
     with pytest.raises(ValueError, match="not triangular at position 1"):
         SmallSlopeSearch(table)
+
+
+READER_FAULTS = (
+    "swap positions", "swap order", "swap subcurves", "duplicate id", "unknown id",
+    "replace", "replace by earlier", "trade", "extend", "shrink", "empty", "complement",
+    "unknown member",
+)
+
+
+def _mutated_family(rng, curve, order, subcurves):
+    """The order and subcurves with up to two random faults from READER_FAULTS."""
+    order, subcurves = list(order), list(subcurves)
+    ids = list(curve.component_ids)
+    n = len(order)
+    for _ in range(rng.randint(0, 2)):
+        fault = rng.choice(READER_FAULTS)
+        i, k = rng.randrange(n), rng.randrange(n)  # positions, the root's too
+        if fault == "swap order":
+            order[i], order[k] = order[k], order[i]
+        elif fault == "duplicate id":
+            order[i] = order[k]
+        elif fault == "unknown id":
+            order[i] = rng.choice([0, n + 1])
+        if not subcurves:
+            continue
+        j, m = rng.randrange(n - 1), rng.randrange(n - 1)  # positions with a subcurve
+        if fault == "swap positions":
+            order[j], order[m] = order[m], order[j]
+            subcurves[j], subcurves[m] = subcurves[m], subcurves[j]
+        elif fault == "swap subcurves":
+            subcurves[j], subcurves[m] = subcurves[m], subcurves[j]
+        elif fault == "replace":
+            subcurves[j] = frozenset(c for c in ids if rng.random() < 0.5)
+        elif fault == "replace by earlier":  # position j's id and earlier ones: triangular
+            subcurves[j] = frozenset(c for c in order[:j] if rng.random() < 0.5) | {order[j]}
+        elif fault == "trade":  # same size: a member swapped for a non-member
+            members = sorted(subcurves[j] - {order[j]})
+            others = [c for c in ids if c not in subcurves[j]]
+            if members and others:
+                subcurves[j] = subcurves[j] - {rng.choice(members)} | {rng.choice(others)}
+        elif fault == "extend":
+            subcurves[j] |= {rng.choice(order[: j + 1])}
+        elif fault == "shrink":
+            subcurves[j] -= {rng.choice(ids)}
+        elif fault == "empty":
+            subcurves[j] = frozenset()
+        elif fault == "complement":
+            subcurves[j] = frozenset(ids) - subcurves[j]
+        elif fault == "unknown member":
+            subcurves[j] |= {rng.choice([0, n + 1])}
+    return tuple(order), tuple(subcurves)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_subtree_children_matches_the_full_reader(seed):
+    """The one reader gives `oracles.read_children`'s children, or its ValueError text.
+
+    Post-orders and leaf-pruning orders of random Pruefer trees, some with
+    swapped positions, a subcurve replaced, traded, extended, shrunk,
+    emptied or complemented, a duplicate or unknown id in the order, or an
+    unknown member in a subcurve.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=8)
+    root = rng.randint(1, curve.gamma)
+    if rng.random() < 0.5:
+        deco = nb.order_components(curve, root)
+    else:
+        deco = pruning_decomposition(rng, curve, root)
+    order, subcurves = _mutated_family(rng, curve, deco.order, deco.subcurves)
+    try:
+        want = read_children(order, subcurves)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            components._subtree_children(order, subcurves)
+        assert str(info.value) == str(exc)
+    else:
+        assert components._subtree_children(order, subcurves) == want
+
+
+@pytest.mark.parametrize("curve_name", ["chain4", "comb4"])
+def test_each_table_reads_the_tree_once(monkeypatch, request, curve_name):
+    curve = request.getfixturevalue(curve_name)
+    eta = nb.canonical(curve)
+    reads = []
+    real = components._subtree_children
+
+    def counted(order, subcurves):
+        reads.append(order[-1])
+        return real(order, subcurves)
+
+    monkeypatch.setattr(components, "_subtree_children", counted)
+    table = stability_windows(curve, eta, canonical_deco(curve), 3, 6)
+    catalog = table.catalog()
+    assert table.size() == len(catalog) > 0
+    table.sums(catalog[0])
+    SmallSlopeSearch(table).count()
+    assert reads == [curve.gamma]
+    reads.clear()
+    assert nb.catalog_invariance_check(curve, eta, 3, 6).passed
+    assert reads == list(curve.component_ids)
+    reads.clear()
+    # a table built by hand reads its tree on first use, once
+    by_hand = components.WindowTable(
+        table.rank, table.degree, table.coeff, table.windows, table.order
+    )
+    assert by_hand.size() == len(catalog)
+    by_hand.catalog()
+    assert reads == [curve.gamma]
 
 
 @pytest.mark.parametrize(

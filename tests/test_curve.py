@@ -144,8 +144,6 @@ class TestSubcurves:
         assert not chain4.is_connected_subcurve([1, 3])
 
     def test_crossing_and_genus_sum(self, chain4):
-        assert chain4.crossing_node_count([2, 3]) == 2
-        assert chain4.crossing_node_count([1]) == 1
         assert chain4.genus_sum([2, 3]) == 7
 
     def test_edge_splits_cover_all_nodes(self, comb4):

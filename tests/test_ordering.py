@@ -57,11 +57,6 @@ class TestOrderWorked:
         assert deco.subcurves == ()
         assert deco.separating_nodes == ()
 
-    def test_position(self, comb4):
-        deco = nb.order_components(comb4, root=4)
-        assert deco.position(1) == 1
-        assert deco.position(4) == 4
-
     def test_rejects_bad_root(self, two_curve):
         with pytest.raises(nb.CurveError):
             nb.order_components(two_curve, root=3)

@@ -76,6 +76,49 @@ class TestParseCurve:
             nb.parse_curve("# nothing\n")
 
 
+THREE_COMPONENTS = "# three\ncomponent 1 genus 2\ncomponent 2 genus 2\ncomponent 3 genus 2\n"
+
+
+class TestCurveFaultLines:
+    """A fault of one component or node names its line; a fault of the whole file none."""
+
+    @pytest.mark.parametrize("nodes, line_no, message", [
+        ("node 1 1 2\nnode 2 1 9\n", 6, "node 2 references unknown component 9"),
+        ("node 1 1 2\nnode 2 3 3\n", 6, "node 2 joins component 3 to itself"),
+        ("node 1 1 2\n\nnode 1 2 3\n", 7, "duplicate node id 1"),
+        ("node 1 1 2\nnode 0 2 3\n", 6, "node id 0 must be a positive integer"),
+    ], ids=["unknown-endpoint", "self-loop", "duplicate-id", "id-zero"])
+    def test_node_fault_names_its_line(self, nodes, line_no, message):
+        with pytest.raises(nb.ParseError) as info:
+            nb.parse_curve(THREE_COMPONENTS + nodes)
+        assert info.value.line_no == line_no
+        assert str(info.value) == f"line {line_no}: {message}"
+
+    def test_genus_fault_names_the_component_line(self):
+        text = "component 2 genus 3\ncomponent 1 genus 2\n# c\ncomponent 3 genus 1\n"
+        with pytest.raises(nb.ParseError) as info:
+            nb.parse_curve(text + "node 1 1 2\nnode 2 2 3\n")
+        assert str(info.value) == "line 4: component 3 has genus 1; each genus must be >= 2"
+
+    def test_first_fault_is_reported(self):
+        # genera are checked before nodes, and nodes in the order given
+        text = "component 1 genus 2\ncomponent 2 genus 1\nnode 1 1 9\nnode 2 2 2\n"
+        with pytest.raises(nb.ParseError, match="^line 2: component 2 has genus 1"):
+            nb.parse_curve(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (THREE_COMPONENTS + "node 1 1 2\n", "dual graph is not connected"),
+        ("# nothing\n", "no component lines found"),
+        ("component 1 genus 2\ncomponent 3 genus 2\n",
+         "component ids must be exactly 1..2, got [1, 3]"),
+    ], ids=["disconnected", "no-components", "ids-not-contiguous"])
+    def test_whole_file_fault_names_no_line(self, text, message):
+        with pytest.raises(nb.ParseError) as info:
+            nb.parse_curve(text)
+        assert info.value.line_no is None
+        assert str(info.value) == message
+
+
 class TestParseSheaf:
     def test_full_block(self, two_curve):
         curve, desc = nb.parse_curve_with_sheaf(WITH_SHEAF_TEXT)

@@ -1,6 +1,7 @@
 """Weight vectors, the canonical choice, split defects, goodness."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,10 @@ from conftest import (
     random_valid_polarization,
 )
 from oracles import complement_goodness_proxy, raw_crossing_count, raw_defect
+
+
+def type_name(value):
+    return type(value).__name__
 
 
 class TestPolarizationType:
@@ -50,6 +55,15 @@ class TestPolarizationType:
     def test_rejects_bad_sum_names_total(self):
         with pytest.raises(nb.PolarizationError, match="weights sum to 5/6, not 1"):
             nb.Polarization((Fraction(1, 2), Fraction(1, 3)))
+
+    def test_integer_weight_allowed(self):
+        assert nb.Polarization((1,)).weights == (Fraction(1),)
+
+    @pytest.mark.parametrize("inexact", [0.75, Decimal("0.75"), "3/4"], ids=type_name)
+    def test_rejects_inexact_weight(self, inexact):
+        with pytest.raises(nb.PolarizationError) as info:
+            nb.Polarization((Fraction(1, 4), inexact))
+        assert str(info.value) == f"weight 2 is {inexact!r}; it must be an integer or a Fraction"
 
 
 class TestCanonical:
@@ -145,6 +159,15 @@ class TestPerturb:
         eta = nb.canonical(two_curve)
         with pytest.raises(nb.PolarizationError):
             nb.perturb(eta, [Fraction(0)])
+
+    @pytest.mark.parametrize("inexact", [-0.0625, Decimal("-0.0625"), "-1/16"], ids=type_name)
+    def test_rejects_inexact_entry(self, two_curve, inexact):
+        eta = nb.canonical(two_curve)
+        with pytest.raises(nb.PolarizationError) as info:
+            nb.perturb(eta, [Fraction(1, 16), inexact])
+        assert str(info.value) == (
+            f"perturbation entry 2 is {inexact!r}; it must be an integer or a Fraction"
+        )
 
 
 @settings(max_examples=60, deadline=None)

@@ -223,7 +223,7 @@ def test_equality_reads_exactly_the_fields():
     b = nb.InvarianceReport(True, 16, (), other)
     assert repr(a) == repr(b)
     assert a != b
-    assert nb.Polarization((F(1, 2), F(1, 2))) == nb.Polarization((F(2, 4), 0.5))
+    assert nb.Polarization((F(1, 2), F(1, 2))) == nb.Polarization((F(2, 4), F(1, 2)))
     assert nb.NodalCurve((2, 2), ((1, 2, 1),)) == nb.NodalCurve((2, 2), ((1, 1, 2),))
 
 
