@@ -266,24 +266,16 @@ def max_section_count(curve: NodalCurve, s: int) -> int:
     return min((1 + s * (g - 1)) // g for g in curve.genera)
 
 
-def conjecture_scan(
-    curves: Iterable[NodalCurve],
-    s_values: Iterable[int],
-    d_values: Iterable[int] | None = None,
-    k_values: Iterable[int] | None = None,
-) -> list[ScanRow]:
+def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> list[ScanRow]:
     """Certify every in-hypothesis (curve, s, d, k) cell; flag the rest OPEN.
 
-    Hypotheses limiting the grid: 2(gamma-1) <= s, gamma <= d <= s, and
-    k g_i <= 1 + s(g_i - 1) on every component.  Cells outside them are
-    skipped, never reported.  A cell whose certification fails is OPEN;
-    nothing here ever claims a refutation.
+    The grid per curve: every s in ``s_values`` with 2(gamma-1) <= s, every
+    d with gamma <= d <= s, and every k from 1 to `max_section_count`, the
+    largest k with k g_i <= 1 + s(g_i - 1) on every component.  Cells
+    outside it are skipped, never reported.  A cell whose certification
+    fails is OPEN; nothing here ever claims a refutation.
     """
     s_values = tuple(s_values)
-    if d_values is not None:
-        d_values = tuple(d_values)
-    if k_values is not None:
-        k_values = tuple(k_values)
     rows = []
     for curve in curves:
         curve.require_compact_type()
@@ -296,17 +288,8 @@ def conjecture_scan(
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
-            ds = d_values if d_values is not None else range(gamma, s + 1)
-            for d in ds:
-                if not gamma <= d <= s:
-                    continue
-                ks = k_values if k_values is not None else range(1, max_section_count(curve, s) + 1)
-                ks = [
-                    k for k in ks
-                    if k >= 1 and all(k * g <= 1 + s * (g - 1) for g in curve.genera)
-                ]
-                if not ks:
-                    continue
+            ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
+            for d in range(gamma, s + 1):
                 cell = _small_slope_cell(curve, eta, deco, s, d)
                 for k in ks:
                     result = _certify_cell(curve, eta, s, k, d, *cell)

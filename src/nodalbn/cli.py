@@ -89,6 +89,7 @@ class Report:
 
 
 # _ID_TEXT[i] is str(i): a subcurve column prints each component id from here
+# (every printed subcurve or split side is nonempty, its ids >= 1)
 _ID_TEXT: list[str] = []
 
 
@@ -100,8 +101,6 @@ def _fmt(value: object) -> str:
         return "yes" if value else "no"
     if isinstance(value, frozenset):
         ids = sorted(value)
-        if not ids or ids[0] < 0:
-            return ",".join(map(str, ids))
         if ids[-1] >= len(_ID_TEXT):
             _ID_TEXT.extend(map(str, range(len(_ID_TEXT), ids[-1] + 1)))
         return ",".join(map(_ID_TEXT.__getitem__, ids))

@@ -145,36 +145,12 @@ class RootMismatch(NamedTuple):
     extra: tuple[ComponentTuple, ...]
 
 
-class InvarianceReport(_Frozen):
-    """Root-invariance verdict; ``count`` is the first root's catalog size.
+class InvarianceReport(NamedTuple):
+    """Root-invariance verdict; ``count`` is the first root's catalog size."""
 
-    ``table`` holds the first root's windows, and ``catalog`` enumerates
-    them (sorted) only when it is read.  The repr leaves ``table`` out.
-    """
-
-    __match_args__ = ("passed", "count", "mismatches", "table")
     passed: bool
     count: int
     mismatches: tuple[RootMismatch, ...]
-    table: WindowTable
-
-    def __init__(
-        self, passed: bool, count: int, mismatches: tuple[RootMismatch, ...], table: WindowTable
-    ) -> None:
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "count", count)
-        object.__setattr__(self, "mismatches", mismatches)
-        object.__setattr__(self, "table", table)
-
-    def __repr__(self) -> str:
-        return (
-            f"InvarianceReport(passed={self.passed!r}, count={self.count!r}, "
-            f"mismatches={self.mismatches!r})"
-        )
-
-    @cached_property
-    def catalog(self) -> tuple[ComponentTuple, ...]:
-        return tuple(self.table.catalog())
 
 
 class BuilderResult(NamedTuple):
@@ -247,8 +223,7 @@ class WindowTable(_Frozen):
         """Children of every position in the tree of subcurves (`_subtree_children`).
 
         `stability_windows` hands its table the tree it has just read; a
-        table built by hand, or from a family that is no tree, reads it
-        here on first use.
+        table built by hand reads it here on first use.
         """
         return _subtree_children(self.order, [w.subcurve for w in self.windows])
 
@@ -547,14 +522,13 @@ def stability_windows(
     w_j coeff + s (g_j - 1) < sigma_j < that + s.  A_j's weight numerator
     (over the polarization's lcm) and genus sum are its own component's
     plus its children's in the tree of subcurves, so the pass is O(gamma)
-    once the children are read, and the table keeps them.  A family of
-    subcurves that is no such tree is summed subcurve by subcurve, and
-    `SmallSlopeSearch` and `WindowTable.sums` name its fault.
+    once the children are read, and the table keeps them.  A fault of a
+    subcurve's ids or weights is named first, in subcurve order; then an
+    order that is not a permutation of the ids, and a family of subcurves
+    that is no such tree, raise ValueError.
     """
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
-    if deco.gamma != curve.gamma:
-        raise ValueError("decomposition does not match the curve")
     if not len(deco.subcurves) == len(deco.separating_nodes) == curve.gamma - 1:
         raise ValueError(
             f"decomposition has {len(deco.subcurves)} subcurves and "
@@ -562,40 +536,39 @@ def stability_windows(
             f"components; each must number {curve.gamma - 1}"
         )
     order, subcurves = deco.order, deco.subcurves
+    fault = None
     try:
-        # over a permutation of the ids, a tree of subcurves holds only known ids
-        children = (
-            _subtree_children(order, subcurves)
-            if sorted(order) == list(curve.component_ids) else None
-        )
-    except ValueError:
-        children = None
-    if children is None or len(omega) != curve.gamma:
+        if sorted(order) != list(curve.component_ids):
+            raise ValueError(
+                f"decomposition order {order} is not a permutation of the ids 1..{curve.gamma}"
+            )
+        children = _subtree_children(order, subcurves)
+    except ValueError as exc:
+        fault = exc
+    # a tree of subcurves over a permutation of the ids holds only known ids, none empty
+    if fault is not None or len(omega) != curve.gamma:
         for j, A in enumerate(subcurves, start=1):  # the faults, in delta_structure_sheaf's order
             omega.subcurve_weight(A)
             curve.check_subcurve(A)
             if j == 1:
                 _check_lengths(curve, omega)
+    if fault is not None:
+        raise fault
     numerators, D = omega._numerators, omega._denominator
     genera = (0, *curve.genera)  # padded like the numerators: index = component id
-    if children is None:
-        weight = [sum(map(numerators.__getitem__, A)) for A in subcurves]
-        genus = [sum(map(genera.__getitem__, A)) for A in subcurves]
-    else:
-        weight = [numerators[c] for c in order]
-        genus = [genera[c] for c in order]
-        for p, kids in enumerate(children):
-            for c in kids:
-                weight[p] += weight[c]
-                genus[p] += genus[c]
+    weight = [numerators[c] for c in order]
+    genus = [genera[c] for c in order]
+    for p, kids in enumerate(children):
+        for c in kids:
+            weight[p] += weight[c]
+            genus[p] += genus[c]
     coeff = d + s * (1 - curve.arithmetic_genus())
     windows = []
     for j, (A, p) in enumerate(zip(subcurves, deco.separating_nodes), start=1):
         lower = weight[j - 1] * coeff + s * (genus[j - 1] - 1) * D
         windows.append(Window(j, A, p, Fraction(lower, D), Fraction(lower + s * D, D)))
     table = WindowTable(s, d, coeff, tuple(windows), order)
-    if children is not None:  # the tree just read: the table need not read it again
-        object.__setattr__(table, "children", children)
+    object.__setattr__(table, "children", children)  # the tree just read: not read again
     return table
 
 
@@ -651,15 +624,14 @@ def binding_witness(
     omega: Polarization,
     deco: OrderedDecomposition,
     ctuple: ComponentTuple,
-    multiplier: Fraction = DEFAULT_WITNESS_MULTIPLIER,
 ) -> Witness:
     """Perturbation that breaks the binding condition just past the radius.
 
     Concentrates weight on the argmin subcurve A_j (balanced on the
     complement so the entries sum to 0) with the sign that pushes the
-    shifted interval over the binding bound.  ``multiplier`` scales the
-    per-component magnitude relative to the binding slack/coefficient
-    ratio; any value above 1 produces a violation.
+    shifted interval over the binding bound.  Each entry on A_j is
+    `DEFAULT_WITNESS_MULTIPLIER` (1.001) times the radius; any multiplier
+    above 1 would produce a violation.
     """
     table = stability_windows(curve, omega, deco, ctuple.rank, ctuple.total)
     sums = table.sums(ctuple)
@@ -671,7 +643,8 @@ def binding_witness(
     x = sums[k] * table.denominator
     side = "lower" if x - table.lowers[k] <= table.uppers[k] - x else "upper"
     # lower bound rises (fails) when coeff * shift > 0, upper falls when < 0
-    inside = multiplier * ratio * (1 if (table.coeff > 0) == (side == "lower") else -1)
+    sign = 1 if (table.coeff > 0) == (side == "lower") else -1
+    inside = DEFAULT_WITNESS_MULTIPLIER * ratio * sign
     a = len(binding.subcurve)
     outside = -inside * a / (curve.gamma - a)
     epsilon = tuple(
@@ -693,7 +666,8 @@ def catalog_invariance_check(
     their integer numerators, so each window is one lookup.  Only for a
     root that does not agree are both catalogs enumerated, and it is a
     mismatch only when they differ.  One root's table is held at a time
-    besides the first's.
+    besides the first's.  ``count`` is the first root's catalog size;
+    `enumerate_components` on root 1 lists that catalog.
     """
     curve.require_compact_type()
 
@@ -734,7 +708,6 @@ def catalog_invariance_check(
         passed=not mismatches,
         count=first.size(),
         mismatches=tuple(mismatches),
-        table=first,
     )
 
 

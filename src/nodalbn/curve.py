@@ -72,12 +72,14 @@ class CurveClass(enum.Enum):
     NOT_COMPACT_TYPE = "not_compact_type"
 
 
-def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as ints; a float or any other non-integer is a CurveError."""
+def _integers(
+    values: Iterable[int], what: str, error: type[ValueError] = CurveError
+) -> tuple[int, ...]:
+    """The values as ints; a float or any other non-integer raises ``error``."""
     try:
         return tuple(map(operator.index, values))
     except TypeError as exc:
-        raise CurveError(f"{what} must be integers: {exc}") from None
+        raise error(f"{what} must be integers: {exc}") from None
 
 
 class _Frozen:

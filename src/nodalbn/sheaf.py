@@ -29,7 +29,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .curve import NodalCurve, _Frozen
+from .curve import NodalCurve, _Frozen, _integers
 from .polarization import Polarization, _check_lengths
 
 
@@ -67,7 +67,7 @@ class SheafDescriptor(_Frozen):
         stalks: Iterable[tuple[int, Iterable[int]]] | Mapping[int, Iterable[int]],
         degrees: Iterable[int] | None = None,
     ) -> None:
-        ranks = _integers(multirank, "multirank")
+        ranks = _integers(multirank, "multirank", DescriptorError)
         if len(ranks) != curve.gamma:
             raise DescriptorError(
                 f"multirank has {len(ranks)} entries for {curve.gamma} components"
@@ -97,14 +97,14 @@ class SheafDescriptor(_Frozen):
                     f"{node.second} != free rank {lt.free_rank} + {lt.a_second}"
                 )
         if degrees is not None:
-            degrees = _integers(degrees, "degrees")
+            degrees = _integers(degrees, "degrees", DescriptorError)
             if len(degrees) != curve.gamma:
                 raise DescriptorError(
                     f"degrees has {len(degrees)} entries for {curve.gamma} components"
                 )
         object.__setattr__(self, "curve", curve)
         object.__setattr__(self, "multirank", ranks)
-        object.__setattr__(self, "chi", _integers((chi,), "chi")[0])
+        object.__setattr__(self, "chi", _integers((chi,), "chi", DescriptorError)[0])
         object.__setattr__(self, "stalks", stalks)
         object.__setattr__(self, "degrees", degrees)
         object.__setattr__(self, "_by_node", by_node)  # not a field
@@ -119,14 +119,6 @@ class SheafDescriptor(_Frozen):
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
 
 
-def _integers(values: Iterable[int], what: str) -> tuple[int, ...]:
-    """The values as ints; a float or any other non-integer is a DescriptorError."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise DescriptorError(f"{what} must be integers: {exc}") from None
-
-
 def _local_type(nid, value) -> tuple[int, LocalType]:
     """(node id, LocalType) from a stalk value of three integers."""
     try:
@@ -135,7 +127,7 @@ def _local_type(nid, value) -> tuple[int, LocalType]:
         raise DescriptorError(
             f"stalk at node {nid} is not three integers: {value!r}"
         ) from None
-    return _integers((nid,), "stalk node ids")[0], lt
+    return _integers((nid,), "stalk node ids", DescriptorError)[0], lt
 
 
 def locally_free_descriptor(
@@ -147,7 +139,7 @@ def locally_free_descriptor(
     """
     if rank < 0:
         raise DescriptorError("rank must be nonnegative")
-    ds = _integers(degrees, "degrees")
+    ds = _integers(degrees, "degrees", DescriptorError)
     if len(ds) != curve.gamma:
         raise DescriptorError(
             f"degrees has {len(ds)} entries for {curve.gamma} components"

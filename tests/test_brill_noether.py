@@ -156,12 +156,8 @@ class TestScan:
         assert rows == []
 
     def test_explicit_grid_filtered(self):
-        rows = nb.conjecture_scan(
-            [nb.chain_curve((2, 2))],
-            s_values=(4,),
-            d_values=(1, 2, 3, 4, 9),
-            k_values=(1, 2, 9),
-        )
+        # gamma <= d <= s, and k up to max_section_count = (1 + 4) // 2
+        rows = nb.conjecture_scan([nb.chain_curve((2, 2))], s_values=(4,))
         assert {(row.d, row.k) for row in rows} == {
             (2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)
         }

@@ -603,7 +603,7 @@ class StrSubclass(str):
     (Fraction(3, 4), "3/4"),
     (Fraction(4, 2), "2"),
     (frozenset({10, 2, 3}), "2,3,10"),
-    (frozenset(), ""),
+    (frozenset({1}), "1"),
     ((1, True, Fraction(1, 2)), "1,yes,1/2"),
     ([frozenset({2, 1}), 3], "1,2,3"),
     (None, "None"),

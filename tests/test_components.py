@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -258,12 +259,16 @@ class TestInvariance:
         report = nb.catalog_invariance_check(comb4, eta, s=3, d=5)
         assert report.passed
         assert not report.mismatches
-        assert report.catalog
+        first = nb.enumerate_components(comb4, eta, nb.order_components(comb4, 1), 3, 5)
+        assert report.count == len(first) > 0
 
     def test_report_carries_catalog(self, two_curve):
+        # the report carries the catalog's size; enumerate_components on root 1 lists it
         eta = nb.canonical(two_curve)
         report = nb.catalog_invariance_check(two_curve, eta, s=2, d=2)
-        assert [t.degrees for t in report.catalog] == [(0, 2), (1, 1)]
+        first = nb.enumerate_components(two_curve, eta, nb.order_components(two_curve, 1), 2, 2)
+        assert [t.degrees for t in first] == [(0, 2), (1, 1)]
+        assert report.count == len(first)
 
 
 class TestGeneralBuilder:
@@ -550,23 +555,6 @@ def test_narrowing_is_exact(seed):
             assert search._narrow(ranges) == want
 
 
-def test_small_slope_search_rejects_crossed_subcurves(chain4):
-    # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}, so it is no subtree
-    deco = nb.OrderedDecomposition(
-        root=4,
-        order=(1, 2, 3, 4),
-        subcurves=(frozenset({1}), frozenset({1, 2}), frozenset({2, 3})),
-        separating_nodes=(1, 2, 3),
-    )
-    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
-    with pytest.raises(ValueError, match="not nested at position 3"):
-        table.catalog()
-    with pytest.raises(ValueError, match="not nested at position 3"):
-        table.size()
-    with pytest.raises(ValueError, match="not nested at position 3"):
-        SmallSlopeSearch(table)
-
-
 def test_search_accepts_laminar_non_contiguous_subcurves(chain4):
     # A_3 = {1, 3} skips position 2, but the family is laminar: a tree
     deco = nb.OrderedDecomposition(
@@ -601,20 +589,6 @@ def test_search_accepts_valid_non_post_order_decomposition():
     for s, d in [(3, 6), (4, 8), (2, 5)]:
         _check_whole_catalog(curve, eta, deco, s, d)
         _check_small_slope_search(curve, eta, deco, s, d)
-
-
-def test_small_slope_search_rejects_non_triangular(chain4):
-    deco = nb.OrderedDecomposition(
-        root=4,
-        order=(1, 2, 3, 4),
-        subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
-        separating_nodes=(2, 2, 3),
-    )
-    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
-    with pytest.raises(ValueError, match="not triangular at position 1"):
-        table.catalog()
-    with pytest.raises(ValueError, match="not triangular at position 1"):
-        SmallSlopeSearch(table)
 
 
 READER_FAULTS = (
@@ -676,7 +650,9 @@ def test_subtree_children_matches_the_full_reader(seed):
     Post-orders and leaf-pruning orders of random Pruefer trees, some with
     swapped positions, a subcurve replaced, traded, extended, shrunk,
     emptied or complemented, a duplicate or unknown id in the order, or an
-    unknown member in a subcurve.
+    unknown member in a subcurve.  `stability_windows` on the same family
+    raises exactly when the reader, the permutation check or a subcurve
+    fault does, and otherwise keeps the reader's children.
     """
     rng = random.Random(seed)
     curve = random_tree_curve(rng, gamma_max=8)
@@ -686,14 +662,23 @@ def test_subtree_children_matches_the_full_reader(seed):
     else:
         deco = pruning_decomposition(rng, curve, root)
     order, subcurves = _mutated_family(rng, curve, deco.order, deco.subcurves)
+    ids = set(curve.component_ids)
+    faulty = sorted(order) != sorted(ids) or any(not A or not A <= ids for A in subcurves)
     try:
         want = read_children(order, subcurves)
     except ValueError as exc:
         with pytest.raises(ValueError) as info:
             components._subtree_children(order, subcurves)
         assert str(info.value) == str(exc)
+        faulty = True
     else:
         assert components._subtree_children(order, subcurves) == want
+    deco = deco._replace(order=order, subcurves=subcurves)
+    if faulty:
+        with pytest.raises(ValueError):
+            stability_windows(curve, nb.canonical(curve), deco, 2, curve.gamma)
+    else:
+        assert stability_windows(curve, nb.canonical(curve), deco, 2, curve.gamma).children == want
 
 
 @pytest.mark.parametrize("curve_name", ["chain4", "comb4"])
@@ -748,7 +733,6 @@ def _assert_invariance_matches_oracle(curve, omega, s, d):
     oracle = enumerating_invariance_check(curve, omega, s, d)
     assert report.passed == oracle.passed
     assert report.count == len(oracle.catalog)
-    assert report.catalog == oracle.catalog
     assert report.mismatches == oracle.mismatches
     for root in curve.component_ids:
         table = stability_windows(curve, omega, nb.order_components(curve, root), s, d)
@@ -905,29 +889,42 @@ def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcu
 
 
 @pytest.mark.parametrize(
-    "last, fault",
+    "subcurves, nodes, fault",
     [
-        ({2, 3}, "not nested at position 3"),  # crosses A_2 = {1, 2}
-        # holds A_2's top component and has its size, but not all of A_2
-        ({2, 3, 4}, "not triangular at position 3"),
+        # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}
+        (({1}, {1, 2}, {2, 3}), (1, 2, 3), "not nested at position 3"),
+        # A_1 = {1, 2} holds position 2's component
+        (({1, 2}, {1, 2}, {1, 2, 3}), (2, 2, 3), "not triangular at position 1"),
+        # A_3 holds A_2's top component and has its size, but not all of A_2
+        (({1}, {1, 2}, {2, 3, 4}), (1, 2, 3), "not triangular at position 3"),
     ],
+    ids=["crossed", "later-component", "top-without-subtree"],
 )
-def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
+def test_stability_windows_rejects_a_family_that_is_no_tree(chain4, subcurves, nodes, fault):
+    """The reader's fault is raised when the table is built, not when it is first read."""
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
-        subcurves=(frozenset({1}), frozenset({1, 2}), frozenset(last)),
-        separating_nodes=(1, 2, 3),
+        subcurves=tuple(map(frozenset, subcurves)),
+        separating_nodes=nodes,
     )
+    with pytest.raises(ValueError, match=fault):
+        stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
+
+
+@pytest.mark.parametrize(
+    "order", [(1, 2, 3, 9), (1, 2, 3, 0), (1, 2, 3, 3)], ids=["unknown", "zero", "repeated"]
+)
+def test_stability_windows_rejects_an_order_that_is_no_permutation(chain4, order):
+    deco = nb.order_components(chain4, 4)._replace(order=order)
     eta = nb.canonical(chain4)
-    table = stability_windows(chain4, eta, deco, 3, 6)
-    assert [(w.lower, w.upper) for w in table.windows] == [
-        (lower, upper) for _, lower, upper in raw_windows(chain4, eta, deco, 3, 6)
-    ]
-    with pytest.raises(ValueError, match=fault):
-        table.check(nb.ComponentTuple(3, (1, 2, 1, 2)))
-    with pytest.raises(ValueError, match=fault):
-        SmallSlopeSearch(table)
+    want = re.escape(f"order {order} is not a permutation of the ids 1..4")
+    with pytest.raises(ValueError, match=want):
+        stability_windows(chain4, eta, deco, 3, 6)
+    ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
+    for question in (nb.stability_conditions, nb.robustness_radius):
+        with pytest.raises(ValueError, match=want):
+            question(chain4, eta, deco, ctuple)
 
 
 @settings(max_examples=100, deadline=None)
@@ -954,18 +951,6 @@ def test_invariance_count_edge_cases(genera, nodes, s, d, count):
     report = _assert_invariance_matches_oracle(curve, nb.canonical(curve), s, d)
     assert report.passed
     assert report.count == count
-
-
-def test_catalog_size_rejects_non_triangular(chain4):
-    deco = nb.OrderedDecomposition(
-        root=4,
-        order=(1, 2, 3, 4),
-        subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
-        separating_nodes=(2, 2, 3),
-    )
-    table = stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
-    with pytest.raises(ValueError, match="not triangular at position 1"):
-        table.size()
 
 
 class TestInvarianceFromWindows:

@@ -1,9 +1,9 @@
 """Value semantics of every public value type.
 
 Each case is built by keyword from its documented field names; its repr is
-pinned as a literal.  Records are NamedTuples, the six validating classes
+pinned as a literal.  Records are NamedTuples, the five validating classes
 (`NodalCurve`, `Polarization`, `SheafDescriptor`, `ComponentTuple`,
-`WindowTable`, `InvarianceReport`) plain immutable classes.
+`WindowTable`) plain immutable classes.
 """
 
 import itertools
@@ -120,7 +120,7 @@ CASES = {
         "RootMismatch(root=2, missing=(ComponentTuple(rank=4, degrees=(1, 2, 2)),), extra=())",
     ),
     "InvarianceReport": (
-        lambda: nb.InvarianceReport(passed=True, count=16, mismatches=(), table=table()),
+        lambda: nb.InvarianceReport(passed=True, count=16, mismatches=()),
         "InvarianceReport(passed=True, count=16, mismatches=())",
     ),
     "BuilderResult": (
@@ -166,10 +166,7 @@ CASES = {
         "certified=True, beta=123)",
     ),
 }
-VALIDATING = [
-    "NodalCurve", "Polarization", "SheafDescriptor", "ComponentTuple", "WindowTable",
-    "InvarianceReport",
-]
+VALIDATING = ["NodalCurve", "Polarization", "SheafDescriptor", "ComponentTuple", "WindowTable"]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -217,12 +214,6 @@ def test_equality_reads_exactly_the_fields():
     t = table()
     t.children
     assert t == table()
-    # the table is compared though the repr leaves it out
-    other = comp.WindowTable(4, 6, -18, table().windows, (1, 2, 3))
-    a = nb.InvarianceReport(True, 16, (), t)
-    b = nb.InvarianceReport(True, 16, (), other)
-    assert repr(a) == repr(b)
-    assert a != b
     assert nb.Polarization((F(1, 2), F(1, 2))) == nb.Polarization((F(2, 4), F(1, 2)))
     assert nb.NodalCurve((2, 2), ((1, 2, 1),)) == nb.NodalCurve((2, 2), ((1, 1, 2),))
 
@@ -248,11 +239,8 @@ def test_library_values_equal_their_keyword_builds():
     assert nb.stability_conditions(c, eta, deco, nb.ComponentTuple(4, (1, 2, 2))).rows[0] == row()
     assert nb.locally_free_descriptor(c, 2, (1, 0, 1)) == CASES["SheafDescriptor"][0]()
     assert nb.build_small_slope_tuple(c, 4, 3) == CASES["BuilderResult"][0]()
-    report = nb.catalog_invariance_check(c, eta, 4, 5)
-    first = comp.stability_windows(c, eta, nb.order_components(c, 1), 4, 5)
-    assert report == nb.InvarianceReport(True, 16, (), first)
-    assert report.catalog == tuple(first.catalog())
-    assert report.catalog is report.catalog  # read once, then kept
+    assert nb.catalog_invariance_check(c, eta, 4, 5) == nb.InvarianceReport(True, 16, ())
+    assert len(nb.enumerate_components(c, eta, nb.order_components(c, 1), 4, 5)) == 16
 
 
 @given(st.integers(0, 10_000))
