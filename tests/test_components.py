@@ -555,6 +555,19 @@ def test_narrowing_is_exact(seed):
             assert search._narrow(ranges) == want
 
 
+def test_small_slope_search_rejects_crossed_subcurves(chain4):
+    # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}, so it is no subtree;
+    # the search's catalog is never reached
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1}), frozenset({1, 2}), frozenset({2, 3})),
+        separating_nodes=(1, 2, 3),
+    )
+    with pytest.raises(ValueError, match="not nested at position 3"):
+        nb.enumerate_components(chain4, nb.canonical(chain4), deco, 3, 6)
+
+
 def test_search_accepts_laminar_non_contiguous_subcurves(chain4):
     # A_3 = {1, 3} skips position 2, but the family is laminar: a tree
     deco = nb.OrderedDecomposition(
@@ -589,6 +602,24 @@ def test_search_accepts_valid_non_post_order_decomposition():
     for s, d in [(3, 6), (4, 8), (2, 5)]:
         _check_whole_catalog(curve, eta, deco, s, d)
         _check_small_slope_search(curve, eta, deco, s, d)
+
+
+def test_small_slope_search_rejects_non_triangular(chain4):
+    # A_1 = {1, 2} holds position 2's component: refused when the table is
+    # built, so no question about a tuple is answered either
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
+        separating_nodes=(2, 2, 3),
+    )
+    eta = nb.canonical(chain4)
+    with pytest.raises(ValueError, match="not triangular at position 1"):
+        stability_windows(chain4, eta, deco, 3, 6)
+    ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
+    for question in (nb.stability_conditions, nb.robustness_radius):
+        with pytest.raises(ValueError, match="not triangular at position 1"):
+            question(chain4, eta, deco, ctuple)
 
 
 READER_FAULTS = (
@@ -889,24 +920,21 @@ def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcu
 
 
 @pytest.mark.parametrize(
-    "subcurves, nodes, fault",
+    "last, fault",
     [
-        # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}
-        (({1}, {1, 2}, {2, 3}), (1, 2, 3), "not nested at position 3"),
-        # A_1 = {1, 2} holds position 2's component
-        (({1, 2}, {1, 2}, {1, 2, 3}), (2, 2, 3), "not triangular at position 1"),
-        # A_3 holds A_2's top component and has its size, but not all of A_2
-        (({1}, {1, 2}, {2, 3, 4}), (1, 2, 3), "not triangular at position 3"),
+        ({2, 3}, "not nested at position 3"),  # crosses A_2 = {1, 2}
+        # holds A_2's top component and has its size, but not all of A_2
+        ({2, 3, 4}, "not triangular at position 3"),
     ],
-    ids=["crossed", "later-component", "top-without-subtree"],
 )
-def test_stability_windows_rejects_a_family_that_is_no_tree(chain4, subcurves, nodes, fault):
-    """The reader's fault is raised when the table is built, not when it is first read."""
+def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
+    """A family that is no tree is not summed subcurve by subcurve: the
+    reader's fault is raised when the table is built, not when it is first read."""
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
-        subcurves=tuple(map(frozenset, subcurves)),
-        separating_nodes=nodes,
+        subcurves=(frozenset({1}), frozenset({1, 2}), frozenset(last)),
+        separating_nodes=(1, 2, 3),
     )
     with pytest.raises(ValueError, match=fault):
         stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
@@ -951,6 +979,18 @@ def test_invariance_count_edge_cases(genera, nodes, s, d, count):
     report = _assert_invariance_matches_oracle(curve, nb.canonical(curve), s, d)
     assert report.passed
     assert report.count == count
+
+
+def test_catalog_size_rejects_non_triangular(chain4):
+    # no table is built, so neither the catalog nor its size is counted
+    deco = nb.OrderedDecomposition(
+        root=4,
+        order=(1, 2, 3, 4),
+        subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
+        separating_nodes=(2, 2, 3),
+    )
+    with pytest.raises(ValueError, match="not triangular at position 1"):
+        nb.enumerate_components(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
 class TestInvarianceFromWindows:
