@@ -169,6 +169,33 @@ def _small_slope_cell(
     return search.first(), search.count()
 
 
+def _hypotheses(
+    genera: Sequence[int], s: int, k: int, chosen: ComponentTuple | None
+) -> tuple[bool, bool, bool, bool]:
+    """The four hypothesis flags of one (curve, s, d, k) cell, in checklist order.
+
+    section_bound: k <= 1 + s(g_i - 1) on every component, tested at the
+    least g_i since the cap grows with g_i (s >= 1).
+    small_slope_tuple: ``chosen``, the cell's least small-slope tuple, exists.
+    per_component_degree_bound: k g_i <= d_i + r(g_i - 1) for r = s + k
+    and chosen's degrees d_i, which is `per_component_bgn`'s test times
+    g_i > 0.  degree_range: 0 < d_i <= r.  Without a tuple the last two
+    are False.  Integer comparisons only: `_certify_cell` and
+    `conjecture_scan` both take their verdicts from here.
+    """
+    section_ok = k <= 1 + s * (min(genera) - 1)
+    if chosen is None:
+        return section_ok, False, False, False
+    r = s + k
+    degrees = chosen.degrees
+    return (
+        section_ok,
+        True,
+        all(k * g <= x + r * (g - 1) for x, g in zip(degrees, genera)),
+        0 < min(degrees) and max(degrees) <= r,
+    )
+
+
 def _certify_cell(
     curve: NodalCurve,
     omega: Polarization,
@@ -178,7 +205,15 @@ def _certify_cell(
     chosen: ComponentTuple | None,
     count: int,
 ) -> BNCertificate | CertificationFailure:
-    """Checklist and certificate for k sections, given the cell's small-slope answer."""
+    """Checklist and certificate for k sections, given the cell's small-slope answer.
+
+    The four hypothesis rows take their ok flags from `_hypotheses`, as the
+    scan does; this adds only what `bn certify` prints: each row's detail
+    text (the failing components' section caps, the small-slope count, the
+    `per_component_bgn` bounds as Fractions) and the certificate's
+    dimension count.
+    """
+    section_ok, tuple_ok, per_comp_ok, range_ok = _hypotheses(curve.genera, s, k, chosen)
     checklist = [
         ChecklistItem("compact_type", True, f"tree with {curve.gamma} components"),
         ChecklistItem(
@@ -187,24 +222,15 @@ def _certify_cell(
             "every one-node split defect strictly between 0 and 1",
         ),
     ]
-
-    k_bound_ok = True
-    details = []
-    for i in curve.component_ids:
-        cap = 1 + s * (curve.genus(i) - 1)
-        ok = k <= cap
-        k_bound_ok = k_bound_ok and ok
-        if not ok:
-            details.append(f"component {i}: k = {k} > 1 + s(g-1) = {cap}")
-    checklist.append(
-        ChecklistItem(
-            "section_bound",
-            k_bound_ok,
-            "; ".join(details) if details else f"k = {k} <= 1 + s(g_i - 1) on every component",
+    if section_ok:
+        section = f"k = {k} <= 1 + s(g_i - 1) on every component"
+    else:  # name each component whose own flag fails
+        section = "; ".join(
+            f"component {i}: k = {k} > 1 + s(g-1) = {1 + s * (g - 1)}"
+            for i, g in zip(curve.component_ids, curve.genera)
+            if not _hypotheses((g,), s, k, None)[0]
         )
-    )
-
-    tuple_ok = chosen is not None
+    checklist.append(ChecklistItem("section_bound", section_ok, section))
     checklist.append(
         ChecklistItem(
             "small_slope_tuple",
@@ -214,7 +240,7 @@ def _certify_cell(
             else f"no rank-{s} degree-{d} tuple with every degree in 1..{s}",
         )
     )
-    if not (k_bound_ok and tuple_ok):
+    if not (section_ok and tuple_ok):
         return CertificationFailure(checklist=tuple(checklist))
 
     r = s + k
@@ -222,19 +248,12 @@ def _certify_cell(
     checklist.append(
         ChecklistItem(
             "per_component_degree_bound",
-            all(c.ok for c in per_comp),
+            per_comp_ok,
             "; ".join(f"component {c.component}: k <= {c.bound}" for c in per_comp),
         )
     )
-    degree_range_ok = all(0 < x <= r for x in chosen.degrees)
-    checklist.append(
-        ChecklistItem(
-            "degree_range",
-            degree_range_ok,
-            f"every degree in 1..{r}",
-        )
-    )
-    if not all(item.ok for item in checklist):
+    checklist.append(ChecklistItem("degree_range", range_ok, f"every degree in 1..{r}"))
+    if not (per_comp_ok and range_ok):
         return CertificationFailure(checklist=tuple(checklist))
 
     pa = curve.arithmetic_genus()
@@ -267,43 +286,40 @@ def max_section_count(curve: NodalCurve, s: int) -> int:
 
 
 def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> list[ScanRow]:
-    """Certify every in-hypothesis (curve, s, d, k) cell; flag the rest OPEN.
+    """Decide every in-hypothesis (curve, s, d, k) cell; flag the rest OPEN.
 
     The grid per curve: every s in ``s_values`` with 2(gamma-1) <= s, every
     d with gamma <= d <= s, and every k from 1 to `max_section_count`, the
     largest k with k g_i <= 1 + s(g_i - 1) on every component.  Cells
-    outside it are skipped, never reported.  A cell whose certification
-    fails is OPEN; nothing here ever claims a refutation.
+    outside it are skipped, never reported.  A cell is CERTIFIED exactly
+    when `bn certify` would certify it: all four `_hypotheses` flags hold,
+    the flags its checklist reads.  Per (s, d) the scan builds one window
+    table and its least small-slope tuple, and per row only the flags and
+    beta: no checklist, no certificate, no count of the small-slope
+    tuples.  A cell that fails is OPEN; nothing here ever claims a
+    refutation.
     """
+    from .components import SmallSlopeSearch, stability_windows
+
     s_values = tuple(s_values)
     rows = []
     for curve in curves:
         curve.require_compact_type()
-        gamma = curve.gamma
+        gamma, genera, pa = curve.gamma, curve.genera, curve.arithmetic_genus()
         eta = canonical(curve)
         shape = curve.classify().value
         # certify's hard error, once per curve; canonical split defects are all 1/2
         _require_good(curve, eta)
-        deco = order_components(curve, curve.gamma)
+        deco = order_components(curve, gamma)
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                cell = _small_slope_cell(curve, eta, deco, s, d)
+                chosen = SmallSlopeSearch(stability_windows(curve, eta, deco, s, d)).first()
                 for k in ks:
-                    result = _certify_cell(curve, eta, s, k, d, *cell)
-                    rows.append(
-                        ScanRow(
-                            shape=shape,
-                            gamma=gamma,
-                            genera=curve.genera,
-                            s=s,
-                            d=d,
-                            k=k,
-                            certified=isinstance(result, BNCertificate),
-                            beta=bn_number(curve.arithmetic_genus(), s + k, d, k),
-                        )
-                    )
+                    certified = all(_hypotheses(genera, s, k, chosen))
+                    beta = bn_number(pa, s + k, d, k)
+                    rows.append(ScanRow(shape, gamma, genera, s, d, k, certified, beta))
     rows.sort(key=lambda r: (r.gamma, r.genera, r.s, r.d, r.k))
     return rows

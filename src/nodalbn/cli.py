@@ -465,11 +465,12 @@ def cmd_bn_scan(args: argparse.Namespace) -> int:
     report.kv("curves", len(curves))
     report.kv("rows", len(rows))
     report.kv("open", len(open_rows))
+    genera = {c.genera: ",".join(map(str, c.genera)) for c in curves}  # joined once per curve
     report.table(
         "scan",
         ["shape", "gamma", "genera", "s", "d", "k", "status", "beta"],
         [
-            [r.shape, r.gamma, r.genera, r.s, r.d, r.k, r.status, r.beta]
+            [r.shape, r.gamma, genera[r.genera], r.s, r.d, r.k, r.status, r.beta]
             for r in rows
         ],
     )

@@ -223,7 +223,9 @@ class WindowTable(_Frozen):
         """Children of every position in the tree of subcurves (`_subtree_children`).
 
         `stability_windows` hands its table the tree it has just read; a
-        table built by hand reads it here on first use.
+        table built by hand reads it here on first use, so an order that is
+        no permutation of the ids, or subcurves that are no such tree,
+        raise ValueError from its first `catalog`, `size` or `check`.
         """
         return _subtree_children(self.order, [w.subcurve for w in self.windows])
 
@@ -454,6 +456,8 @@ def _subtree_children(
 ) -> list[list[int]]:
     """Children of every position, read off the subcurves by containment, for any valid order.
 
+    An order that is not a permutation of the ids 1..gamma, gamma being
+    one more than the number of subcurves, raises ValueError first.
     Position j's children are the largest subcurves strictly inside A_j:
     the subtrees with no parent yet whose top component A_j holds, found
     by one set intersection with ``tops`` (top component -> position),
@@ -464,6 +468,10 @@ def _subtree_children(
     past position j or none at it (a member outside the order lies past
     every position), and not nested when not.
     """
+    if sorted(order) != list(range(1, len(subcurves) + 2)):
+        raise ValueError(
+            f"decomposition order {order} is not a permutation of the ids 1..{len(subcurves) + 1}"
+        )
     n = len(order)
     position = {comp: p for p, comp in enumerate(order)}
     children: list[list[int]] = [[] for _ in order]
@@ -538,11 +546,7 @@ def stability_windows(
     order, subcurves = deco.order, deco.subcurves
     fault = None
     try:
-        if sorted(order) != list(curve.component_ids):
-            raise ValueError(
-                f"decomposition order {order} is not a permutation of the ids 1..{curve.gamma}"
-            )
-        children = _subtree_children(order, subcurves)
+        children = _subtree_children(order, subcurves)  # checks the order is a permutation
     except ValueError as exc:
         fault = exc
     # a tree of subcurves over a permutation of the ids holds only known ids, none empty

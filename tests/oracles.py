@@ -342,6 +342,58 @@ def complement_goodness_proxy(curve, omega):
     return nb.GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
 
 
+def certificate_scan(curves, s_values):
+    """The scan that builds a certificate per row: the reference for `conjecture_scan`.
+
+    For every (curve, s, d) cell it counts the small-slope tuples, and for
+    every k it builds `bn certify`'s whole checklist and a `BNCertificate`
+    or `CertificationFailure`, reading only which of the two it got.
+    """
+    from nodalbn import canonical, order_components  # see enumerating_invariance_check
+    from nodalbn.brill_noether import (
+        BNCertificate,
+        ScanRow,
+        _certify_cell,
+        _require_good,
+        _small_slope_cell,
+        bn_number,
+        max_section_count,
+    )
+
+    s_values = tuple(s_values)
+    rows = []
+    for curve in curves:
+        curve.require_compact_type()
+        gamma = curve.gamma
+        eta = canonical(curve)
+        shape = curve.classify().value
+        # certify's hard error, once per curve; canonical split defects are all 1/2
+        _require_good(curve, eta)
+        deco = order_components(curve, curve.gamma)
+        for s in s_values:
+            if s < max(1, 2 * (gamma - 1)):
+                continue
+            ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
+            for d in range(gamma, s + 1):
+                cell = _small_slope_cell(curve, eta, deco, s, d)
+                for k in ks:
+                    result = _certify_cell(curve, eta, s, k, d, *cell)
+                    rows.append(
+                        ScanRow(
+                            shape=shape,
+                            gamma=gamma,
+                            genera=curve.genera,
+                            s=s,
+                            d=d,
+                            k=k,
+                            certified=isinstance(result, BNCertificate),
+                            beta=bn_number(curve.arithmetic_genus(), s + k, d, k),
+                        )
+                    )
+    rows.sort(key=lambda r: (r.gamma, r.genera, r.s, r.d, r.k))
+    return rows
+
+
 def full_parser():
     """The command-line parser with every group and leaf built in full."""
     import argparse

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from nodalbn import brill_noether, components
 from conftest import random_good_polarization, random_tree_curve
+from oracles import certificate_scan
 
 
 class TestBnNumber:
@@ -208,3 +210,101 @@ def test_certify_fails_only_on_section_or_small_slope(seed):
     else:
         assert {item.name for item in result.failed} <= {"section_bound", "small_slope_tuple"}
         assert result.failed
+
+
+def _random_trees(rng, count):
+    return [random_tree_curve(rng, gamma_max=5, genus_range=(2, 4)) for _ in range(count)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_scan_matches_the_certificate_scan(seed):
+    """On random Pruefer trees the scan's rows are those of the scan that certifies each row."""
+    rng = random.Random(seed)
+    curves = _random_trees(rng, 3)
+    s_values = sorted(rng.sample(range(1, 11), rng.randint(1, 5)))
+    assert nb.conjecture_scan(curves, s_values) == certificate_scan(curves, s_values)
+
+
+def test_hypotheses_are_the_checklist_verdicts():
+    """`_hypotheses` gives the ok column of `certify_bn_component`'s checklist.
+
+    Random trees and good polarizations, with s below 2(gamma - 1), k above
+    `max_section_count` and d outside gamma..s drawn too, so that the
+    section, small-slope and per-component flags each fail somewhere.  The
+    flags are also the textbook tests: every k <= 1 + s(g_i - 1), a tuple,
+    every `per_component_bgn` Fraction bound and every degree in 1..r.
+    """
+    rng = random.Random(1402)
+    failed = [0, 0, 0, 0]
+    for _ in range(300):
+        curve = random_tree_curve(rng, gamma_max=5, genus_range=(2, 5))
+        omega = random_good_polarization(rng, curve)
+        s = rng.randint(1, 2 * curve.gamma + 2)
+        k = rng.randint(1, nb.max_section_count(curve, s) + 3)
+        d = rng.randint(-1, s * curve.gamma + 2)
+        deco = nb.order_components(curve, curve.gamma)
+        chosen, _ = brill_noether._small_slope_cell(curve, omega, deco, s, d)
+        flags = brill_noether._hypotheses(curve.genera, s, k, chosen)
+        result = nb.certify_bn_component(curve, omega, s, k, d)
+        oks = tuple(item.ok for item in result.checklist)
+        assert oks[:2] == (True, True)
+        assert oks[2:] == flags[: len(oks) - 2]
+        assert isinstance(result, nb.BNCertificate) == all(flags)
+        r = s + k
+        assert flags == (
+            all(k <= 1 + s * (g - 1) for g in curve.genera),
+            chosen is not None,
+            chosen is not None
+            and all(c.ok for c in nb.per_component_bgn(r, k, chosen.degrees, curve.genera)),
+            chosen is not None and all(0 < x <= r for x in chosen.degrees),
+        )
+        for i, flag in enumerate(flags):
+            failed[i] += not flag
+    assert all(failed[:3]), failed
+
+
+@given(data=st.data())
+def test_hypotheses_degree_flags_on_any_tuple(data):
+    """On any degrees the last two flags are the Fraction bound and the range 1..r."""
+    genera = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=6))
+    s = data.draw(st.integers(1, 8))
+    k = data.draw(st.integers(1, 12))
+    r = s + k
+    degrees = data.draw(
+        st.lists(st.integers(-2, r + 3), min_size=len(genera), max_size=len(genera))
+    )
+    flags = brill_noether._hypotheses(genera, s, k, nb.ComponentTuple(s, degrees))
+    assert flags[2] == all(c.ok for c in nb.per_component_bgn(r, k, degrees, genera))
+    assert flags[3] == all(0 < x <= r for x in degrees)
+
+
+SCAN_CURVES = [
+    nb.chain_curve((2, 2)),
+    nb.chain_curve((2, 3, 2)),
+    nb.comb_curve((2, 2, 3)),
+    nb.comb_curve((2, 3, 2, 2)),
+]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the scan built what it does not print")
+
+
+def test_scan_builds_no_certificate(monkeypatch):
+    """The rows stay the same with every certificate-building name refusing to run."""
+    want = certificate_scan(SCAN_CURVES, range(1, 9))
+    assert want and all(row.certified for row in want)
+    for name in ("BNCertificate", "CertificationFailure", "_certify_cell", "per_component_bgn"):
+        monkeypatch.setattr(brill_noether, name, _refuse)
+    monkeypatch.setattr(components.SmallSlopeSearch, "count", _refuse)
+    assert nb.conjecture_scan(SCAN_CURVES, range(1, 9)) == want
+
+
+def test_scan_without_a_small_slope_tuple_is_open(monkeypatch):
+    """A cell whose search finds no tuple is OPEN: the verdict reads the search."""
+    want = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
+    monkeypatch.setattr(components.SmallSlopeSearch, "first", lambda self: None)
+    rows = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
+    assert rows == [row._replace(certified=False) for row in want]
+    assert rows and all(row.status == "OPEN" for row in rows)

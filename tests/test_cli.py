@@ -442,6 +442,21 @@ class TestBnCommands:
         assert code == 0
         assert kv(out)["open"] == "0"
 
+    def test_scan_with_an_open_cell_exits_one(self, capsys, monkeypatch):
+        from nodalbn import components
+
+        monkeypatch.setattr(components.SmallSlopeSearch, "first", lambda self: None)
+        code, out, _ = run(
+            capsys,
+            "bn", "scan", "--family", "comb",
+            "--gamma-max", "3", "--genus-max", "2", "--s-max", "4",
+        )
+        assert code == 1
+        pairs = kv(out)
+        assert pairs["open"] == pairs["rows"] != "0"
+        assert out.count("\tOPEN\t") == int(pairs["rows"])
+        assert "CERTIFIED" not in out
+
 
 class TestHarness:
     def test_no_arguments_usage_error(self, capsys):

@@ -676,7 +676,8 @@ def _mutated_family(rng, curve, order, subcurves):
 @settings(max_examples=1000, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_subtree_children_matches_the_full_reader(seed):
-    """The one reader gives `oracles.read_children`'s children, or its ValueError text.
+    """The one reader refuses an order that is no permutation of the ids, naming it;
+    otherwise it gives `oracles.read_children`'s children, or its ValueError text.
 
     Post-orders and leaf-pruning orders of random Pruefer trees, some with
     swapped positions, a subcurve replaced, traded, extended, shrunk,
@@ -694,16 +695,24 @@ def test_subtree_children_matches_the_full_reader(seed):
         deco = pruning_decomposition(rng, curve, root)
     order, subcurves = _mutated_family(rng, curve, deco.order, deco.subcurves)
     ids = set(curve.component_ids)
-    faulty = sorted(order) != sorted(ids) or any(not A or not A <= ids for A in subcurves)
-    try:
-        want = read_children(order, subcurves)
-    except ValueError as exc:
+    permutation = sorted(order) == sorted(ids)
+    faulty = not permutation or any(not A or not A <= ids for A in subcurves)
+    if not permutation:
         with pytest.raises(ValueError) as info:
             components._subtree_children(order, subcurves)
-        assert str(info.value) == str(exc)
-        faulty = True
+        assert str(info.value) == (
+            f"decomposition order {order} is not a permutation of the ids 1..{curve.gamma}"
+        )
     else:
-        assert components._subtree_children(order, subcurves) == want
+        try:
+            want = read_children(order, subcurves)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                components._subtree_children(order, subcurves)
+            assert str(info.value) == str(exc)
+            faulty = True
+        else:
+            assert components._subtree_children(order, subcurves) == want
     deco = deco._replace(order=order, subcurves=subcurves)
     if faulty:
         with pytest.raises(ValueError):
@@ -940,9 +949,12 @@ def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
         stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
-@pytest.mark.parametrize(
+NO_PERMUTATION = pytest.mark.parametrize(
     "order", [(1, 2, 3, 9), (1, 2, 3, 0), (1, 2, 3, 3)], ids=["unknown", "zero", "repeated"]
 )
+
+
+@NO_PERMUTATION
 def test_stability_windows_rejects_an_order_that_is_no_permutation(chain4, order):
     deco = nb.order_components(chain4, 4)._replace(order=order)
     eta = nb.canonical(chain4)
@@ -953,6 +965,19 @@ def test_stability_windows_rejects_an_order_that_is_no_permutation(chain4, order
     for question in (nb.stability_conditions, nb.robustness_radius):
         with pytest.raises(ValueError, match=want):
             question(chain4, eta, deco, ctuple)
+
+
+@NO_PERMUTATION
+def test_window_table_built_by_hand_rejects_an_order_that_is_no_permutation(chain4, order):
+    """The lazy tree reader refuses the order too, before any degree is read."""
+    t = stability_windows(chain4, nb.canonical(chain4), nb.order_components(chain4, 4), 3, 6)
+    ctuple = t.catalog()[0]
+    want = re.escape(f"order {order} is not a permutation of the ids 1..4")
+    for question in ("catalog", "size", "check"):
+        by_hand = components.WindowTable(t.rank, t.degree, t.coeff, t.windows, order)
+        args = (ctuple,) if question == "check" else ()
+        with pytest.raises(ValueError, match=want):
+            getattr(by_hand, question)(*args)
 
 
 @settings(max_examples=100, deadline=None)
