@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .curve import NodalCurve
+from .curve import NodalCurve, _integer
 from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, PolarizationError, canonical, goodness_proxy
 
@@ -137,8 +137,11 @@ def certify_bn_component(
     Hard errors (exceptions): curve not of compact type, or the
     polarization failing the goodness proxy.  Hypothesis failures (the
     per-component k bound, or no small-slope tuple at rank s and degree
-    d) return a failure report naming each failed item.
+    d) return a failure report naming each failed item.  s, k and d are
+    read through `operator.index` first: anything else raises ValueError
+    naming the argument.
     """
+    s, k, d = _integer(s, "rank s"), _integer(k, "section count k"), _integer(d, "degree d")
     curve.require_compact_type()
     if s < 1:
         raise ValueError(f"rank s must be >= 1, got {s}")

@@ -440,13 +440,11 @@ def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve
             for genera in _genus_vectors(gamma, genus_max):
                 if genera <= tuple(reversed(genera)):  # dedupe path reversal
                     curves.append(chain_curve(genera))
-    elif family == "comb":
+    else:  # comb: argparse refuses any other family
         for gamma in range(3, gamma_max + 1):
             for genera in _genus_vectors(gamma, genus_max):
                 if tuple(sorted(genera[:-1])) == genera[:-1]:  # teeth sorted once
                     curves.append(comb_curve(genera))
-    else:
-        raise ParseError(0, f"unknown family {family!r}")
     return curves
 
 

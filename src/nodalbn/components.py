@@ -74,13 +74,12 @@ assignment for combs.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from typing import NamedTuple
 
-from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen
+from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
 from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, _check_lengths, canonical
 
@@ -99,16 +98,10 @@ class ComponentTuple(_Frozen):
     degrees: tuple[int, ...]
 
     def __init__(self, rank: int, degrees: Iterable[int]) -> None:
-        try:
-            rank = operator.index(rank)
-        except TypeError as exc:
-            raise ValueError(f"rank must be an integer: {exc}") from None
+        rank = _integer(rank, "rank")
         if rank < 1:
             raise ValueError(f"rank must be >= 1, got {rank}")
-        try:
-            degrees = tuple(map(operator.index, degrees))
-        except TypeError as exc:
-            raise ValueError(f"degrees must be integers: {exc}") from None
+        degrees = _integers(degrees, "degrees", ValueError)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degrees", degrees)
 
@@ -533,8 +526,11 @@ def stability_windows(
     once the children are read, and the table keeps them.  A fault of a
     subcurve's ids or weights is named first, in subcurve order; then an
     order that is not a permutation of the ids, and a family of subcurves
-    that is no such tree, raise ValueError.
+    that is no such tree, raise ValueError.  So does an s or d that is no
+    integer: each is read through `operator.index`, as `ComponentTuple`
+    reads its rank.
     """
+    s, d = _integer(s, "rank"), _integer(d, "degree")
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
     if not len(deco.subcurves) == len(deco.separating_nodes) == curve.gamma - 1:

@@ -12,7 +12,9 @@ Key numbers:
     node degree        delta_i = number of node endpoints on component i
 
 A curve is of compact type exactly when its dual graph is a tree
-(equivalently delta = gamma - 1, equivalently p_a = sum(g_i)).
+(equivalently delta = gamma - 1, equivalently p_a = sum(g_i)).  A curve
+knows its graph but not a root: the one walk out from a root, with the
+subtree and node below each component, is ``ordering.order_components``.
 """
 
 from __future__ import annotations
@@ -55,15 +57,6 @@ class Node(NamedTuple):
     second: int
 
 
-class Branch(NamedTuple):
-    """A component of a rooted tree seen from its parent: see ``branches``."""
-
-    component: int
-    parent: int
-    node: int
-    subtree: frozenset[int]
-
-
 class CurveClass(enum.Enum):
     CHAIN = "chain"
     COMB = "comb"
@@ -80,6 +73,14 @@ def _integers(
         return tuple(map(operator.index, values))
     except TypeError as exc:
         raise error(f"{what} must be integers: {exc}") from None
+
+
+def _integer(value: int, what: str, error: type[ValueError] = ValueError) -> int:
+    """The value as an int (True is 1); a float or any other non-integer raises ``error``."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise error(f"{what} must be an integer: {exc}") from None
 
 
 class _Frozen:
@@ -272,48 +273,6 @@ class NodalCurve(_Frozen):
     def genus_sum(self, ids: Iterable[int]) -> int:
         B = self.check_subcurve(ids)
         return sum(self.genera[i - 1] for i in B)
-
-    def branches(self, root: int) -> list[Branch]:
-        """One rooted pass over a tree: every component but ``root``.
-
-        Each branch records the component, its parent toward ``root``, the
-        node joining the two and the subtree hanging below that node.  A
-        branch comes after every branch inside its subtree.
-        """
-        self.require_compact_type()
-        if not 1 <= root <= self.gamma:
-            raise CurveError(f"unknown root component {root}")
-        parent = {root: (root, 0)}
-        reached = [root]
-        for v in reached:  # grows while it is read: breadth first
-            for w, nid in self._adj[v]:
-                if w not in parent:
-                    parent[w] = (v, nid)
-                    reached.append(w)
-        below = {v: [v] for v in reached}
-        out = []
-        for v in reversed(reached[1:]):
-            up, nid = parent[v]
-            out.append(Branch(v, up, nid, frozenset(below[v])))
-            below[up] += below.pop(v)
-        return out
-
-    def edge_splits(self) -> list[tuple[int, frozenset[int], frozenset[int]]]:
-        """Two-sided splits obtained by deleting one node of a tree.
-
-        Returns (node id, B, complement) triples sorted by node id, where
-        B is the side containing the node's smaller-id endpoint: the
-        subtree below the node, or its complement when that endpoint is
-        the parent.
-        """
-        all_ids = frozenset(self.component_ids)
-        splits = []
-        for b in self.branches(self.gamma):
-            rest = all_ids - b.subtree
-            splits.append((b.node, rest, b.subtree) if b.parent < b.component
-                          else (b.node, b.subtree, rest))
-        splits.sort(key=lambda split: split[0])
-        return splits
 
 
 def chain_curve(genera: Iterable[int]) -> NodalCurve:

@@ -14,6 +14,11 @@ the subtree of the j-th visited vertex, and p_j the node joining that
 vertex to its parent.  The triangularity fact used elsewhere: C_(i) lies
 in A_j only when i <= j.
 
+``order_components`` is the library's one walk out from a root.  Every
+window table reads its decomposition, and so does the goodness proxy,
+which takes the one-node splits of the tree rooted at the last component
+from it: A_j is the side below p_j, whose other end is C_(j)'s parent.
+
 The verifier searches nothing.  On a tree, a set of k components is
 connected exactly when k - 1 nodes join two of its members, so each tail,
 each A_j and each complement is tested by counting nodes, and the whole
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .curve import NodalCurve
+from .curve import CurveError, NodalCurve, _integer
 
 
 class OrderedDecomposition(NamedTuple):
@@ -53,18 +58,33 @@ class DecompositionCheck(NamedTuple):
 def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
     """Order the components of a tree-shaped curve with ``root`` last.
 
-    Iterative (explicit stack) so that long chains do not hit the
-    interpreter recursion limit.
+    One breadth-first pass from the root finds each component's parent
+    and joining node; children are read before their parents by walking
+    that pass backwards.  Iterative (explicit stack) so that long chains
+    do not hit the interpreter recursion limit.
     """
-    branches = curve.branches(root)
-    below = {b.component: b for b in branches}
-    # least id of each subtree: a branch comes after every branch inside it
+    curve.require_compact_type()
+    root = _integer(root, "root component", CurveError)
+    if not 1 <= root <= curve.gamma:
+        raise CurveError(f"unknown root component {root}")
+    adj = curve._adj
+    parent = {root: (root, 0)}  # component -> (parent, joining node)
+    reached = [root]
+    for v in reached:  # grows while it is read: breadth first
+        for w, nid in adj[v]:
+            if w not in parent:
+                parent[w] = (v, nid)
+                reached.append(w)
+    # least id and size of each subtree: a subtree is done before its parent's
     least = list(range(curve.gamma + 1))
-    for b in branches:
-        least[b.parent] = min(least[b.parent], least[b.component])
-    children: dict[int, list[int]] = {i: [] for i in curve.component_ids}
-    for b in sorted(branches, key=lambda b: least[b.component]):
-        children[b.parent].append(b.component)
+    size = [1] * (curve.gamma + 1)
+    for v in reversed(reached[1:]):
+        up = parent[v][0]
+        least[up] = min(least[up], least[v])
+        size[up] += size[v]
+    children: dict[int, list[int]] = {v: [] for v in reached}
+    for v in sorted(reached[1:], key=least.__getitem__):
+        children[parent[v][0]].append(v)
 
     # pre-order that pops the largest-minimum branch first, read backwards:
     # the post-order with the smallest-minimum branch first
@@ -76,11 +96,14 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
         visit += children[v]
     order.reverse()
 
+    # in a post-order a subtree is the run of positions that ends at its top
     return OrderedDecomposition(
         root=root,
         order=tuple(order),
-        subcurves=tuple(below[v].subtree for v in order[:-1]),
-        separating_nodes=tuple(below[v].node for v in order[:-1]),
+        subcurves=tuple(
+            frozenset(order[j + 1 - size[v] : j + 1]) for j, v in enumerate(order[:-1])
+        ),
+        separating_nodes=tuple(parent[v][1] for v in order[:-1]),
     )
 
 

@@ -114,11 +114,7 @@ def delta_structure_sheaf(
     """Defect 1 - sum_{i in B} g_i - wrank(O_B)(1 - p_a) of a subcurve B."""
     B = curve.check_subcurve(ids)
     _check_lengths(curve, omega)
-    return _defect(curve.genus_sum(B), omega.subcurve_weight(B), curve.arithmetic_genus())
-
-
-def _defect(genus: int, weight: Fraction, pa: int) -> Fraction:
-    return 1 - genus - weight * (1 - pa)
+    return 1 - curve.genus_sum(B) - omega.subcurve_weight(B) * (1 - curve.arithmetic_genus())
 
 
 def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
@@ -127,32 +123,36 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
     This is the decidable slice of goodness used by the certification
     pipeline; it does not quantify over all depth-one subsheaves.
 
-    One rooted pass sums the weight numerators and genera up the tree, so
-    each split's defect is an integer over the weights' common denominator.
-    A row's side holds the node's smaller-id endpoint, as in
-    ``NodalCurve.edge_splits``; only a side that is the complement of a
-    subtree is built as a new set.
+    The splits are read off ``order_components(curve, curve.gamma)``:
+    position j's subcurve A_j is the side below node p_j, whose other end
+    is C_(j)'s parent.  The weight numerators and genera are summed up
+    the tree in that order, complete for A_j when position j comes
+    (triangularity), so each split's defect is an integer over the
+    weights' common denominator.  A row's side holds the node's smaller-id
+    endpoint; only a side that is the complement of A_j is built as a new
+    set.
     """
-    branches = curve.branches(curve.gamma)
+    from .ordering import order_components
+
+    deco = order_components(curve, curve.gamma)
     _check_lengths(curve, omega)
     pa = curve.arithmetic_genus()
     denominator = omega._denominator
     weight = list(omega._numerators)  # grows into subtree sums, 1-based
     genus = [0, *curve.genera]
+    ends = {n.id: n.first + n.second for n in curve.nodes}  # C_(j) + its parent
     everything = frozenset(curve.component_ids)
     rows = []
-    for b in branches:  # a subtree's sums are complete when its branch comes
-        w, g = weight[b.component], genus[b.component]
-        weight[b.parent] += w
-        genus[b.parent] += g
+    for c, side, nid in zip(deco.order, deco.subcurves, deco.separating_nodes):
+        up = ends[nid] - c
+        w, g = weight[c], genus[c]
+        weight[up] += w
+        genus[up] += g
         num = (1 - g) * denominator - w * (1 - pa)
-        side = b.subtree
-        if b.parent < b.component:  # on a tree the two defects add up to 1
+        if up < c:  # on a tree the two defects add up to 1
             num = denominator - num
             side = everything - side
-        rows.append(
-            SplitDefect(b.node, side, Fraction(num, denominator), 0 < num < denominator)
-        )
+        rows.append(SplitDefect(nid, side, Fraction(num, denominator), 0 < num < denominator))
     rows.sort(key=lambda row: row.node)
     return GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
 

@@ -87,26 +87,31 @@ def pruning_decomposition(
 
     Removes a random non-root leaf of what is left of the tree until only
     the root remains.  A_j and p_j are the removed component's subtree and
-    joining node from `curve.branches(root)`.
+    joining node, read off `order_components(curve, root)`.
     """
-    below = {b.component: b for b in curve.branches(root)}
+    deco = nb.order_components(curve, root)
+    ends = {n.id: n.first + n.second for n in curve.nodes}
+    below = {  # component -> (parent, subtree, joining node): p's other end is the parent
+        v: (ends[p] - v, A, p)
+        for v, A, p in zip(deco.order, deco.subcurves, deco.separating_nodes)
+    }
     kept_children = dict.fromkeys(curve.component_ids, 0)
-    for b in below.values():
-        kept_children[b.parent] += 1
+    for up, _, _ in below.values():
+        kept_children[up] += 1
     leaves = [v for v in below if kept_children[v] == 0]
     order = []
     while leaves:
         v = leaves.pop(rng.randrange(len(leaves)))
         order.append(v)
-        up = below[v].parent
+        up = below[v][0]
         kept_children[up] -= 1
         if kept_children[up] == 0 and up != root:
             leaves.append(up)
     return nb.OrderedDecomposition(
         root=root,
         order=(*order, root),
-        subcurves=tuple(below[v].subtree for v in order),
-        separating_nodes=tuple(below[v].node for v in order),
+        subcurves=tuple(below[v][1] for v in order),
+        separating_nodes=tuple(below[v][2] for v in order),
     )
 
 

@@ -55,6 +55,32 @@ def raw_split_sides(gamma, nodes):
     return out
 
 
+def post_order(curve, root):
+    """(order, subcurves, separating nodes) of the post-order from ``root``.
+
+    Recursive and built from the node list alone: a component's children
+    are the other ends of its nodes, bar its parent, and each is visited
+    with its whole subtree, by the least id in that subtree.
+    """
+
+    def walk(v, up, node):  # [(component, subtree, node to parent)], post-order
+        kids = [
+            walk(n.first + n.second - v, v, n.id)
+            for n in curve.nodes
+            if v in (n.first, n.second) and up not in (n.first, n.second)
+        ]
+        rows = [row for kid in sorted(kids, key=lambda kid: min(kid[-1][1])) for row in kid]
+        subtree = frozenset({v}).union(*(kid[-1][1] for kid in kids))
+        return [*rows, (v, subtree, node)]
+
+    rows = walk(root, None, None)
+    return (
+        tuple(v for v, _, _ in rows),
+        tuple(subtree for _, subtree, _ in rows[:-1]),
+        tuple(node for _, _, node in rows[:-1]),
+    )
+
+
 def raw_windows(curve, omega, deco, s, d):
     """(A_j, lower, upper) per tail: the open window of sigma_j, in Fractions."""
     weights = tuple(omega[i] for i in curve.component_ids)
@@ -320,14 +346,14 @@ def read_children(order, subcurves):
 def complement_goodness_proxy(curve, omega):
     """The goodness proxy from both sides of every split, as frozensets.
 
-    The set-building version: `NodalCurve.edge_splits` builds each side and
-    its complement, and each defect is summed over the smaller side, so it
-    costs about gamma^2 on a chain.  Exceptions and the report are the
-    library's.
+    The set-building version: `raw_split_sides` searches out each side and
+    its complement, and each defect is summed over the smaller side.
+    Exceptions and the report are the library's.
     """
     import nodalbn as nb  # see enumerating_invariance_check
 
-    splits = curve.edge_splits()
+    curve.require_compact_type()
+    splits = raw_split_sides(curve.gamma, curve.nodes)
     if len(omega) != curve.gamma:
         raise nb.PolarizationError(
             f"polarization has {len(omega)} weights for {curve.gamma} components"

@@ -18,7 +18,12 @@ from conftest import (
     random_valid_polarization,
     scaled_zero_sum_eps,
 )
-from oracles import brute_force_catalog, brute_force_small_slope, raw_crossing_count
+from oracles import (
+    brute_force_catalog,
+    brute_force_small_slope,
+    raw_crossing_count,
+    raw_split_sides,
+)
 
 
 @contextmanager
@@ -59,7 +64,7 @@ def test_criterion_02_split_duality():
             curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 6))
             if curve.gamma == 1:
                 continue
-            splits = curve.edge_splits()
+            splits = raw_split_sides(curve.gamma, curve.nodes)
             for _ in range(20):
                 omega = random_valid_polarization(rng, curve.gamma)
                 for _, side, rest in splits:

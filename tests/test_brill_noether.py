@@ -119,6 +119,21 @@ class TestCertify:
         with pytest.raises(ValueError):
             nb.certify_bn_component(two_curve, eta, s=2, k=0, d=2)
 
+    @pytest.mark.parametrize(
+        "s, k, d, name",
+        [
+            (4.0, 1, 4, "rank s"),
+            (4, 1.0, 4, "section count k"),
+            (4, 1, 4.0, "degree d"),
+            (4, 1, Fraction(9, 2), "degree d"),
+        ],
+        ids=["float-s", "float-k", "float-d", "fraction-d"],
+    )
+    def test_integer_arguments_enter_through_index(self, two_curve, s, k, d, name):
+        eta = nb.canonical(two_curve)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            nb.certify_bn_component(two_curve, eta, s, k, d)
+
     def test_certified_tuple_passes_conditions(self, comb4):
         eta = nb.canonical(comb4)
         cert = nb.certify_bn_component(comb4, eta, s=6, k=1, d=5)

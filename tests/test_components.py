@@ -410,8 +410,7 @@ def test_split_window_core_matches_oracles(seed, s, d):
     rng = random.Random(seed)
     curve = random_tree_curve(rng, gamma_max=8)
     omega = random_valid_polarization(rng, curve.gamma)
-    splits = curve.edge_splits()
-    assert splits == raw_split_sides(curve.gamma, curve.nodes)
+    splits = raw_split_sides(curve.gamma, curve.nodes)
 
     good = nb.goodness_proxy(curve, omega)
     assert [(row.node, row.side) for row in good.splits] == [(n, B) for n, B, _ in splits]
@@ -766,6 +765,37 @@ def test_stability_windows_rejects_short_decomposition(chain4, subcurves, nodes)
     want = f"{subcurves} subcurves and {nodes} separating nodes for 4 components"
     with pytest.raises(ValueError, match=want):
         stability_windows(chain4, nb.canonical(chain4), cut, 3, 6)
+
+
+ENTRIES = {
+    "windows": stability_windows,
+    "enumerate": nb.enumerate_components,
+    "invariance": lambda curve, omega, deco, s, d: nb.catalog_invariance_check(curve, omega, s, d),
+}
+
+
+@pytest.mark.parametrize(
+    "s, d, message",
+    [
+        (2.0, 4, "rank must be an integer"),
+        ("2", 4, "rank must be an integer"),
+        (2, 4.0, "degree must be an integer"),
+        (2, Fraction(9, 2), "degree must be an integer"),
+    ],
+    ids=["float-rank", "str-rank", "float-degree", "fraction-degree"],
+)
+@pytest.mark.parametrize("entry", sorted(ENTRIES))
+def test_rank_and_degree_enter_through_index(two_curve, entry, s, d, message):
+    eta = nb.canonical(two_curve)
+    with pytest.raises(ValueError, match=message):
+        ENTRIES[entry](two_curve, eta, canonical_deco(two_curve), s, d)
+
+
+def test_true_reads_as_one_in_a_window_table(two_curve):
+    eta = nb.canonical(two_curve)
+    table = stability_windows(two_curve, eta, canonical_deco(two_curve), True, True)
+    assert (table.rank, table.degree) == (1, 1)
+    assert (type(table.rank), type(table.degree)) == (int, int)
 
 
 def _assert_invariance_matches_oracle(curve, omega, s, d):

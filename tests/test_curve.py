@@ -146,25 +146,6 @@ class TestSubcurves:
     def test_crossing_and_genus_sum(self, chain4):
         assert chain4.genus_sum([2, 3]) == 7
 
-    def test_edge_splits_cover_all_nodes(self, comb4):
-        splits = comb4.edge_splits()
-        assert [nid for nid, _, _ in splits] == [n.id for n in comb4.nodes]
-        for nid, side, rest in splits:
-            assert side | rest == frozenset(comb4.component_ids)
-            assert not side & rest
-            assert comb4.is_connected_subcurve(side)
-            assert comb4.is_connected_subcurve(rest)
-
-    def test_edge_split_orientation(self, chain4):
-        # side B contains the smaller-id endpoint of the deleted node
-        for nid, side, _ in chain4.edge_splits():
-            node = chain4.nodes[nid - 1]
-            assert min(node.first, node.second) in side
-
-    def test_edge_splits_need_compact_type(self, cycle_curve):
-        with pytest.raises(nb.NotCompactTypeError):
-            cycle_curve.edge_splits()
-
 
 class TestFactories:
     def test_chain_curve(self):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
 from conftest import random_tree_curve
-from oracles import search_verify_decomposition
+from oracles import post_order, search_verify_decomposition
 
 
 class TestOrderWorked:
@@ -64,6 +64,18 @@ class TestOrderWorked:
     def test_rejects_cycles(self, cycle_curve):
         with pytest.raises(nb.NotCompactTypeError):
             nb.order_components(cycle_curve, root=1)
+
+    @pytest.mark.parametrize("root", [3.0, "3", None], ids=["float", "str", "none"])
+    def test_rejects_a_root_that_is_no_integer(self, chain4, cycle_curve, root):
+        with pytest.raises(nb.CurveError, match="root component must be an integer"):
+            nb.order_components(chain4, root)
+        with pytest.raises(nb.NotCompactTypeError):  # a cycle is still refused first
+            nb.order_components(cycle_curve, root)
+
+    def test_true_reads_as_root_one(self, two_curve):
+        deco = nb.order_components(two_curve, True)
+        assert deco == nb.order_components(two_curve, 1)
+        assert [type(c) for c in (deco.root, *deco.order)] == [int, int, int]
 
 
 class TestTriangularity:
@@ -128,6 +140,16 @@ def test_every_root_of_random_tree_verifies(seed):
         check = nb.verify_decomposition(curve, deco)
         assert check.ok, check.violations
         assert deco.order[-1] == root
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_order_components_is_the_recursive_post_order(seed):
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=9)
+    for root in curve.component_ids:
+        deco = nb.order_components(curve, root)
+        assert (deco.order, deco.subcurves, deco.separating_nodes) == post_order(curve, root)
 
 
 def _random_connected(rng, curve):

@@ -13,7 +13,12 @@ from conftest import (
     random_tree_curve,
     random_valid_polarization,
 )
-from oracles import complement_goodness_proxy, raw_crossing_count, raw_defect
+from oracles import (
+    complement_goodness_proxy,
+    raw_crossing_count,
+    raw_defect,
+    raw_split_sides,
+)
 
 
 def type_name(value):
@@ -178,7 +183,7 @@ def test_split_defects_sum_to_one(seed):
     if curve.gamma == 1:
         return
     omega = random_valid_polarization(rng, curve.gamma)
-    for _, side, rest in curve.edge_splits():
+    for _, side, rest in raw_split_sides(curve.gamma, curve.nodes):
         total = nb.delta_structure_sheaf(curve, omega, side) + nb.delta_structure_sheaf(
             curve, omega, rest
         )
