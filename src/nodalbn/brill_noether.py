@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .curve import NodalCurve, _integer
-from .ordering import OrderedDecomposition, order_components
-from .polarization import Polarization, PolarizationError, canonical, goodness_proxy
+from .polarization import Polarization, _SplitTable, canonical
 
 if TYPE_CHECKING:
     from .components import ComponentTuple
@@ -141,35 +140,16 @@ def certify_bn_component(
     read through `operator.index` first: anything else raises ValueError
     naming the argument.
     """
+    from .components import SmallSlopeSearch, _windows
+
     s, k, d = _integer(s, "rank s"), _integer(k, "section count k"), _integer(d, "degree d")
     curve.require_compact_type()
     if s < 1:
         raise ValueError(f"rank s must be >= 1, got {s}")
     if k < 1:
         raise ValueError(f"section count k must be >= 1, got {k}")
-    _require_good(curve, omega)
-    deco = order_components(curve, curve.gamma)
-    return _certify_cell(curve, omega, s, k, d, *_small_slope_cell(curve, omega, deco, s, d))
-
-
-def _require_good(curve: NodalCurve, omega: Polarization) -> None:
-    good = goodness_proxy(curve, omega)
-    if not good.passed:
-        bad = [row for row in good.splits if not row.ok]
-        raise PolarizationError(
-            "polarization fails the goodness proxy at node(s) "
-            + ", ".join(f"{row.node} (defect {row.defect})" for row in bad)
-        )
-
-
-def _small_slope_cell(
-    curve: NodalCurve, omega: Polarization, deco: OrderedDecomposition, s: int, d: int
-) -> tuple[ComponentTuple | None, int]:
-    """The least small-slope tuple at rank s and degree d, and how many there are."""
-    from .components import SmallSlopeSearch, stability_windows
-
-    search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
-    return search.first(), search.count()
+    search = SmallSlopeSearch(_windows(_SplitTable(curve, omega).require_good(), s, d))
+    return _certify_cell(curve, omega, s, k, d, search.first(), search.count())
 
 
 def _hypotheses(
@@ -296,13 +276,13 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     largest k with k g_i <= 1 + s(g_i - 1) on every component.  Cells
     outside it are skipped, never reported.  A cell is CERTIFIED exactly
     when `bn certify` would certify it: all four `_hypotheses` flags hold,
-    the flags its checklist reads.  Per (s, d) the scan builds one window
-    table and its least small-slope tuple, and per row only the flags and
-    beta: no checklist, no certificate, no count of the small-slope
-    tuples.  A cell that fails is OPEN; nothing here ever claims a
-    refutation.
+    the flags its checklist reads.  Per curve the scan builds one split
+    table, per (s, d) one window table and its least small-slope tuple,
+    and per row only the flags and beta: no checklist, no certificate, no
+    count of the small-slope tuples.  A cell that fails is OPEN; nothing
+    here ever claims a refutation.
     """
-    from .components import SmallSlopeSearch, stability_windows
+    from .components import SmallSlopeSearch, _windows
 
     s_values = tuple(s_values)
     rows = []
@@ -311,15 +291,14 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
         gamma, genera, pa = curve.gamma, curve.genera, curve.arithmetic_genus()
         eta = canonical(curve)
         shape = curve.classify().value
-        # certify's hard error, once per curve; canonical split defects are all 1/2
-        _require_good(curve, eta)
-        deco = order_components(curve, gamma)
+        # certify's hard error and split table, once per curve; canonical defects are all 1/2
+        splits = _SplitTable(curve, eta).require_good()
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                chosen = SmallSlopeSearch(stability_windows(curve, eta, deco, s, d)).first()
+                chosen = SmallSlopeSearch(_windows(splits, s, d)).first()
                 for k in ks:
                     certified = all(_hypotheses(genera, s, k, chosen))
                     beta = bn_number(pa, s + k, d, k)

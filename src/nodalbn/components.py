@@ -26,10 +26,11 @@ lies in A_j only for i <= j, position j itself always does, and the A_j
 of a tree are nested or disjoint, so they are the subtrees of a rooted
 tree on the positions: A_j's children are the largest subcurves strictly
 inside it.  One reader finds them for any valid order, with one set
-intersection per subcurve, and each table reads the tree once.  The
-windows are built in one pass up this tree: A_j's weight numerator (over
-the polarization's lcm) and genus sum are its own component's plus its
-children's.  A dynamic program over subtree sums
+intersection per subcurve, and one split table per decomposition
+(`polarization._SplitTable`) reads the tree once: A_j's weight numerator
+W_j over the polarization's lcm D and its genus sum G_j are its own
+component's plus its children's, and window j's lower bound is
+(W_j coeff + s (G_j - 1) D) / D.  A dynamic program over subtree sums
 counts the tuples whose position-p degree lies in a range: f_v[sigma]
 counts the ways to fill the subtree of v so that every window inside it
 holds.  It is the
@@ -66,22 +67,22 @@ disagree, to list the tuples one side has and the other lacks.
 
 The builders construct one small-slope catalog member directly (without
 enumeration) whenever their hypotheses hold, always at the canonical
-polarization: a three-case general construction, a stepwise recurrence
-for chains picking the smallest feasible prefix sum, and a grip-weighted
-assignment for combs.
+polarization and reading s and d as `bn certify` does: a three-case
+general construction, a stepwise recurrence for chains picking the
+smallest feasible prefix sum, and a grip-weighted assignment for combs.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from typing import NamedTuple
 
 from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
-from .ordering import OrderedDecomposition, order_components
-from .polarization import Polarization, _check_lengths, canonical
+from .ordering import OrderedDecomposition, _subtree_children, order_components
+from .polarization import Polarization, _SplitTable, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
 
@@ -215,7 +216,7 @@ class WindowTable(_Frozen):
     def children(self) -> list[list[int]]:
         """Children of every position in the tree of subcurves (`_subtree_children`).
 
-        `stability_windows` hands its table the tree it has just read; a
+        A table built from a split table gets the tree that table read; a
         table built by hand reads it here on first use, so an order that is
         no permutation of the ids, or subcurves that are no such tree,
         raise ValueError from its first `catalog`, `size` or `check`.
@@ -444,52 +445,6 @@ class SmallSlopeSearch:
         return list(self._walk())
 
 
-def _subtree_children(
-    order: Sequence[int], subcurves: Sequence[frozenset[int]]
-) -> list[list[int]]:
-    """Children of every position, read off the subcurves by containment, for any valid order.
-
-    An order that is not a permutation of the ids 1..gamma, gamma being
-    one more than the number of subcurves, raises ValueError first.
-    Position j's children are the largest subcurves strictly inside A_j:
-    the subtrees with no parent yet whose top component A_j holds, found
-    by one set intersection with ``tops`` (top component -> position),
-    iterating the smaller side.  A_j is exactly position j plus those
-    subtrees when position j holds a component of its own that A_j
-    contains, every child's subcurve lies inside A_j and their sizes sum
-    to |A_j| - 1.  Otherwise A_j is not triangular when a member lies
-    past position j or none at it (a member outside the order lies past
-    every position), and not nested when not.
-    """
-    if sorted(order) != list(range(1, len(subcurves) + 2)):
-        raise ValueError(
-            f"decomposition order {order} is not a permutation of the ids 1..{len(subcurves) + 1}"
-        )
-    n = len(order)
-    position = {comp: p for p, comp in enumerate(order)}
-    children: list[list[int]] = [[] for _ in order]
-    tops: dict[int, int] = {}  # top component -> position, for subtrees without a parent
-    for j, A in enumerate(subcurves):
-        comp = order[j]
-        # tops is the smaller side along a chain, A_j on the leaves of a comb
-        met = A.intersection(tops) if len(tops) < len(A) else tops.keys() & A
-        kids = sorted(map(tops.pop, met))
-        size = 1
-        for c in kids:
-            if not subcurves[c] <= A:
-                size = -1
-                break
-            size += len(subcurves[c])
-        if size != len(A) or position[comp] != j or comp not in A:
-            if max((position.get(c, n) for c in A), default=-1) != j:
-                raise ValueError(f"decomposition is not triangular at position {j + 1}")
-            raise ValueError(f"decomposition is not nested at position {j + 1}")
-        children[j] = kids
-        tops[comp] = j
-    children[-1] = sorted(tops.values())
-    return children
-
-
 def _convolve(f: list[int], g: list[int]) -> list[int]:
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
@@ -517,12 +472,12 @@ def stability_windows(
     s: int,
     d: int,
 ) -> WindowTable:
-    """Build the window of every A_j in one rooted pass, for rank s and total degree d.
+    """Build the window of every A_j from one split table, for rank s and total degree d.
 
     With w_j the weight and g_j the genus sum of A_j, window j is
-    w_j coeff + s (g_j - 1) < sigma_j < that + s.  A_j's weight numerator
-    (over the polarization's lcm) and genus sum are its own component's
-    plus its children's in the tree of subcurves, so the pass is O(gamma)
+    w_j coeff + s (g_j - 1) < sigma_j < that + s.  The split table reads
+    the tree of subcurves once and sums A_j's weight numerator (over the
+    polarization's lcm) and genus sum up it, so the windows cost O(gamma)
     once the children are read, and the table keeps them.  A fault of a
     subcurve's ids or weights is named first, in subcurve order; then an
     order that is not a permutation of the ids, and a family of subcurves
@@ -533,42 +488,21 @@ def stability_windows(
     s, d = _integer(s, "rank"), _integer(d, "degree")
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
-    if not len(deco.subcurves) == len(deco.separating_nodes) == curve.gamma - 1:
-        raise ValueError(
-            f"decomposition has {len(deco.subcurves)} subcurves and "
-            f"{len(deco.separating_nodes)} separating nodes for {curve.gamma} "
-            f"components; each must number {curve.gamma - 1}"
-        )
-    order, subcurves = deco.order, deco.subcurves
-    fault = None
-    try:
-        children = _subtree_children(order, subcurves)  # checks the order is a permutation
-    except ValueError as exc:
-        fault = exc
-    # a tree of subcurves over a permutation of the ids holds only known ids, none empty
-    if fault is not None or len(omega) != curve.gamma:
-        for j, A in enumerate(subcurves, start=1):  # the faults, in delta_structure_sheaf's order
-            omega.subcurve_weight(A)
-            curve.check_subcurve(A)
-            if j == 1:
-                _check_lengths(curve, omega)
-    if fault is not None:
-        raise fault
-    numerators, D = omega._numerators, omega._denominator
-    genera = (0, *curve.genera)  # padded like the numerators: index = component id
-    weight = [numerators[c] for c in order]
-    genus = [genera[c] for c in order]
-    for p, kids in enumerate(children):
-        for c in kids:
-            weight[p] += weight[c]
-            genus[p] += genus[c]
-    coeff = d + s * (1 - curve.arithmetic_genus())
+    return _windows(_SplitTable(curve, omega, deco), s, d)
+
+
+def _windows(splits: _SplitTable, s: int, d: int) -> WindowTable:
+    """Window j over the split table's D: W_j coeff + s (G_j - 1) D < sigma_j D < that + s D."""
+    deco, D = splits.deco, splits.denominator
+    coeff = d + s * (1 - splits.pa)
     windows = []
-    for j, (A, p) in enumerate(zip(subcurves, deco.separating_nodes), start=1):
-        lower = weight[j - 1] * coeff + s * (genus[j - 1] - 1) * D
+    for j, (A, p, w, g) in enumerate(
+        zip(deco.subcurves, deco.separating_nodes, splits.weights, splits.genera), start=1
+    ):
+        lower = w * coeff + s * (g - 1) * D
         windows.append(Window(j, A, p, Fraction(lower, D), Fraction(lower + s * D, D)))
-    table = WindowTable(s, d, coeff, tuple(windows), order)
-    object.__setattr__(table, "children", children)  # the tree just read: not read again
+    table = WindowTable(s, d, coeff, tuple(windows), deco.order)
+    object.__setattr__(table, "children", splits.children)  # the tree just read: not read again
     return table
 
 
@@ -728,8 +662,9 @@ def build_small_slope_tuple(curve: NodalCurve, s: int, d: int) -> BuilderResult:
              the m smallest ids take n+1, the rest take n.
 
     Returns the first case that applies; raises HypothesisError when
-    none does.
+    none does, and ValueError naming s or d when it is no integer.
     """
+    s, d = _integer(s, "rank s"), _integer(d, "degree d")
     curve.require_compact_type()
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
@@ -773,6 +708,7 @@ def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     components still to come.  The smallest integer satisfying all of it
     is chosen; every degree then lands in 1..d-1.
     """
+    s, d = _integer(s, "rank s"), _integer(d, "degree d")
     shape = curve.classify()
     if shape not in (CurveClass.CHAIN, CurveClass.CHAIN_AND_COMB):
         raise HypothesisError(f"curve is not a chain (classified {shape.value})")
@@ -809,6 +745,7 @@ def build_comb_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     degree (eta_j d >= s/2 + 1) the general case-b construction applies
     verbatim; otherwise every tooth takes 1 and the grip the rest.
     """
+    s, d = _integer(s, "rank s"), _integer(d, "degree d")
     shape = curve.classify()
     if shape not in (CurveClass.COMB, CurveClass.CHAIN_AND_COMB):
         raise HypothesisError(f"curve is not a comb (classified {shape.value})")

@@ -14,10 +14,11 @@ the subtree of the j-th visited vertex, and p_j the node joining that
 vertex to its parent.  The triangularity fact used elsewhere: C_(i) lies
 in A_j only when i <= j.
 
-``order_components`` is the library's one walk out from a root.  Every
-window table reads its decomposition, and so does the goodness proxy,
-which takes the one-node splits of the tree rooted at the last component
-from it: A_j is the side below p_j, whose other end is C_(j)'s parent.
+``order_components`` is the library's one walk out from a root, and
+``_subtree_children`` reads the tree of subcurves back from any valid
+decomposition; the split table in ``polarization`` reads both.  The
+goodness proxy walks from the last component: A_j is the side below p_j,
+whose other end is C_(j)'s parent.
 
 The verifier searches nothing.  On a tree, a set of k components is
 connected exactly when k - 1 nodes join two of its members, so each tail,
@@ -27,7 +28,7 @@ check is linear in the size of the decomposition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .curve import CurveError, NodalCurve, _integer
 
@@ -181,3 +182,49 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
             )
 
     return DecompositionCheck(not violations, tuple(violations))
+
+
+def _subtree_children(
+    order: Sequence[int], subcurves: Sequence[frozenset[int]]
+) -> list[list[int]]:
+    """Children of every position, read off the subcurves by containment, for any valid order.
+
+    An order that is not a permutation of the ids 1..gamma, gamma being
+    one more than the number of subcurves, raises ValueError first.
+    Position j's children are the largest subcurves strictly inside A_j:
+    the subtrees with no parent yet whose top component A_j holds, found
+    by one set intersection with ``tops`` (top component -> position),
+    iterating the smaller side.  A_j is exactly position j plus those
+    subtrees when position j holds a component of its own that A_j
+    contains, every child's subcurve lies inside A_j and their sizes sum
+    to |A_j| - 1.  Otherwise A_j is not triangular when a member lies
+    past position j or none at it (a member outside the order lies past
+    every position), and not nested when not.
+    """
+    if sorted(order) != list(range(1, len(subcurves) + 2)):
+        raise ValueError(
+            f"decomposition order {order} is not a permutation of the ids 1..{len(subcurves) + 1}"
+        )
+    n = len(order)
+    position = {comp: p for p, comp in enumerate(order)}
+    children: list[list[int]] = [[] for _ in order]
+    tops: dict[int, int] = {}  # top component -> position, for subtrees without a parent
+    for j, A in enumerate(subcurves):
+        comp = order[j]
+        # tops is the smaller side along a chain, A_j on the leaves of a comb
+        met = A.intersection(tops) if len(tops) < len(A) else tops.keys() & A
+        kids = sorted(map(tops.pop, met))
+        size = 1
+        for c in kids:
+            if not subcurves[c] <= A:
+                size = -1
+                break
+            size += len(subcurves[c])
+        if size != len(A) or position[comp] != j or comp not in A:
+            if max((position.get(c, n) for c in A), default=-1) != j:
+                raise ValueError(f"decomposition is not triangular at position {j + 1}")
+            raise ValueError(f"decomposition is not nested at position {j + 1}")
+        children[j] = kids
+        tops[comp] = j
+    children[-1] = sorted(tops.values())
+    return children

@@ -13,7 +13,9 @@ ignored):
     stalk <node id> <s> <a_first> <a_second>   one line per node
 
 Rational command-line values are comma-separated tokens, each an integer
-``p`` or a reduced fraction ``p/q``.
+``p``, a fraction ``p/q`` or a finite decimal such as ``0.375``, read
+exactly by ``Fraction``; a token holding ``_`` is refused on every Python
+version, though 3.11 and later read ``1_0`` as a digit group.
 """
 
 from __future__ import annotations
@@ -204,11 +206,13 @@ def render_curve(curve: NodalCurve) -> str:
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated exact rationals: 'p' or 'p/q' tokens."""
+    """Comma-separated exact rationals: 'p', 'p/q' or finite decimal tokens, no '_'."""
     out = []
     for token in text.split(","):
         token = token.strip()
         try:
+            if "_" in token:  # Fraction reads digit groups from Python 3.11 on only
+                raise ValueError(token)
             out.append(Fraction(token))
         except (ValueError, ZeroDivisionError):
             raise ParseError(None, f"bad rational token {token!r}") from None

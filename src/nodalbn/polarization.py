@@ -15,7 +15,11 @@ For a subcurve B the defect of its structure sheaf is computed as
 
 which is the omega-degree of O_B whenever B is connected.  At eta, on a
 compact-type curve, this equals half the number of nodes joining B to its
-complement; in particular every one-node split scores exactly 1/2.
+complement; in particular every one-node split scores exactly 1/2.  The
+goodness proxy and the stability windows of ``components`` read one split
+table per decomposition: each A_j's weight numerator W_j over the weights'
+lcm D and its genus sum G_j, summed once up the tree of subcurves, so that
+A_j's defect is delta_j = ((1 - G_j) D - W_j (1 - p_a)) / D.
 """
 
 from __future__ import annotations
@@ -23,9 +27,12 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .curve import NodalCurve, _Frozen
+
+if TYPE_CHECKING:
+    from .ordering import OrderedDecomposition
 
 
 class PolarizationError(ValueError):
@@ -125,36 +132,91 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
 
     The splits are read off ``order_components(curve, curve.gamma)``:
     position j's subcurve A_j is the side below node p_j, whose other end
-    is C_(j)'s parent.  The weight numerators and genera are summed up
-    the tree in that order, complete for A_j when position j comes
-    (triangularity), so each split's defect is an integer over the
-    weights' common denominator.  A row's side holds the node's smaller-id
-    endpoint; only a side that is the complement of A_j is built as a new
-    set.
+    is C_(j)'s parent.  Each defect is read from the split table, an
+    integer over the weights' common denominator D:
+    delta_j D = (1 - G_j) D - W_j (1 - p_a).  A row's side holds the
+    node's smaller-id endpoint; only a side that is the complement of A_j
+    is built as a new set.
     """
-    from .ordering import order_components
+    return _SplitTable(curve, omega).goodness()
 
-    deco = order_components(curve, curve.gamma)
-    _check_lengths(curve, omega)
-    pa = curve.arithmetic_genus()
-    denominator = omega._denominator
-    weight = list(omega._numerators)  # grows into subtree sums, 1-based
-    genus = [0, *curve.genera]
-    ends = {n.id: n.first + n.second for n in curve.nodes}  # C_(j) + its parent
-    everything = frozenset(curve.component_ids)
-    rows = []
-    for c, side, nid in zip(deco.order, deco.subcurves, deco.separating_nodes):
-        up = ends[nid] - c
-        w, g = weight[c], genus[c]
-        weight[up] += w
-        genus[up] += g
-        num = (1 - g) * denominator - w * (1 - pa)
-        if up < c:  # on a tree the two defects add up to 1
-            num = denominator - num
-            side = everything - side
-        rows.append(SplitDefect(nid, side, Fraction(num, denominator), 0 < num < denominator))
-    rows.sort(key=lambda row: row.node)
-    return GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
+
+class _SplitTable:
+    """Each A_j's weight numerator W_j over ``denominator`` and genus sum G_j, by position.
+
+    The root's entries, last, are the whole curve's.  Without a
+    decomposition the table is the goodness proxy's: the walk from the
+    last component, then omega's length check.  A decomposition handed in
+    is checked in `components.stability_windows`' order.
+    """
+
+    def __init__(
+        self, curve: NodalCurve, omega: Polarization, deco: OrderedDecomposition | None = None
+    ) -> None:
+        from .ordering import _subtree_children, order_components
+
+        if deco is None:
+            deco = order_components(curve, curve.gamma)
+            _check_lengths(curve, omega)
+        if not len(deco.subcurves) == len(deco.separating_nodes) == curve.gamma - 1:
+            raise ValueError(
+                f"decomposition has {len(deco.subcurves)} subcurves and "
+                f"{len(deco.separating_nodes)} separating nodes for {curve.gamma} "
+                f"components; each must number {curve.gamma - 1}"
+            )
+        order, subcurves = deco.order, deco.subcurves
+        fault = None
+        try:
+            children = _subtree_children(order, subcurves)  # checks the order is a permutation
+        except ValueError as exc:
+            fault = exc
+        # a tree of subcurves over a permutation of the ids holds only known ids, none empty
+        if fault is not None or len(omega) != curve.gamma:
+            for j, A in enumerate(subcurves, start=1):  # in delta_structure_sheaf's order
+                omega.subcurve_weight(A)
+                curve.check_subcurve(A)
+                if j == 1:
+                    _check_lengths(curve, omega)
+        if fault is not None:
+            raise fault
+        genera = (0, *curve.genera)  # padded like the numerators: index = component id
+        weight = [omega._numerators[c] for c in order]
+        genus = [genera[c] for c in order]
+        for p, kids in enumerate(children):
+            for c in kids:
+                weight[p] += weight[c]
+                genus[p] += genus[c]
+        self.curve, self.deco, self.children = curve, deco, children
+        self.weights, self.genera = weight, genus
+        self.denominator, self.pa = omega._denominator, curve.arithmetic_genus()
+
+    def goodness(self) -> GoodnessReport:
+        """The goodness proxy's rows: delta_j D = (1 - G_j) D - W_j (1 - p_a) per split."""
+        deco, D, curve = self.deco, self.denominator, self.curve
+        ends = {n.id: n.first + n.second for n in curve.nodes}  # C_(j) + its parent
+        everything = frozenset(curve.component_ids)
+        rows = []
+        for c, side, nid, w, g in zip(
+            deco.order, deco.subcurves, deco.separating_nodes, self.weights, self.genera
+        ):
+            num = (1 - g) * D - w * (1 - self.pa)
+            if ends[nid] - c < c:  # on a tree the two defects add up to 1
+                num = D - num
+                side = everything - side
+            rows.append(SplitDefect(nid, side, Fraction(num, D), 0 < num < D))
+        rows.sort(key=lambda row: row.node)
+        return GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
+
+    def require_good(self) -> _SplitTable:
+        """This table, once omega passes the proxy; `bn certify`'s hard error otherwise."""
+        good = self.goodness()
+        if not good.passed:
+            bad = [row for row in good.splits if not row.ok]
+            raise PolarizationError(
+                "polarization fails the goodness proxy at node(s) "
+                + ", ".join(f"{row.node} (defect {row.defect})" for row in bad)
+            )
+        return self
 
 
 def perturb(omega: Polarization, eps: Sequence[Fraction | int]) -> Polarization:

@@ -49,7 +49,8 @@ class SheafDescriptor(_Frozen):
     """Discrete model of a depth-one sheaf on a fixed curve.
 
     ``stalks`` gives every node its LocalType, as (node id, value) pairs
-    or as a mapping; each value is three integers.
+    or as a mapping; each value is three integers, and a node id given
+    twice is refused.
     """
 
     __match_args__ = ("curve", "multirank", "chi", "stalks", "degrees")
@@ -77,6 +78,9 @@ class SheafDescriptor(_Frozen):
         pairs = stalks.items() if isinstance(stalks, Mapping) else stalks
         stalks = tuple(sorted(_local_type(nid, lt) for nid, lt in pairs))
         by_node = dict(stalks)
+        if len(by_node) != len(stalks):
+            nid = next(a for (a, _), (b, _) in zip(stalks, stalks[1:]) if a == b)
+            raise DescriptorError(f"stalk at node {nid} defined twice")
         expected = [n.id for n in curve.nodes]
         if sorted(by_node) != expected:
             raise DescriptorError(

@@ -316,7 +316,7 @@ def search_verify_decomposition(curve, deco):
 def read_children(order, subcurves):
     """Children of every position in the tree of subcurves, reading every member of every A_j.
 
-    The reference for `components._subtree_children`: the same children,
+    The reference for `ordering._subtree_children`: the same children,
     or the same ValueError text.  The subcurves are walked in position
     order, keeping for each position the largest subcurve seen so far that
     holds it.  A_j's children are the distinct such subcurves among A_j's
@@ -375,33 +375,39 @@ def certificate_scan(curves, s_values):
     every k it builds `bn certify`'s whole checklist and a `BNCertificate`
     or `CertificationFailure`, reading only which of the two it got.
     """
-    from nodalbn import canonical, order_components  # see enumerating_invariance_check
+    import nodalbn as nb  # see enumerating_invariance_check
     from nodalbn.brill_noether import (
         BNCertificate,
         ScanRow,
         _certify_cell,
-        _require_good,
-        _small_slope_cell,
         bn_number,
         max_section_count,
     )
+    from nodalbn.components import SmallSlopeSearch, stability_windows
 
     s_values = tuple(s_values)
     rows = []
     for curve in curves:
         curve.require_compact_type()
         gamma = curve.gamma
-        eta = canonical(curve)
+        eta = nb.canonical(curve)
         shape = curve.classify().value
         # certify's hard error, once per curve; canonical split defects are all 1/2
-        _require_good(curve, eta)
-        deco = order_components(curve, curve.gamma)
+        good = nb.goodness_proxy(curve, eta)
+        if not good.passed:
+            bad = [row for row in good.splits if not row.ok]
+            raise nb.PolarizationError(
+                "polarization fails the goodness proxy at node(s) "
+                + ", ".join(f"{row.node} (defect {row.defect})" for row in bad)
+            )
+        deco = nb.order_components(curve, curve.gamma)
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                cell = _small_slope_cell(curve, eta, deco, s, d)
+                search = SmallSlopeSearch(stability_windows(curve, eta, deco, s, d))
+                cell = search.first(), search.count()
                 for k in ks:
                     result = _certify_cell(curve, eta, s, k, d, *cell)
                     rows.append(

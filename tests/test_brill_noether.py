@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
-from nodalbn import brill_noether, components
+from nodalbn import brill_noether, components, polarization
 from conftest import random_good_polarization, random_tree_curve
 from oracles import certificate_scan
 
@@ -258,8 +258,8 @@ def test_hypotheses_are_the_checklist_verdicts():
         s = rng.randint(1, 2 * curve.gamma + 2)
         k = rng.randint(1, nb.max_section_count(curve, s) + 3)
         d = rng.randint(-1, s * curve.gamma + 2)
-        deco = nb.order_components(curve, curve.gamma)
-        chosen, _ = brill_noether._small_slope_cell(curve, omega, deco, s, d)
+        splits = polarization._SplitTable(curve, omega).require_good()
+        chosen = components.SmallSlopeSearch(components._windows(splits, s, d)).first()
         flags = brill_noether._hypotheses(curve.genera, s, k, chosen)
         result = nb.certify_bn_component(curve, omega, s, k, d)
         oks = tuple(item.ok for item in result.checklist)

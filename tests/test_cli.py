@@ -188,12 +188,24 @@ def test_wrong_length_tuple_names_the_option(capsys, two_path, action, degrees):
      "error: --tuple: bad integer token 'x'\n"),
     (("polarization", "check", "--omega", "1/2,y"),
      "error: --omega: bad rational token 'y'\n"),
+    # Fraction reads '1_0' as 10 from Python 3.11 on; the grammar refuses it everywhere
+    (("polarization", "check", "--omega", "1_0/20,1/2"),
+     "error: --omega: bad rational token '1_0/20'\n"),
 ])
 def test_bad_option_token_names_the_option(capsys, two_path, argv, err):
     code, out, got = run(capsys, *argv, "--curve", two_path)
     assert code == 2
     assert out == ""
     assert got == err
+
+
+def test_omega_reads_a_finite_decimal_exactly(capsys, two_path):
+    code, out, err = run(
+        capsys, "polarization", "check", "--curve", two_path, "--omega", "0.5,1/2"
+    )
+    assert err == ""
+    assert kv(out)["omega"] == "1/2,1/2"
+    assert (code, kv(out)["goodness_proxy"]) == (1, "fail")  # the side {1} has defect 1
 
 
 class TestSheafCommand:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
-from nodalbn import components
+from nodalbn import brill_noether, cli, components, ordering, polarization
 from nodalbn.components import HypothesisError, SmallSlopeSearch, stability_windows
 from conftest import (
     forbid_enumeration,
@@ -26,6 +26,7 @@ from oracles import (
     brute_force_box_size,
     brute_force_catalog,
     brute_force_small_slope,
+    complement_goodness_proxy,
     enumerating_invariance_check,
     raw_arithmetic_genus,
     raw_defect,
@@ -698,7 +699,7 @@ def test_subtree_children_matches_the_full_reader(seed):
     faulty = not permutation or any(not A or not A <= ids for A in subcurves)
     if not permutation:
         with pytest.raises(ValueError) as info:
-            components._subtree_children(order, subcurves)
+            ordering._subtree_children(order, subcurves)
         assert str(info.value) == (
             f"decomposition order {order} is not a permutation of the ids 1..{curve.gamma}"
         )
@@ -707,11 +708,11 @@ def test_subtree_children_matches_the_full_reader(seed):
             want = read_children(order, subcurves)
         except ValueError as exc:
             with pytest.raises(ValueError) as info:
-                components._subtree_children(order, subcurves)
+                ordering._subtree_children(order, subcurves)
             assert str(info.value) == str(exc)
             faulty = True
         else:
-            assert components._subtree_children(order, subcurves) == want
+            assert ordering._subtree_children(order, subcurves) == want
     deco = deco._replace(order=order, subcurves=subcurves)
     if faulty:
         with pytest.raises(ValueError):
@@ -720,19 +721,58 @@ def test_subtree_children_matches_the_full_reader(seed):
         assert stability_windows(curve, nb.canonical(curve), deco, 2, curve.gamma).children == want
 
 
+def _counted(monkeypatch, name, key):
+    """Wrap ``ordering.<name>`` in every module that looks it up; the calls' keys, in order."""
+    calls = []
+    real = getattr(ordering, name)
+
+    def counted(*args):
+        calls.append(key(*args))
+        return real(*args)
+
+    for module in (ordering, polarization, components, brill_noether):
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_one_split_table_serves_every_cell(seed):
+    """One split table, mapped to many (s, d), gives each cell's raw Fraction windows.
+
+    Random Pruefer trees, roots and polarizations; the table built without
+    a decomposition is the goodness proxy's and gives the complement
+    oracle's report.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=8)
+    omega = random_valid_polarization(rng, curve.gamma)
+    deco = nb.order_components(curve, rng.randint(1, curve.gamma))
+    splits = polarization._SplitTable(curve, omega, deco)
+    for _ in range(4):
+        s, d = rng.randint(1, 9), rng.randint(-5, 30)
+        table = components._windows(splits, s, d)
+        assert [(w.subcurve, w.lower, w.upper) for w in table.windows] == raw_windows(
+            curve, omega, deco, s, d
+        )
+        assert table.children == read_children(deco.order, deco.subcurves)
+    proxy_table = polarization._SplitTable(curve, omega)
+    assert proxy_table.goodness() == complement_goodness_proxy(curve, omega)
+
+
+COMB_SCAN = "bn scan --family comb --gamma-max 4 --genus-max 3 --s-max 24".split()
+
+
 @pytest.mark.parametrize("curve_name", ["chain4", "comb4"])
-def test_each_table_reads_the_tree_once(monkeypatch, request, curve_name):
+def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name):
+    """One walk and one tree read per table, per root, per certify and per scanned curve."""
     curve = request.getfixturevalue(curve_name)
     eta = nb.canonical(curve)
-    reads = []
-    real = components._subtree_children
-
-    def counted(order, subcurves):
-        reads.append(order[-1])
-        return real(order, subcurves)
-
-    monkeypatch.setattr(components, "_subtree_children", counted)
-    table = stability_windows(curve, eta, canonical_deco(curve), 3, 6)
+    deco = canonical_deco(curve)
+    reads = _counted(monkeypatch, "_subtree_children", lambda order, subcurves: order[-1])
+    walks = _counted(monkeypatch, "order_components", lambda _, root: root)
+    table = stability_windows(curve, eta, deco, 3, 6)
     catalog = table.catalog()
     assert table.size() == len(catalog) > 0
     table.sums(catalog[0])
@@ -740,7 +780,16 @@ def test_each_table_reads_the_tree_once(monkeypatch, request, curve_name):
     assert reads == [curve.gamma]
     reads.clear()
     assert nb.catalog_invariance_check(curve, eta, 3, 6).passed
-    assert reads == list(curve.component_ids)
+    assert walks == reads == list(curve.component_ids)
+    walks.clear()
+    reads.clear()
+    assert isinstance(nb.certify_bn_component(curve, eta, 6, 1, 6), nb.BNCertificate)
+    assert walks == reads == [curve.gamma]
+    walks.clear()
+    reads.clear()
+    assert cli.main(COMB_SCAN) == 0
+    assert "curves: 14\n" in capsys.readouterr().out
+    assert len(walks) == len(reads) == 14
     reads.clear()
     # a table built by hand reads its tree on first use, once
     by_hand = components.WindowTable(
@@ -796,6 +845,51 @@ def test_true_reads_as_one_in_a_window_table(two_curve):
     table = stability_windows(two_curve, eta, canonical_deco(two_curve), True, True)
     assert (table.rank, table.degree) == (1, 1)
     assert (type(table.rank), type(table.degree)) == (int, int)
+
+
+BUILDERS = {
+    "small-slope": lambda curve, s, d: nb.build_small_slope_tuple(curve, s, d).tuple,
+    "chain": nb.build_chain_tuple,
+    "comb": nb.build_comb_tuple,
+}
+
+
+@pytest.mark.parametrize(
+    "s, d, name",
+    [
+        (4.0, 3, "rank s"),
+        ("4", 3, "rank s"),
+        (None, 3, "rank s"),
+        (Fraction(4), 3, "rank s"),
+        (4, 3.0, "degree d"),
+        (4, "3", "degree d"),
+        (4, None, "degree d"),
+        (4, Fraction(3), "degree d"),
+    ],
+    ids=[
+        "float-rank", "str-rank", "none-rank", "fraction-rank",
+        "float-degree", "str-degree", "none-degree", "fraction-degree",
+    ],
+)
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builders_read_rank_and_degree_through_index(builder, s, d, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        BUILDERS[builder](nb.chain_curve([2, 2, 2]), s, d)
+
+
+@pytest.mark.parametrize("s, d", [(True, 3), (4, True)], ids=["true-rank", "true-degree"])
+@pytest.mark.parametrize("builder", sorted(BUILDERS))
+def test_builders_read_true_as_one(builder, s, d):
+    """The tuple, or the failure and its message, is that of rank or degree 1."""
+    curve = nb.chain_curve([2, 2, 2])
+
+    def outcome(s, d):
+        try:
+            return BUILDERS[builder](curve, s, d)
+        except ValueError as exc:
+            return type(exc), str(exc)
+
+    assert outcome(s, d) == outcome(int(s), int(d))
 
 
 def _assert_invariance_matches_oracle(curve, omega, s, d):

@@ -182,12 +182,16 @@ class TestScalarParsers:
     def test_rationals(self):
         assert nb.parse_rationals("3/8, 5/8") == (Fraction(3, 8), Fraction(5, 8))
         assert nb.parse_rationals("1") == (Fraction(1),)
+        assert nb.parse_rationals("0.375, -2") == (Fraction(3, 8), Fraction(-2))
 
     def test_rational_errors(self):
         with pytest.raises(nb.ParseError):
             nb.parse_rationals("3/8, x")
         with pytest.raises(nb.ParseError):
             nb.parse_rationals("1/0")
+        for token in ("1_0/20", "1/2_0", "0.1_2", "1_000"):  # read by Fraction on 3.11+
+            with pytest.raises(nb.ParseError, match=f"bad rational token '{token}'"):
+                nb.parse_rationals(f"1/2,{token}")
 
     def test_ints(self):
         assert nb.parse_ints("1, 2,3") == (1, 2, 3)

@@ -78,6 +78,21 @@ class TestDescriptorValidation:
             nb.SheafDescriptor(two_curve, (1, 1), -4, stalks)
         assert str(info.value) == f"stalk at node 1 is not three integers: {value!r}"
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(1, (0, 0, 0)), (1, (1, 0, 1))],
+            [(1, (1, 0, 1)), (1, (0, 0, 0))],
+            [(1, (1, 0, 1)), (1, (1, 0, 1))],
+        ],
+        ids=["contradicting", "contradicting-reversed", "repeated"],
+    )
+    def test_rejects_a_node_given_twice(self, pairs):
+        """The parser's wording; the pair that sorts last no longer hides the other."""
+        with pytest.raises(nb.DescriptorError) as info:
+            nb.SheafDescriptor(nb.chain_curve([2, 2]), (1, 2), 0, pairs)
+        assert str(info.value) == "stalk at node 1 defined twice"
+
     def test_stalk_lookup(self, chain3_222):
         desc = descriptor(chain3_222, (2, 1, 1), -9, [(1, (1, 1, 0)), (2, (1, 0, 0))])
         assert desc.stalk(1) == nb.LocalType(1, 1, 0)
