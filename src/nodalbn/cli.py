@@ -435,21 +435,17 @@ def cmd_bn_certify(args: argparse.Namespace) -> int:
 
 def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve]:
     curves = []
+    choices = range(2, genus_max + 1)  # every genus a component may take
     if family == "chain":
         for gamma in range(2, gamma_max + 1):
-            for genera in _genus_vectors(gamma, genus_max):
-                if genera <= tuple(reversed(genera)):  # dedupe path reversal
-                    curves.append(chain_curve(genera))
+            for path in itertools.product(choices, repeat=gamma):
+                if path <= path[::-1]:  # dedupe path reversal
+                    curves.append(chain_curve(path))
     else:  # comb: argparse refuses any other family
         for gamma in range(3, gamma_max + 1):
-            for genera in _genus_vectors(gamma, genus_max):
-                if tuple(sorted(genera[:-1])) == genera[:-1]:  # teeth sorted once
-                    curves.append(comb_curve(genera))
+            for teeth in itertools.combinations_with_replacement(choices, gamma - 1):  # sorted
+                curves.extend(comb_curve((*teeth, grip)) for grip in choices)
     return curves
-
-
-def _genus_vectors(gamma: int, genus_max: int):
-    yield from itertools.product(range(2, genus_max + 1), repeat=gamma)
 
 
 def cmd_bn_scan(args: argparse.Namespace) -> int:

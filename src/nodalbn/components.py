@@ -13,13 +13,13 @@ to wrank(O_Aj) d -+ s/2.  Written with w_j = wrank(O_Aj), g_j the genus
 sum over A_j and coeff = d + s(1 - p_a), the lower bound is
 w_j coeff + s(g_j - 1).
 
-A table keeps every bound as an integer numerator over one denominator
-D, the lcm of the bounds' own denominators, so a catalog row is integer
-work: sigma_j is a subtree sum of the degrees (O(gamma) for all j), a
-window holds when its lower numerator < sigma_j D < its upper numerator,
-and the binding window of the robustness radius is found by comparing
-slack_j |A_k| with slack_k |A_j|.  The radius is the one Fraction a row
-builds.
+A table keeps every bound as an integer numerator over the
+polarization's lcm D, so a catalog row is integer work: sigma_j is a
+subtree sum of the degrees (O(gamma) for all j), a window holds when its
+lower numerator < sigma_j D < its upper numerator, and the binding window
+of the robustness radius is found by comparing slack_j |A_k| with
+slack_k |A_j|.  The radius is the one Fraction a row builds; the bounds
+become Fractions only where they are printed.
 
 One search answers every catalog question.  Component in position i
 lies in A_j only for i <= j, position j itself always does, and the A_j
@@ -81,7 +81,7 @@ from functools import cached_property, total_ordering
 from typing import NamedTuple
 
 from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
-from .ordering import OrderedDecomposition, _subtree_children, order_components
+from .ordering import OrderedDecomposition, order_components
 from .polarization import Polarization, _SplitTable, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
@@ -173,59 +173,59 @@ class Window(NamedTuple):
 
 
 class WindowTable(_Frozen):
-    """Every window of one decomposition at rank s and degree d.
+    """Every window of one decomposition at rank s and degree d, from its split table.
 
-    ``coeff`` = d + s(1 - p_a) is how far both bounds of a window move per
-    unit of weight moved into its subcurve; ``order`` is the
-    decomposition's component order, root last.
-
-    The bounds are also kept as integers over one denominator: window k
-    is ``lowers[k] / denominator < sigma < uppers[k] / denominator``.
-    The denominator is the lcm of the windows' own bound denominators, so
-    a table built or shifted by hand stays exact.  A row is then integer
-    work: `sums` reads every sigma_j off the subtree sums and `binding`
-    compares slacks by cross-multiplication.
+    Window k is ``lowers[k] / denominator < sigma < uppers[k] / denominator``
+    over the polarization's lcm D: ``lowers[k]`` = W_k coeff + s (G_k - 1) D
+    and ``uppers[k]`` = that + s D, where ``coeff`` = d + s(1 - p_a) is how
+    far both bounds move per unit of weight moved into A_k.  ``deco`` is
+    the decomposition (``order`` its order, root last) and ``children`` the
+    tree of subcurves the split table read.  `sums` and `binding` are
+    integer work.  ``windows``, the bounds as reduced Fractions, is built
+    on first use: by what prints a bound, and by repr, equality and hash.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
     rank: int
     degree: int
     coeff: int
-    windows: tuple[Window, ...]
     order: tuple[int, ...]
+    deco: OrderedDecomposition
+    children: list[list[int]]
     denominator: int
     lowers: tuple[int, ...]
     uppers: tuple[int, ...]
 
-    def __init__(
-        self, rank: int, degree: int, coeff: int, windows: tuple[Window, ...], order: tuple[int, ...]
-    ) -> None:
-        bounds = [b for w in windows for b in (w.lower, w.upper)]
-        denominator = math.lcm(*(b.denominator for b in bounds))
-        numerators = [b.numerator * (denominator // b.denominator) for b in bounds]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "degree", degree)
+    def __init__(self, splits: _SplitTable, s: int, d: int) -> None:
+        D = splits.denominator
+        coeff = d + s * (1 - splits.pa)
+        lowers = tuple(
+            w * coeff + s * (g - 1) * D for w, g in zip(splits.weights[:-1], splits.genera)
+        )
+        object.__setattr__(self, "rank", s)
+        object.__setattr__(self, "degree", d)
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "lowers", tuple(numerators[0::2]))
-        object.__setattr__(self, "uppers", tuple(numerators[1::2]))
+        object.__setattr__(self, "order", splits.deco.order)
+        object.__setattr__(self, "deco", splits.deco)
+        object.__setattr__(self, "children", splits.children)
+        object.__setattr__(self, "denominator", D)
+        object.__setattr__(self, "lowers", lowers)
+        object.__setattr__(self, "uppers", tuple(lo + s * D for lo in lowers))
 
     @cached_property
-    def children(self) -> list[list[int]]:
-        """Children of every position in the tree of subcurves (`_subtree_children`).
-
-        A table built from a split table gets the tree that table read; a
-        table built by hand reads it here on first use, so an order that is
-        no permutation of the ids, or subcurves that are no such tree,
-        raise ValueError from its first `catalog`, `size` or `check`.
-        """
-        return _subtree_children(self.order, [w.subcurve for w in self.windows])
+    def windows(self) -> tuple[Window, ...]:
+        """The windows as `Window` records with reduced Fraction bounds."""
+        D, deco = self.denominator, self.deco
+        return tuple(
+            Window(j, A, p, Fraction(lo, D), Fraction(hi, D))
+            for j, (A, p, lo, hi) in enumerate(
+                zip(deco.subcurves, deco.separating_nodes, self.lowers, self.uppers), start=1
+            )
+        )
 
     def sums(self, ctuple: ComponentTuple) -> list[int]:
         """sigma_j of every window, in window order: subtree sums, O(gamma)."""
-        gamma = len(self.windows) + 1
+        gamma = len(self.order)
         if (len(ctuple.degrees), ctuple.rank, ctuple.total) != (gamma, self.rank, self.degree):
             raise ValueError(
                 f"tuple {ctuple} does not fit the windows of rank {self.rank}, "
@@ -274,15 +274,16 @@ class WindowTable(_Frozen):
         `HypothesisError`.  None means unbounded: no windows (gamma = 1),
         or coeff = 0 so that the bounds do not move at all.
         """
-        D = self.denominator
+        D, subcurves = self.denominator, self.deco.subcurves
         best = None  # (k, slack numerator, |A_k|)
-        for k, (w, sigma, lo, hi) in enumerate(zip(self.windows, sums, self.lowers, self.uppers)):
+        for k, (A, sigma, lo, hi) in enumerate(zip(subcurves, sums, self.lowers, self.uppers)):
             x = sigma * D
             if not lo < x < hi:
                 raise HypothesisError(
-                    f"tuple fails condition {w.j}: {w.lower} < {sigma} < {w.upper} is false"
+                    f"tuple fails condition {k + 1}: "
+                    f"{Fraction(lo, D)} < {sigma} < {Fraction(hi, D)} is false"
                 )
-            slack, size = min(x - lo, hi - x), len(w.subcurve)
+            slack, size = min(x - lo, hi - x), len(A)
             if best is None or slack * best[2] < best[1] * size:
                 best = (k, slack, size)
         if best is None or self.coeff == 0:
@@ -309,7 +310,8 @@ class SmallSlopeSearch:
 
     Position p (0-based, root last) is a vertex of the rooted tree; its
     children are the positions of the largest subcurves strictly inside
-    A_p, read off by containment (`_subtree_children`).  ``ranges[p]`` is
+    A_p, the table's ``children``, and its window is the table's integer
+    bounds over ``denominator``.  ``ranges[p]`` is
     the interval position p's own degree may take, and ``support[p]`` the
     interval of sums the subtree of p can take, None when some subtree can
     take none.  `_narrow` cuts ranges to the degrees some tuple within
@@ -488,22 +490,7 @@ def stability_windows(
     s, d = _integer(s, "rank"), _integer(d, "degree")
     if s < 1:
         raise ValueError(f"rank must be >= 1, got {s}")
-    return _windows(_SplitTable(curve, omega, deco), s, d)
-
-
-def _windows(splits: _SplitTable, s: int, d: int) -> WindowTable:
-    """Window j over the split table's D: W_j coeff + s (G_j - 1) D < sigma_j D < that + s D."""
-    deco, D = splits.deco, splits.denominator
-    coeff = d + s * (1 - splits.pa)
-    windows = []
-    for j, (A, p, w, g) in enumerate(
-        zip(deco.subcurves, deco.separating_nodes, splits.weights, splits.genera), start=1
-    ):
-        lower = w * coeff + s * (g - 1) * D
-        windows.append(Window(j, A, p, Fraction(lower, D), Fraction(lower + s * D, D)))
-    table = WindowTable(s, d, coeff, tuple(windows), deco.order)
-    object.__setattr__(table, "children", splits.children)  # the tree just read: not read again
-    return table
+    return WindowTable(_SplitTable(curve, omega, deco), s, d)
 
 
 def stability_conditions(
@@ -573,18 +560,16 @@ def binding_witness(
     if found is None:
         raise HypothesisError("no binding bound: the radius is unbounded")
     k, ratio = found
-    binding = table.windows[k]
+    A = table.deco.subcurves[k]
     x = sums[k] * table.denominator
     side = "lower" if x - table.lowers[k] <= table.uppers[k] - x else "upper"
     # lower bound rises (fails) when coeff * shift > 0, upper falls when < 0
     sign = 1 if (table.coeff > 0) == (side == "lower") else -1
     inside = DEFAULT_WITNESS_MULTIPLIER * ratio * sign
-    a = len(binding.subcurve)
+    a = len(A)
     outside = -inside * a / (curve.gamma - a)
-    epsilon = tuple(
-        inside if i in binding.subcurve else outside for i in curve.component_ids
-    )
-    return Witness(epsilon=epsilon, j=binding.j, side=side)
+    epsilon = tuple(inside if i in A else outside for i in curve.component_ids)
+    return Witness(epsilon=epsilon, j=k + 1, side=side)
 
 
 def catalog_invariance_check(
@@ -612,18 +597,21 @@ def catalog_invariance_check(
     D = first.denominator
     ends = {n.id: (n.first, n.second) for n in curve.nodes}
     reference = {}
-    for w, lo, hi in zip(first.windows, first.lowers, first.uppers):
-        inner = first.order[w.j - 1]
-        a, b = ends[w.node]
-        reference[w.node, inner] = (lo, hi)
-        reference[w.node, b if inner == a else a] = (d * D - hi, d * D - lo)
+    for inner, node, lo, hi in zip(
+        first.order, first.deco.separating_nodes, first.lowers, first.uppers
+    ):
+        a, b = ends[node]
+        reference[node, inner] = (lo, hi)
+        reference[node, b if inner == a else a] = (d * D - hi, d * D - lo)
     baseline: list[ComponentTuple] | None = None
     mismatches = []
     for root in curve.component_ids[1:]:
         table = table_at(root)
-        if table.denominator == D and all(
-            reference.get((w.node, table.order[w.j - 1])) == (lo, hi)
-            for w, lo, hi in zip(table.windows, table.lowers, table.uppers)
+        if all(  # every table's bounds are over the polarization's D
+            reference.get((node, inner)) == (lo, hi)
+            for inner, node, lo, hi in zip(
+                table.order, table.deco.separating_nodes, table.lowers, table.uppers
+            )
         ):
             continue
         if baseline is None:

@@ -86,10 +86,11 @@ def _integer(value: int, what: str, error: type[ValueError] = ValueError) -> int
 class _Frozen:
     """Immutable value over the fields named in ``__match_args__``.
 
-    ``__match_args__`` lists the ``__init__`` parameters in order; equality
-    (same class only), the hash and the repr read exactly those.  An
-    ``__init__`` stores its attributes with ``object.__setattr__``; any
-    other setting or deleting raises AttributeError.
+    ``__match_args__`` lists the fields, the ``__init__`` parameters except
+    in `components.WindowTable`; equality (same class only), the hash and
+    the repr read exactly those.  An ``__init__`` stores attributes with
+    ``object.__setattr__``; other setting or deleting raises
+    AttributeError.
     """
 
     __match_args__: tuple[str, ...] = ()

@@ -14,8 +14,9 @@ ignored):
 
 Rational command-line values are comma-separated tokens, each an integer
 ``p``, a fraction ``p/q`` or a finite decimal such as ``0.375``, read
-exactly by ``Fraction``; a token holding ``_`` is refused on every Python
-version, though 3.11 and later read ``1_0`` as a digit group.
+exactly by ``Fraction``.  Every number token, here and in a file, that
+holds ``_`` is refused, though ``int`` reads ``1_0`` as 10 (``Fraction``
+too, from Python 3.11 on).
 """
 
 from __future__ import annotations
@@ -51,9 +52,16 @@ def _tokens(text: str) -> _Tokens:
     return out
 
 
+def _number(read, token: str):
+    """``read(token)``, refusing the ``_`` digit groups that ``int`` and ``Fraction`` take."""
+    if "_" in token:
+        raise ValueError(token)
+    return read(token)
+
+
 def _int(token: str, line_no: int, what: str) -> int:
     try:
-        return int(token)
+        return _number(int, token)
     except ValueError:
         raise ParseError(line_no, f"{what} must be an integer, got {token!r}") from None
 
@@ -207,25 +215,20 @@ def render_curve(curve: NodalCurve) -> str:
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals: 'p', 'p/q' or finite decimal tokens, no '_'."""
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        try:
-            if "_" in token:  # Fraction reads digit groups from Python 3.11 on only
-                raise ValueError(token)
-            out.append(Fraction(token))
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(None, f"bad rational token {token!r}") from None
-    return tuple(out)
+    return _values(text, Fraction, "rational")
 
 
 def parse_ints(text: str) -> tuple[int, ...]:
-    """Comma-separated integers."""
+    """Comma-separated integers, no '_'."""
+    return _values(text, int, "integer")
+
+
+def _values(text: str, read, what: str) -> tuple:
     out = []
     for token in text.split(","):
         token = token.strip()
         try:
-            out.append(int(token))
-        except ValueError:
-            raise ParseError(None, f"bad integer token {token!r}") from None
+            out.append(_number(read, token))
+        except (ValueError, ZeroDivisionError):
+            raise ParseError(None, f"bad {what} token {token!r}") from None
     return tuple(out)

@@ -172,7 +172,7 @@ class _SplitTable:
             fault = exc
         # a tree of subcurves over a permutation of the ids holds only known ids, none empty
         if fault is not None or len(omega) != curve.gamma:
-            for j, A in enumerate(subcurves, start=1):  # in delta_structure_sheaf's order
+            for j, A in enumerate(subcurves, start=1):  # weight, then ids, then the count
                 omega.subcurve_weight(A)
                 curve.check_subcurve(A)
                 if j == 1:

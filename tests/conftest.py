@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import heapq
 import random
 from fractions import Fraction
@@ -161,18 +162,29 @@ def scaled_zero_sum_eps(
 
 
 def shift_first_window(monkeypatch, root, shift):
-    """Make `stability_windows` move the first window of one root by ``shift``."""
+    """Make `stability_windows` move the first window of one root by ``shift``.
+
+    The fake is a copy of the real table whose integer bounds are taken
+    over ``denominator`` times the shift's denominator, so every rational
+    shift stays exact.
+    """
     real = components.stability_windows
+    shift = Fraction(shift)
 
     def shifted(curve, omega, deco, s, d):
         table = real(curve, omega, deco, s, d)
         if deco.root != root:
             return table
-        w = table.windows[0]
-        moved = w._replace(lower=w.lower + shift, upper=w.upper + shift)
-        return components.WindowTable(
-            table.rank, table.degree, table.coeff, (moved, *table.windows[1:]), table.order
-        )
+        q = shift.denominator
+        lowers = [lo * q for lo in table.lowers]
+        uppers = [hi * q for hi in table.uppers]
+        lowers[0] += shift.numerator * table.denominator
+        uppers[0] += shift.numerator * table.denominator
+        fake = copy.copy(table)
+        object.__setattr__(fake, "denominator", table.denominator * q)
+        object.__setattr__(fake, "lowers", tuple(lowers))
+        object.__setattr__(fake, "uppers", tuple(uppers))
+        return fake
 
     monkeypatch.setattr(components, "stability_windows", shifted)
 

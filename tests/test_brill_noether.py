@@ -259,7 +259,7 @@ def test_hypotheses_are_the_checklist_verdicts():
         k = rng.randint(1, nb.max_section_count(curve, s) + 3)
         d = rng.randint(-1, s * curve.gamma + 2)
         splits = polarization._SplitTable(curve, omega).require_good()
-        chosen = components.SmallSlopeSearch(components._windows(splits, s, d)).first()
+        chosen = components.SmallSlopeSearch(components.WindowTable(splits, s, d)).first()
         flags = brill_noether._hypotheses(curve.genera, s, k, chosen)
         result = nb.certify_bn_component(curve, omega, s, k, d)
         oks = tuple(item.ok for item in result.checklist)

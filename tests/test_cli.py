@@ -191,12 +191,25 @@ def test_wrong_length_tuple_names_the_option(capsys, two_path, action, degrees):
     # Fraction reads '1_0' as 10 from Python 3.11 on; the grammar refuses it everywhere
     (("polarization", "check", "--omega", "1_0/20,1/2"),
      "error: --omega: bad rational token '1_0/20'\n"),
+    # int reads '0_1' as 1 on every version; the tuple would have been 1,1
+    (("components", "check", "--rank", "2", "--tuple", "0_1,1"),
+     "error: --tuple: bad integer token '0_1'\n"),
 ])
 def test_bad_option_token_names_the_option(capsys, two_path, argv, err):
     code, out, got = run(capsys, *argv, "--curve", two_path)
     assert code == 2
     assert out == ""
     assert got == err
+
+
+def test_digit_group_in_a_curve_file_names_the_line(capsys, tmp_path):
+    # int reads '1_0' as 10: the curve would have had a genus-10 component
+    path = tmp_path / "grouped.crv"
+    path.write_text("component 1 genus 2\ncomponent 2 genus 1_0\nnode 1 1 2\n")
+    code, out, err = run(capsys, "polarization", "canonical", "--curve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 2: genus must be an integer, got '1_0'\n"
 
 
 def test_omega_reads_a_finite_decimal_exactly(capsys, two_path):
@@ -575,6 +588,50 @@ def test_byte_golden(capsys, tmp_path, name):
     code, got, out = golden_run(capsys, tmp_path, name)
     assert got == code
     assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+
+
+COMB_SCAN = ("bn", "scan", "--family", "comb", "--gamma-max", "4", "--genus-max", "3",
+             "--s-max", "24")
+
+
+def test_only_printed_bounds_build_window_records(capsys, tmp_path, monkeypatch):
+    """bn certify, bn scan and the invariance check decide on integer bounds alone.
+
+    With `components.Window` refusing to be built, each still gives its
+    usual answer.  `components enumerate` and `components check` print
+    bounds, so they build `Window` records, and their rows match the
+    goldens.
+    """
+    from nodalbn import components
+
+    scan = run(capsys, *COMB_SCAN)
+    assert scan[0] == 0 and "rows: 30909\n" in scan[1]
+    real = components.Window
+    built = []
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Window record was built")
+
+    monkeypatch.setattr(components, "Window", refuse)
+    code, got, out = golden_run(capsys, tmp_path, "certify_chain7")
+    assert got == code == 0
+    assert out == (GOLDEN_DIR / "certify_chain7.out").read_text(encoding="utf-8")
+    assert run(capsys, *COMB_SCAN) == scan
+    chain = nb.chain_curve((2, 3, 2, 2, 3, 2, 2))
+    report = nb.catalog_invariance_check(chain, nb.canonical(chain), 12, 12)
+    assert report == nb.InvarianceReport(True, 2985984, ())
+
+    def counted(*args, **kwargs):
+        built.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(components, "Window", counted)
+    for name in ("enumerate", "enumerate_small_slope", "check_pass", "check_fail"):
+        built.clear()
+        code, got, out = golden_run(capsys, tmp_path, name)
+        assert got == code
+        assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
+        assert built == [1, 2, 3, 4]  # one record per window of the five-component curve
 
 
 class TestInvarianceCommand:

@@ -752,7 +752,7 @@ def test_one_split_table_serves_every_cell(seed):
     splits = polarization._SplitTable(curve, omega, deco)
     for _ in range(4):
         s, d = rng.randint(1, 9), rng.randint(-5, 30)
-        table = components._windows(splits, s, d)
+        table = components.WindowTable(splits, s, d)
         assert [(w.subcurve, w.lower, w.upper) for w in table.windows] == raw_windows(
             curve, omega, deco, s, d
         )
@@ -790,14 +790,6 @@ def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name
     assert cli.main(COMB_SCAN) == 0
     assert "curves: 14\n" in capsys.readouterr().out
     assert len(walks) == len(reads) == 14
-    reads.clear()
-    # a table built by hand reads its tree on first use, once
-    by_hand = components.WindowTable(
-        table.rank, table.degree, table.coeff, table.windows, table.order
-    )
-    assert by_hand.size() == len(catalog)
-    by_hand.catalog()
-    assert reads == [curve.gamma]
 
 
 @pytest.mark.parametrize(
@@ -1089,19 +1081,6 @@ def test_stability_windows_rejects_an_order_that_is_no_permutation(chain4, order
     for question in (nb.stability_conditions, nb.robustness_radius):
         with pytest.raises(ValueError, match=want):
             question(chain4, eta, deco, ctuple)
-
-
-@NO_PERMUTATION
-def test_window_table_built_by_hand_rejects_an_order_that_is_no_permutation(chain4, order):
-    """The lazy tree reader refuses the order too, before any degree is read."""
-    t = stability_windows(chain4, nb.canonical(chain4), nb.order_components(chain4, 4), 3, 6)
-    ctuple = t.catalog()[0]
-    want = re.escape(f"order {order} is not a permutation of the ids 1..4")
-    for question in ("catalog", "size", "check"):
-        by_hand = components.WindowTable(t.rank, t.degree, t.coeff, t.windows, order)
-        args = (ctuple,) if question == "check" else ()
-        with pytest.raises(ValueError, match=want):
-            getattr(by_hand, question)(*args)
 
 
 @settings(max_examples=100, deadline=None)

@@ -193,6 +193,14 @@ class TestScalarParsers:
             with pytest.raises(nb.ParseError, match=f"bad rational token '{token}'"):
                 nb.parse_rationals(f"1/2,{token}")
 
+    def test_int_tokens_refuse_digit_groups(self):
+        for token in ("1_0", "0_1", "-1_000"):  # int reads each as a digit group
+            with pytest.raises(nb.ParseError, match=f"bad integer token '{token}'"):
+                nb.parse_ints(f"1,{token}")
+            want = f"line 1: genus must be an integer, got '{token}'"
+            with pytest.raises(nb.ParseError, match=want):
+                nb.parse_curve(f"component 1 genus {token}\n")
+
     def test_ints(self):
         assert nb.parse_ints("1, 2,3") == (1, 2, 3)
         with pytest.raises(nb.ParseError):

@@ -1,7 +1,8 @@
 """Value semantics of every public value type.
 
-Each case is built by keyword from its documented field names; its repr is
-pinned as a literal.  Records are NamedTuples, the five validating classes
+Each case is built by keyword from its documented field names, except
+`WindowTable`, which `stability_windows` builds; its repr is pinned as a
+literal.  Records are NamedTuples, the five validating classes
 (`NodalCurve`, `Polarization`, `SheafDescriptor`, `ComponentTuple`,
 `WindowTable`) plain immutable classes.
 """
@@ -44,9 +45,9 @@ def window(j):
 
 
 def table():
-    return comp.WindowTable(
-        rank=4, degree=5, coeff=-19, windows=(window(1), window(2)), order=(1, 2, 3)
-    )
+    # `stability_windows` is the one way to build a WindowTable
+    c = curve()
+    return comp.stability_windows(c, nb.canonical(c), nb.order_components(c, 3), 4, 5)
 
 
 def split():
@@ -210,7 +211,7 @@ def test_validating_classes_compare_only_with_their_own_class(name):
 
 
 def test_equality_reads_exactly_the_fields():
-    # the derived integer bounds and the cached children are not compared
+    # the integer bounds and the children are not compared
     t = table()
     t.children
     assert t == table()
