@@ -35,6 +35,7 @@ from .curve import (
 )
 from .parsing import (
     ParseError,
+    _number,
     parse_curve_with_sheaf,
     parse_ints,
     parse_rationals,
@@ -475,13 +476,21 @@ def cmd_bn_scan(args: argparse.Namespace) -> int:
 # -- wiring -----------------------------------------------------------
 
 
+def _int(text: str) -> int:
+    """An integer option's value, refusing ``_`` digit groups as the curve grammar does."""
+    try:
+        return _number(int, text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 _CURVE = ("--curve", {"required": True, "help": "curve file"})
 _OMEGA = ("--omega", {"default": "canonical", "help": "'canonical' or w_1,...,w_gamma"})
-_ROOT = ("--root", {"type": int, "default": None})
+_ROOT = ("--root", {"type": _int, "default": None})
 
 
 def _ints(*flags: str) -> tuple:
-    return tuple((flag, {"type": int, "required": True}) for flag in flags)
+    return tuple((flag, {"type": _int, "required": True}) for flag in flags)
 
 
 _TUPLE = (_CURVE, _OMEGA, *_ints("--rank"),

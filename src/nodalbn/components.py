@@ -24,9 +24,9 @@ become Fractions only where they are printed.
 One search answers every catalog question.  Component in position i
 lies in A_j only for i <= j, position j itself always does, and the A_j
 of a tree are nested or disjoint, so they are the subtrees of a rooted
-tree on the positions: A_j's children are the largest subcurves strictly
-inside it.  One reader finds them for any valid order, with one set
-intersection per subcurve, and one split table per decomposition
+tree on the positions, read from a valid decomposition's separating
+nodes: A_j's children are the positions whose node joins them to C_(j).
+One split table per decomposition
 (`polarization._SplitTable`) reads the tree once: A_j's weight numerator
 W_j over the polarization's lcm D and its genus sum G_j are its own
 component's plus its children's, and window j's lower bound is
@@ -481,11 +481,10 @@ def stability_windows(
     the tree of subcurves once and sums A_j's weight numerator (over the
     polarization's lcm) and genus sum up it, so the windows cost O(gamma)
     once the children are read, and the table keeps them.  A fault of a
-    subcurve's ids or weights is named first, in subcurve order; then an
-    order that is not a permutation of the ids, and a family of subcurves
-    that is no such tree, raise ValueError.  So does an s or d that is no
-    integer: each is read through `operator.index`, as `ComponentTuple`
-    reads its rank.
+    subcurve's ids or weights is named first, in subcurve order; then a
+    family `verify_decomposition` rejects raises ValueError naming the
+    position.  So does an s or d that is no integer: each is read through
+    `operator.index`, as `ComponentTuple` reads its rank.
     """
     s, d = _integer(s, "rank"), _integer(d, "degree")
     if s < 1:

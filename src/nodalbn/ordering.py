@@ -15,10 +15,10 @@ vertex to its parent.  The triangularity fact used elsewhere: C_(i) lies
 in A_j only when i <= j.
 
 ``order_components`` is the library's one walk out from a root, and
-``_subtree_children`` reads the tree of subcurves back from any valid
-decomposition; the split table in ``polarization`` reads both.  The
-goodness proxy walks from the last component: A_j is the side below p_j,
-whose other end is C_(j)'s parent.
+``_read_tree`` reads the tree of subcurves from the separating nodes of
+exactly the decompositions ``verify_decomposition`` accepts; the split
+table in ``polarization`` reads both.  A_j is the side below p_j, whose
+other end is C_(j)'s parent.
 
 The verifier searches nothing.  On a tree, a set of k components is
 connected exactly when k - 1 nodes join two of its members, so each tail,
@@ -28,7 +28,7 @@ check is linear in the size of the decomposition.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .curve import CurveError, NodalCurve, _integer
 
@@ -184,47 +184,34 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
     return DecompositionCheck(not violations, tuple(violations))
 
 
-def _subtree_children(
-    order: Sequence[int], subcurves: Sequence[frozenset[int]]
-) -> list[list[int]]:
-    """Children of every position, read off the subcurves by containment, for any valid order.
+def _read_tree(deco: OrderedDecomposition, ends: dict[int, tuple[int, int]]) -> list[list[int]]:
+    """Children of every position: the positions whose separating node joins them to it.
 
-    An order that is not a permutation of the ids 1..gamma, gamma being
-    one more than the number of subcurves, raises ValueError first.
-    Position j's children are the largest subcurves strictly inside A_j:
-    the subtrees with no parent yet whose top component A_j holds, found
-    by one set intersection with ``tops`` (top component -> position),
-    iterating the smaller side.  A_j is exactly position j plus those
-    subtrees when position j holds a component of its own that A_j
-    contains, every child's subcurve lies inside A_j and their sizes sum
-    to |A_j| - 1.  Otherwise A_j is not triangular when a member lies
-    past position j or none at it (a member outside the order lies past
-    every position), and not nested when not.
+    ``ends`` maps node ids to their two components.  The order must be a
+    permutation of 1..gamma with the root last, each p_j a node from C_(j)
+    to a later position (its parent), and each A_j C_(j) plus its
+    children's subcurves; the first clause to fail raises ValueError.  A
+    tail that lacked C_(j)'s parent would cut C_(j) off from the root, so
+    on a tree this accepts exactly what `verify_decomposition` accepts.
     """
-    if sorted(order) != list(range(1, len(subcurves) + 2)):
+    order, subcurves = deco.order, deco.subcurves
+    gamma = len(subcurves) + 1
+    if sorted(order) != list(range(1, gamma + 1)):
         raise ValueError(
-            f"decomposition order {order} is not a permutation of the ids 1..{len(subcurves) + 1}"
+            f"decomposition order {order} is not a permutation of the ids 1..{gamma}"
         )
-    n = len(order)
-    position = {comp: p for p, comp in enumerate(order)}
+    if order[-1] != deco.root:
+        raise ValueError(f"decomposition root {deco.root} is not at position {gamma}")
+    position = {c: j for j, c in enumerate(order)}
     children: list[list[int]] = [[] for _ in order]
-    tops: dict[int, int] = {}  # top component -> position, for subtrees without a parent
-    for j, A in enumerate(subcurves):
-        comp = order[j]
-        # tops is the smaller side along a chain, A_j on the leaves of a comb
-        met = A.intersection(tops) if len(tops) < len(A) else tops.keys() & A
-        kids = sorted(map(tops.pop, met))
-        size = 1
-        for c in kids:
-            if not subcurves[c] <= A:
-                size = -1
-                break
-            size += len(subcurves[c])
-        if size != len(A) or position[comp] != j or comp not in A:
-            if max((position.get(c, n) for c in A), default=-1) != j:
-                raise ValueError(f"decomposition is not triangular at position {j + 1}")
-            raise ValueError(f"decomposition is not nested at position {j + 1}")
-        children[j] = kids
-        tops[comp] = j
-    children[-1] = sorted(tops.values())
+    for j, (c, A, p) in enumerate(zip(order, subcurves, deco.separating_nodes)):
+        if c not in ends.get(p, ()):
+            raise ValueError(f"separating node {p} at position {j + 1} is not on component {c}")
+        up = position[sum(ends[p]) - c]
+        if up < j:
+            raise ValueError(f"separating node {p} at position {j + 1} joins an earlier position")
+        below = [subcurves[k] for k in children[j]]  # children precede their parent
+        if c not in A or len(A) != 1 + sum(map(len, below)) or not all(B <= A for B in below):
+            raise ValueError(f"A_{j + 1} is not component {c} plus the subcurves below it")
+        children[up].append(j)
     return children

@@ -18,8 +18,8 @@ compact-type curve, this equals half the number of nodes joining B to its
 complement; in particular every one-node split scores exactly 1/2.  The
 goodness proxy and the stability windows of ``components`` read one split
 table per decomposition: each A_j's weight numerator W_j over the weights'
-lcm D and its genus sum G_j, summed once up the tree of subcurves, so that
-A_j's defect is delta_j = ((1 - G_j) D - W_j (1 - p_a)) / D.
+lcm D and its genus sum G_j, summed once up the tree its separating nodes
+give, so that A_j's defect is delta_j = ((1 - G_j) D - W_j (1 - p_a)) / D.
 """
 
 from __future__ import annotations
@@ -147,14 +147,16 @@ class _SplitTable:
     The root's entries, last, are the whole curve's.  Without a
     decomposition the table is the goodness proxy's: the walk from the
     last component, then omega's length check.  A decomposition handed in
-    is checked in `components.stability_windows`' order.
+    is checked in `components.stability_windows`' order.  ``ends`` (node
+    id -> its two components) gives the tree and each proxy row's side.
     """
 
     def __init__(
         self, curve: NodalCurve, omega: Polarization, deco: OrderedDecomposition | None = None
     ) -> None:
-        from .ordering import _subtree_children, order_components
+        from .ordering import _read_tree, order_components
 
+        curve.require_compact_type()
         if deco is None:
             deco = order_components(curve, curve.gamma)
             _check_lengths(curve, omega)
@@ -165,12 +167,13 @@ class _SplitTable:
                 f"components; each must number {curve.gamma - 1}"
             )
         order, subcurves = deco.order, deco.subcurves
+        ends = {n.id: (n.first, n.second) for n in curve.nodes}
         fault = None
         try:
-            children = _subtree_children(order, subcurves)  # checks the order is a permutation
+            children = _read_tree(deco, ends)
         except ValueError as exc:
             fault = exc
-        # a tree of subcurves over a permutation of the ids holds only known ids, none empty
+        # a decomposition holds only known ids in its subcurves, none empty
         if fault is not None or len(omega) != curve.gamma:
             for j, A in enumerate(subcurves, start=1):  # weight, then ids, then the count
                 omega.subcurve_weight(A)
@@ -186,21 +189,20 @@ class _SplitTable:
             for c in kids:
                 weight[p] += weight[c]
                 genus[p] += genus[c]
-        self.curve, self.deco, self.children = curve, deco, children
+        self.curve, self.deco, self.children, self.ends = curve, deco, children, ends
         self.weights, self.genera = weight, genus
         self.denominator, self.pa = omega._denominator, curve.arithmetic_genus()
 
     def goodness(self) -> GoodnessReport:
         """The goodness proxy's rows: delta_j D = (1 - G_j) D - W_j (1 - p_a) per split."""
-        deco, D, curve = self.deco, self.denominator, self.curve
-        ends = {n.id: n.first + n.second for n in curve.nodes}  # C_(j) + its parent
-        everything = frozenset(curve.component_ids)
+        deco, D, ends = self.deco, self.denominator, self.ends
+        everything = frozenset(self.curve.component_ids)
         rows = []
         for c, side, nid, w, g in zip(
             deco.order, deco.subcurves, deco.separating_nodes, self.weights, self.genera
         ):
             num = (1 - g) * D - w * (1 - self.pa)
-            if ends[nid] - c < c:  # on a tree the two defects add up to 1
+            if ends[nid][1] == c:  # the parent is the smaller end: the defects add up to 1
                 num = D - num
                 side = everything - side
             rows.append(SplitDefect(nid, side, Fraction(num, D), 0 < num < D))

@@ -316,8 +316,10 @@ def search_verify_decomposition(curve, deco):
 def read_children(order, subcurves):
     """Children of every position in the tree of subcurves, reading every member of every A_j.
 
-    The reference for `ordering._subtree_children`: the same children,
-    or the same ValueError text.  The subcurves are walked in position
+    The reference for the children a split table reads from the separating
+    nodes of a family `verify_decomposition` accepts.  It reads the
+    subcurves alone, so it also accepts some families that are no
+    decomposition of the curve.  The subcurves are walked in position
     order, keeping for each position the largest subcurve seen so far that
     holds it.  A_j's children are the distinct such subcurves among A_j's
     other members, and A_j is nested exactly when their sizes sum to
@@ -456,7 +458,7 @@ def full_parser():
 
     p = top.add_parser("order", help="root-first component order of a tree curve")
     curve_arg(p)
-    p.add_argument("--root", type=int, required=True)
+    p.add_argument("--root", type=cli._int, required=True)
     p.set_defaults(func=cli.cmd_order)
 
     pol_p = top.add_parser("polarization", help="canonical weights and goodness proxy")
@@ -481,10 +483,10 @@ def full_parser():
     p = comp_sub.add_parser("enumerate")
     curve_arg(p)
     omega_arg(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--rank", type=cli._int, required=True)
+    p.add_argument("--degree", type=cli._int, required=True)
     p.add_argument("--small-slope", action="store_true")
-    p.add_argument("--root", type=int, default=None)
+    p.add_argument("--root", type=cli._int, default=None)
     p.set_defaults(func=cli.cmd_components_enumerate)
     for name, func in (
         ("check", cli.cmd_components_check),
@@ -493,38 +495,38 @@ def full_parser():
         p = comp_sub.add_parser(name)
         curve_arg(p)
         omega_arg(p)
-        p.add_argument("--rank", type=int, required=True)
+        p.add_argument("--rank", type=cli._int, required=True)
         p.add_argument("--tuple", required=True, help="d_1,...,d_gamma")
-        p.add_argument("--root", type=int, default=None)
+        p.add_argument("--root", type=cli._int, default=None)
         p.set_defaults(func=func)
     p = comp_sub.add_parser("invariance")
     curve_arg(p)
     omega_arg(p)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--rank", type=cli._int, required=True)
+    p.add_argument("--degree", type=cli._int, required=True)
     p.set_defaults(func=cli.cmd_components_invariance)
 
     bn_p = top.add_parser("bn", help="Brill-Noether numbers and certificates")
     bn_sub = bn_p.add_subparsers(dest="action", required=True)
     p = bn_sub.add_parser("number")
     for flag in ("--pa", "--r", "--d", "--k"):
-        p.add_argument(flag, type=int, required=True)
+        p.add_argument(flag, type=cli._int, required=True)
     p.set_defaults(func=cli.cmd_bn_number)
     p = bn_sub.add_parser("bounds")
     for flag in ("--pa", "--r", "--d", "--k"):
-        p.add_argument(flag, type=int, required=True)
+        p.add_argument(flag, type=cli._int, required=True)
     p.set_defaults(func=cli.cmd_bn_bounds)
     p = bn_sub.add_parser("certify")
     curve_arg(p)
     omega_arg(p)
     for flag in ("--s", "--k", "--d"):
-        p.add_argument(flag, type=int, required=True)
+        p.add_argument(flag, type=cli._int, required=True)
     p.set_defaults(func=cli.cmd_bn_certify)
     p = bn_sub.add_parser("scan")
     p.add_argument("--family", required=True, choices=["chain", "comb"])
-    p.add_argument("--gamma-max", type=int, required=True)
-    p.add_argument("--genus-max", type=int, required=True)
-    p.add_argument("--s-max", type=int, required=True)
+    p.add_argument("--gamma-max", type=cli._int, required=True)
+    p.add_argument("--genus-max", type=cli._int, required=True)
+    p.add_argument("--s-max", type=cli._int, required=True)
     p.set_defaults(func=cli.cmd_bn_scan)
 
     return parser

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import nodalbn as nb
+from nodalbn import cli
 from nodalbn.cli import _fmt, main
 from conftest import forbid_enumeration, shift_first_window
 from oracles import enumerating_invariance_check
@@ -210,6 +211,38 @@ def test_digit_group_in_a_curve_file_names_the_line(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: line 2: genus must be an integer, got '1_0'\n"
+
+
+def _leaves():
+    """(words, options) for every leaf of ``cli.COMMANDS``."""
+    for group, (_, leaves) in cli.COMMANDS.items():
+        if isinstance(leaves, dict):
+            for action, options in leaves.items():
+                yield (group, action), options
+        else:
+            yield (group,), leaves
+
+
+# (words..., flag) for every option that argparse converts
+INT_OPTIONS = [
+    (*words, flag) for words, options in _leaves() for flag, spec in options if "type" in spec
+]
+
+
+def test_integer_options_are_listed():
+    assert len(INT_OPTIONS) == 24
+    assert ("order", "--root") in INT_OPTIONS
+    assert ("components", "check", "--root") in INT_OPTIONS
+
+
+@pytest.mark.parametrize("argv", INT_OPTIONS, ids=" ".join)
+def test_integer_option_refuses_digit_groups(capsys, argv):
+    # int reads '1_0' as 10; argparse's usage error names the option, as for 'x'
+    for value in ("1_0", "x"):
+        code, out, err = run(capsys, *argv, value)
+        assert code == 2
+        assert out == ""
+        assert err.endswith(f" error: argument {argv[-1]}: invalid int value: {value!r}\n")
 
 
 def test_omega_reads_a_finite_decimal_exactly(capsys, two_path):

@@ -556,36 +556,46 @@ def test_narrowing_is_exact(seed):
 
 
 def test_small_slope_search_rejects_crossed_subcurves(chain4):
-    # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}, so it is no subtree;
-    # the search's catalog is never reached
+    # A_3 = {2, 3} is triangular but crosses A_2 = {1, 2}, the subcurve below
+    # node 2, so it is no subtree; the search's catalog is never reached
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
         subcurves=(frozenset({1}), frozenset({1, 2}), frozenset({2, 3})),
         separating_nodes=(1, 2, 3),
     )
-    with pytest.raises(ValueError, match="not nested at position 3"):
+    with pytest.raises(ValueError, match=r"A_3 is not component 3 plus"):
         nb.enumerate_components(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
-def test_search_accepts_laminar_non_contiguous_subcurves(chain4):
-    # A_3 = {1, 3} skips position 2, but the family is laminar: a tree
+def test_search_rejects_laminar_family_that_is_no_decomposition(chain4):
+    # A_3 = {1, 3} skips position 2 and the family is laminar, but on the chain
+    # A_2 = {2} is no side of node 2 and {1, 3} is not connected
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
         subcurves=(frozenset({1}), frozenset({2}), frozenset({1, 3})),
         separating_nodes=(1, 2, 3),
     )
-    eta = nb.canonical(chain4)
-    table = stability_windows(chain4, eta, deco, 3, 6)
-    want = brute_force_catalog(chain4, eta, deco, 3, 6)
-    assert want
-    assert [t.degrees for t in table.catalog()] == want
-    assert table.size() == len(want)
-    search = SmallSlopeSearch(table)
-    assert [t.degrees for t in search.tuples()] == brute_force_small_slope(
-        chain4, eta, deco, 3, 6
+    assert not nb.verify_decomposition(chain4, deco).ok
+    with pytest.raises(ValueError, match=r"A_2 is not component 2 plus"):
+        stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
+
+
+def test_stability_windows_refuses_a_curve_not_of_compact_type():
+    # on a triangle the separating nodes alone would give a tree, but
+    # verify_decomposition refuses the curve, and so does the split table
+    curve = nb.NodalCurve((2, 2, 2), ((1, 1, 2), (2, 2, 3), (3, 1, 3)))
+    deco = nb.OrderedDecomposition(
+        root=3,
+        order=(1, 2, 3),
+        subcurves=(frozenset({1}), frozenset({1, 2})),
+        separating_nodes=(1, 2),
     )
+    with pytest.raises(nb.NotCompactTypeError):
+        nb.verify_decomposition(curve, deco)
+    with pytest.raises(nb.NotCompactTypeError):
+        stability_windows(curve, nb.canonical(curve), deco, 3, 6)
 
 
 def test_search_accepts_valid_non_post_order_decomposition():
@@ -605,8 +615,9 @@ def test_search_accepts_valid_non_post_order_decomposition():
 
 
 def test_small_slope_search_rejects_non_triangular(chain4):
-    # A_1 = {1, 2} holds position 2's component: refused when the table is
-    # built, so no question about a tuple is answered either
+    # A_1 = {1, 2} holds position 2's component, and node 2 is not on
+    # component 1: refused when the table is built, so no question about a
+    # tuple is answered either
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
@@ -614,25 +625,28 @@ def test_small_slope_search_rejects_non_triangular(chain4):
         separating_nodes=(2, 2, 3),
     )
     eta = nb.canonical(chain4)
-    with pytest.raises(ValueError, match="not triangular at position 1"):
+    fault = "separating node 2 at position 1 is not on component 1"
+    with pytest.raises(ValueError, match=fault):
         stability_windows(chain4, eta, deco, 3, 6)
     ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
     for question in (nb.stability_conditions, nb.robustness_radius):
-        with pytest.raises(ValueError, match="not triangular at position 1"):
+        with pytest.raises(ValueError, match=fault):
             question(chain4, eta, deco, ctuple)
 
 
 READER_FAULTS = (
     "swap positions", "swap order", "swap subcurves", "duplicate id", "unknown id",
     "replace", "replace by earlier", "trade", "extend", "shrink", "empty", "complement",
-    "unknown member",
+    "unknown member", "swap nodes", "wrong node", "unknown node", "root not last",
 )
 
 
-def _mutated_family(rng, curve, order, subcurves):
-    """The order and subcurves with up to two random faults from READER_FAULTS."""
-    order, subcurves = list(order), list(subcurves)
+def _mutated_family(rng, curve, deco):
+    """The decomposition with up to two random faults from READER_FAULTS."""
+    root, order = deco.root, list(deco.order)
+    subcurves, nodes = list(deco.subcurves), list(deco.separating_nodes)
     ids = list(curve.component_ids)
+    node_ids = [node.id for node in curve.nodes]
     n = len(order)
     for _ in range(rng.randint(0, 2)):
         fault = rng.choice(READER_FAULTS)
@@ -670,21 +684,33 @@ def _mutated_family(rng, curve, order, subcurves):
             subcurves[j] = frozenset(ids) - subcurves[j]
         elif fault == "unknown member":
             subcurves[j] |= {rng.choice([0, n + 1])}
-    return tuple(order), tuple(subcurves)
+        elif fault == "swap nodes":
+            nodes[j], nodes[m] = nodes[m], nodes[j]
+        elif fault == "wrong node":  # a node of the curve, most often another position's
+            nodes[j] = rng.choice(node_ids)
+        elif fault == "unknown node":
+            nodes[j] = rng.choice([0, max(node_ids) + 1])
+        elif fault == "root not last":
+            root = rng.choice(order[:-1])
+    return deco._replace(
+        root=root, order=tuple(order), subcurves=tuple(subcurves), separating_nodes=tuple(nodes)
+    )
 
 
 @settings(max_examples=1000, deadline=None)
 @given(seed=st.integers(0, 10**6))
-def test_subtree_children_matches_the_full_reader(seed):
-    """The one reader refuses an order that is no permutation of the ids, naming it;
-    otherwise it gives `oracles.read_children`'s children, or its ValueError text.
+def test_table_is_built_exactly_when_verify_decomposition_accepts(seed):
+    """A split table is built for a family exactly when `verify_decomposition`
+    accepts it, and then holds `oracles.read_children`'s children.
 
     Post-orders and leaf-pruning orders of random Pruefer trees, some with
     swapped positions, a subcurve replaced, traded, extended, shrunk,
-    emptied or complemented, a duplicate or unknown id in the order, or an
-    unknown member in a subcurve.  `stability_windows` on the same family
-    raises exactly when the reader, the permutation check or a subcurve
-    fault does, and otherwise keeps the reader's children.
+    emptied or complemented, a duplicate or unknown id in the order, an
+    unknown member in a subcurve, two separating nodes swapped, a node at
+    the wrong position, an unknown node id, or a root that is not last.  A
+    subcurve with an unknown member or none raises the replayed
+    `CurveError` or `PolarizationError`; an order that is no permutation
+    of the ids is named as such.
     """
     rng = random.Random(seed)
     curve = random_tree_curve(rng, gamma_max=8)
@@ -693,32 +719,24 @@ def test_subtree_children_matches_the_full_reader(seed):
         deco = nb.order_components(curve, root)
     else:
         deco = pruning_decomposition(rng, curve, root)
-    order, subcurves = _mutated_family(rng, curve, deco.order, deco.subcurves)
+    deco = _mutated_family(rng, curve, deco)
+    eta = nb.canonical(curve)
     ids = set(curve.component_ids)
-    permutation = sorted(order) == sorted(ids)
-    faulty = not permutation or any(not A or not A <= ids for A in subcurves)
-    if not permutation:
+    if any(not A or not A <= ids for A in deco.subcurves):
+        with pytest.raises((nb.CurveError, nb.PolarizationError)):
+            stability_windows(curve, eta, deco, 2, curve.gamma)
+    elif nb.verify_decomposition(curve, deco).ok:
+        table = stability_windows(curve, eta, deco, 2, curve.gamma)
+        assert table.children == read_children(deco.order, deco.subcurves)
+    else:
         with pytest.raises(ValueError) as info:
-            ordering._subtree_children(order, subcurves)
-        assert str(info.value) == (
-            f"decomposition order {order} is not a permutation of the ids 1..{curve.gamma}"
-        )
-    else:
-        try:
-            want = read_children(order, subcurves)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as info:
-                ordering._subtree_children(order, subcurves)
-            assert str(info.value) == str(exc)
-            faulty = True
-        else:
-            assert ordering._subtree_children(order, subcurves) == want
-    deco = deco._replace(order=order, subcurves=subcurves)
-    if faulty:
-        with pytest.raises(ValueError):
-            stability_windows(curve, nb.canonical(curve), deco, 2, curve.gamma)
-    else:
-        assert stability_windows(curve, nb.canonical(curve), deco, 2, curve.gamma).children == want
+            stability_windows(curve, eta, deco, 2, curve.gamma)
+        assert type(info.value) is ValueError
+        if sorted(deco.order) != sorted(ids):
+            assert str(info.value) == (
+                f"decomposition order {deco.order} is not a permutation of the ids "
+                f"1..{curve.gamma}"
+            )
 
 
 def _counted(monkeypatch, name, key):
@@ -770,7 +788,7 @@ def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name
     curve = request.getfixturevalue(curve_name)
     eta = nb.canonical(curve)
     deco = canonical_deco(curve)
-    reads = _counted(monkeypatch, "_subtree_children", lambda order, subcurves: order[-1])
+    reads = _counted(monkeypatch, "_read_tree", lambda deco, ends: deco.order[-1])
     walks = _counted(monkeypatch, "order_components", lambda _, root: root)
     table = stability_windows(curve, eta, deco, 3, 6)
     catalog = table.catalog()
@@ -1045,14 +1063,14 @@ def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcu
 
 
 @pytest.mark.parametrize(
-    "last, fault",
+    "last",
     [
-        ({2, 3}, "not nested at position 3"),  # crosses A_2 = {1, 2}
-        # holds A_2's top component and has its size, but not all of A_2
-        ({2, 3, 4}, "not triangular at position 3"),
+        {2, 3},  # crosses A_2 = {1, 2}, the subcurve below node 2
+        {2, 3, 4},  # has the size of component 3 plus A_2, but not all of A_2
     ],
+    ids=["crosses-A_2", "sized-without-A_2"],
 )
-def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
+def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last):
     """A family that is no tree is not summed subcurve by subcurve: the
     reader's fault is raised when the table is built, not when it is first read."""
     deco = nb.OrderedDecomposition(
@@ -1061,7 +1079,7 @@ def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
         subcurves=(frozenset({1}), frozenset({1, 2}), frozenset(last)),
         separating_nodes=(1, 2, 3),
     )
-    with pytest.raises(ValueError, match=fault):
+    with pytest.raises(ValueError, match="A_3 is not component 3 plus the subcurves below it"):
         stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
@@ -1117,7 +1135,7 @@ def test_catalog_size_rejects_non_triangular(chain4):
         subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
         separating_nodes=(2, 2, 3),
     )
-    with pytest.raises(ValueError, match="not triangular at position 1"):
+    with pytest.raises(ValueError, match="separating node 2 at position 1 is not on"):
         nb.enumerate_components(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
