@@ -59,6 +59,8 @@ from .sheaf import (
 )
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from . import components as comp
 
 
@@ -75,12 +77,13 @@ class Report:
     def kv(self, key: str, value: object) -> None:
         self.lines.append(f"{key}: {_fmt(value)}")
 
-    def table(self, name: str, header: list[str], rows: list[list[object]]) -> None:
+    def table(self, name: str, header: list[str], rows: list[list[object] | str]) -> None:
+        """A table of rows, each a list of cells or its text already joined."""
         self.blank()
         self.lines.append(f"#table {name}")
         self.lines.append("\t".join(header))
         for row in rows:
-            self.lines.append("\t".join(map(_fmt, row)))
+            self.lines.append(row if row.__class__ is str else "\t".join(map(_fmt, row)))
 
     def raw(self, text: str) -> None:
         self.lines.append(text)
@@ -265,24 +268,50 @@ def cmd_sheaf_info(args: argparse.Namespace) -> int:
 def _catalog_table(
     report: Report,
     table: comp.WindowTable,
-    catalog: list[comp.ComponentTuple],
+    tuples: Iterable[tuple[int, ...]],
 ) -> None:
+    """The ``count`` line and the catalog table, one row per degree tuple.
+
+    Window k's cells (lower, sigma, upper) and its `slack_key` depend on
+    sigma_k alone, so each (window, sigma) is formatted on first use and
+    kept, as is each distinct radius, keyed by the least slack key.  A row
+    is then its subtree sums, one lookup per window, a min and a join.
+    """
+    windows = table.windows
     header = ["tuple"]
-    for w in table.windows:
+    for w in windows:
         header += [f"j{w.j}_lower", f"j{w.j}_sigma", f"j{w.j}_upper"]
     header += ["verdict", "radius"]
-    # the bounds are the same on every row: format them once per window
-    bounds = [(_fmt(w.lower), _fmt(w.upper)) for w in table.windows]
-    passed = _verdict(True)  # `binding` raises for a failing tuple
+    cells: list[dict[int, str]] = [{} for _ in windows]  # per window: sigma -> its three cells
+    keys: list[dict[int, int]] = [{} for _ in windows]  # per window: sigma -> its slack key
+    radii: dict[int, str] = {}  # least slack key -> radius text
+    # (position of the component, children) for each window; the root's sum is d
+    plan = [(comp - 1, kids) for comp, kids in zip(table.order, table.children)][:-1]
+    tail = "\t" + _verdict(True) + "\t"  # `slack_key` raises for a failing tuple
     rows = []
-    for t in catalog:
-        sums = table.sums(t)
-        found = table.binding(sums)
-        row: list[object] = [t.degrees]
-        for sigma, (lower, upper) in zip(sums, bounds):
-            row += [lower, sigma, upper]
-        row += [passed, "unbounded" if found is None else found[1]]
-        rows.append(row)
+    for degrees in tuples:
+        sums: list[int] = []
+        for i, kids in plan:
+            sigma = degrees[i]
+            for c in kids:
+                sigma += sums[c]
+            sums.append(sigma)
+        try:
+            row = list(map(dict.__getitem__, cells, sums))
+        except KeyError:
+            for k, (w, sigma) in enumerate(zip(windows, sums)):
+                if sigma not in cells[k]:
+                    keys[k][sigma] = table.slack_key(k, sigma)
+                    cells[k][sigma] = f"{w.lower}\t{sigma}\t{w.upper}"
+            row = list(map(dict.__getitem__, cells, sums))
+        least = min(map(dict.__getitem__, keys, sums), default=None)
+        radius = radii.get(least)
+        if radius is None:
+            found = None if least is None else table.radius_at(least)
+            radius = radii[least] = "unbounded" if found is None else str(found)
+        row.insert(0, ",".join(map(str, degrees)))
+        rows.append("\t".join(row) + tail + radius)
+    report.kv("count", len(rows))
     report.table("catalog", header, rows)
 
 
@@ -295,14 +324,12 @@ def cmd_components_enumerate(args: argparse.Namespace) -> int:
     root = args.root if args.root is not None else curve.gamma
     deco = ordering.order_components(curve, root)
     table = comp.stability_windows(curve, omega, deco, args.rank, args.degree)
-    catalog = comp.SmallSlopeSearch(table).tuples() if args.small_slope else table.catalog()
     report.kv("omega", omega.weights)
     report.kv("rank", args.rank)
     report.kv("degree", args.degree)
     report.kv("root", root)
     report.kv("order", deco.order)
-    report.kv("count", len(catalog))
-    _catalog_table(report, table, catalog)
+    _catalog_table(report, table, table.degree_tuples(small_slope=args.small_slope))
     report.emit()
     return 0
 

@@ -16,10 +16,14 @@ w_j coeff + s(g_j - 1).
 A table keeps every bound as an integer numerator over the
 polarization's lcm D, so a catalog row is integer work: sigma_j is a
 subtree sum of the degrees (O(gamma) for all j), a window holds when its
-lower numerator < sigma_j D < its upper numerator, and the binding window
-of the robustness radius is found by comparing slack_j |A_k| with
-slack_k |A_j|.  The radius is the one Fraction a row builds; the bounds
-become Fractions only where they are printed.
+lower numerator < sigma_j D < its upper numerator, and the robustness
+radius is the least slack_j / |A_j| over the windows.  With L the lcm of
+the |A_j|, `WindowTable.slack_key` gives window j's slack times L / |A_j|,
+an integer that depends on sigma_j alone; the least key picks the
+binding window (ties go to the smallest j) and fixes the radius, key /
+(D |coeff| L).  So a printed catalog formats each (window, sigma_j) cell
+and each distinct radius once, and the bounds become Fractions only where
+they are printed.
 
 One search answers every catalog question.  Component in position i
 lies in A_j only for i <= j, position j itself always does, and the A_j
@@ -180,9 +184,10 @@ class WindowTable(_Frozen):
     and ``uppers[k]`` = that + s D, where ``coeff`` = d + s(1 - p_a) is how
     far both bounds move per unit of weight moved into A_k.  ``deco`` is
     the decomposition (``order`` its order, root last) and ``children`` the
-    tree of subcurves the split table read.  `sums` and `binding` are
-    integer work.  ``windows``, the bounds as reduced Fractions, is built
-    on first use: by what prints a bound, and by repr, equality and hash.
+    tree of subcurves the split table read.  `sums`, `slack_key` and
+    `binding` are integer work.  ``windows``, the bounds as reduced
+    Fractions, is built on first use: by what prints a bound, and by repr,
+    equality and hash.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -265,35 +270,64 @@ class WindowTable(_Frozen):
         )
         return StabilityReport(passed=all(r.ok for r in rows), rows=rows)
 
+    @cached_property
+    def _scales(self) -> tuple[int, tuple[int, ...]]:
+        """L = lcm of the |A_j|, and L / |A_j| per window."""
+        sizes = [len(A) for A in self.deco.subcurves]
+        L = math.lcm(*sizes)
+        return L, tuple(L // size for size in sizes)
+
+    def slack_key(self, k: int, sigma: int) -> int:
+        """Window k's slack at sigma_k = sigma, as a numerator over D, times L / |A_k|.
+
+        The slack is min(sigma - lower, upper - sigma) and L is the lcm of
+        the |A_j|, so keys order slack_j / |A_j| across windows in
+        integers.  A sigma outside window k raises `HypothesisError`.
+        """
+        D, lo, hi = self.denominator, self.lowers[k], self.uppers[k]
+        x = sigma * D
+        if not lo < x < hi:
+            raise HypothesisError(
+                f"tuple fails condition {k + 1}: "
+                f"{Fraction(lo, D)} < {sigma} < {Fraction(hi, D)} is false"
+            )
+        return min(x - lo, hi - x) * self._scales[1][k]
+
+    def radius_at(self, key: int) -> Fraction | None:
+        """The radius whose least `slack_key` is key: key / (D |coeff| L).
+
+        None means unbounded: coeff = 0, so that the bounds do not move.
+        """
+        if self.coeff == 0:
+            return None
+        return Fraction(key, self.denominator * abs(self.coeff) * self._scales[0])
+
     def binding(self, sums: list[int]) -> tuple[int, Fraction] | None:
         """Index k and value of the least slack / (|coeff| |A_j|) over the windows.
 
-        ``sums`` are a tuple's sigma_j (`sums`).  The slacks are compared
-        as slack_j |A_k| against slack_k |A_j|, and ties go to the smallest
-        j; the one `Fraction` built is the value.  A failing window raises
-        `HypothesisError`.  None means unbounded: no windows (gamma = 1),
-        or coeff = 0 so that the bounds do not move at all.
+        ``sums`` are a tuple's sigma_j (`sums`).  Window k's `slack_key`
+        depends on sigma_k alone, the least key binds, ties go to the
+        smallest j, and the one `Fraction` built is the value (`radius_at`).
+        A failing window raises `HypothesisError`, in window order.  None
+        means unbounded: no windows (gamma = 1), or coeff = 0.
         """
-        D, subcurves = self.denominator, self.deco.subcurves
-        best = None  # (k, slack numerator, |A_k|)
-        for k, (A, sigma, lo, hi) in enumerate(zip(subcurves, sums, self.lowers, self.uppers)):
-            x = sigma * D
-            if not lo < x < hi:
-                raise HypothesisError(
-                    f"tuple fails condition {k + 1}: "
-                    f"{Fraction(lo, D)} < {sigma} < {Fraction(hi, D)} is false"
-                )
-            slack, size = min(x - lo, hi - x), len(A)
-            if best is None or slack * best[2] < best[1] * size:
-                best = (k, slack, size)
-        if best is None or self.coeff == 0:
+        keys = [self.slack_key(k, sigma) for k, sigma in enumerate(sums)]
+        if not keys or self.coeff == 0:
             return None
-        k, slack, size = best
-        return k, Fraction(slack, D * abs(self.coeff) * size)
+        k = min(range(len(keys)), key=keys.__getitem__)
+        return k, self.radius_at(keys[k])
 
     def catalog(self) -> list[ComponentTuple]:
         """All degree tuples meeting every window, sorted."""
         return SmallSlopeSearch(self, _whole_catalog=True).tuples()
+
+    def degree_tuples(self, *, small_slope: bool = False) -> Iterator[tuple[int, ...]]:
+        """The catalog's degree tuples as plain tuples, in increasing order.
+
+        With ``small_slope`` only those with every degree in 1..s.  Nothing
+        is listed up front: each tuple comes from the walk as it is found.
+        """
+        return SmallSlopeSearch(self, _whole_catalog=not small_slope)._walk()
 
     def size(self) -> int:
         """Number of catalog tuples, without building them.
@@ -380,16 +414,16 @@ class SmallSlopeSearch:
                            min(c_hi, hi - own_lo - kids_lo + c_lo))
         return out
 
-    def _walk(self) -> Iterator[ComponentTuple]:
-        """Every tuple, in increasing order.
+    def _walk(self) -> Iterator[tuple[int, ...]]:
+        """Every tuple's degrees, in component-id order, as a plain tuple, increasing.
 
         Ids take their degrees in turn, each over its narrowed range, so
         every choice has a completion.  Only ids with more than one degree
         left branch, and each choice is narrowed once.  When two ids are
         left free, the fixed total settles the second once the first is
-        chosen.
+        chosen.  The tuples are plain, so a caller that only prints them
+        builds no `ComponentTuple`.
         """
-        s = self.table.rank
         where = sorted(range(len(self.ranges)), key=self.table.order.__getitem__)
         ranges = self._narrow(self.ranges)
         if ranges is None:
@@ -403,14 +437,14 @@ class SmallSlopeSearch:
             else:
                 degrees = [ranges[p][0] for p in where]
                 if not free:
-                    yield ComponentTuple(s, tuple(degrees))
+                    yield tuple(degrees)
                 else:
                     a, b = free
                     lo, hi = ranges[where[a]]
                     total = lo + ranges[where[b]][1]
                     for x in range(lo, hi + 1):
                         degrees[a], degrees[b] = x, total - x
-                        yield ComponentTuple(s, tuple(degrees))
+                        yield tuple(degrees)
             while choosing:
                 parent, p, left = choosing[-1]
                 x = next(left, None)
@@ -424,27 +458,39 @@ class SmallSlopeSearch:
             ranges = self._narrow(ranges)
 
     def count(self) -> int:
-        """Number of tuples: f_root[d]."""
-        if self.support is None:
+        """Number of tuples: f_root[d].
+
+        Only a parent reads a child's table, so each is dropped once its
+        parent has convolved it and only the frontier's tables stay alive.
+        The tables run over the narrowed ranges (`_narrow`), which hold the
+        same tuples, so a table is as wide as the sums some tuple gives its
+        subtree, not as p's range: 1..s may be 10^12 wide.
+        """
+        ranges = self._narrow(self.ranges)
+        if ranges is None:
             return 0
-        tables: list[list[int]] = []
+        support = self._supports(ranges)
+        tables: list[list[int] | None] = []
         for p, kids in enumerate(self.children):
-            own_lo, own_hi = self.ranges[p]
+            own_lo, own_hi = ranges[p]
             f, low = [1], own_lo  # low: the sum that f[0] counts, once v's degree is in
             for c in kids:
-                f, low = _convolve(f, tables[c]), low + self.support[c][0]
+                f, low = _convolve(f, tables[c]), low + support[c][0]
+                tables[c] = None
             f = _convolve_ones(f, own_hi - own_lo + 1)
-            lo, hi = self.support[p]
+            lo, hi = support[p]
             tables.append(f[lo - low : hi - low + 1])
         return tables[-1][0]
 
     def first(self) -> ComponentTuple | None:
         """The least tuple in component-id order, None when there is none."""
-        return next(self._walk(), None)
+        degrees = next(self._walk(), None)
+        return None if degrees is None else ComponentTuple(self.table.rank, degrees)
 
     def tuples(self) -> list[ComponentTuple]:
         """Every tuple, sorted."""
-        return list(self._walk())
+        s = self.table.rank
+        return [ComponentTuple(s, degrees) for degrees in self._walk()]
 
 
 def _convolve(f: list[int], g: list[int]) -> list[int]:

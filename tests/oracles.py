@@ -205,6 +205,36 @@ def brute_force_catalog(curve, omega, deco, s, d, _clamp=None):
     return found
 
 
+def subtree_sum_count(curve, omega, deco, s, d, ranges):
+    """Tuples with position p's degree in ``ranges[p]`` meeting every window, by a DP.
+
+    Every position's table (subtree sum -> ways) is kept to the end and
+    spans the ranges as given: the count `SmallSlopeSearch.count` must give
+    while it narrows the ranges and drops each child's table.
+    The windows are `_sigma_windows` and the tree of subcurves is
+    `read_children`; the root's subtree sum is d.
+    """
+    windows = [*_sigma_windows(curve, omega, deco, s, d), (d, d)]
+    tables = []
+    for (lo, hi), kids, (own_lo, own_hi) in zip(
+        windows, read_children(deco.order, deco.subcurves), ranges
+    ):
+        table = {0: 1}
+        for c in kids:
+            table = _add_tables(table, tables[c])
+        table = _add_tables(table, dict.fromkeys(range(own_lo, own_hi + 1), 1))
+        tables.append({x: n for x, n in table.items() if lo <= x <= hi})
+    return tables[-1].get(d, 0)
+
+
+def _add_tables(f, g):
+    out = {}
+    for x, m in f.items():
+        for y, n in g.items():
+            out[x + y] = out.get(x + y, 0) + m * n
+    return out
+
+
 def brute_force_small_slope(curve, omega, deco, s, d):
     return [
         t for t in brute_force_catalog(curve, omega, deco, s, d, _clamp=(1, s))

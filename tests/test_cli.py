@@ -1,15 +1,34 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import contextlib
+import io
+import random
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
 from nodalbn import cli
 from nodalbn.cli import _fmt, main
-from conftest import forbid_enumeration, shift_first_window
-from oracles import enumerating_invariance_check
+from conftest import (
+    forbid_enumeration,
+    random_good_polarization,
+    random_tree_curve,
+    shift_first_window,
+)
+from oracles import (
+    brute_force_box_size,
+    brute_force_catalog,
+    brute_force_small_slope,
+    enumerating_invariance_check,
+    raw_arithmetic_genus,
+    raw_row,
+    raw_windows,
+)
 
 TWO_CURVE = "component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n"
 COMB4 = (
@@ -333,6 +352,62 @@ class TestComponentsCommands:
         ) == (code, want, "")
         assert code == 0 and "\tpass\t" in want
 
+    @pytest.mark.parametrize("extra", [(), ("--small-slope",)])
+    def test_enumerate_builds_no_component_tuple(self, capsys, monkeypatch, comb4_path, extra):
+        from nodalbn import components
+
+        argv = ("components", "enumerate", "--curve", comb4_path,
+                "--rank", "3", "--degree", "5", *extra)
+        code, want, _ = run(capsys, *argv)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a ComponentTuple was built")
+
+        monkeypatch.setattr(components.ComponentTuple, "__init__", refuse)
+        assert run(capsys, *argv) == (code, want, "")
+        assert code == 0 and int(kv(want)["count"]) > 1
+
+    @pytest.mark.parametrize("extra, s", [((), 5), (("--small-slope",), 8)])
+    def test_enumerate_formats_each_cell_and_radius_once(self, monkeypatch, extra, s):
+        """One `slack_key` per (window, sigma) and one `radius_at` per distinct radius."""
+        from nodalbn import components
+
+        keys, radii = [], []
+        slack_key, radius_at = components.WindowTable.slack_key, components.WindowTable.radius_at
+
+        def counted_key(table, k, sigma):
+            keys.append((k, sigma))
+            return slack_key(table, k, sigma)
+
+        def counted_radius(table, key):
+            radii.append(key)
+            return radius_at(table, key)
+
+        monkeypatch.setattr(components.WindowTable, "slack_key", counted_key)
+        monkeypatch.setattr(components.WindowTable, "radius_at", counted_radius)
+        curve = nb.chain_curve((2, 3, 2, 2, 3))
+        code, count, lines = _enumerate_rows(curve, nb.canonical(curve), 5, s, s, *extra)
+        rows = [line.split("\t") for line in lines[1:]]
+        assert code == 0 and count == len(rows) > 30
+        cells = {(k, row[2 + 3 * k]) for row in rows for k in range(4)}
+        assert sorted((k, str(sigma)) for k, sigma in keys) == sorted(cells)
+        assert len(radii) == len({row[-1] for row in rows}) > 1
+
+    def test_enumerate_on_huge_windows_fills_cells_on_first_use(self, capsys, tmp_path):
+        # windows 10^12 wide: a table filled over its window would never finish
+        path = tmp_path / "chain3.crv"
+        path.write_text(nb.render_curve(nb.chain_curve((2, 2, 2))))
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            "components", "enumerate", "--curve", str(path),
+            "--rank", str(10**12), "--degree", "4", "--small-slope",
+        )
+        assert time.perf_counter() - start < 2
+        body = out.split("#table catalog\n", 1)[1].strip().splitlines()
+        assert code == 0 and kv(out)["count"] == "3"
+        assert [row.split("\t", 1)[0] for row in body[1:]] == ["1,1,2", "1,2,1", "2,1,1"]
+
     def test_enumerate_small_slope(self, capsys, two_path):
         code, out, _ = run(
             capsys,
@@ -415,6 +490,129 @@ class TestComponentsCommands:
         pairs = kv(out)
         assert pairs["invariance"] == "pass"
         assert pairs["count"] == "2"
+
+
+# -- catalog rows against raw Fractions -------------------------------
+
+
+def _enumerate_rows(curve, omega, root, s, d, *extra):
+    """Exit code, count and catalog table lines of `components enumerate`, run in process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.crv"
+        path.write_text(nb.render_curve(curve))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([
+                "components", "enumerate", "--curve", str(path),
+                "--omega", ",".join(map(str, omega.weights)),
+                "--rank", str(s), "--degree", str(d), "--root", str(root), *extra,
+            ])
+    text = out.getvalue()
+    return code, int(kv(text)["count"]), text.split("#table catalog\n", 1)[1].splitlines()
+
+
+def _raw_catalog_lines(curve, omega, deco, s, d, tuples):
+    """The catalog table's lines with every cell from `raw_row`'s raw Fractions."""
+    windows = raw_windows(curve, omega, deco, s, d)
+    coeff = d + s * (1 - raw_arithmetic_genus(curve.genera, curve.nodes))
+    header = ["tuple"]
+    for j in range(1, len(windows) + 1):
+        header += [f"j{j}_lower", f"j{j}_sigma", f"j{j}_upper"]
+    lines = ["\t".join([*header, "verdict", "radius"])]
+    for degrees in tuples:
+        want = raw_row(windows, coeff, degrees)
+        assert want.passed
+        cells = [",".join(map(str, degrees))]
+        for x, (_, lower, upper) in zip(want.sums, windows):
+            cells += [str(lower), str(x), str(upper)]
+        cells += ["pass", "unbounded" if want.radius is None else str(want.radius)]
+        lines.append("\t".join(cells))
+    return lines
+
+
+def _assert_catalog_rows_match_raw_fractions(curve, omega, root, s, d):
+    """Whole and small-slope catalog rows, tuples from the oracle when its box is small.
+
+    Returns the whole catalog's lines.
+    """
+    deco = nb.order_components(curve, root)
+    small_box = brute_force_box_size(curve, omega, deco, s, d) <= 20_000
+    whole = None
+    for extra, oracle in (((), brute_force_catalog), (("--small-slope",), brute_force_small_slope)):
+        code, count, lines = _enumerate_rows(curve, omega, root, s, d, *extra)
+        if small_box:
+            tuples = oracle(curve, omega, deco, s, d)
+        else:
+            tuples = [tuple(map(int, line.split("\t", 1)[0].split(","))) for line in lines[1:]]
+            assert tuples == sorted(set(tuples))
+        assert (code, count) == (0, len(tuples))
+        assert lines == _raw_catalog_lines(curve, omega, deco, s, d, tuples)
+        whole = whole or lines
+    return whole
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_catalog_rows_match_raw_fractions(seed):
+    """Every row of `components enumerate`, radius text included, against raw Fractions.
+
+    Random Pruefer trees (gamma <= 7, gamma = 1 included), random roots,
+    canonical and good perturbed polarizations, whole and small-slope
+    catalogs; d = s (p_a - 1), where coeff = 0, in a fifth of the draws.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=7, genus_range=(2, 4))
+    omega = nb.canonical(curve) if rng.random() < 0.5 else random_good_polarization(rng, curve)
+    s = rng.randint(1, 3)
+    if rng.random() < 0.2:
+        d = s * (curve.arithmetic_genus() - 1)
+    else:
+        d = rng.randint(0, s * curve.gamma + 1)
+    _assert_catalog_rows_match_raw_fractions(curve, omega, rng.randint(1, curve.gamma), s, d)
+
+
+def test_catalog_rows_without_windows():
+    # gamma = 1: the table has no windows and the one row is unbounded
+    curve = nb.NodalCurve((3,))
+    lines = _assert_catalog_rows_match_raw_fractions(curve, nb.canonical(curve), 1, 4, 7)
+    assert lines == ["tuple\tverdict\tradius", "7\tpass\tunbounded"]
+
+
+@pytest.mark.parametrize("genera, s", [((2, 3), 2), ((2, 3), 3), ((2, 3, 4, 5), 3)])
+def test_catalog_rows_when_the_bounds_do_not_move(genera, s):
+    # d = s (p_a - 1): coeff = 0, so every row prints unbounded
+    curve = nb.comb_curve(genera)
+    d = s * (curve.arithmetic_genus() - 1)
+    lines = _assert_catalog_rows_match_raw_fractions(curve, nb.canonical(curve), 1, s, d)
+    assert len(lines) > 1 and all(line.endswith("\tpass\tunbounded") for line in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "genera, root, s, d, degrees, tied",
+    [
+        ((2, 2, 2, 2), 1, 4, 7, (1, 2, 1, 3), (0, 2)),  # A_1 = {4}, A_3 = {2, 3, 4}
+        ((2, 2, 2), 3, 5, 5, (0, 3, 2), (0, 1)),  # A_1 = {1}, A_2 = {1, 2}
+    ],
+)
+def test_catalog_rows_with_an_exact_slack_tie(genera, root, s, d, degrees, tied):
+    """Tied windows give one radius; `binding` names the smallest j."""
+    from nodalbn import components
+
+    curve = nb.chain_curve(genera)
+    eta = nb.canonical(curve)
+    lines = _assert_catalog_rows_match_raw_fractions(curve, eta, root, s, d)
+    deco = nb.order_components(curve, root)
+    table = components.stability_windows(curve, eta, deco, s, d)
+    sums = table.sums(nb.ComponentTuple(s, degrees))
+    keys = [table.slack_key(k, sigma) for k, sigma in enumerate(sums)]
+    assert tied == tuple(k for k, key in enumerate(keys) if key == min(keys))
+    assert len({len(deco.subcurves[k]) for k in tied}) == len(tied)
+    k, radius = table.binding(sums)
+    assert k == tied[0]
+    text = ",".join(map(str, degrees))
+    assert [line.rsplit("\t", 1)[1] for line in lines if line.startswith(text + "\t")] == [
+        str(radius)
+    ]
 
 
 class TestBnCommands:

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from oracles import (
     raw_split_sides,
     raw_windows,
     read_children,
+    subtree_sum_count,
 )
 
 
@@ -553,6 +555,51 @@ def test_narrowing_is_exact(seed):
             ]
             want = [(min(xs), max(xs)) for xs in zip(*inside)] if inside else None
             assert search._narrow(ranges) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_count_matches_the_dp_that_keeps_every_table(seed):
+    """`count`, on narrowed ranges and dropping read tables, against a DP that keeps them all.
+
+    Random Pruefer trees, roots and leaf-pruning decompositions, canonical
+    and good perturbed polarizations; ranges 1..s and the whole catalog's.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=7, genus_range=(2, 5))
+    deco = pruning_decomposition(rng, curve, rng.randint(1, curve.gamma))
+    omega = nb.canonical(curve) if rng.random() < 0.5 else random_good_polarization(rng, curve)
+    s = rng.randint(1, 8)
+    d = rng.randint(-1, s * curve.gamma + 2)
+    table = stability_windows(curve, omega, deco, s, d)
+    for whole in (False, True):
+        search = SmallSlopeSearch(table, _whole_catalog=whole)
+        assert search.count() == subtree_sum_count(curve, omega, deco, s, d, search.ranges)
+    assert search.count() == table.size()
+
+
+def test_count_keeps_only_the_frontier_tables():
+    # a chain rooted at an end: every position's table is its parent's only
+    # input, so one table is alive at a time (2.1 MB when all were kept)
+    curve = nb.chain_curve([2] * 150)
+    table = stability_windows(curve, nb.canonical(curve), canonical_deco(curve), 300, 300)
+    search = SmallSlopeSearch(table)
+    tracemalloc.start()
+    try:
+        count = search.count()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count > 0 and peak < 500_000
+
+
+def test_count_on_windows_wider_than_any_table():
+    # ranges 1..10^12 and leaf supports half as wide: only the narrowed
+    # ranges, at most d wide, fit in a table
+    curve = nb.chain_curve((2, 2, 2))
+    table = stability_windows(curve, nb.canonical(curve), canonical_deco(curve), 10**12, 4)
+    search = SmallSlopeSearch(table)
+    assert search.count() == len(search.tuples()) == 3
 
 
 def test_small_slope_search_rejects_crossed_subcurves(chain4):
