@@ -38,7 +38,6 @@ _EXPORTS = {
     "catalog_invariance_check": "components",
     "enumerate_components": "components",
     "robustness_radius": "components",
-    "small_slope_filter": "components",
     "stability_conditions": "components",
     "HypothesisError": "curve",
     "CurveClass": "curve",

@@ -140,7 +140,7 @@ def certify_bn_component(
     read through `operator.index` first: anything else raises ValueError
     naming the argument.
     """
-    from .components import SmallSlopeSearch, WindowTable
+    from .components import WindowTable
 
     s, k, d = _integer(s, "rank s"), _integer(k, "section count k"), _integer(d, "degree d")
     curve.require_compact_type()
@@ -148,8 +148,10 @@ def certify_bn_component(
         raise ValueError(f"rank s must be >= 1, got {s}")
     if k < 1:
         raise ValueError(f"section count k must be >= 1, got {k}")
-    search = SmallSlopeSearch(WindowTable(_SplitTable(curve, omega).require_good(), s, d))
-    return _certify_cell(curve, omega, s, k, d, search.first(), search.count())
+    table = WindowTable(_SplitTable(curve, omega).require_good(), s, d)
+    return _certify_cell(
+        curve, omega, s, k, d, table.first_small_slope(), table.count_small_slope()
+    )
 
 
 def _hypotheses(
@@ -282,7 +284,7 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     count of the small-slope tuples.  A cell that fails is OPEN; nothing
     here ever claims a refutation.
     """
-    from .components import SmallSlopeSearch, WindowTable
+    from .components import WindowTable
 
     s_values = tuple(s_values)
     rows = []
@@ -298,7 +300,7 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                chosen = SmallSlopeSearch(WindowTable(splits, s, d)).first()
+                chosen = WindowTable(splits, s, d).first_small_slope()
                 for k in ks:
                     certified = all(_hypotheses(genera, s, k, chosen))
                     beta = bn_number(pa, s + k, d, k)

@@ -285,17 +285,11 @@ def _catalog_table(
     cells: list[dict[int, str]] = [{} for _ in windows]  # per window: sigma -> its three cells
     keys: list[dict[int, int]] = [{} for _ in windows]  # per window: sigma -> its slack key
     radii: dict[int, str] = {}  # least slack key -> radius text
-    # (position of the component, children) for each window; the root's sum is d
-    plan = [(comp - 1, kids) for comp, kids in zip(table.order, table.children)][:-1]
+    subtree_sums = table._subtree_sums
     tail = "\t" + _verdict(True) + "\t"  # `slack_key` raises for a failing tuple
     rows = []
     for degrees in tuples:
-        sums: list[int] = []
-        for i, kids in plan:
-            sigma = degrees[i]
-            for c in kids:
-                sigma += sums[c]
-            sums.append(sigma)
+        sums = subtree_sums(degrees)
         try:
             row = list(map(dict.__getitem__, cells, sums))
         except KeyError:

@@ -25,7 +25,8 @@ binding window (ties go to the smallest j) and fixes the radius, key /
 and each distinct radius once, and the bounds become Fractions only where
 they are printed.
 
-One search answers every catalog question.  Component in position i
+The window table answers every catalog question, all but its size by
+one search.  Component in position i
 lies in A_j only for i <= j, position j itself always does, and the A_j
 of a tree are nested or disjoint, so they are the subtrees of a rooted
 tree on the positions, read from a valid decomposition's separating
@@ -57,7 +58,7 @@ and the root's window (d, d), position p may take degrees
 [lo_p - sum of the children's hi, hi_p - sum of the children's lo].  The
 subtree sums then reach exactly the integer windows, and since they fix
 the degrees, `WindowTable.size` is the product of the window widths,
-read in one pass over the subcurves without enumerating.
+read from the windows alone with no search.
 
 The catalog is the same for every root choice.  Each A_j is one side of
 its separating node, and on a tree the two sides of a node have weights
@@ -188,6 +189,10 @@ class WindowTable(_Frozen):
     `binding` are integer work.  ``windows``, the bounds as reduced
     Fractions, is built on first use: by what prints a bound, and by repr,
     equality and hash.
+
+    The table answers every catalog question: `catalog`, `degree_tuples`,
+    `first_small_slope`, `count_small_slope` and `size`.  All but `size`
+    run one search (`_walk`, `_count`) over the ranges `_ranges` gives.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -236,14 +241,21 @@ class WindowTable(_Frozen):
                 f"tuple {ctuple} does not fit the windows of rank {self.rank}, "
                 f"degree {self.degree} on {gamma} components"
             )
-        degrees = ctuple.degrees
+        return self._subtree_sums(ctuple.degrees)
+
+    @cached_property
+    def _plan(self) -> list[tuple[int, list[int]]]:
+        """(index of the component in a degree tuple, children) per window; the root's sum is d."""
+        return [(comp - 1, kids) for comp, kids in zip(self.order, self.children)][:-1]
+
+    def _subtree_sums(self, degrees: tuple[int, ...]) -> list[int]:
+        """sigma_j of every window for degrees in id order, unchecked: one pass up the tree."""
         out: list[int] = []
-        for comp, kids in zip(self.order, self.children):
-            sigma = degrees[comp - 1]
+        for i, kids in self._plan:
+            sigma = degrees[i]
             for c in kids:
                 sigma += out[c]
             out.append(sigma)
-        out.pop()  # the root's: the whole degree
         return out
 
     def check(self, ctuple: ComponentTuple) -> StabilityReport:
@@ -319,7 +331,8 @@ class WindowTable(_Frozen):
 
     def catalog(self) -> list[ComponentTuple]:
         """All degree tuples meeting every window, sorted."""
-        return SmallSlopeSearch(self, _whole_catalog=True).tuples()
+        s = self.rank
+        return [ComponentTuple(s, degrees) for degrees in self.degree_tuples()]
 
     def degree_tuples(self, *, small_slope: bool = False) -> Iterator[tuple[int, ...]]:
         """The catalog's degree tuples as plain tuples, in increasing order.
@@ -327,57 +340,53 @@ class WindowTable(_Frozen):
         With ``small_slope`` only those with every degree in 1..s.  Nothing
         is listed up front: each tuple comes from the walk as it is found.
         """
-        return SmallSlopeSearch(self, _whole_catalog=not small_slope)._walk()
+        return self._walk(self._ranges(small_slope))
+
+    def first_small_slope(self) -> ComponentTuple | None:
+        """The least catalog tuple with every degree in 1..s, None when there is none."""
+        degrees = next(self.degree_tuples(small_slope=True), None)
+        return None if degrees is None else ComponentTuple(self.rank, degrees)
+
+    def count_small_slope(self) -> int:
+        """Number of catalog tuples with every degree in 1..s, without listing them."""
+        return self._count(self._ranges(True))
 
     def size(self) -> int:
-        """Number of catalog tuples, without building them.
+        """Number of catalog tuples, read from the integer windows alone.
 
         The subtree sums fix the degrees, so the size is the product of
-        the integer window widths.
+        the integer window widths, 0 when some window holds no integer.
         """
-        support = SmallSlopeSearch(self, _whole_catalog=True).support
-        return 0 if support is None else math.prod(hi - lo + 1 for lo, hi in support)
+        return math.prod(hi - lo + 1 for lo, hi in self._bounds)
 
+    # -- the search: position p (0-based, root last) is a vertex of the
+    # tree of subcurves, ranges[p] the interval p's own degree may take
 
-class SmallSlopeSearch:
-    """Tuples of one window table with every degree in 1..s, by subtree sums.
+    @cached_property
+    def _bounds(self) -> list[tuple[int, int]]:
+        """The integers strictly inside each window; the root's sum is d itself."""
+        D = self.denominator
+        return [
+            (lo // D + 1, (hi - 1) // D) for lo, hi in zip(self.lowers, self.uppers)
+        ] + [(self.degree, self.degree)]
 
-    Position p (0-based, root last) is a vertex of the rooted tree; its
-    children are the positions of the largest subcurves strictly inside
-    A_p, the table's ``children``, and its window is the table's integer
-    bounds over ``denominator``.  ``ranges[p]`` is
-    the interval position p's own degree may take, and ``support[p]`` the
-    interval of sums the subtree of p can take, None when some subtree can
-    take none.  `_narrow` cuts ranges to the degrees some tuple within
-    them takes, and `_walk` lists the tuples in increasing order from it;
-    `first` is the walk's head and `tuples` the whole walk.
-
-    With the private ``_whole_catalog`` the ranges are the widest the
-    windows allow, so the same search lists and counts the whole catalog.
-    """
-
-    def __init__(self, table: WindowTable, *, _whole_catalog: bool = False):
-        self.table = table
-        self.children = table.children
-        # integers strictly inside each position's window; the root's sum is d itself
-        D = table.denominator
-        self.bounds = [
-            (lo // D + 1, (hi - 1) // D) for lo, hi in zip(table.lowers, table.uppers)
-        ] + [(table.degree, table.degree)]
-        if _whole_catalog:  # every degree a tuple in the windows can give p
-            self.ranges = [
-                (lo - sum(self.bounds[c][1] for c in kids),
-                 hi - sum(self.bounds[c][0] for c in kids))
-                for (lo, hi), kids in zip(self.bounds, self.children)
-            ]
-        else:
-            self.ranges = [(1, table.rank)] * len(table.order)
-        self.support = self._supports(self.ranges)
+    def _ranges(self, small_slope: bool) -> list[tuple[int, int]]:
+        """1..s per position, or the widest ranges the windows allow: the whole catalog."""
+        if small_slope:
+            return [(1, self.rank)] * len(self.order)
+        bounds = self._bounds
+        return [
+            (lo - sum(bounds[c][1] for c in kids), hi - sum(bounds[c][0] for c in kids))
+            for (lo, hi), kids in zip(bounds, self.children)
+        ]
 
     def _supports(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        """Reachable subtree sums per position when position p's degree lies in ranges[p]."""
+        """Reachable subtree sums per position when position p's degree lies in ranges[p].
+
+        None when some subtree can reach no sum inside its window.
+        """
         out: list[tuple[int, int]] = []
-        for (wlo, whi), kids, (lo, hi) in zip(self.bounds, self.children, ranges):
+        for (wlo, whi), kids, (lo, hi) in zip(self._bounds, self.children, ranges):
             for c in kids:  # plain loops: the walk runs this once per choice
                 lo += out[c][0]
                 hi += out[c][1]
@@ -398,11 +407,12 @@ class SmallSlopeSearch:
         sums = self._supports(ranges)
         if sums is None:
             return None
+        children = self.children
         out = list(ranges)
         for p in reversed(range(len(ranges))):  # a parent's sums are cut before its children's
             lo, hi = sums[p]
             own_lo, own_hi = ranges[p]
-            kids = self.children[p]
+            kids = children[p]
             kids_lo = kids_hi = 0
             for c in kids:
                 kids_lo += sums[c][0]
@@ -414,8 +424,8 @@ class SmallSlopeSearch:
                            min(c_hi, hi - own_lo - kids_lo + c_lo))
         return out
 
-    def _walk(self) -> Iterator[tuple[int, ...]]:
-        """Every tuple's degrees, in component-id order, as a plain tuple, increasing.
+    def _walk(self, ranges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+        """The degrees of every tuple within ranges, in id order, as plain tuples, increasing.
 
         Ids take their degrees in turn, each over its narrowed range, so
         every choice has a completion.  Only ids with more than one degree
@@ -424,8 +434,8 @@ class SmallSlopeSearch:
         chosen.  The tuples are plain, so a caller that only prints them
         builds no `ComponentTuple`.
         """
-        where = sorted(range(len(self.ranges)), key=self.table.order.__getitem__)
-        ranges = self._narrow(self.ranges)
+        where = sorted(range(len(ranges)), key=self.order.__getitem__)
+        ranges = self._narrow(ranges)
         if ranges is None:
             return
         choosing = []  # (ranges, position, degrees left) for each id that branches
@@ -457,8 +467,8 @@ class SmallSlopeSearch:
             ranges[p] = (x, x)
             ranges = self._narrow(ranges)
 
-    def count(self) -> int:
-        """Number of tuples: f_root[d].
+    def _count(self, ranges: list[tuple[int, int]]) -> int:
+        """Number of tuples within ranges: f_root[d].
 
         Only a parent reads a child's table, so each is dropped once its
         parent has convolved it and only the frontier's tables stay alive.
@@ -466,7 +476,7 @@ class SmallSlopeSearch:
         same tuples, so a table is as wide as the sums some tuple gives its
         subtree, not as p's range: 1..s may be 10^12 wide.
         """
-        ranges = self._narrow(self.ranges)
+        ranges = self._narrow(ranges)
         if ranges is None:
             return 0
         support = self._supports(ranges)
@@ -481,16 +491,6 @@ class SmallSlopeSearch:
             lo, hi = support[p]
             tables.append(f[lo - low : hi - low + 1])
         return tables[-1][0]
-
-    def first(self) -> ComponentTuple | None:
-        """The least tuple in component-id order, None when there is none."""
-        degrees = next(self._walk(), None)
-        return None if degrees is None else ComponentTuple(self.table.rank, degrees)
-
-    def tuples(self) -> list[ComponentTuple]:
-        """Every tuple, sorted."""
-        s = self.table.rank
-        return [ComponentTuple(s, degrees) for degrees in self._walk()]
 
 
 def _convolve(f: list[int], g: list[int]) -> list[int]:
@@ -557,13 +557,6 @@ def enumerate_components(
 ) -> list[ComponentTuple]:
     """All degree tuples meeting every interval condition, sorted."""
     return stability_windows(curve, omega, deco, s, d).catalog()
-
-
-def small_slope_filter(
-    catalog: list[ComponentTuple], s: int
-) -> list[ComponentTuple]:
-    """Keep the tuples with every degree in 1..s."""
-    return [t for t in catalog if all(0 < x <= s for x in t.degrees)]
 
 
 def robustness_radius(
@@ -732,6 +725,24 @@ def build_small_slope_tuple(curve: NodalCurve, s: int, d: int) -> BuilderResult:
     )
 
 
+def _shape_hypotheses(curve: NodalCurve, shape: CurveClass, s: int, d: int) -> tuple[int, int]:
+    """The chain and comb builders' hypotheses: shape, s >= 2(gamma-1), gamma <= d <= s.
+
+    Returns s and d read as integers; the first hypothesis that fails
+    raises `HypothesisError`, in that order.
+    """
+    s, d = _integer(s, "rank s"), _integer(d, "degree d")
+    found = curve.classify()
+    if found not in (shape, CurveClass.CHAIN_AND_COMB):
+        raise HypothesisError(f"curve is not a {shape.value} (classified {found.value})")
+    gamma = curve.gamma
+    if s < 2 * (gamma - 1):
+        raise HypothesisError(f"rank {s} < 2(gamma-1) = {2 * (gamma - 1)}")
+    if not gamma <= d <= s:
+        raise HypothesisError(f"degree {d} outside gamma <= d <= s = [{gamma}, {s}]")
+    return s, d
+
+
 def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     """Stepwise construction along a chain, smallest feasible sums first.
 
@@ -741,16 +752,8 @@ def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     components still to come.  The smallest integer satisfying all of it
     is chosen; every degree then lands in 1..d-1.
     """
-    s, d = _integer(s, "rank s"), _integer(d, "degree d")
-    shape = curve.classify()
-    if shape not in (CurveClass.CHAIN, CurveClass.CHAIN_AND_COMB):
-        raise HypothesisError(f"curve is not a chain (classified {shape.value})")
+    s, d = _shape_hypotheses(curve, CurveClass.CHAIN, s, d)
     gamma = curve.gamma
-    if s < 2 * (gamma - 1):
-        raise HypothesisError(f"rank {s} < 2(gamma-1) = {2 * (gamma - 1)}")
-    if not gamma <= d <= s:
-        raise HypothesisError(f"degree {d} outside gamma <= d <= s = [{gamma}, {s}]")
-
     ends = [i for i in curve.component_ids if curve.node_degree(i) == 1]
     deco = order_components(curve, max(ends, default=1))
     path = deco.order
@@ -778,16 +781,8 @@ def build_comb_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     degree (eta_j d >= s/2 + 1) the general case-b construction applies
     verbatim; otherwise every tooth takes 1 and the grip the rest.
     """
-    s, d = _integer(s, "rank s"), _integer(d, "degree d")
-    shape = curve.classify()
-    if shape not in (CurveClass.COMB, CurveClass.CHAIN_AND_COMB):
-        raise HypothesisError(f"curve is not a comb (classified {shape.value})")
+    s, d = _shape_hypotheses(curve, CurveClass.COMB, s, d)
     gamma = curve.gamma
-    if s < 2 * (gamma - 1):
-        raise HypothesisError(f"rank {s} < 2(gamma-1) = {2 * (gamma - 1)}")
-    if not gamma <= d <= s:
-        raise HypothesisError(f"degree {d} outside gamma <= d <= s = [{gamma}, {s}]")
-
     eta = canonical(curve)
     if any(eta[i] * d >= Fraction(s, 2) + 1 for i in curve.component_ids):
         return build_small_slope_tuple(curve, s, d).tuple

@@ -209,7 +209,7 @@ def subtree_sum_count(curve, omega, deco, s, d, ranges):
     """Tuples with position p's degree in ``ranges[p]`` meeting every window, by a DP.
 
     Every position's table (subtree sum -> ways) is kept to the end and
-    spans the ranges as given: the count `SmallSlopeSearch.count` must give
+    spans the ranges as given: the count `WindowTable._count` must give
     while it narrows the ranges and drops each child's table.
     The windows are `_sigma_windows` and the tree of subcurves is
     `read_children`; the root's subtree sum is d.
@@ -415,7 +415,7 @@ def certificate_scan(curves, s_values):
         bn_number,
         max_section_count,
     )
-    from nodalbn.components import SmallSlopeSearch, stability_windows
+    from nodalbn.components import stability_windows
 
     s_values = tuple(s_values)
     rows = []
@@ -438,8 +438,8 @@ def certificate_scan(curves, s_values):
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                search = SmallSlopeSearch(stability_windows(curve, eta, deco, s, d))
-                cell = search.first(), search.count()
+                table = stability_windows(curve, eta, deco, s, d)
+                cell = table.first_small_slope(), table.count_small_slope()
                 for k in ks:
                     result = _certify_cell(curve, eta, s, k, d, *cell)
                     rows.append(

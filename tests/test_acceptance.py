@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import nodalbn as nb
+from nodalbn.components import stability_windows
 from conftest import (
     random_good_polarization,
     random_tree_curve,
@@ -284,8 +285,8 @@ def test_criterion_09_worked_pipeline():
         assert [t.degrees for t in catalog] == [(0, 2), (1, 1)]
         assert brute_force_catalog(curve, eta, deco, 2, 2) == [(0, 2), (1, 1)]
 
-        small = nb.small_slope_filter(catalog, s=2)
-        assert [t.degrees for t in small] == [(1, 1)]
+        small = stability_windows(curve, eta, deco, 2, 2).degree_tuples(small_slope=True)
+        assert list(small) == [(1, 1)]
         assert brute_force_small_slope(curve, eta, deco, 2, 2) == [(1, 1)]
 
         cert = nb.certify_bn_component(curve, eta, s=2, k=1, d=2)

@@ -259,7 +259,7 @@ def test_hypotheses_are_the_checklist_verdicts():
         k = rng.randint(1, nb.max_section_count(curve, s) + 3)
         d = rng.randint(-1, s * curve.gamma + 2)
         splits = polarization._SplitTable(curve, omega).require_good()
-        chosen = components.SmallSlopeSearch(components.WindowTable(splits, s, d)).first()
+        chosen = components.WindowTable(splits, s, d).first_small_slope()
         flags = brill_noether._hypotheses(curve.genera, s, k, chosen)
         result = nb.certify_bn_component(curve, omega, s, k, d)
         oks = tuple(item.ok for item in result.checklist)
@@ -312,14 +312,14 @@ def test_scan_builds_no_certificate(monkeypatch):
     assert want and all(row.certified for row in want)
     for name in ("BNCertificate", "CertificationFailure", "_certify_cell", "per_component_bgn"):
         monkeypatch.setattr(brill_noether, name, _refuse)
-    monkeypatch.setattr(components.SmallSlopeSearch, "count", _refuse)
+    monkeypatch.setattr(components.WindowTable, "count_small_slope", _refuse)
     assert nb.conjecture_scan(SCAN_CURVES, range(1, 9)) == want
 
 
 def test_scan_without_a_small_slope_tuple_is_open(monkeypatch):
     """A cell whose search finds no tuple is OPEN: the verdict reads the search."""
     want = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
-    monkeypatch.setattr(components.SmallSlopeSearch, "first", lambda self: None)
+    monkeypatch.setattr(components.WindowTable, "first_small_slope", lambda self: None)
     rows = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
     assert rows == [row._replace(certified=False) for row in want]
     assert rows and all(row.status == "OPEN" for row in rows)

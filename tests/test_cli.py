@@ -701,7 +701,7 @@ class TestBnCommands:
     def test_scan_with_an_open_cell_exits_one(self, capsys, monkeypatch):
         from nodalbn import components
 
-        monkeypatch.setattr(components.SmallSlopeSearch, "first", lambda self: None)
+        monkeypatch.setattr(components.WindowTable, "first_small_slope", lambda self: None)
         code, out, _ = run(
             capsys,
             "bn", "scan", "--family", "comb",

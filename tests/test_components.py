@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
 from nodalbn import brill_noether, cli, components, ordering, polarization
-from nodalbn.components import HypothesisError, SmallSlopeSearch, stability_windows
+from nodalbn.components import HypothesisError, stability_windows
 from conftest import (
     forbid_enumeration,
     pruning_decomposition,
@@ -144,9 +144,8 @@ class TestEnumeration:
     def test_worked_small_slope(self, two_curve):
         eta = nb.canonical(two_curve)
         deco = canonical_deco(two_curve)
-        tuples = nb.enumerate_components(two_curve, eta, deco, s=2, d=2)
-        kept = nb.small_slope_filter(tuples, s=2)
-        assert [t.degrees for t in kept] == [(1, 1)]
+        kept = stability_windows(two_curve, eta, deco, 2, 2).degree_tuples(small_slope=True)
+        assert list(kept) == [(1, 1)]
 
     def test_comb3_catalog(self, comb3_222):
         eta = nb.canonical(comb3_222)
@@ -440,14 +439,13 @@ def _check_small_slope_search(curve, omega, deco, s, d):
         want = brute_force_small_slope(curve, omega, deco, s, d)
     else:
         catalog = nb.enumerate_components(curve, omega, deco, s, d)
-        want = [t.degrees for t in nb.small_slope_filter(catalog, s)]
-    search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
-    assert search.count() == len(want)
-    first = search.first()
+        want = [t.degrees for t in catalog if all(0 < x <= s for x in t.degrees)]
+    table = stability_windows(curve, omega, deco, s, d)
+    assert table.count_small_slope() == len(want)
+    first = table.first_small_slope()
     assert (first.degrees if first is not None else None) == (want[0] if want else None)
-    tuples = search.tuples()
-    assert [t.degrees for t in tuples] == want
-    assert all(t.rank == s for t in tuples)
+    assert first is None or first.rank == s
+    assert list(table.degree_tuples(small_slope=True)) == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -507,11 +505,11 @@ def test_every_valid_decomposition_is_searched(seed):
     ]
     for omega, s, d in cells:
         catalog = _check_whole_catalog(curve, omega, deco, s, d)
-        want = nb.small_slope_filter(catalog, s)
-        search = SmallSlopeSearch(stability_windows(curve, omega, deco, s, d))
-        assert search.count() == len(want)
-        assert search.first() == (want[0] if want else None)
-        assert search.tuples() == want
+        want = [t for t in catalog if all(0 < x <= s for x in t.degrees)]
+        table = stability_windows(curve, omega, deco, s, d)
+        assert table.count_small_slope() == len(want)
+        assert table.first_small_slope() == (want[0] if want else None)
+        assert list(table.degree_tuples(small_slope=True)) == [t.degrees for t in want]
         _check_small_slope_search(curve, omega, deco, s, d)
 
 
@@ -544,23 +542,23 @@ def test_narrowing_is_exact(seed):
         [t[c - 1] for c in deco.order] for t in brute_force_catalog(curve, omega, deco, s, d)
     ]
     table = stability_windows(curve, omega, deco, s, d)
-    for whole in (False, True):
-        search = SmallSlopeSearch(table, _whole_catalog=whole)
+    for small_slope in (True, False):
         for k in range(6):
             ranges = [
-                (lo, hi) if k == 0 else _sub_range(rng, lo, hi) for lo, hi in search.ranges
+                (lo, hi) if k == 0 else _sub_range(rng, lo, hi)
+                for lo, hi in table._ranges(small_slope)
             ]
             inside = [
                 t for t in catalog if all(lo <= x <= hi for x, (lo, hi) in zip(t, ranges))
             ]
             want = [(min(xs), max(xs)) for xs in zip(*inside)] if inside else None
-            assert search._narrow(ranges) == want
+            assert table._narrow(ranges) == want
 
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_count_matches_the_dp_that_keeps_every_table(seed):
-    """`count`, on narrowed ranges and dropping read tables, against a DP that keeps them all.
+    """`_count`, on narrowed ranges and dropping read tables, against a DP that keeps them all.
 
     Random Pruefer trees, roots and leaf-pruning decompositions, canonical
     and good perturbed polarizations; ranges 1..s and the whole catalog's.
@@ -572,10 +570,10 @@ def test_count_matches_the_dp_that_keeps_every_table(seed):
     s = rng.randint(1, 8)
     d = rng.randint(-1, s * curve.gamma + 2)
     table = stability_windows(curve, omega, deco, s, d)
-    for whole in (False, True):
-        search = SmallSlopeSearch(table, _whole_catalog=whole)
-        assert search.count() == subtree_sum_count(curve, omega, deco, s, d, search.ranges)
-    assert search.count() == table.size()
+    for small_slope in (True, False):
+        ranges = table._ranges(small_slope)
+        assert table._count(ranges) == subtree_sum_count(curve, omega, deco, s, d, ranges)
+    assert table._count(ranges) == table.size()
 
 
 def test_count_keeps_only_the_frontier_tables():
@@ -583,10 +581,9 @@ def test_count_keeps_only_the_frontier_tables():
     # input, so one table is alive at a time (2.1 MB when all were kept)
     curve = nb.chain_curve([2] * 150)
     table = stability_windows(curve, nb.canonical(curve), canonical_deco(curve), 300, 300)
-    search = SmallSlopeSearch(table)
     tracemalloc.start()
     try:
-        count = search.count()
+        count = table.count_small_slope()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -598,8 +595,36 @@ def test_count_on_windows_wider_than_any_table():
     # ranges, at most d wide, fit in a table
     curve = nb.chain_curve((2, 2, 2))
     table = stability_windows(curve, nb.canonical(curve), canonical_deco(curve), 10**12, 4)
-    search = SmallSlopeSearch(table)
-    assert search.count() == len(search.tuples()) == 3
+    assert table.count_small_slope() == len(list(table.degree_tuples(small_slope=True))) == 3
+
+
+def _refuse_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a search over subtree sums was run")
+
+    for name in ("_supports", "_narrow"):
+        monkeypatch.setattr(components.WindowTable, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "genera, s, d",
+    [((2, 3, 2, 2), 3, 6), ((2, 2, 2), 4, 9), ((5,), 3, 7), ((2, 2, 2, 2), 1, 7)],
+    ids=["chain4", "chain3", "gamma-1", "empty-windows"],
+)
+def test_size_reads_the_windows_alone(monkeypatch, genera, s, d):
+    """`size` is the product of the integer window widths, with no search run.
+
+    At rank 1 and degree p_a - 1 every canonical window has integer ends,
+    so none holds an integer and the size is 0.
+    """
+    curve = nb.chain_curve(genera)
+    table = stability_windows(curve, nb.canonical(curve), canonical_deco(curve), s, d)
+    want = len(table.catalog())
+    _refuse_search(monkeypatch)
+    assert table.size() == want
+    if len(genera) == 1:
+        assert want == 1
+    assert (want == 0) == (s == 1)
 
 
 def test_small_slope_search_rejects_crossed_subcurves(chain4):
@@ -841,7 +866,7 @@ def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name
     catalog = table.catalog()
     assert table.size() == len(catalog) > 0
     table.sums(catalog[0])
-    SmallSlopeSearch(table).count()
+    table.count_small_slope()
     assert reads == [curve.gamma]
     reads.clear()
     assert nb.catalog_invariance_check(curve, eta, 3, 6).passed
@@ -1191,6 +1216,14 @@ class TestInvarianceFromWindows:
         eta = nb.canonical(comb4)
         expected = len(nb.enumerate_components(comb4, eta, canonical_deco(comb4), 3, 5))
         forbid_enumeration(monkeypatch)
+        report = nb.catalog_invariance_check(comb4, eta, s=3, d=5)
+        assert report.passed
+        assert report.count == expected > 0
+
+    def test_agreeing_windows_run_no_search(self, monkeypatch, comb4):
+        eta = nb.canonical(comb4)
+        expected = len(nb.enumerate_components(comb4, eta, canonical_deco(comb4), 3, 5))
+        _refuse_search(monkeypatch)
         report = nb.catalog_invariance_check(comb4, eta, s=3, d=5)
         assert report.passed
         assert report.count == expected > 0
