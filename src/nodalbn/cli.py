@@ -45,8 +45,8 @@ from .polarization import (
     Polarization,
     PolarizationError,
     _check_lengths,
+    _SplitTable,
     canonical,
-    goodness_proxy,
 )
 from .sheaf import (
     DescriptorError,
@@ -89,7 +89,16 @@ class Report:
         self.lines.append(text)
 
     def emit(self) -> None:
-        sys.stdout.write("\n".join(self.lines).rstrip("\n") + "\n")
+        """Write ``"\\n".join(lines).rstrip("\\n") + "\\n"`` line by line, copying no report."""
+        lines = self.lines
+        end = len(lines)
+        while end > 1 and not lines[end - 1].rstrip("\n"):
+            end -= 1
+        write = sys.stdout.write
+        for line in itertools.islice(lines, end - 1):
+            write(line)
+            write("\n")
+        write(lines[end - 1].rstrip("\n") + "\n")
 
 
 # _ID_TEXT[i] is str(i): a subcurve column prints each component id from here
@@ -188,12 +197,11 @@ def cmd_order(args: argparse.Namespace) -> int:
     from . import ordering
 
     report, curve, _ = _begin(args)
-    deco = ordering.order_components(curve, args.root)
-    report.kv("root", deco.root)
-    report.kv("order", deco.order)
-    rows = [
-        [j, A, p]
-        for j, (A, p) in enumerate(zip(deco.subcurves, deco.separating_nodes), start=1)
+    walk = ordering._walk(curve, args.root)
+    report.kv("root", walk.root)
+    report.kv("order", walk.order)
+    rows = [  # each A_j is built as its row is formatted, then dropped
+        f"{j}\t{_fmt(walk.subcurve(j - 1))}\t{p}" for j, p in enumerate(walk.nodes, start=1)
     ]
     report.table("decomposition", ["j", "subcurve", "separating_node"], rows)
     report.emit()
@@ -204,14 +212,21 @@ def cmd_order(args: argparse.Namespace) -> int:
 
 
 def _proxy_section(report: Report, curve: NodalCurve, omega: Polarization) -> bool:
-    good = goodness_proxy(curve, omega)
-    report.kv("goodness_proxy", _verdict(good.passed))
+    """`goodness_proxy`'s verdict, from the integers, then each side built as its row prints."""
+    splits = _SplitTable(curve, omega)
+    D = splits.denominator
+    found = splits.proxy_rows()
+    passed = all(0 < num < D for *_, num in found)
+    report.kv("goodness_proxy", _verdict(passed))
     report.table(
         "splits",
         ["node", "side", "defect", "verdict"],
-        [[row.node, row.side, row.defect, _verdict(row.ok)] for row in good.splits],
+        [
+            f"{nid}\t{_fmt(splits.side(j, flipped))}\t{Fraction(num, D)}\t{_verdict(0 < num < D)}"
+            for nid, j, flipped, num in found
+        ],
     )
-    return good.passed
+    return passed
 
 
 def cmd_polarization_canonical(args: argparse.Namespace) -> int:
@@ -276,14 +291,16 @@ def _catalog_table(
     sigma_k alone, so each (window, sigma) is formatted on first use and
     kept, as is each distinct radius, keyed by the least slack key.  A row
     is then its subtree sums, one lookup per window, a min and a join.
+    The bounds print from the integer numerators; no A_j is built.
     """
-    windows = table.windows
+    D = table.denominator
+    bounds = [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in zip(table.lowers, table.uppers)]
     header = ["tuple"]
-    for w in windows:
-        header += [f"j{w.j}_lower", f"j{w.j}_sigma", f"j{w.j}_upper"]
+    for j in range(1, len(bounds) + 1):
+        header += [f"j{j}_lower", f"j{j}_sigma", f"j{j}_upper"]
     header += ["verdict", "radius"]
-    cells: list[dict[int, str]] = [{} for _ in windows]  # per window: sigma -> its three cells
-    keys: list[dict[int, int]] = [{} for _ in windows]  # per window: sigma -> its slack key
+    cells: list[dict[int, str]] = [{} for _ in bounds]  # per window: sigma -> its three cells
+    keys: list[dict[int, int]] = [{} for _ in bounds]  # per window: sigma -> its slack key
     radii: dict[int, str] = {}  # least slack key -> radius text
     subtree_sums = table._subtree_sums
     tail = "\t" + _verdict(True) + "\t"  # `slack_key` raises for a failing tuple
@@ -293,10 +310,10 @@ def _catalog_table(
         try:
             row = list(map(dict.__getitem__, cells, sums))
         except KeyError:
-            for k, (w, sigma) in enumerate(zip(windows, sums)):
+            for k, ((lower, upper), sigma) in enumerate(zip(bounds, sums)):
                 if sigma not in cells[k]:
                     keys[k][sigma] = table.slack_key(k, sigma)
-                    cells[k][sigma] = f"{w.lower}\t{sigma}\t{w.upper}"
+                    cells[k][sigma] = f"{lower}\t{sigma}\t{upper}"
             row = list(map(dict.__getitem__, cells, sums))
         least = min(map(dict.__getitem__, keys, sums), default=None)
         radius = radii.get(least)
@@ -316,13 +333,13 @@ def cmd_components_enumerate(args: argparse.Namespace) -> int:
     report, curve, _ = _begin(args)
     omega = _resolve_omega(args.omega, curve)
     root = args.root if args.root is not None else curve.gamma
-    deco = ordering.order_components(curve, root)
-    table = comp.stability_windows(curve, omega, deco, args.rank, args.degree)
+    walk = ordering._walk(curve, root)
+    table = comp.stability_windows(curve, omega, walk, args.rank, args.degree)
     report.kv("omega", omega.weights)
     report.kv("rank", args.rank)
     report.kv("degree", args.degree)
     report.kv("root", root)
-    report.kv("order", deco.order)
+    report.kv("order", walk.order)
     _catalog_table(report, table, table.degree_tuples(small_slope=args.small_slope))
     report.emit()
     return 0
@@ -335,7 +352,7 @@ def _tuple_setup(args: argparse.Namespace):
     report, curve, _ = _begin(args)
     omega = _resolve_omega(args.omega, curve)
     root = args.root if args.root is not None else curve.gamma
-    deco = ordering.order_components(curve, root)
+    walk = ordering._walk(curve, root)
     degrees = _option("--tuple", parse_ints, args.tuple)
     if len(degrees) != curve.gamma:
         raise ValueError(f"--tuple has {len(degrees)} degrees for {curve.gamma} components")
@@ -344,32 +361,33 @@ def _tuple_setup(args: argparse.Namespace):
     report.kv("rank", args.rank)
     report.kv("tuple", ctuple.degrees)
     report.kv("degree", ctuple.total)
-    return report, curve, omega, deco, ctuple
+    return report, curve, omega, walk, ctuple
 
 
 def cmd_components_check(args: argparse.Namespace) -> int:
     from . import components as comp
 
-    report, curve, omega, deco, ctuple = _tuple_setup(args)
-    rep = comp.stability_conditions(curve, omega, deco, ctuple)
-    report.kv("verdict", _verdict(rep.passed))
+    report, curve, omega, walk, ctuple = _tuple_setup(args)
+    table = comp.stability_windows(curve, omega, walk, ctuple.rank, ctuple.total)
+    passed, rows = True, []
+    for j, A, _, lower, sigma, upper, ok, *slacks in table._rows(table.sums(ctuple)):
+        passed = passed and ok  # each A_j is built as its row is formatted, then dropped
+        rows.append("\t".join(map(_fmt, (j, A, lower, sigma, upper, _verdict(ok), *slacks))))
+    report.kv("verdict", _verdict(passed))
     report.table(
         "conditions",
         ["j", "subcurve", "lower", "sigma", "upper", "verdict", "slack_lower", "slack_upper"],
-        [
-            [r.j, r.subcurve, r.lower, r.partial_sum, r.upper, _verdict(r.ok), r.slack_lower, r.slack_upper]
-            for r in rep.rows
-        ],
+        rows,
     )
     report.emit()
-    return 0 if rep.passed else 1
+    return 0 if passed else 1
 
 
 def cmd_components_radius(args: argparse.Namespace) -> int:
     from . import components as comp
 
-    report, curve, omega, deco, ctuple = _tuple_setup(args)
-    radius = comp.robustness_radius(curve, omega, deco, ctuple)
+    report, curve, omega, walk, ctuple = _tuple_setup(args)
+    radius = comp.robustness_radius(curve, omega, walk, ctuple)
     report.kv("radius", "unbounded" if radius is None else radius)
     report.emit()
     return 0

@@ -26,31 +26,30 @@ and each distinct radius once, and the bounds become Fractions only where
 they are printed.
 
 The window table answers every catalog question, all but its size by
-one search.  Component in position i
-lies in A_j only for i <= j, position j itself always does, and the A_j
-of a tree are nested or disjoint, so they are the subtrees of a rooted
-tree on the positions, read from a valid decomposition's separating
-nodes: A_j's children are the positions whose node joins them to C_(j).
-One split table per decomposition
+one search.  Component in position i lies in A_j only for i <= j,
+position j itself always does, and the A_j of a tree are nested or
+disjoint, so they are the subtrees of a rooted tree on the positions:
+A_j's children are the positions whose node joins them to C_(j), read
+from a walk's parent positions or from a valid decomposition's
+separating nodes.  One split table per walk or decomposition
 (`polarization._SplitTable`) reads the tree once: A_j's weight numerator
 W_j over the polarization's lcm D and its genus sum G_j are its own
 component's plus its children's, and window j's lower bound is
 (W_j coeff + s (G_j - 1) D) / D.  A dynamic program over subtree sums
 counts the tuples whose position-p degree lies in a range: f_v[sigma]
 counts the ways to fill the subtree of v so that every window inside it
-holds.  It is the
-convolution of the children's tables with the ones of v's own range,
-trimmed to v's integer window; the count is f_root[d], in O(gamma s^2)
-integer operations for ranges 1..s and bounded branching.  Each f_v is
-positive on exactly one interval (a sum of intervals cut by an
-interval), so whether a partial assignment still has a completion is
-interval arithmetic over the tree, O(gamma), and one more pass from the
-root down narrows every position's range to exactly the degrees some
-tuple takes.  One walk lists the tuples in increasing order: ids
-1..gamma take their degrees in turn within the narrowed ranges, each
-choice narrowed again, so no branch is a dead end and its cost follows
-the number of tuples, not s^(gamma-1).  The least tuple is the walk's
-first.
+holds.  It is the convolution of the children's tables with the ones of
+v's own range, trimmed to v's integer window; the count is f_root[d],
+in O(gamma s^2) integer operations for ranges 1..s and bounded
+branching.  Each f_v is positive on exactly one interval (a sum of
+intervals cut by an interval), so whether a partial assignment still
+has a completion is interval arithmetic over the tree, O(gamma), and one
+more pass from the root down narrows every position's range to exactly
+the degrees some tuple takes.  One walk lists the tuples in increasing
+order: ids 1..gamma take their degrees in turn within the narrowed
+ranges, each choice narrowed again, so no branch is a dead end and its
+cost follows the number of tuples, not s^(gamma-1).  The least tuple is
+the walk's first.
 
 Small-slope questions take every range to be 1..s.  The whole catalog
 takes the widest ranges the windows allow: with integer windows [lo, hi]
@@ -86,7 +85,7 @@ from functools import cached_property, total_ordering
 from typing import NamedTuple
 
 from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
-from .ordering import OrderedDecomposition, order_components
+from .ordering import OrderedDecomposition, _walk
 from .polarization import Polarization, _SplitTable, canonical
 
 DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
@@ -183,12 +182,13 @@ class WindowTable(_Frozen):
     Window k is ``lowers[k] / denominator < sigma < uppers[k] / denominator``
     over the polarization's lcm D: ``lowers[k]`` = W_k coeff + s (G_k - 1) D
     and ``uppers[k]`` = that + s D, where ``coeff`` = d + s(1 - p_a) is how
-    far both bounds move per unit of weight moved into A_k.  ``deco`` is
-    the decomposition (``order`` its order, root last) and ``children`` the
-    tree of subcurves the split table read.  `sums`, `slack_key` and
-    `binding` are integer work.  ``windows``, the bounds as reduced
-    Fractions, is built on first use: by what prints a bound, and by repr,
-    equality and hash.
+    far both bounds move per unit of weight moved into A_k.  ``splits`` is
+    the split table (``order`` its order, root last, and ``children`` the
+    tree of subcurves it read).  `sums`, `slack_key` and `binding` are
+    integer work, and `_scales` reads the |A_j| as integers.  ``windows``,
+    the bounds as reduced Fractions with each A_j a set, is built on first
+    use: by repr, equality and hash, and by a caller that asks for it.
+    `check` rows build their A_j one row at a time (`_rows`).
 
     The table answers every catalog question: `catalog`, `degree_tuples`,
     `first_small_slope`, `count_small_slope` and `size`.  All but `size`
@@ -200,7 +200,7 @@ class WindowTable(_Frozen):
     degree: int
     coeff: int
     order: tuple[int, ...]
-    deco: OrderedDecomposition
+    splits: _SplitTable
     children: list[list[int]]
     denominator: int
     lowers: tuple[int, ...]
@@ -215,8 +215,8 @@ class WindowTable(_Frozen):
         object.__setattr__(self, "rank", s)
         object.__setattr__(self, "degree", d)
         object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "order", splits.deco.order)
-        object.__setattr__(self, "deco", splits.deco)
+        object.__setattr__(self, "order", splits.order)
+        object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "children", splits.children)
         object.__setattr__(self, "denominator", D)
         object.__setattr__(self, "lowers", lowers)
@@ -224,13 +224,11 @@ class WindowTable(_Frozen):
 
     @cached_property
     def windows(self) -> tuple[Window, ...]:
-        """The windows as `Window` records with reduced Fraction bounds."""
-        D, deco = self.denominator, self.deco
+        """The windows as `Window` records with reduced Fraction bounds, each A_j a set."""
+        D, splits = self.denominator, self.splits
         return tuple(
-            Window(j, A, p, Fraction(lo, D), Fraction(hi, D))
-            for j, (A, p, lo, hi) in enumerate(
-                zip(deco.subcurves, deco.separating_nodes, self.lowers, self.uppers), start=1
-            )
+            Window(k + 1, splits.subcurve(k), p, Fraction(lo, D), Fraction(hi, D))
+            for k, (p, lo, hi) in enumerate(zip(splits.nodes, self.lowers, self.uppers))
         )
 
     def sums(self, ctuple: ComponentTuple) -> list[int]:
@@ -261,31 +259,33 @@ class WindowTable(_Frozen):
     def check(self, ctuple: ComponentTuple) -> StabilityReport:
         """Evaluate every window condition for one tuple, as `Fraction` rows.
 
-        The verdicts are integer comparisons; the slacks are built as
-        Fractions for the report.
+        The verdicts are integer comparisons; the bounds and slacks are
+        built as Fractions for the report.
         """
-        sums = self.sums(ctuple)
-        D = self.denominator
-        rows = tuple(
-            StabilityRow(
-                j=w.j,
-                subcurve=w.subcurve,
-                node=w.node,
-                lower=w.lower,
-                partial_sum=sigma,
-                upper=w.upper,
-                ok=lo < sigma * D < hi,
-                slack_lower=Fraction(sigma * D - lo, D),
-                slack_upper=Fraction(hi - sigma * D, D),
-            )
-            for w, sigma, lo, hi in zip(self.windows, sums, self.lowers, self.uppers)
-        )
+        rows = tuple(self._rows(self.sums(ctuple)))
         return StabilityReport(passed=all(r.ok for r in rows), rows=rows)
+
+    def _rows(self, sums: list[int]) -> Iterator[StabilityRow]:
+        """`check`'s rows for a tuple's sigma_j, each A_j built as its row is made."""
+        D, splits = self.denominator, self.splits
+        for k, (p, sigma, lo, hi) in enumerate(zip(splits.nodes, sums, self.lowers, self.uppers)):
+            x = sigma * D
+            yield StabilityRow(
+                j=k + 1,
+                subcurve=splits.subcurve(k),
+                node=p,
+                lower=Fraction(lo, D),
+                partial_sum=sigma,
+                upper=Fraction(hi, D),
+                ok=lo < x < hi,
+                slack_lower=Fraction(x - lo, D),
+                slack_upper=Fraction(hi - x, D),
+            )
 
     @cached_property
     def _scales(self) -> tuple[int, tuple[int, ...]]:
         """L = lcm of the |A_j|, and L / |A_j| per window."""
-        sizes = [len(A) for A in self.deco.subcurves]
+        sizes = self.splits.sizes
         L = math.lcm(*sizes)
         return L, tuple(L // size for size in sizes)
 
@@ -526,7 +526,9 @@ def stability_windows(
     w_j coeff + s (g_j - 1) < sigma_j < that + s.  The split table reads
     the tree of subcurves once and sums A_j's weight numerator (over the
     polarization's lcm) and genus sum up it, so the windows cost O(gamma)
-    once the children are read, and the table keeps them.  A fault of a
+    once the children are read, and the table keeps them.  The library's
+    own callers pass a walk (``ordering._walk``) for ``deco``: its tree is
+    read from the parent positions, and no A_j is built.  A fault of a
     subcurve's ids or weights is named first, in subcurve order; then a
     family `verify_decomposition` rejects raises ValueError naming the
     position.  So does an s or d that is no integer: each is read through
@@ -598,7 +600,7 @@ def binding_witness(
     if found is None:
         raise HypothesisError("no binding bound: the radius is unbounded")
     k, ratio = found
-    A = table.deco.subcurves[k]
+    A = table.splits.subcurve(k)
     x = sums[k] * table.denominator
     side = "lower" if x - table.lowers[k] <= table.uppers[k] - x else "upper"
     # lower bound rises (fails) when coeff * shift > 0, upper falls when < 0
@@ -629,14 +631,14 @@ def catalog_invariance_check(
     curve.require_compact_type()
 
     def table_at(root: int) -> WindowTable:
-        return stability_windows(curve, omega, order_components(curve, root), s, d)
+        return stability_windows(curve, omega, _walk(curve, root), s, d)
 
     first = table_at(1)
     D = first.denominator
     ends = {n.id: (n.first, n.second) for n in curve.nodes}
     reference = {}
     for inner, node, lo, hi in zip(
-        first.order, first.deco.separating_nodes, first.lowers, first.uppers
+        first.order, first.splits.nodes, first.lowers, first.uppers
     ):
         a, b = ends[node]
         reference[node, inner] = (lo, hi)
@@ -648,7 +650,7 @@ def catalog_invariance_check(
         if all(  # every table's bounds are over the polarization's D
             reference.get((node, inner)) == (lo, hi)
             for inner, node, lo, hi in zip(
-                table.order, table.deco.separating_nodes, table.lowers, table.uppers
+                table.order, table.splits.nodes, table.lowers, table.uppers
             )
         ):
             continue
@@ -755,15 +757,17 @@ def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     s, d = _shape_hypotheses(curve, CurveClass.CHAIN, s, d)
     gamma = curve.gamma
     ends = [i for i in curve.component_ids if curve.node_degree(i) == 1]
-    deco = order_components(curve, max(ends, default=1))
-    path = deco.order
+    walk = _walk(curve, max(ends, default=1))
+    path = walk.order
     degrees = [0] * gamma
     running = 0
-    # rooted at an end, A_j is the first j components of the path
-    for w in stability_windows(curve, canonical(curve), deco, s, d).windows:
-        j = w.j
-        lo = max(running + 1, math.floor(w.lower) + 1)
-        hi = min(d, math.ceil(w.upper)) - (gamma - j)
+    # rooted at an end, A_j is the first j components of the path; the
+    # window's floor and ceiling are read from its integer numerators over D
+    table = stability_windows(curve, canonical(curve), walk, s, d)
+    D = table.denominator
+    for j, (lower, upper) in enumerate(zip(table.lowers, table.uppers), start=1):
+        lo = max(running + 1, lower // D + 1)
+        hi = min(d, -(-upper // D)) - (gamma - j)
         if lo > hi:
             raise HypothesisError(
                 f"no integer prefix sum at position {j}: need {lo} <= x <= {hi}"

@@ -14,7 +14,9 @@ Key numbers:
 A curve is of compact type exactly when its dual graph is a tree
 (equivalently delta = gamma - 1, equivalently p_a = sum(g_i)).  A curve
 knows its graph but not a root: the one walk out from a root, with the
-subtree and node below each component, is ``ordering.order_components``.
+parent, subtree size and node below each component, is
+``ordering._walk``; ``ordering.order_components`` builds each subtree
+from it as a set.
 """
 
 from __future__ import annotations

@@ -14,11 +14,15 @@ the subtree of the j-th visited vertex, and p_j the node joining that
 vertex to its parent.  The triangularity fact used elsewhere: C_(i) lies
 in A_j only when i <= j.
 
-``order_components`` is the library's one walk out from a root, and
-``_read_tree`` reads the tree of subcurves from the separating nodes of
-exactly the decompositions ``verify_decomposition`` accepts; the split
-table in ``polarization`` reads both.  A_j is the side below p_j, whose
-other end is C_(j)'s parent.
+``_walk`` is the library's one walk out from a root.  It gives each
+position's parent position, subtree size |A_j| and separating node p_j
+as integers and builds no set, since A_j is the run of positions
+j + 1 - |A_j| .. j.  ``order_components`` builds the public decomposition
+from it, each A_j a frozenset.  ``_read_tree`` reads the tree of
+subcurves from the separating nodes of a decomposition that a caller
+hands in, accepting exactly what ``verify_decomposition`` accepts.  The
+split table in ``polarization`` reads a walk's parents or that tree.
+A_j is the side below p_j, whose other end is C_(j)'s parent.
 
 The verifier searches nothing.  On a tree, a set of k components is
 connected exactly when k - 1 nodes join two of its members, so each tail,
@@ -56,8 +60,27 @@ class DecompositionCheck(NamedTuple):
     violations: tuple[str, ...]
 
 
-def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
-    """Order the components of a tree-shaped curve with ``root`` last.
+class _Walk(NamedTuple):
+    """The post-order from ``root`` as integers, by position (0-based, root last).
+
+    For each position j below the root, ``parents[j]`` is the position of
+    C_(j+1)'s parent, ``sizes[j]`` is |A_(j+1)| and ``nodes[j]`` is
+    p_(j+1).  A subtree is the run of positions that ends at its top, so
+    `subcurve` builds A_(j+1) only when it is asked for.
+    """
+
+    root: int
+    order: tuple[int, ...]
+    parents: tuple[int, ...]
+    sizes: tuple[int, ...]
+    nodes: tuple[int, ...]
+
+    def subcurve(self, j: int) -> frozenset[int]:
+        return frozenset(self.order[j + 1 - self.sizes[j] : j + 1])
+
+
+def _walk(curve: NodalCurve, root: int) -> _Walk:
+    """Order the components of a tree-shaped curve with ``root`` last; no subcurve is built.
 
     One breadth-first pass from the root finds each component's parent
     and joining node; children are read before their parents by walking
@@ -97,14 +120,28 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
         visit += children[v]
     order.reverse()
 
-    # in a post-order a subtree is the run of positions that ends at its top
-    return OrderedDecomposition(
+    position = dict(zip(order, range(len(order))))
+    below = order[:-1]
+    return _Walk(
         root=root,
         order=tuple(order),
-        subcurves=tuple(
-            frozenset(order[j + 1 - size[v] : j + 1]) for j, v in enumerate(order[:-1])
-        ),
-        separating_nodes=tuple(parent[v][1] for v in order[:-1]),
+        parents=tuple(position[parent[v][0]] for v in below),
+        sizes=tuple(size[v] for v in below),
+        nodes=tuple(parent[v][1] for v in below),
+    )
+
+
+def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
+    """Order the components of a tree-shaped curve with ``root`` last.
+
+    The post-order of `_walk`, with each A_j built as a set.
+    """
+    walk = _walk(curve, root)
+    return OrderedDecomposition(
+        root=walk.root,
+        order=walk.order,
+        subcurves=tuple(map(walk.subcurve, range(len(walk.nodes)))),
+        separating_nodes=walk.nodes,
     )
 
 

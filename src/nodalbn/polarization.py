@@ -17,9 +17,11 @@ which is the omega-degree of O_B whenever B is connected.  At eta, on a
 compact-type curve, this equals half the number of nodes joining B to its
 complement; in particular every one-node split scores exactly 1/2.  The
 goodness proxy and the stability windows of ``components`` read one split
-table per decomposition: each A_j's weight numerator W_j over the weights'
-lcm D and its genus sum G_j, summed once up the tree its separating nodes
-give, so that A_j's defect is delta_j = ((1 - G_j) D - W_j (1 - p_a)) / D.
+table per walk or decomposition: each A_j's weight numerator W_j over the
+weights' lcm D and its genus sum G_j, summed once up the tree of
+subcurves, so that A_j's defect is delta_j = ((1 - G_j) D - W_j (1 - p_a)) / D.
+Every verdict is decided on these integers.  A_j itself is a set only
+where something asks for it: a printed side, a window record, a witness.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from .curve import NodalCurve, _Frozen
 
 if TYPE_CHECKING:
-    from .ordering import OrderedDecomposition
+    from .ordering import OrderedDecomposition, _Walk
 
 
 class PolarizationError(ValueError):
@@ -130,13 +133,13 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
     This is the decidable slice of goodness used by the certification
     pipeline; it does not quantify over all depth-one subsheaves.
 
-    The splits are read off ``order_components(curve, curve.gamma)``:
-    position j's subcurve A_j is the side below node p_j, whose other end
-    is C_(j)'s parent.  Each defect is read from the split table, an
-    integer over the weights' common denominator D:
-    delta_j D = (1 - G_j) D - W_j (1 - p_a).  A row's side holds the
-    node's smaller-id endpoint; only a side that is the complement of A_j
-    is built as a new set.
+    The splits come from the walk from the last component: A_j is the
+    side below node p_j, whose other end is C_(j)'s parent.  Each defect
+    is an integer over the weights' common denominator D in the split
+    table, delta_j D = (1 - G_j) D - W_j (1 - p_a), so no verdict takes a
+    set.  A row's side, the one holding the node's smaller-id endpoint,
+    is A_j or its complement.  The command line prints the same rows
+    (`_SplitTable.proxy_rows`), building each side only as it prints it.
     """
     return _SplitTable(curve, omega).goodness()
 
@@ -144,44 +147,58 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
 class _SplitTable:
     """Each A_j's weight numerator W_j over ``denominator`` and genus sum G_j, by position.
 
-    The root's entries, last, are the whole curve's.  Without a
-    decomposition the table is the goodness proxy's: the walk from the
-    last component, then omega's length check.  A decomposition handed in
-    is checked in `components.stability_windows`' order.  ``ends`` (node
-    id -> its two components) gives the tree and each proxy row's side.
+    The root's entries, last, are the whole curve's.  ``tree`` is a walk
+    (``ordering._walk``), whose tree is read from its parent positions, or
+    a decomposition handed in, whose tree `_read_tree` reads and checks in
+    `components.stability_windows`' order.  Without one the
+    table is the goodness proxy's: the walk from the last component, then
+    omega's length check.  ``sizes[k]`` is |A_(k+1)|; `subcurve` builds
+    A_(k+1) only when asked.
     """
 
     def __init__(
-        self, curve: NodalCurve, omega: Polarization, deco: OrderedDecomposition | None = None
+        self,
+        curve: NodalCurve,
+        omega: Polarization,
+        tree: _Walk | OrderedDecomposition | None = None,
     ) -> None:
-        from .ordering import _read_tree, order_components
+        from .ordering import _read_tree, _walk, _Walk
 
         curve.require_compact_type()
-        if deco is None:
-            deco = order_components(curve, curve.gamma)
+        if tree is None:
+            tree = _walk(curve, curve.gamma)
             _check_lengths(curve, omega)
-        if not len(deco.subcurves) == len(deco.separating_nodes) == curve.gamma - 1:
-            raise ValueError(
-                f"decomposition has {len(deco.subcurves)} subcurves and "
-                f"{len(deco.separating_nodes)} separating nodes for {curve.gamma} "
-                f"components; each must number {curve.gamma - 1}"
-            )
-        order, subcurves = deco.order, deco.subcurves
         ends = {n.id: (n.first, n.second) for n in curve.nodes}
         fault = None
-        try:
-            children = _read_tree(deco, ends)
-        except ValueError as exc:
-            fault = exc
+        if isinstance(tree, _Walk):
+            self.nodes, self.sizes, self.subcurve = tree.nodes, tree.sizes, tree.subcurve
+            children: list[list[int]] = [[] for _ in tree.order]
+            for j, up in enumerate(tree.parents):  # increasing j: each list is sorted
+                children[up].append(j)
+        else:
+            subcurves, self.nodes = tree.subcurves, tree.separating_nodes
+            if not len(subcurves) == len(self.nodes) == curve.gamma - 1:
+                raise ValueError(
+                    f"decomposition has {len(subcurves)} subcurves and "
+                    f"{len(self.nodes)} separating nodes for {curve.gamma} "
+                    f"components; each must number {curve.gamma - 1}"
+                )
+            self.sizes, self.subcurve = tuple(map(len, subcurves)), subcurves.__getitem__
+            try:
+                children = _read_tree(tree, ends)
+            except ValueError as exc:
+                fault = exc
         # a decomposition holds only known ids in its subcurves, none empty
         if fault is not None or len(omega) != curve.gamma:
-            for j, A in enumerate(subcurves, start=1):  # weight, then ids, then the count
+            for j in range(curve.gamma - 1):  # weight, then ids, then the count
+                A = self.subcurve(j)
                 omega.subcurve_weight(A)
                 curve.check_subcurve(A)
-                if j == 1:
+                if j == 0:
                     _check_lengths(curve, omega)
         if fault is not None:
             raise fault
+        order = tree.order
         genera = (0, *curve.genera)  # padded like the numerators: index = component id
         weight = [omega._numerators[c] for c in order]
         genus = [genera[c] for c in order]
@@ -189,34 +206,52 @@ class _SplitTable:
             for c in kids:
                 weight[p] += weight[c]
                 genus[p] += genus[c]
-        self.curve, self.deco, self.children, self.ends = curve, deco, children, ends
+        self.curve, self.order, self.children, self.ends = curve, order, children, ends
         self.weights, self.genera = weight, genus
         self.denominator, self.pa = omega._denominator, curve.arithmetic_genus()
 
-    def goodness(self) -> GoodnessReport:
-        """The goodness proxy's rows: delta_j D = (1 - G_j) D - W_j (1 - p_a) per split."""
-        deco, D, ends = self.deco, self.denominator, self.ends
-        everything = frozenset(self.curve.component_ids)
+    def proxy_rows(self) -> list[tuple[int, int, bool, int]]:
+        """(node, position, flipped, delta D) per split, by node id: integers only.
+
+        delta_j D = (1 - G_j) D - W_j (1 - p_a).  The printed side holds the
+        node's smaller-id endpoint; ``flipped`` says that it is the
+        complement of A_(position+1), whose defect is D minus A_j's.
+        """
+        D, ends, c_pa = self.denominator, self.ends, 1 - self.pa
         rows = []
-        for c, side, nid, w, g in zip(
-            deco.order, deco.subcurves, deco.separating_nodes, self.weights, self.genera
-        ):
-            num = (1 - g) * D - w * (1 - self.pa)
-            if ends[nid][1] == c:  # the parent is the smaller end: the defects add up to 1
-                num = D - num
-                side = everything - side
-            rows.append(SplitDefect(nid, side, Fraction(num, D), 0 < num < D))
-        rows.sort(key=lambda row: row.node)
-        return GoodnessReport(passed=all(row.ok for row in rows), splits=tuple(rows))
+        for j, (c, nid, w, g) in enumerate(zip(self.order, self.nodes, self.weights, self.genera)):
+            num = (1 - g) * D - w * c_pa
+            flipped = ends[nid][1] == c  # the parent is the smaller end: the defects add up to 1
+            rows.append((nid, j, flipped, D - num if flipped else num))
+        rows.sort()  # node ids are distinct
+        return rows
+
+    def side(self, j: int, flipped: bool) -> frozenset[int]:
+        """A proxy row's side: A_(j+1), or its complement when ``flipped``, built now."""
+        A = self.subcurve(j)
+        return self.everything - A if flipped else A
+
+    @cached_property
+    def everything(self) -> frozenset[int]:
+        return frozenset(self.curve.component_ids)
+
+    def goodness(self) -> GoodnessReport:
+        """The goodness proxy's report, each side built as a set."""
+        D = self.denominator
+        rows = tuple(
+            SplitDefect(nid, self.side(j, flipped), Fraction(num, D), 0 < num < D)
+            for nid, j, flipped, num in self.proxy_rows()
+        )
+        return GoodnessReport(passed=all(row.ok for row in rows), splits=rows)
 
     def require_good(self) -> _SplitTable:
         """This table, once omega passes the proxy; `bn certify`'s hard error otherwise."""
-        good = self.goodness()
-        if not good.passed:
-            bad = [row for row in good.splits if not row.ok]
+        D = self.denominator
+        bad = [(nid, num) for nid, _, _, num in self.proxy_rows() if not 0 < num < D]
+        if bad:
             raise PolarizationError(
                 "polarization fails the goodness proxy at node(s) "
-                + ", ".join(f"{row.node} (defect {row.defect})" for row in bad)
+                + ", ".join(f"{nid} (defect {Fraction(num, D)})" for nid, num in bad)
             )
         return self
 

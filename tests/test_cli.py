@@ -3,6 +3,7 @@
 import contextlib
 import io
 import random
+import sys
 import tempfile
 import time
 from fractions import Fraction
@@ -825,13 +826,15 @@ COMB_SCAN = ("bn", "scan", "--family", "comb", "--gamma-max", "4", "--genus-max"
              "--s-max", "24")
 
 
-def test_only_printed_bounds_build_window_records(capsys, tmp_path, monkeypatch):
-    """bn certify, bn scan and the invariance check decide on integer bounds alone.
+def test_no_command_builds_window_records(capsys, tmp_path, monkeypatch):
+    """Every command decides and prints from the integer bounds alone.
 
-    With `components.Window` refusing to be built, each still gives its
-    usual answer.  `components enumerate` and `components check` print
-    bounds, so they build `Window` records, and their rows match the
-    goldens.
+    A `components.Window` record holds its A_j, O(gamma^2) ids over a chain
+    rooted at an end.  With `Window` refusing to be built, bn certify, bn
+    scan and the invariance check give their usual answers, and every
+    golden (`components enumerate` and `components check` print bounds)
+    matches byte for byte.  The `windows` view still builds one record per
+    window when a caller asks for it.
     """
     from nodalbn import components
 
@@ -844,9 +847,10 @@ def test_only_printed_bounds_build_window_records(capsys, tmp_path, monkeypatch)
         raise AssertionError("a Window record was built")
 
     monkeypatch.setattr(components, "Window", refuse)
-    code, got, out = golden_run(capsys, tmp_path, "certify_chain7")
-    assert got == code == 0
-    assert out == (GOLDEN_DIR / "certify_chain7.out").read_text(encoding="utf-8")
+    for name in sorted(GOLDEN_CASES):
+        code, got, out = golden_run(capsys, tmp_path, name)
+        assert got == code
+        assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
     assert run(capsys, *COMB_SCAN) == scan
     chain = nb.chain_curve((2, 3, 2, 2, 3, 2, 2))
     report = nb.catalog_invariance_check(chain, nb.canonical(chain), 12, 12)
@@ -857,12 +861,11 @@ def test_only_printed_bounds_build_window_records(capsys, tmp_path, monkeypatch)
         return real(*args, **kwargs)
 
     monkeypatch.setattr(components, "Window", counted)
-    for name in ("enumerate", "enumerate_small_slope", "check_pass", "check_fail"):
-        built.clear()
-        code, got, out = golden_run(capsys, tmp_path, name)
-        assert got == code
-        assert out == (GOLDEN_DIR / f"{name}.out").read_text(encoding="utf-8")
-        assert built == [1, 2, 3, 4]  # one record per window of the five-component curve
+    curve = nb.parse_curve(OTHER5)
+    deco = nb.order_components(curve, 2)
+    table = components.stability_windows(curve, nb.canonical(curve), deco, 3, 7)
+    assert [w.subcurve for w in table.windows] == list(deco.subcurves)
+    assert built == [1, 2, 3, 4]  # one record per window of the five-component curve
 
 
 class TestInvarianceCommand:
@@ -925,3 +928,53 @@ class StrSubclass(str):
 ])
 def test_fmt_cells(value, text):
     assert _fmt(value) == text
+
+
+def _joined(lines):
+    """The report's bytes as one join, an rstrip and a concatenation: the oracle for emit."""
+    return "\n".join(lines).rstrip("\n") + "\n"
+
+
+@pytest.mark.parametrize("lines", [
+    ["command: nodalbn bn number"],  # only the command line
+    ["command: nodalbn x", "a: 1", ""],  # a trailing blank line
+    ["command: nodalbn x", "", "a: 1", "", "", ""],
+    ["command: nodalbn x", "", "#echo", "component 1 genus 2\nnode 1 1 2\n"],  # raw, ends in \n
+    ["command: nodalbn x", "raw\n\n", "", "\n", ""],  # blank and newline-only lines after it
+    ["command: nodalbn x", "mid\n", "", "end"],
+    ["", "\n", ""],
+])
+def test_emit_writes_the_joined_bytes(capsys, lines):
+    report = cli.Report(["x"])
+    report.lines = list(lines)
+    report.emit()
+    assert capsys.readouterr().out == _joined(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(["", "\n", "\n\n", "a", "b\n", "c\n\nd", "\te\t"]), max_size=8))
+def test_emit_matches_the_join_on_any_lines(lines):
+    report = cli.Report(["x"])
+    report.lines += lines
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        report.emit()
+    assert out.getvalue() == _joined(report.lines)
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "validate", "--curve", "{curve}", "--echo"),
+    ("order", "--curve", "{curve}", "--root", "3"),
+    ("polarization", "canonical", "--curve", "{curve}"),
+    ("components", "check", "--curve", "{curve}", "--rank", "3", "--tuple", "1,1,2,1,2"),
+    ("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
+])
+def test_commands_emit_the_joined_bytes(capsys, monkeypatch, tmp_path, argv):
+    path = tmp_path / "other5.crv"
+    path.write_text(OTHER5)
+    argv = [arg.format(curve=path) for arg in argv]
+    code = main(argv)
+    out = capsys.readouterr().out
+    monkeypatch.setattr(cli.Report, "emit", lambda self: sys.stdout.write(_joined(self.lines)))
+    assert (main(argv), capsys.readouterr().out) == (code, out)
+    assert out.endswith("\n") and not out.endswith("\n\n")

@@ -851,35 +851,66 @@ def test_one_split_table_serves_every_cell(seed):
     assert proxy_table.goodness() == complement_goodness_proxy(curve, omega)
 
 
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_split_table_from_a_walk_is_the_decompositions(seed):
+    """A split table from a walk equals one from its decomposition, bound for bound.
+
+    Random Pruefer trees, roots and polarizations: the same order, nodes,
+    sizes, tree and sums, the same integer windows at random (s, d), and
+    the same A_j wherever one is asked for.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=9)
+    omega = random_valid_polarization(rng, curve.gamma)
+    root = rng.randint(1, curve.gamma)
+    walked = polarization._SplitTable(curve, omega, ordering._walk(curve, root))
+    deco = nb.order_components(curve, root)
+    read = polarization._SplitTable(curve, omega, deco)
+    for name in ("order", "nodes", "sizes", "children", "weights", "genera", "denominator"):
+        assert getattr(walked, name) == getattr(read, name), name
+    assert [walked.subcurve(k) for k in range(curve.gamma - 1)] == list(deco.subcurves)
+    for _ in range(4):
+        s, d = rng.randint(1, 9), rng.randint(-5, 30)
+        a, b = components.WindowTable(walked, s, d), components.WindowTable(read, s, d)
+        assert (a.lowers, a.uppers, a._scales) == (b.lowers, b.uppers, b._scales)
+        assert a == b and a.windows == b.windows
+
+
 COMB_SCAN = "bn scan --family comb --gamma-max 4 --genus-max 3 --s-max 24".split()
 
 
 @pytest.mark.parametrize("curve_name", ["chain4", "comb4"])
 def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name):
-    """One walk and one tree read per table, per root, per certify and per scanned curve."""
+    """One tree read per table: a handed-in decomposition's, or one walk per root,
+    per certify and per scanned curve, which needs neither `order_components`
+    nor `_read_tree`."""
     curve = request.getfixturevalue(curve_name)
     eta = nb.canonical(curve)
     deco = canonical_deco(curve)
     reads = _counted(monkeypatch, "_read_tree", lambda deco, ends: deco.order[-1])
-    walks = _counted(monkeypatch, "order_components", lambda _, root: root)
+    decos = _counted(monkeypatch, "order_components", lambda _, root: root)
+    walks = _counted(monkeypatch, "_walk", lambda _, root: root)
     table = stability_windows(curve, eta, deco, 3, 6)
     catalog = table.catalog()
     assert table.size() == len(catalog) > 0
     table.sums(catalog[0])
     table.count_small_slope()
     assert reads == [curve.gamma]
+    assert walks == decos == []
     reads.clear()
     assert nb.catalog_invariance_check(curve, eta, 3, 6).passed
-    assert walks == reads == list(curve.component_ids)
+    assert walks == list(curve.component_ids)
+    assert reads == decos == []
     walks.clear()
-    reads.clear()
     assert isinstance(nb.certify_bn_component(curve, eta, 6, 1, 6), nb.BNCertificate)
-    assert walks == reads == [curve.gamma]
+    assert walks == [curve.gamma]
+    assert reads == decos == []
     walks.clear()
-    reads.clear()
     assert cli.main(COMB_SCAN) == 0
     assert "curves: 14\n" in capsys.readouterr().out
-    assert len(walks) == len(reads) == 14
+    assert len(walks) == 14
+    assert reads == decos == []
 
 
 @pytest.mark.parametrize(

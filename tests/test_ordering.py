@@ -1,12 +1,14 @@
 """Ordered one-node decompositions and their independent verifier."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
 from conftest import random_tree_curve
+from nodalbn import ordering
 from oracles import post_order, search_verify_decomposition
 
 
@@ -150,6 +152,44 @@ def test_order_components_is_the_recursive_post_order(seed):
     for root in curve.component_ids:
         deco = nb.order_components(curve, root)
         assert (deco.order, deco.subcurves, deco.separating_nodes) == post_order(curve, root)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_walk_is_the_post_order_without_sets(seed):
+    """The walk's order, sizes, nodes and parents give `order_components` and the oracle."""
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=9)
+    ends = {n.id: n.first + n.second for n in curve.nodes}
+    for root in curve.component_ids:
+        walk = ordering._walk(curve, root)
+        order, subcurves, nodes = post_order(curve, root)
+        assert (walk.root, walk.order, walk.nodes) == (root, order, nodes)
+        assert walk.sizes == tuple(map(len, subcurves))
+        assert tuple(map(walk.subcurve, range(curve.gamma - 1))) == subcurves
+        # p_j joins C_(j) to its parent, a later position
+        for j, (up, p) in enumerate(zip(walk.parents, walk.nodes)):
+            assert j < up and order[up] == ends[p] - order[j]
+        assert nb.order_components(curve, root) == nb.OrderedDecomposition(
+            root, walk.order, subcurves, walk.nodes
+        )
+
+
+def test_walk_on_a_long_chain_holds_linear_memory():
+    """One walk at gamma = 2,000 stays O(gamma); its decomposition is O(gamma^2).
+
+    Rooted at an end, the A_j hold 1 + 2 + ... + 1,999 ids: building them
+    as frozensets peaked at about 128 MB under `tracemalloc`.
+    """
+    curve = nb.chain_curve([2] * 2000)
+    tracemalloc.start()
+    try:
+        walk = ordering._walk(curve, 2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(walk.sizes) == 1999 * 2000 // 2
+    assert peak < 2 * 2**20
 
 
 def _random_connected(rng, curve):

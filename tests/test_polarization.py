@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from nodalbn import polarization
 from conftest import (
     random_good_polarization,
     random_tree_curve,
@@ -224,6 +225,35 @@ def test_goodness_proxy_matches_complement_oracle(seed, good):
     else:  # arbitrary weights: some splits fail
         omega = random_valid_polarization(rng, curve.gamma)
     assert nb.goodness_proxy(curve, omega) == complement_goodness_proxy(curve, omega)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), good=st.booleans())
+def test_proxy_rows_are_the_split_sides(seed, good):
+    """The integer rows a printed proxy reads give every side and defect of the oracle.
+
+    Each row's side, built from its position and flip, is the side
+    `raw_split_sides` searches out for that node; its numerator over D is
+    the defect; and `goodness_proxy`, built from the same rows, is the
+    complement oracle's report.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=12)
+    if good:
+        omega = random_good_polarization(rng, curve)
+    else:  # arbitrary weights: some splits fail
+        omega = random_valid_polarization(rng, curve.gamma)
+    splits = polarization._SplitTable(curve, omega)
+    rows = splits.proxy_rows()
+    raw = raw_split_sides(curve.gamma, curve.nodes)
+    assert [nid for nid, *_ in rows] == [nid for nid, _, _ in raw]
+    report = nb.goodness_proxy(curve, omega)
+    assert report == complement_goodness_proxy(curve, omega)
+    D = splits.denominator
+    for (nid, j, flipped, num), (_, side, _), row in zip(rows, raw, report.splits):
+        assert splits.side(j, flipped) == side == row.side
+        assert Fraction(num, D) == row.defect
+        assert (0 < num < D) == row.ok
 
 
 def test_goodness_proxy_errors_match_complement_oracle(cycle_curve, chain4):
