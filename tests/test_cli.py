@@ -776,9 +776,16 @@ OTHER5_OMEGA = "11/52,2/13,17/52,3/26,5/26"  # canonical is 5/26,2/13,9/26,3/26,
 CHAIN7 = "".join(f"component {i} genus 2\n" for i in range(1, 8)) + "".join(
     f"node {i} {i} {i + 1}\n" for i in range(1, 7)
 )
+# Two components with a sheaf block that records degrees: sheaf info prints
+# its degrees and degree_defect lines, and unequal ranks make wslope a fraction.
+SHEAF2 = TWO_CURVE + "sheaf\nrank 2 1\nchi -3\ndegrees 3 -2\nstalk 1 1 1 0\n"
 GOLDEN_DIR = Path(__file__).parent / "golden"
-# name -> (exit code, argv with {curve} for OTHER5 and {chain7} for CHAIN7)
+# name -> (exit code, argv with {curve} for OTHER5, {chain7} for CHAIN7 and
+# {sheaf} for SHEAF2)
 GOLDEN_CASES = {
+    "validate_echo": (0, ("curve", "validate", "--curve", "{curve}", "--echo")),
+    "classify": (0, ("curve", "classify", "--curve", "{curve}")),
+    "sheaf_info": (0, ("sheaf", "info", "--curve", "{sheaf}", "--omega", "1/4,3/4")),
     "order": (0, ("order", "--curve", "{curve}", "--root", "2")),
     "polarization_canonical": (0, ("polarization", "canonical", "--curve", "{curve}")),
     "polarization_check": (
@@ -798,8 +805,16 @@ GOLDEN_CASES = {
     "radius": (0, (
         "components", "radius", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
         "--root", "2", "--rank", "3", "--tuple", "1,1,2,1,2")),
+    "invariance": (0, (
+        "components", "invariance", "--curve", "{curve}", "--omega", OTHER5_OMEGA,
+        "--rank", "3", "--degree", "7")),
     "certify_chain7": (0, (
         "bn", "certify", "--curve", "{chain7}", "--s", "12", "--k", "1", "--d", "12")),
+    "bn_number": (0, ("bn", "number", "--pa", "5", "--r", "3", "--d", "2", "--k", "1")),
+    "bn_bounds": (1, ("bn", "bounds", "--pa", "2", "--r", "5", "--d", "1", "--k", "4")),
+    "bn_scan": (0, (
+        "bn", "scan", "--family", "chain", "--gamma-max", "3", "--genus-max", "3",
+        "--s-max", "4")),
 }
 
 
@@ -809,10 +824,14 @@ def golden_run(capsys, tmp_path, name):
     path.write_text(OTHER5)
     chain7 = tmp_path / "chain7.crv"
     chain7.write_text(CHAIN7)
+    sheaf = tmp_path / "sheaf2.crv"
+    sheaf.write_text(SHEAF2)
     code, argv = GOLDEN_CASES[name]
-    got = main([arg.format(curve=path, chain7=chain7) for arg in argv])
+    got = main([arg.format(curve=path, chain7=chain7, sheaf=sheaf) for arg in argv])
     out = capsys.readouterr().out
-    return code, got, out.replace(str(path), "other5.crv").replace(str(chain7), "chain7.crv")
+    for file, shown in ((path, "other5.crv"), (chain7, "chain7.crv"), (sheaf, "sheaf2.crv")):
+        out = out.replace(str(file), shown)
+    return code, got, out
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
