@@ -6,7 +6,9 @@ separated blocks, with tab-separated tables introduced by a
 integers).  Output for identical inputs is byte-identical.
 
 Exit codes: 0 for pass/certified, 1 for a failed hypothesis or verdict,
-2 for unparseable input or bad command lines.
+2 for unparseable input or bad command lines.  Handlers fill the report
+`main` hands them and return 0 or 1; `main` writes it only when the
+handler returns, so a command that raises writes nothing to stdout.
 
 Each handler imports the modules it runs: ``ordering``, ``components``
 and ``brill_noether`` load inside the handlers that call them, so a
@@ -159,19 +161,18 @@ def _resolve_omega(text: str, curve: NodalCurve) -> Polarization:
     return omega
 
 
-def _begin(args: argparse.Namespace) -> tuple[Report, NodalCurve, SheafDescriptor | None]:
-    report = Report(args.argv)
+def _begin(args: argparse.Namespace, report: Report) -> tuple[NodalCurve, SheafDescriptor | None]:
     curve, sheaf, digest = _load_curve(args.curve)
     report.kv("curve_digest", digest)
     report.blank()
-    return report, curve, sheaf
+    return curve, sheaf
 
 
 # -- curve ------------------------------------------------------------
 
 
-def cmd_curve_validate(args: argparse.Namespace) -> int:
-    report, curve, _ = _begin(args)
+def cmd_curve_validate(args: argparse.Namespace, report: Report) -> int:
+    curve, _ = _begin(args, report)
     report.kv("gamma", curve.gamma)
     report.kv("delta", curve.delta)
     report.kv("genera", curve.genera)
@@ -182,21 +183,19 @@ def cmd_curve_validate(args: argparse.Namespace) -> int:
         report.blank()
         report.raw("#echo")
         report.raw(render_curve(curve).rstrip("\n"))
-    report.emit()
     return 0
 
 
-def cmd_curve_classify(args: argparse.Namespace) -> int:
-    report, curve, _ = _begin(args)
+def cmd_curve_classify(args: argparse.Namespace, report: Report) -> int:
+    curve, _ = _begin(args, report)
     report.kv("classification", curve.classify().value)
-    report.emit()
     return 0
 
 
-def cmd_order(args: argparse.Namespace) -> int:
+def cmd_order(args: argparse.Namespace, report: Report) -> int:
     from . import ordering
 
-    report, curve, _ = _begin(args)
+    curve, _ = _begin(args, report)
     walk = ordering._walk(curve, args.root)
     report.kv("root", walk.root)
     report.kv("order", walk.order)
@@ -204,7 +203,6 @@ def cmd_order(args: argparse.Namespace) -> int:
         f"{j}\t{_fmt(walk.subcurve(j - 1))}\t{p}" for j, p in enumerate(walk.nodes, start=1)
     ]
     report.table("decomposition", ["j", "subcurve", "separating_node"], rows)
-    report.emit()
     return 0
 
 
@@ -229,30 +227,27 @@ def _proxy_section(report: Report, curve: NodalCurve, omega: Polarization) -> bo
     return passed
 
 
-def cmd_polarization_canonical(args: argparse.Namespace) -> int:
-    report, curve, _ = _begin(args)
+def cmd_polarization_canonical(args: argparse.Namespace, report: Report) -> int:
+    curve, _ = _begin(args, report)
     eta = canonical(curve)
     report.kv("eta", eta.weights)
     if curve.is_compact_type():
         _proxy_section(report, curve, eta)
-    report.emit()
     return 0
 
 
-def cmd_polarization_check(args: argparse.Namespace) -> int:
-    report, curve, _ = _begin(args)
+def cmd_polarization_check(args: argparse.Namespace, report: Report) -> int:
+    curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
     report.kv("omega", omega.weights)
-    passed = _proxy_section(report, curve, omega)
-    report.emit()
-    return 0 if passed else 1
+    return 0 if _proxy_section(report, curve, omega) else 1
 
 
 # -- sheaf ------------------------------------------------------------
 
 
-def cmd_sheaf_info(args: argparse.Namespace) -> int:
-    report, curve, sheaf = _begin(args)
+def cmd_sheaf_info(args: argparse.Namespace, report: Report) -> int:
+    curve, sheaf = _begin(args, report)
     if sheaf is None:
         raise DescriptorError(f"{args.curve} has no sheaf block")
     omega = _resolve_omega(args.omega, curve)
@@ -273,7 +268,6 @@ def cmd_sheaf_info(args: argparse.Namespace) -> int:
         ["node", "free_rank", "a_first", "a_second"],
         [[nid, lt.free_rank, lt.a_first, lt.a_second] for nid, lt in sheaf.stalks],
     )
-    report.emit()
     return 0
 
 
@@ -326,48 +320,47 @@ def _catalog_table(
     report.table("catalog", header, rows)
 
 
-def cmd_components_enumerate(args: argparse.Namespace) -> int:
-    from . import components as comp
+def _rooted(args: argparse.Namespace, report: Report):
+    """The curve, omega and the walk from ``--root`` (default gamma); writes omega and rank."""
     from . import ordering
 
-    report, curve, _ = _begin(args)
+    curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
-    root = args.root if args.root is not None else curve.gamma
-    walk = ordering._walk(curve, root)
-    table = comp.stability_windows(curve, omega, walk, args.rank, args.degree)
+    walk = ordering._walk(curve, curve.gamma if args.root is None else args.root)
     report.kv("omega", omega.weights)
     report.kv("rank", args.rank)
+    return curve, omega, walk
+
+
+def cmd_components_enumerate(args: argparse.Namespace, report: Report) -> int:
+    from . import components as comp
+
+    curve, omega, walk = _rooted(args, report)
+    table = comp.stability_windows(curve, omega, walk, args.rank, args.degree)
     report.kv("degree", args.degree)
-    report.kv("root", root)
+    report.kv("root", walk.root)
     report.kv("order", walk.order)
     _catalog_table(report, table, table.degree_tuples(small_slope=args.small_slope))
-    report.emit()
     return 0
 
 
-def _tuple_setup(args: argparse.Namespace):
+def _tuple_setup(args: argparse.Namespace, report: Report):
     from . import components as comp
-    from . import ordering
 
-    report, curve, _ = _begin(args)
-    omega = _resolve_omega(args.omega, curve)
-    root = args.root if args.root is not None else curve.gamma
-    walk = ordering._walk(curve, root)
+    curve, omega, walk = _rooted(args, report)
     degrees = _option("--tuple", parse_ints, args.tuple)
     if len(degrees) != curve.gamma:
         raise ValueError(f"--tuple has {len(degrees)} degrees for {curve.gamma} components")
     ctuple = comp.ComponentTuple(rank=args.rank, degrees=degrees)
-    report.kv("omega", omega.weights)
-    report.kv("rank", args.rank)
     report.kv("tuple", ctuple.degrees)
     report.kv("degree", ctuple.total)
-    return report, curve, omega, walk, ctuple
+    return curve, omega, walk, ctuple
 
 
-def cmd_components_check(args: argparse.Namespace) -> int:
+def cmd_components_check(args: argparse.Namespace, report: Report) -> int:
     from . import components as comp
 
-    report, curve, omega, walk, ctuple = _tuple_setup(args)
+    curve, omega, walk, ctuple = _tuple_setup(args, report)
     table = comp.stability_windows(curve, omega, walk, ctuple.rank, ctuple.total)
     passed, rows = True, []
     for j, A, _, lower, sigma, upper, ok, *slacks in table._rows(table.sums(ctuple)):
@@ -379,24 +372,21 @@ def cmd_components_check(args: argparse.Namespace) -> int:
         ["j", "subcurve", "lower", "sigma", "upper", "verdict", "slack_lower", "slack_upper"],
         rows,
     )
-    report.emit()
     return 0 if passed else 1
 
 
-def cmd_components_radius(args: argparse.Namespace) -> int:
+def cmd_components_radius(args: argparse.Namespace, report: Report) -> int:
     from . import components as comp
 
-    report, curve, omega, walk, ctuple = _tuple_setup(args)
-    radius = comp.robustness_radius(curve, omega, walk, ctuple)
+    radius = comp.robustness_radius(*_tuple_setup(args, report))
     report.kv("radius", "unbounded" if radius is None else radius)
-    report.emit()
     return 0
 
 
-def cmd_components_invariance(args: argparse.Namespace) -> int:
+def cmd_components_invariance(args: argparse.Namespace, report: Report) -> int:
     from . import components as comp
 
-    report, curve, _ = _begin(args)
+    curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
     inv = comp.catalog_invariance_check(curve, omega, args.rank, args.degree)
     report.kv("omega", omega.weights)
@@ -413,38 +403,33 @@ def cmd_components_invariance(args: argparse.Namespace) -> int:
                 for m in inv.mismatches
             ],
         )
-    report.emit()
     return 0 if inv.passed else 1
 
 
 # -- brill-noether ----------------------------------------------------
 
 
-def cmd_bn_number(args: argparse.Namespace) -> int:
+def cmd_bn_number(args: argparse.Namespace, report: Report) -> int:
     from . import brill_noether as bn
 
-    report = Report(args.argv)
     report.kv("beta", bn.bn_number(args.pa, args.r, args.d, args.k))
-    report.emit()
     return 0
 
 
-def cmd_bn_bounds(args: argparse.Namespace) -> int:
+def cmd_bn_bounds(args: argparse.Namespace, report: Report) -> int:
     from . import brill_noether as bn
 
-    report = Report(args.argv)
     verdict = bn.bgn_bounds(args.pa, args.r, args.d, args.k)
     report.kv("bgn_bounds", _verdict(verdict.ok))
     for failure in verdict.failures:
         report.kv("failure", failure)
-    report.emit()
     return 0 if verdict.ok else 1
 
 
-def cmd_bn_certify(args: argparse.Namespace) -> int:
+def cmd_bn_certify(args: argparse.Namespace, report: Report) -> int:
     from . import brill_noether as bn
 
-    report, curve, _ = _begin(args)
+    curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
     result = bn.certify_bn_component(curve, omega, args.s, args.k, args.d)
     certified = isinstance(result, bn.BNCertificate)
@@ -469,7 +454,6 @@ def cmd_bn_certify(args: argparse.Namespace) -> int:
         ["item", "verdict", "detail"],
         [[item.name, _verdict(item.ok), item.detail] for item in result.checklist],
     )
-    report.emit()
     return 0 if certified else 1
 
 
@@ -488,10 +472,9 @@ def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve
     return curves
 
 
-def cmd_bn_scan(args: argparse.Namespace) -> int:
+def cmd_bn_scan(args: argparse.Namespace, report: Report) -> int:
     from . import brill_noether as bn
 
-    report = Report(args.argv)
     curves = _scan_family(args.family, args.gamma_max, args.genus_max)
     rows = bn.conjecture_scan(curves, range(1, args.s_max + 1))
     open_rows = [r for r in rows if not r.certified]
@@ -508,7 +491,6 @@ def cmd_bn_scan(args: argparse.Namespace) -> int:
             for r in rows
         ],
     )
-    report.emit()
     return 0 if not open_rows else 1
 
 
@@ -627,9 +609,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
-    args.argv = argv
-    try:
-        return args.func(args)
+    report = Report(argv)
+    try:  # a handler that raises has written nothing to stdout
+        code = args.func(args, report)
+        report.emit()
+        return code
     except ValueError as exc:  # every class in EXIT_CODES is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

@@ -45,11 +45,11 @@ branching.  Each f_v is positive on exactly one interval (a sum of
 intervals cut by an interval), so whether a partial assignment still
 has a completion is interval arithmetic over the tree, O(gamma), and one
 more pass from the root down narrows every position's range to exactly
-the degrees some tuple takes.  One walk lists the tuples in increasing
-order: ids 1..gamma take their degrees in turn within the narrowed
-ranges, each choice narrowed again, so no branch is a dead end and its
-cost follows the number of tuples, not s^(gamma-1).  The least tuple is
-the walk's first.
+the degrees some tuple takes.  One search (`WindowTable._tuples`) lists
+the tuples in increasing order: ids 1..gamma take their degrees in turn
+within the narrowed ranges, each choice narrowed again, so no branch is
+a dead end and its cost follows the number of tuples, not s^(gamma-1).
+The least tuple is the search's first.
 
 Small-slope questions take every range to be 1..s.  The whole catalog
 takes the widest ranges the windows allow: with integer windows [lo, hi]
@@ -192,7 +192,7 @@ class WindowTable(_Frozen):
 
     The table answers every catalog question: `catalog`, `degree_tuples`,
     `first_small_slope`, `count_small_slope` and `size`.  All but `size`
-    run one search (`_walk`, `_count`) over the ranges `_ranges` gives.
+    run one search (`_tuples`, `_count`) over the ranges `_ranges` gives.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -338,9 +338,9 @@ class WindowTable(_Frozen):
         """The catalog's degree tuples as plain tuples, in increasing order.
 
         With ``small_slope`` only those with every degree in 1..s.  Nothing
-        is listed up front: each tuple comes from the walk as it is found.
+        is listed up front: each tuple comes from the search as it is found.
         """
-        return self._walk(self._ranges(small_slope))
+        return self._tuples(self._ranges(small_slope))
 
     def first_small_slope(self) -> ComponentTuple | None:
         """The least catalog tuple with every degree in 1..s, None when there is none."""
@@ -387,7 +387,7 @@ class WindowTable(_Frozen):
         """
         out: list[tuple[int, int]] = []
         for (wlo, whi), kids, (lo, hi) in zip(self._bounds, self.children, ranges):
-            for c in kids:  # plain loops: the walk runs this once per choice
+            for c in kids:  # plain loops: the search runs this once per choice
                 lo += out[c][0]
                 hi += out[c][1]
             lo, hi = max(wlo, lo), min(whi, hi)
@@ -424,7 +424,7 @@ class WindowTable(_Frozen):
                            min(c_hi, hi - own_lo - kids_lo + c_lo))
         return out
 
-    def _walk(self, ranges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    def _tuples(self, ranges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
         """The degrees of every tuple within ranges, in id order, as plain tuples, increasing.
 
         Ids take their degrees in turn, each over its narrowed range, so
@@ -634,8 +634,7 @@ def catalog_invariance_check(
         return stability_windows(curve, omega, _walk(curve, root), s, d)
 
     first = table_at(1)
-    D = first.denominator
-    ends = {n.id: (n.first, n.second) for n in curve.nodes}
+    D, ends = first.denominator, first.splits.ends
     reference = {}
     for inner, node, lo, hi in zip(
         first.order, first.splits.nodes, first.lowers, first.uppers

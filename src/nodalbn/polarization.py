@@ -196,6 +196,7 @@ class _SplitTable:
                 curve.check_subcurve(A)
                 if j == 0:
                     _check_lengths(curve, omega)
+            _check_lengths(curve, omega)  # gamma = 1: the loop held no subcurve
         if fault is not None:
             raise fault
         order = tree.order

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
-from nodalbn import brill_noether, cli, components, ordering, polarization
+from nodalbn import cli, components, ordering, polarization
 from nodalbn.components import HypothesisError, stability_windows
 from conftest import (
     forbid_enumeration,
@@ -22,6 +22,7 @@ from conftest import (
     scaled_zero_sum_eps,
     shift_first_window,
 )
+from counting import record_calls
 from oracles import (
     _sigma_windows,
     brute_force_box_size,
@@ -811,21 +812,6 @@ def test_table_is_built_exactly_when_verify_decomposition_accepts(seed):
             )
 
 
-def _counted(monkeypatch, name, key):
-    """Wrap ``ordering.<name>`` in every module that looks it up; the calls' keys, in order."""
-    calls = []
-    real = getattr(ordering, name)
-
-    def counted(*args):
-        calls.append(key(*args))
-        return real(*args)
-
-    for module in (ordering, polarization, components, brill_noether):
-        if getattr(module, name, None) is real:
-            monkeypatch.setattr(module, name, counted)
-    return calls
-
-
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_one_split_table_serves_every_cell(seed):
@@ -888,9 +874,10 @@ def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name
     curve = request.getfixturevalue(curve_name)
     eta = nb.canonical(curve)
     deco = canonical_deco(curve)
-    reads = _counted(monkeypatch, "_read_tree", lambda deco, ends: deco.order[-1])
-    decos = _counted(monkeypatch, "order_components", lambda _, root: root)
-    walks = _counted(monkeypatch, "_walk", lambda _, root: root)
+    patch = monkeypatch.setattr
+    reads = record_calls(ordering, "_read_tree", lambda deco, ends: deco.order[-1], patch)
+    decos = record_calls(ordering, "order_components", lambda _, root: root, patch)
+    walks = record_calls(ordering, "_walk", lambda _, root: root, patch)
     table = stability_windows(curve, eta, deco, 3, 6)
     catalog = table.catalog()
     assert table.size() == len(catalog) > 0
@@ -1163,6 +1150,30 @@ def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcu
         deco = deco._replace(subcurves=tuple(map(frozenset, subcurves)))
     with pytest.raises(error, match=message):
         stability_windows(chain4, omega, deco, 3, 6)
+
+
+@pytest.mark.parametrize(
+    "tree", [ordering._walk, nb.order_components], ids=["walk", "decomposition"]
+)
+def test_one_component_refuses_a_polarization_of_the_wrong_length(tree):
+    """At gamma = 1 there is no subcurve to carry the weight count: the table checks it alone."""
+    curve = nb.chain_curve([2])
+    omega = nb.Polarization((Fraction(1, 2), Fraction(1, 2)))
+    deco = tree(curve, 1)
+    ctuple = nb.ComponentTuple(rank=1, degrees=(3,))
+    entry_points = [
+        lambda: stability_windows(curve, omega, deco, 1, 3),
+        lambda: nb.enumerate_components(curve, omega, deco, 1, 3),
+        lambda: nb.stability_conditions(curve, omega, deco, ctuple),
+        lambda: nb.robustness_radius(curve, omega, deco, ctuple),
+        lambda: nb.catalog_invariance_check(curve, omega, 1, 3),
+    ]
+    message = "^polarization has 2 weights for 1 components$"
+    for call in entry_points:
+        with pytest.raises(nb.PolarizationError, match=message):
+            call()
+    eta = nb.canonical(curve)  # the right length still answers
+    assert nb.enumerate_components(curve, eta, deco, 1, 3) == [ctuple]
 
 
 @pytest.mark.parametrize(
