@@ -2,8 +2,11 @@
 
 Reports are plain text: ``key: value`` lines grouped into blank-line
 separated blocks, with tab-separated tables introduced by a
-``#table <name>`` line.  Rationals print reduced (``p/q``, or ``p`` for
-integers).  Output for identical inputs is byte-identical.
+``#table <name>`` line.  A command that reads a curve file prints
+``curve_digest`` second: the first 12 hex digits of the SHA-256 of the
+file's bytes, comments and line ends included, so editing only a comment
+changes it.  Rationals print reduced (``p/q``, or ``p`` for integers).
+Output for identical inputs is byte-identical.
 
 Exit codes: 0 for pass/certified, 1 for a failed hypothesis or verdict,
 2 for unparseable input or bad command lines.  Handlers fill the report
@@ -14,9 +17,10 @@ Each handler imports the modules it runs: ``ordering``, ``components``
 and ``brill_noether`` load inside the handlers that call them, so a
 command pays at start-up only for what it uses.  Parsing, curves,
 sheaves and polarizations load with this module, since almost every
-command reads a curve; ``hashlib`` loads only to take a curve file's
-digest.  The parser is built for the command named on the command line
-(see ``_build_parser``).
+command reads a curve.  The digest comes from CPython's built-in SHA-256
+module, so no command loads ``hashlib`` and the OpenSSL library under it,
+unless the build has no such module.  The parser is built for the
+command named on the command line (see ``_build_parser``).
 """
 
 from __future__ import annotations
@@ -134,11 +138,28 @@ def _load_curve(path: str) -> tuple[NodalCurve, SheafDescriptor | None, str]:
             data = fh.read()
     except OSError as exc:
         raise CurveError(f"cannot read {path}: {exc.strerror}") from exc
-    import hashlib  # loaded here: ``bn number`` reads no curve
-
     text = data.decode("utf-8")
     curve, sheaf = parse_curve_with_sheaf(text)
-    return curve, sheaf, hashlib.sha256(data).hexdigest()[:12]
+    return curve, sheaf, _digest(data)
+
+
+def _digest(data: bytes) -> str:
+    """The first 12 hex digits of the SHA-256 of a curve file's bytes.
+
+    The hash comes from CPython's built-in module (``_sha2`` from 3.12,
+    ``_sha256`` before), as ``random`` takes its SHA-512, so a curve command
+    does not map the OpenSSL library that ``hashlib`` loads; ``hashlib`` is
+    the fallback for a build without that module.  Imported here: ``bn
+    number`` reads no curve.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(data).hexdigest()[:12]
 
 
 def _option(flag: str, parse, text: str):

@@ -22,6 +22,7 @@ from it as a set.
 from __future__ import annotations
 
 import enum
+import itertools
 import operator
 from typing import Iterable, NamedTuple
 
@@ -136,41 +137,23 @@ class NodalCurve(_Frozen):
         genera = _integers(genera, "genera")
         if not genera:
             raise CurveError("curve needs at least one component")
-        for i, g in enumerate(genera, start=1):
-            if g < 2:
-                raise _item_fault(
-                    f"component {i} has genus {g}; each genus must be >= 2", "component", i
-                )
-        raw = tuple(Node(*_integers(n[:3], "node entries")) for n in nodes)
-        seen: set[int] = set()
-        normalized: list[Node] = []
-        for k, node in enumerate(raw):
-            if node.id < 1:
-                raise _item_fault(f"node id {node.id} must be a positive integer", "node", k)
-            if node.id in seen:
-                raise _item_fault(f"duplicate node id {node.id}", "node", k)
-            seen.add(node.id)
-            if node.first == node.second:
-                raise _item_fault(
-                    f"node {node.id} joins component {node.first} to itself", "node", k
-                )
-            for end in (node.first, node.second):
-                if not 1 <= end <= len(genera):
-                    raise _item_fault(
-                        f"node {node.id} references unknown component {end}", "node", k
-                    )
-            if node.first > node.second:
-                node = Node(node.id, node.second, node.first)
-            normalized.append(node)
-        nodes = tuple(sorted(normalized, key=lambda n: n.id))
+        if min(genera) < 2:
+            i = next(i for i, g in enumerate(genera, start=1) if g < 2)
+            raise _item_fault(
+                f"component {i} has genus {genera[i - 1]}; each genus must be >= 2",
+                "component",
+                i,
+            )
+        nodes = tuple(nodes)
+        nodes = _read_nodes(nodes, len(genera)) or _walk_nodes(nodes, len(genera))
         adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, len(genera) + 1)}
-        for n in nodes:
-            adj[n.first].append((n.second, n.id))
-            adj[n.second].append((n.first, n.id))
+        for nid, first, second in nodes:
+            adj[first].append((second, nid))
+            adj[second].append((first, nid))
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_adj", adj)  # built once; not a field
-        if self._reachable_from(1, frozenset(self.component_ids)) != set(self.component_ids):
+        if len(self._reachable_from(1, frozenset(self.component_ids))) != len(genera):
             raise CurveError("dual graph is not connected")
 
     # -- basic counts -------------------------------------------------
@@ -276,6 +259,56 @@ class NodalCurve(_Frozen):
     def genus_sum(self, ids: Iterable[int]) -> int:
         B = self.check_subcurve(ids)
         return sum(self.genera[i - 1] for i in B)
+
+
+def _read_nodes(nodes: tuple, gamma: int) -> tuple[Node, ...] | None:
+    """The nodes as `Node` records with first < second, in id order.
+
+    One pass per column over int triples; None if any node is not one or is
+    at fault, for `_walk_nodes` to name the first.
+    """
+    if not nodes or {*map(type, nodes)} - {tuple, Node} or {*map(len, nodes)} != {3}:
+        return None
+    ids, firsts, seconds = zip(*nodes)
+    ends = firsts + seconds
+    if (
+        {*map(type, ids), *map(type, ends)} != {int}
+        or min(ids) < 1
+        or len({*ids}) != len(ids)
+        or any(map(operator.eq, firsts, seconds))
+        or min(ends) < 1
+        or max(ends) > gamma
+    ):
+        return None
+    triples = [(i, b, a) if a > b else (i, a, b) for i, a, b in nodes]
+    # tuple.__new__ is what Node._make runs, without a Python call per node
+    return tuple(sorted(map(tuple.__new__, itertools.repeat(Node), triples)))
+
+
+def _walk_nodes(nodes: tuple, gamma: int) -> tuple[Node, ...]:
+    """What `_read_nodes` reads, node by node: raises at the first fault."""
+    raw = tuple(Node(*_integers(n[:3], "node entries")) for n in nodes)
+    seen: set[int] = set()
+    normalized: list[Node] = []
+    for k, node in enumerate(raw):
+        if node.id < 1:
+            raise _item_fault(f"node id {node.id} must be a positive integer", "node", k)
+        if node.id in seen:
+            raise _item_fault(f"duplicate node id {node.id}", "node", k)
+        seen.add(node.id)
+        if node.first == node.second:
+            raise _item_fault(
+                f"node {node.id} joins component {node.first} to itself", "node", k
+            )
+        for end in (node.first, node.second):
+            if not 1 <= end <= gamma:
+                raise _item_fault(
+                    f"node {node.id} references unknown component {end}", "node", k
+                )
+        if node.first > node.second:
+            node = Node(node.id, node.second, node.first)
+        normalized.append(node)
+    return tuple(sorted(normalized, key=lambda n: n.id))
 
 
 def chain_curve(genera: Iterable[int]) -> NodalCurve:

@@ -1,7 +1,7 @@
 """Text format for curves and sheaf descriptors.
 
 Grammar (one directive per line, '#' starts a comment, blank lines are
-ignored):
+ignored; a line ends at LF, CRLF or CR only):
 
     component <id> genus <g>          one line per component, ids 1..gamma
     node <id> <comp_a> <comp_b>       after all component lines
@@ -21,7 +21,10 @@ too, from Python 3.11 on).
 
 from __future__ import annotations
 
+import itertools
+import operator
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curve import CurveError, NodalCurve
 from .sheaf import DescriptorError, LocalType, SheafDescriptor
@@ -39,17 +42,33 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-# (line number, words) per line that is not blank or only a comment
-_Tokens = list[tuple[int, list[str]]]
+class _Lines(NamedTuple):
+    """The lines that hold words: each one's number (from 1) and its words."""
+
+    numbers: list[int]
+    rows: list[list[str]]
+
+    def part(self, start: int, stop: int | None = None) -> _Lines:
+        return _Lines(self.numbers[start:stop], self.rows[start:stop])
 
 
-def _tokens(text: str) -> _Tokens:
-    out = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            out.append((line_no, body.split()))
-    return out
+_HEAD = operator.itemgetter(0)
+
+
+def _tokens(text: str) -> _Lines:
+    """The words of each line that holds any, with the line's number.
+
+    A line ends only at LF, CRLF or CR, as text-mode ``open`` reads a file;
+    form feed, U+2028 and the other breaks of ``str.splitlines`` are blanks
+    inside a line, so a comment runs on past them.
+    """
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = list(map(str.split, lines))
+    return _Lines(list(itertools.compress(itertools.count(1), rows)), list(filter(None, rows)))
 
 
 def _number(read, token: str):
@@ -67,33 +86,82 @@ def _int(token: str, line_no: int, what: str) -> int:
 
 
 def parse_curve(text: str) -> NodalCurve:
-    tokens = _tokens(text)
-    curve, sheaf_at = _parse_curve_part(tokens)
+    lines = _tokens(text)
+    curve, sheaf_at = _parse_curve_part(lines)
     if sheaf_at is not None:
         raise ParseError(
-            tokens[sheaf_at][0], "unexpected sheaf block; this input takes a bare curve"
+            lines.numbers[sheaf_at], "unexpected sheaf block; this input takes a bare curve"
         )
     return curve
 
 
 def parse_curve_with_sheaf(text: str) -> tuple[NodalCurve, SheafDescriptor | None]:
-    tokens = _tokens(text)
-    curve, sheaf_at = _parse_curve_part(tokens)
+    lines = _tokens(text)
+    curve, sheaf_at = _parse_curve_part(lines)
     if sheaf_at is None:
         return curve, None
-    return curve, _parse_sheaf_part(tokens[sheaf_at:], curve)
+    return curve, _parse_sheaf_part(lines.part(sheaf_at), curve)
 
 
-def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
-    """The curve, and the index in ``tokens`` of the ``sheaf`` line if there is one."""
+def _parse_curve_part(lines: _Lines) -> tuple[NodalCurve, int | None]:
+    """The curve, and the index in ``lines`` of the ``sheaf`` line if there is one."""
+    heads = list(map(_HEAD, lines.rows))
+    sheaf_at = heads.index("sheaf") if "sheaf" in heads else None
+    lines = lines.part(0, sheaf_at)
+    read = _read_curve_lines(lines.rows, heads[:sheaf_at]) or _walk_curve_lines(lines)
+    cids, genera, nodes = read
+
+    # faults of the whole file name no line
+    if not cids:
+        raise ParseError(None, "no component lines found")
+    gamma = len(cids)
+    if cids != list(range(1, gamma + 1)):
+        ids = sorted(cids)
+        if ids != list(range(1, gamma + 1)):
+            raise ParseError(None, f"component ids must be exactly 1..{gamma}, got {ids}")
+        genera = [g for _, g in sorted(zip(cids, genera))]
+    try:
+        curve = NodalCurve(genera, nodes)
+    except CurveError as exc:
+        if exc.item is None:
+            line_no = None
+        elif exc.item[0] == "component":  # the component lines come first
+            line_no = lines.numbers[cids.index(exc.item[1])]
+        else:
+            line_no = lines.numbers[gamma + exc.item[1]]
+        raise ParseError(line_no, str(exc)) from exc
+    return curve, sheaf_at
+
+
+def _read_curve_lines(
+    rows: list[list[str]], heads: list[str]
+) -> tuple[list[int], list[int], list[tuple[int, int, int]]] | None:
+    """Component ids, their genera and the node triples, in line order.
+
+    One pass per column; None if any line is at fault, for
+    `_walk_curve_lines` to name the first.
+    """
+    n = heads.count("component")
+    if "component" in heads[n:] or heads.count("node") != len(heads) - n:
+        return None
+    if {*map(len, rows)} - {4}:
+        return None
+    _, cids, keywords, genera = _columns(rows[:n], 4)
+    _, nids, firsts, seconds = _columns(rows[n:], 4)
+    if keywords.count("genus") != n:
+        return None
+    cids, genera, nids, firsts, seconds = map(_ints, (cids, genera, nids, firsts, seconds))
+    if None in (cids, genera, nids, firsts, seconds) or len({*cids}) != n:
+        return None
+    return cids, genera, list(zip(nids, firsts, seconds))
+
+
+def _walk_curve_lines(lines: _Lines) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """What `_read_curve_lines` reads, line by line: raises at the first fault."""
     components: dict[int, int] = {}
     nodes: list[tuple[int, int, int]] = []
-    # the line defining each item, indexed like CurveError.item
-    lines: dict[str, dict[int, int] | list[int]] = {"component": {}, "node": []}
     seen_node = False
-    sheaf_at: int | None = None
-
-    for at, (line_no, toks) in enumerate(tokens):
+    for line_no, toks in zip(*lines):
         if toks[0] == "component":
             if seen_node:
                 raise ParseError(line_no, "component lines must precede node lines")
@@ -104,7 +172,6 @@ def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
             if cid in components:
                 raise ParseError(line_no, f"component {cid} defined twice")
             components[cid] = g
-            lines["component"][cid] = line_no
         elif toks[0] == "node":
             if len(toks) != 4:
                 raise ParseError(line_no, "expected: node <id> <comp_a> <comp_b>")
@@ -116,40 +183,72 @@ def _parse_curve_part(tokens: _Tokens) -> tuple[NodalCurve, int | None]:
                     _int(toks[3], line_no, "endpoint"),
                 )
             )
-            lines["node"].append(line_no)
-        elif toks[0] == "sheaf":
-            sheaf_at = at
-            break
         else:
             raise ParseError(line_no, f"unknown directive {toks[0]!r}")
+    return list(components), list(components.values()), nodes
 
-    # faults of the whole file name no line
-    if not components:
-        raise ParseError(None, "no component lines found")
-    gamma = len(components)
-    if sorted(components) != list(range(1, gamma + 1)):
-        raise ParseError(
-            None, f"component ids must be exactly 1..{gamma}, got {sorted(components)}"
-        )
-    genera = tuple(components[i] for i in range(1, gamma + 1))
+
+def _parse_sheaf_part(lines: _Lines, curve: NodalCurve) -> SheafDescriptor:
+    """The sheaf block from its ``sheaf`` line on."""
+    start = lines.numbers[0]
+    read = _read_sheaf_lines(lines.rows, curve.gamma) or _walk_sheaf_lines(lines, curve.gamma)
+    rank, chi, degrees, stalks = read
+    if rank is None:
+        raise ParseError(start, "sheaf block needs a rank line")
+    if chi is None:
+        raise ParseError(start, "sheaf block needs a chi line")
     try:
-        curve = NodalCurve(genera, tuple(nodes))
-    except CurveError as exc:
-        line_no = None if exc.item is None else lines[exc.item[0]][exc.item[1]]
-        raise ParseError(line_no, str(exc)) from exc
-    return curve, sheaf_at
+        return SheafDescriptor(
+            curve=curve, multirank=rank, chi=chi, stalks=stalks, degrees=degrees
+        )
+    except DescriptorError as exc:
+        raise ParseError(start, str(exc)) from exc
 
 
-def _parse_sheaf_part(tokens: _Tokens, curve: NodalCurve) -> SheafDescriptor:
-    """The sheaf block from the tokens of its ``sheaf`` line on."""
-    start = tokens[0][0]
+# rank, chi, degrees (each None if the block has no such line) and the stalks
+# as (node id, (s, a_first, a_second)) pairs in line order
+_SheafLines = tuple[
+    tuple[int, ...] | None, int | None, tuple[int, ...] | None, list[tuple[int, tuple]]
+]
+
+
+def _read_sheaf_lines(rows: list[list[str]], gamma: int) -> _SheafLines | None:
+    """The sheaf block's values, the stalk lines one pass per column.
+
+    None if any line is at fault, for `_walk_sheaf_lines` to name the first.
+    """
+    if len(rows[0]) != 1:
+        return None
+    widths = {"rank": gamma + 1, "chi": 2, "degrees": gamma + 1}
+    last: dict[str, list[int]] = {}  # a later rank, chi or degrees line wins
+    for words in [words for words in rows[1:] if words[0] != "stalk"]:
+        if len(words) != widths.get(words[0]) or (ints := _ints(words[1:])) is None:
+            return None
+        last[words[0]] = ints
+    stalk_rows = [words for words in rows if words[0] == "stalk"]
+    if {*map(len, stalk_rows)} - {5}:
+        return None
+    nids, free, firsts, seconds = map(_ints, _columns(stalk_rows, 5)[1:])
+    if None in (nids, free, firsts, seconds) or len({*nids}) != len(nids):
+        return None
+    rank, chi, degrees = (last.get(head) for head in ("rank", "chi", "degrees"))
+    return (
+        None if rank is None else tuple(rank),
+        None if chi is None else chi[0],
+        None if degrees is None else tuple(degrees),
+        list(zip(nids, zip(free, firsts, seconds))),
+    )
+
+
+def _walk_sheaf_lines(lines: _Lines, gamma: int) -> _SheafLines:
+    """What `_read_sheaf_lines` reads, line by line: raises at the first fault."""
     rank: tuple[int, ...] | None = None
     chi: int | None = None
     degrees: tuple[int, ...] | None = None
     stalks: dict[int, LocalType] = {}
     in_block = False
 
-    for line_no, toks in tokens:
+    for line_no, toks in zip(*lines):
         if toks[0] == "sheaf":
             if len(toks) != 1:
                 raise ParseError(line_no, "expected a bare 'sheaf' line")
@@ -157,26 +256,20 @@ def _parse_sheaf_part(tokens: _Tokens, curve: NodalCurve) -> SheafDescriptor:
                 raise ParseError(line_no, "only one sheaf block is allowed")
             in_block = True
         elif toks[0] == "rank":
-            if len(toks) != curve.gamma + 1:
-                raise ParseError(
-                    line_no, f"rank needs {curve.gamma} values, got {len(toks) - 1}"
-                )
+            if len(toks) != gamma + 1:
+                raise ParseError(line_no, f"rank needs {gamma} values, got {len(toks) - 1}")
             rank = tuple(_int(t, line_no, "rank") for t in toks[1:])
         elif toks[0] == "chi":
             if len(toks) != 2:
                 raise ParseError(line_no, "expected: chi <int>")
             chi = _int(toks[1], line_no, "chi")
         elif toks[0] == "degrees":
-            if len(toks) != curve.gamma + 1:
-                raise ParseError(
-                    line_no, f"degrees needs {curve.gamma} values, got {len(toks) - 1}"
-                )
+            if len(toks) != gamma + 1:
+                raise ParseError(line_no, f"degrees needs {gamma} values, got {len(toks) - 1}")
             degrees = tuple(_int(t, line_no, "degree") for t in toks[1:])
         elif toks[0] == "stalk":
             if len(toks) != 5:
-                raise ParseError(
-                    line_no, "expected: stalk <node id> <s> <a_first> <a_second>"
-                )
+                raise ParseError(line_no, "expected: stalk <node id> <s> <a_first> <a_second>")
             nid = _int(toks[1], line_no, "node id")
             if nid in stalks:
                 raise ParseError(line_no, f"stalk at node {nid} defined twice")
@@ -187,21 +280,22 @@ def _parse_sheaf_part(tokens: _Tokens, curve: NodalCurve) -> SheafDescriptor:
             )
         else:
             raise ParseError(line_no, f"unknown sheaf directive {toks[0]!r}")
+    return rank, chi, degrees, list(stalks.items())
 
-    if rank is None:
-        raise ParseError(start, "sheaf block needs a rank line")
-    if chi is None:
-        raise ParseError(start, "sheaf block needs a chi line")
+
+def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
+    """The columns of rows that each hold ``width`` words."""
+    return list(zip(*rows)) or [()] * width
+
+
+def _ints(tokens: tuple[str, ...] | list[str]) -> list[int] | None:
+    """The tokens as ints, or None if one is not an integer token `_int` would take."""
+    if "_" in "".join(tokens):
+        return None
     try:
-        return SheafDescriptor(
-            curve=curve,
-            multirank=rank,
-            chi=chi,
-            stalks=tuple(stalks.items()),
-            degrees=degrees,
-        )
-    except DescriptorError as exc:
-        raise ParseError(start, str(exc)) from exc
+        return list(map(int, tokens))
+    except ValueError:
+        return None
 
 
 def render_curve(curve: NodalCurve) -> str:

@@ -57,13 +57,18 @@ class Polarization(_Frozen):
         ws = _exact(weights, "weight")
         if not ws:
             raise PolarizationError("polarization needs at least one weight")
-        for i, w in enumerate(ws, start=1):
-            if w <= 0:
-                raise PolarizationError(f"weight {i} is {w}; weights must be positive")
-            if len(ws) > 1 and w >= 1:
-                raise PolarizationError(f"weight {i} is {w}; weights must be strictly below 1")
-        denominator = math.lcm(*(w.denominator for w in ws))
-        numerators = (0, *(w.numerator * (denominator // w.denominator) for w in ws))
+        nums = list(map(_NUMERATOR, ws))
+        dens = list(map(_DENOMINATOR, ws))
+        several = len(ws) > 1
+        for i, (num, den) in enumerate(zip(nums, dens), start=1):
+            if num <= 0:  # a Fraction's denominator is positive
+                raise PolarizationError(f"weight {i} is {ws[i - 1]}; weights must be positive")
+            if several and num >= den:
+                raise PolarizationError(
+                    f"weight {i} is {ws[i - 1]}; weights must be strictly below 1"
+                )
+        denominator = math.lcm(*dens)
+        numerators = (0, *map(operator.mul, nums, map(denominator.__floordiv__, dens)))
         if sum(numerators) != denominator:
             raise PolarizationError(
                 f"weights sum to {Fraction(sum(numerators), denominator)}, not 1"
@@ -270,8 +275,18 @@ def perturb(omega: Polarization, eps: Sequence[Fraction | int]) -> Polarization:
     return Polarization(tuple(w + e for w, e in zip(omega.weights, es)))
 
 
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
+
+
 def _exact(values: Iterable[Fraction | int], what: str) -> tuple[Fraction, ...]:
-    """The values as Fractions; only an int or a Fraction is exact enough to take."""
+    """The values as Fractions; only an int or a Fraction is exact enough to take.
+
+    A Fraction is kept as it is; an int, or a Fraction subclass, becomes a Fraction.
+    """
+    values = tuple(values)
+    if {*map(type, values)} <= {Fraction}:
+        return values
     out = []
     for i, v in enumerate(values, start=1):
         if not isinstance(v, Fraction):
@@ -281,7 +296,7 @@ def _exact(values: Iterable[Fraction | int], what: str) -> tuple[Fraction, ...]:
                 raise PolarizationError(
                     f"{what} {i} is {v!r}; it must be an integer or a Fraction"
                 ) from None
-        out.append(Fraction(v))
+        out.append(v if v.__class__ is Fraction else Fraction(v))
     return tuple(out)
 
 

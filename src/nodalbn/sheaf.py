@@ -25,11 +25,12 @@ either side contributes nothing.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .curve import NodalCurve, _Frozen, _integers
+from .curve import NodalCurve, Node, _Frozen, _integers
 from .polarization import Polarization, _check_lengths
 
 
@@ -75,8 +76,8 @@ class SheafDescriptor(_Frozen):
             )
         if any(r < 0 for r in ranks):
             raise DescriptorError("multirank entries must be nonnegative")
-        pairs = stalks.items() if isinstance(stalks, Mapping) else stalks
-        stalks = tuple(sorted(_local_type(nid, lt) for nid, lt in pairs))
+        pairs = tuple(stalks.items() if isinstance(stalks, Mapping) else stalks)
+        stalks = _read_stalks(pairs) or tuple(sorted(_local_type(nid, lt) for nid, lt in pairs))
         by_node = dict(stalks)
         if len(by_node) != len(stalks):
             nid = next(a for (a, _), (b, _) in zip(stalks, stalks[1:]) if a == b)
@@ -86,20 +87,8 @@ class SheafDescriptor(_Frozen):
             raise DescriptorError(
                 f"stalks cover nodes {sorted(by_node)}, curve has {expected}"
             )
-        for node in curve.nodes:
-            lt = by_node[node.id]
-            if min(lt) < 0:
-                raise DescriptorError(f"negative stalk exponent at node {node.id}")
-            if ranks[node.first - 1] != lt.free_rank + lt.a_first:
-                raise DescriptorError(
-                    f"node {node.id}: rank {ranks[node.first - 1]} on component "
-                    f"{node.first} != free rank {lt.free_rank} + {lt.a_first}"
-                )
-            if ranks[node.second - 1] != lt.free_rank + lt.a_second:
-                raise DescriptorError(
-                    f"node {node.id}: rank {ranks[node.second - 1]} on component "
-                    f"{node.second} != free rank {lt.free_rank} + {lt.a_second}"
-                )
+        if not _stalks_fit(ranks, curve.nodes, stalks):
+            _walk_stalks(ranks, curve.nodes, by_node)
         if degrees is not None:
             degrees = _integers(degrees, "degrees", DescriptorError)
             if len(degrees) != curve.gamma:
@@ -121,6 +110,62 @@ class SheafDescriptor(_Frozen):
 
     def is_locally_free(self) -> bool:
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
+
+
+def _read_stalks(pairs: tuple) -> tuple[tuple[int, LocalType], ...] | None:
+    """(node id, LocalType) pairs sorted, from int pairs ``(nid, (s, a, b))``.
+
+    One pass per column; None if any pair is not of that form, for
+    `_local_type` to read them one by one.
+    """
+    if not pairs or {*map(type, pairs)} != {tuple} or {*map(len, pairs)} != {2}:
+        return None
+    nids, values = zip(*pairs)
+    if {*map(type, values)} - {tuple, LocalType} or {*map(len, values)} != {3}:
+        return None
+    if {*map(type, nids), *map(type, itertools.chain.from_iterable(values))} != {int}:
+        return None
+    # tuple.__new__ is what LocalType._make runs, without a Python call per stalk
+    return tuple(sorted(zip(nids, map(tuple.__new__, itertools.repeat(LocalType), values))))
+
+
+def _stalks_fit(
+    ranks: tuple[int, ...], nodes: tuple[Node, ...], stalks: tuple[tuple[int, LocalType], ...]
+) -> bool:
+    """Whether every stalk is nonnegative and sums to the ranks at its node's ends.
+
+    ``stalks`` pairs up with ``nodes`` in order (both sorted by node id).
+    """
+    if not nodes:
+        return True
+    _, firsts, seconds = zip(*nodes)
+    free, a_firsts, a_seconds = zip(*map(operator.itemgetter(1), stalks))
+    at = (0, *ranks).__getitem__
+    return (
+        min(free + a_firsts + a_seconds) >= 0
+        and list(map(operator.add, free, a_firsts)) == list(map(at, firsts))
+        and list(map(operator.add, free, a_seconds)) == list(map(at, seconds))
+    )
+
+
+def _walk_stalks(
+    ranks: tuple[int, ...], nodes: tuple[Node, ...], by_node: dict[int, LocalType]
+) -> None:
+    """Raise at the first node whose stalk `_stalks_fit` refuses."""
+    for node in nodes:
+        lt = by_node[node.id]
+        if min(lt) < 0:
+            raise DescriptorError(f"negative stalk exponent at node {node.id}")
+        if ranks[node.first - 1] != lt.free_rank + lt.a_first:
+            raise DescriptorError(
+                f"node {node.id}: rank {ranks[node.first - 1]} on component "
+                f"{node.first} != free rank {lt.free_rank} + {lt.a_first}"
+            )
+        if ranks[node.second - 1] != lt.free_rank + lt.a_second:
+            raise DescriptorError(
+                f"node {node.id}: rank {ranks[node.second - 1]} on component "
+                f"{node.second} != free rank {lt.free_rank} + {lt.a_second}"
+            )
 
 
 def _local_type(nid, value) -> tuple[int, LocalType]:

@@ -70,6 +70,37 @@ def kv(out: str) -> dict:
     return pairs
 
 
+class TestCurveDigest:
+    """``curve_digest`` is the first 12 hex digits of SHA-256 of the file's bytes."""
+
+    @pytest.mark.parametrize("text", [
+        "component 1 genus 2\n",
+        "# two components, one node\n" + TWO_CURVE,
+        "".join(f"component {i} genus 2\n" for i in range(1, 2001))
+        + "".join(f"node {i} {i} {i + 1}\n" for i in range(1, 2000)),
+    ], ids=["one-component", "two-crv", "chain-2000"])
+    def test_digest_is_sha256_of_the_file_bytes(self, capsys, tmp_path, text):
+        import hashlib
+
+        path = tmp_path / "c.crv"
+        path.write_bytes(text.encode())
+        code, out, _ = run(capsys, "curve", "validate", "--curve", str(path))
+        assert code == 0
+        assert kv(out)["curve_digest"] == hashlib.sha256(text.encode()).hexdigest()[:12]
+
+    def test_readme_two_crv_digest_reads_the_comment_line(self, capsys, tmp_path):
+        digests = []
+        for text in ("# two components, one node\n" + TWO_CURVE,
+                     "# two components and one node\n" + TWO_CURVE, TWO_CURVE):
+            path = tmp_path / "two.crv"
+            path.write_text(text)
+            code, out, _ = run(capsys, "curve", "validate", "--curve", str(path))
+            assert code == 0
+            digests.append(kv(out)["curve_digest"])
+        assert digests[0] == "29a0003d328e"  # README's two.crv, as its transcript prints
+        assert len(set(digests)) == 3  # a comment-only edit changes the digest
+
+
 class TestCurveCommands:
     def test_validate(self, capsys, two_path):
         code, out, _ = run(capsys, "curve", "validate", "--curve", two_path)

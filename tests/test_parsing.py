@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
+from nodalbn.parsing import _tokens
 
 TWO_CURVE_TEXT = """\
 # two components, one node
@@ -117,6 +119,45 @@ class TestCurveFaultLines:
             nb.parse_curve(text)
         assert info.value.line_no is None
         assert str(info.value) == message
+
+
+# what str.splitlines also breaks at: "\v", "\f", "\x1c"-"\x1e", "\x85", U+2028, U+2029
+OTHER_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineEnds:
+    """A line ends at LF, CRLF or CR only, as text-mode ``open`` reads a file."""
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS, ids=[hex(ord(c)) for c in OTHER_BREAKS])
+    def test_other_breaks_stay_inside_a_comment(self, char):
+        assert nb.parse_curve(f"# a{char}b\ncomponent 1 genus 2\n") == nb.NodalCurve((2,))
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS, ids=[hex(ord(c)) for c in OTHER_BREAKS])
+    def test_errors_name_the_line_an_editor_shows(self, char):
+        text = f"component 1 genus 2 # x{char}y\nwidget 5\n"
+        with pytest.raises(nb.ParseError) as info:
+            nb.parse_curve(text)
+        assert str(info.value) == "line 2: unknown directive 'widget'"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_each_line_end_gives_the_same_curve_and_line_numbers(self, end, two_curve):
+        lines = ["# two", "component 1 genus 2", "", "component 2 genus 3", "node 1 1 2"]
+        assert nb.parse_curve(end.join(lines) + end) == two_curve
+        with pytest.raises(nb.ParseError, match="^line 6: unknown directive 'widget'$"):
+            nb.parse_curve(end.join([*lines, "widget"]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(
+        ["component 1 genus 2", "node 1 1 2", "# c", " ", "\t", "x", "\r", "\n", "\r\n"]
+    )))
+    def test_cr_and_crlf_split_as_splitlines_did(self, pieces):
+        text = "".join(pieces)
+        before = [
+            (line_no, body.split())
+            for line_no, raw in enumerate(text.splitlines(), start=1)
+            if (body := raw.split("#", 1)[0].strip())
+        ]
+        assert list(zip(*_tokens(text))) == before
 
 
 class TestParseSheaf:

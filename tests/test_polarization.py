@@ -65,6 +65,29 @@ class TestPolarizationType:
     def test_integer_weight_allowed(self):
         assert nb.Polarization((1,)).weights == (Fraction(1),)
 
+    def test_a_given_fraction_is_kept_and_every_weight_is_a_fraction(self):
+        class Ratio(Fraction):
+            pass
+
+        half = Fraction(1, 2)
+        assert nb.Polarization((half, Fraction(1, 2))).weights[0] is half
+        for weights in [(1,), (True,), (Ratio(1, 3), Fraction(2, 3))]:
+            got = nb.Polarization(weights).weights
+            assert [type(w) for w in got] == [Fraction] * len(weights)
+            assert got == tuple(map(Fraction, weights))
+
+    @pytest.mark.parametrize("weights, message", [
+        ((Fraction(1, 2), Fraction(-1, 2), Fraction(1)), "weight 2 is -1/2; weights must be positive"),
+        ((Fraction(3, 2), Fraction(-1, 2)), "weight 1 is 3/2; weights must be strictly below 1"),
+        ((Fraction(1, 2), 0, Fraction(1, 2)), "weight 2 is 0; weights must be positive"),
+        ((Fraction(1, 3), 1, Fraction(-1, 3)), "weight 2 is 1; weights must be strictly below 1"),
+        ((Fraction(-1),), "weight 1 is -1; weights must be positive"),
+    ], ids=["negative", "above-one", "zero", "one", "single-negative"])
+    def test_the_first_weight_out_of_range_is_named(self, weights, message):
+        with pytest.raises(nb.PolarizationError) as info:
+            nb.Polarization(weights)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("inexact", [0.75, Decimal("0.75"), "3/4"], ids=type_name)
     def test_rejects_inexact_weight(self, inexact):
         with pytest.raises(nb.PolarizationError) as info:
