@@ -167,6 +167,12 @@ def _hypotheses(
     g_i > 0.  degree_range: 0 < d_i <= r.  Without a tuple the last two
     are False.  Integer comparisons only: `_certify_cell` and
     `conjecture_scan` both take their verdicts from here.
+
+    The first two imply the last two.  With 1 <= d_i <= s, k <= 1 + s(g_i - 1)
+    gives k <= d_i + s(g_i - 1), which is k g_i <= d_i + r(g_i - 1), and
+    d_i <= s < r.  Inside `conjecture_scan`'s grid, k g_i <= 1 + s(g_i - 1)
+    gives the section bound too, so a scanned cell is CERTIFIED exactly
+    when its least small-slope tuple exists.
     """
     section_ok = k <= 1 + s * (min(genera) - 1)
     if chosen is None:

@@ -528,11 +528,15 @@ def stability_windows(
     polarization's lcm) and genus sum up it, so the windows cost O(gamma)
     once the children are read, and the table keeps them.  The library's
     own callers pass a walk (``ordering._walk``) for ``deco``: its tree is
-    read from the parent positions, and no A_j is built.  A fault of a
-    subcurve's ids or weights is named first, in subcurve order; then a
-    family `verify_decomposition` rejects raises ValueError naming the
-    position.  So does an s or d that is no integer: each is read through
-    `operator.index`, as `ComponentTuple` reads its rank.
+    read from the parent positions, no A_j is built, and omega is checked
+    once, by its length.  A decomposition handed in is checked in this
+    order: its subcurve and node counts (ValueError); the first subcurve's
+    weight (PolarizationError) and ids (CurveError); omega's length; each
+    later subcurve's weight and ids; then the tree, where a family
+    `verify_decomposition` rejects raises ValueError naming the position,
+    or the order that is no permutation.  An s or d that is no integer
+    raises ValueError too: each is read through `operator.index`, as
+    `ComponentTuple` reads its rank.
     """
     s, d = _integer(s, "rank"), _integer(d, "degree")
     if s < 1:

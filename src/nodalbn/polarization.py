@@ -153,11 +153,12 @@ class _SplitTable:
     """Each A_j's weight numerator W_j over ``denominator`` and genus sum G_j, by position.
 
     The root's entries, last, are the whole curve's.  ``tree`` is a walk
-    (``ordering._walk``), whose tree is read from its parent positions, or
-    a decomposition handed in, whose tree `_read_tree` reads and checks in
-    `components.stability_windows`' order.  Without one the
-    table is the goodness proxy's: the walk from the last component, then
-    omega's length check.  ``sizes[k]`` is |A_(k+1)|; `subcurve` builds
+    (``ordering._walk``), or the goodness proxy's walk from the last
+    component when none is given: its tree is read from the parent
+    positions and omega is checked once, by its length.  Or it is a
+    decomposition handed in, checked in `components.stability_windows`'
+    order: its subcurves are replayed only when omega's length is wrong or
+    `_read_tree` refuses.  ``sizes[k]`` is |A_(k+1)|; `subcurve` builds
     A_(k+1) only when asked.
     """
 
@@ -172,10 +173,9 @@ class _SplitTable:
         curve.require_compact_type()
         if tree is None:
             tree = _walk(curve, curve.gamma)
-            _check_lengths(curve, omega)
         ends = {n.id: (n.first, n.second) for n in curve.nodes}
-        fault = None
-        if isinstance(tree, _Walk):
+        if isinstance(tree, _Walk):  # every subcurve holds known ids: only the count can fail
+            _check_lengths(curve, omega)
             self.nodes, self.sizes, self.subcurve = tree.nodes, tree.sizes, tree.subcurve
             children: list[list[int]] = [[] for _ in tree.order]
             for j, up in enumerate(tree.parents):  # increasing j: each list is sorted
@@ -189,21 +189,20 @@ class _SplitTable:
                     f"components; each must number {curve.gamma - 1}"
                 )
             self.sizes, self.subcurve = tuple(map(len, subcurves)), subcurves.__getitem__
+            fault = None
             try:
                 children = _read_tree(tree, ends)
             except ValueError as exc:
                 fault = exc
-        # a decomposition holds only known ids in its subcurves, none empty
-        if fault is not None or len(omega) != curve.gamma:
-            for j in range(curve.gamma - 1):  # weight, then ids, then the count
-                A = self.subcurve(j)
-                omega.subcurve_weight(A)
-                curve.check_subcurve(A)
-                if j == 0:
-                    _check_lengths(curve, omega)
-            _check_lengths(curve, omega)  # gamma = 1: the loop held no subcurve
-        if fault is not None:
-            raise fault
+            # a tree `_read_tree` accepts holds only known ids, none empty
+            if fault is not None or len(omega) != curve.gamma:
+                for j, A in enumerate(subcurves):  # weight, then ids, then the count
+                    omega.subcurve_weight(A)
+                    curve.check_subcurve(A)
+                    if j == 0:
+                        _check_lengths(curve, omega)
+                _check_lengths(curve, omega)  # gamma = 1: the loop held no subcurve
+                raise fault  # omega passed, so `_read_tree` refused
         order = tree.order
         genera = (0, *curve.genera)  # padded like the numerators: index = component id
         weight = [omega._numerators[c] for c in order]
@@ -284,9 +283,6 @@ def _exact(values: Iterable[Fraction | int], what: str) -> tuple[Fraction, ...]:
 
     A Fraction is kept as it is; an int, or a Fraction subclass, becomes a Fraction.
     """
-    values = tuple(values)
-    if {*map(type, values)} <= {Fraction}:
-        return values
     out = []
     for i, v in enumerate(values, start=1):
         if not isinstance(v, Fraction):

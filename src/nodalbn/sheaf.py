@@ -87,8 +87,7 @@ class SheafDescriptor(_Frozen):
             raise DescriptorError(
                 f"stalks cover nodes {sorted(by_node)}, curve has {expected}"
             )
-        if not _stalks_fit(ranks, curve.nodes, stalks):
-            _walk_stalks(ranks, curve.nodes, by_node)
+        _walk_stalks(ranks, curve.nodes, by_node)
         if degrees is not None:
             degrees = _integers(degrees, "degrees", DescriptorError)
             if len(degrees) != curve.gamma:
@@ -129,29 +128,10 @@ def _read_stalks(pairs: tuple) -> tuple[tuple[int, LocalType], ...] | None:
     return tuple(sorted(zip(nids, map(tuple.__new__, itertools.repeat(LocalType), values))))
 
 
-def _stalks_fit(
-    ranks: tuple[int, ...], nodes: tuple[Node, ...], stalks: tuple[tuple[int, LocalType], ...]
-) -> bool:
-    """Whether every stalk is nonnegative and sums to the ranks at its node's ends.
-
-    ``stalks`` pairs up with ``nodes`` in order (both sorted by node id).
-    """
-    if not nodes:
-        return True
-    _, firsts, seconds = zip(*nodes)
-    free, a_firsts, a_seconds = zip(*map(operator.itemgetter(1), stalks))
-    at = (0, *ranks).__getitem__
-    return (
-        min(free + a_firsts + a_seconds) >= 0
-        and list(map(operator.add, free, a_firsts)) == list(map(at, firsts))
-        and list(map(operator.add, free, a_seconds)) == list(map(at, seconds))
-    )
-
-
 def _walk_stalks(
     ranks: tuple[int, ...], nodes: tuple[Node, ...], by_node: dict[int, LocalType]
 ) -> None:
-    """Raise at the first node whose stalk `_stalks_fit` refuses."""
+    """Raise at the first node, by id, whose stalk is negative or misses its ends' ranks."""
     for node in nodes:
         lt = by_node[node.id]
         if min(lt) < 0:

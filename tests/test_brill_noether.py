@@ -233,6 +233,32 @@ def _random_trees(rng, count):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 10**6))
+def test_a_scan_cell_is_certified_exactly_when_its_small_slope_tuple_exists(seed):
+    """Inside the scan's grid the small-slope row alone decides a cell.
+
+    k g_i <= 1 + s(g_i - 1) with g_i >= 1 gives the section bound, and the
+    section bound with degrees in 1..s gives the two degree rows.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=5, genus_range=(2, 4))
+    s_values = sorted(rng.sample(range(1, 13), rng.randint(1, 4)))
+    splits = polarization._SplitTable(curve, nb.canonical(curve))
+    want = []
+    for s in s_values:
+        if s < max(1, 2 * (curve.gamma - 1)):
+            continue
+        for d in range(curve.gamma, s + 1):
+            found = components.WindowTable(splits, s, d).first_small_slope()
+            for k in range(1, nb.max_section_count(curve, s) + 1):
+                flags = brill_noether._hypotheses(curve.genera, s, k, found)
+                assert flags == (True,) + (found is not None,) * 3
+                want.append((s, d, k, found is not None))
+    rows = nb.conjecture_scan([curve], s_values)
+    assert [(row.s, row.d, row.k, row.certified) for row in rows] == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
 def test_scan_matches_the_certificate_scan(seed):
     """On random Pruefer trees the scan's rows are those of the scan that certifies each row."""
     rng = random.Random(seed)

@@ -72,6 +72,13 @@ class TestComponentTuple:
         tuples = [nb.ComponentTuple(2, (1, 1)), nb.ComponentTuple(2, (0, 2))]
         assert sorted(tuples)[0].degrees == (0, 2)
 
+    def test_orders_only_among_tuples(self):
+        ctuple = nb.ComponentTuple(2, (1, 1))
+        with pytest.raises(TypeError):
+            ctuple < 3
+        with pytest.raises(TypeError):
+            3 > ctuple
+
 
 class TestStabilityConditions:
     def test_worked_row(self, two_curve):
@@ -305,6 +312,10 @@ class TestGeneralBuilder:
     def test_no_case_applies(self, two_curve):
         with pytest.raises(nb.HypothesisError):
             nb.build_small_slope_tuple(two_curve, s=2, d=17)
+
+    def test_rank_zero_is_refused(self, two_curve):
+        with pytest.raises(ValueError, match="^rank must be >= 1, got 0$"):
+            nb.build_small_slope_tuple(two_curve, s=0, d=2)
 
     def test_output_lies_in_catalog(self, comb4):
         eta = nb.canonical(comb4)
@@ -930,8 +941,9 @@ ENTRIES = {
         ("2", 4, "rank must be an integer"),
         (2, 4.0, "degree must be an integer"),
         (2, Fraction(9, 2), "degree must be an integer"),
+        (0, 4, "^rank must be >= 1, got 0$"),
     ],
-    ids=["float-rank", "str-rank", "float-degree", "fraction-degree"],
+    ids=["float-rank", "str-rank", "float-degree", "fraction-degree", "zero-rank"],
 )
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_rank_and_degree_enter_through_index(two_curve, entry, s, d, message):
@@ -1174,6 +1186,30 @@ def test_one_component_refuses_a_polarization_of_the_wrong_length(tree):
             call()
     eta = nb.canonical(curve)  # the right length still answers
     assert nb.enumerate_components(curve, eta, deco, 1, 3) == [ctuple]
+
+
+WALK_ENTRIES = {
+    "windows": lambda curve, omega, walk: stability_windows(curve, omega, walk, 3, 6),
+    "enumerate": lambda curve, omega, walk: nb.enumerate_components(curve, omega, walk, 3, 6),
+    "radius": lambda curve, omega, walk: nb.robustness_radius(
+        curve, omega, walk, nb.ComponentTuple(3, (1, 1, 2, 2))
+    ),
+    "invariance": lambda curve, omega, walk: nb.catalog_invariance_check(curve, omega, 3, 6),
+    "goodness": lambda curve, omega, walk: nb.goodness_proxy(curve, omega),
+    "certify": lambda curve, omega, walk: nb.certify_bn_component(curve, omega, 3, 1, 6),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(WALK_ENTRIES))
+def test_a_walk_names_a_short_polarization_by_its_length(chain4, entry):
+    """A walk holds every id, so omega's length is its one check, whatever the root.
+
+    The decomposition rooted at 1 names the first subcurve's missing
+    weight instead ("no weight for component 4"), in subcurve order.
+    """
+    omega = nb.Polarization((Fraction(1, 3),) * 3)
+    with pytest.raises(nb.PolarizationError, match="^polarization has 3 weights for 4 components$"):
+        WALK_ENTRIES[entry](chain4, omega, ordering._walk(chain4, 1))
 
 
 @pytest.mark.parametrize(

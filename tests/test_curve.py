@@ -163,6 +163,19 @@ class TestFactories:
         assert curve.grip() == 1
 
 
+@pytest.mark.parametrize("lookup, error, message", [
+    (lambda curve: nb.canonical(curve)[0], nb.PolarizationError, "no weight for component 0"),
+    (lambda curve: nb.canonical(curve)[5], nb.PolarizationError, "no weight for component 5"),
+    (lambda curve: curve.genus(0), nb.CurveError, "unknown component 0"),
+    (lambda curve: curve.node_degree(5), nb.CurveError, "unknown component 5"),
+    (lambda curve: nb.comb_curve(curve.genera, grip=0), nb.CurveError, "grip 0 out of range"),
+], ids=["weight-0", "weight-past-gamma", "genus-0", "node-degree-past-gamma", "grip-0"])
+def test_a_component_lookup_names_an_unknown_id(chain4, lookup, error, message):
+    with pytest.raises(error) as info:
+        lookup(chain4)
+    assert str(info.value) == message
+
+
 @given(seed=st.integers(0, 10_000))
 def test_random_trees_are_compact_type(seed):
     curve = random_tree_curve(random.Random(seed))

@@ -82,7 +82,8 @@ class TestPolarizationType:
         ((Fraction(1, 2), 0, Fraction(1, 2)), "weight 2 is 0; weights must be positive"),
         ((Fraction(1, 3), 1, Fraction(-1, 3)), "weight 2 is 1; weights must be strictly below 1"),
         ((Fraction(-1),), "weight 1 is -1; weights must be positive"),
-    ], ids=["negative", "above-one", "zero", "one", "single-negative"])
+        ((), "polarization needs at least one weight"),
+    ], ids=["negative", "above-one", "zero", "one", "single-negative", "empty"])
     def test_the_first_weight_out_of_range_is_named(self, weights, message):
         with pytest.raises(nb.PolarizationError) as info:
             nb.Polarization(weights)

@@ -142,6 +142,23 @@ class TestWeightedNumerics:
             nb.wrank(desc, nb.canonical(chain3_222))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda curve, eta: nb.locally_free_descriptor(curve, -1, (0, 0)), "rank must be nonnegative"),
+    (
+        lambda curve, eta: nb.wslope(descriptor(curve, (0, 0), 0, [(1, (0, 0, 0))]), eta),
+        "slope needs positive weighted rank, got 0",
+    ),
+    (
+        lambda curve, eta: nb.degree_defect(descriptor(curve, (1, 1), -4, [(1, (1, 0, 0))]), eta),
+        "degree defect needs recorded degrees",
+    ),
+], ids=["negative-rank", "zero-weighted-rank", "no-degrees"])
+def test_descriptor_faults_are_named(two_curve, call, message):
+    with pytest.raises(nb.DescriptorError) as info:
+        call(two_curve, nb.canonical(two_curve))
+    assert str(info.value) == message
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_wrank_is_the_raw_fraction_sum(seed):
