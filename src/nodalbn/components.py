@@ -771,6 +771,9 @@ def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     for j, (lower, upper) in enumerate(zip(table.lowers, table.uppers), start=1):
         lo = max(running + 1, lower // D + 1)
         hi = min(d, -(-upper // D)) - (gamma - j)
+        # no case is known to reach this refusal: a sweep of every chain with
+        # 2 <= gamma <= 6, genera 2..5, 2(gamma-1) <= s <= 2(gamma-1)+8 and
+        # gamma <= d <= s found none
         if lo > hi:
             raise HypothesisError(
                 f"no integer prefix sum at position {j}: need {lo} <= x <= {hi}"

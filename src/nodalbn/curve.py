@@ -22,7 +22,6 @@ from it as a set.
 from __future__ import annotations
 
 import enum
-import itertools
 import operator
 from typing import Iterable, NamedTuple
 
@@ -144,8 +143,7 @@ class NodalCurve(_Frozen):
                 "component",
                 i,
             )
-        nodes = tuple(nodes)
-        nodes = _read_nodes(nodes, len(genera)) or _walk_nodes(nodes, len(genera))
+        nodes = _nodes(nodes, len(genera))
         adj: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, len(genera) + 1)}
         for nid, first, second in nodes:
             adj[first].append((second, nid))
@@ -261,33 +259,13 @@ class NodalCurve(_Frozen):
         return sum(self.genera[i - 1] for i in B)
 
 
-def _read_nodes(nodes: tuple, gamma: int) -> tuple[Node, ...] | None:
+def _nodes(nodes: Iterable, gamma: int) -> tuple[Node, ...]:
     """The nodes as `Node` records with first < second, in id order.
 
-    One pass per column over int triples; None if any node is not one or is
-    at fault, for `_walk_nodes` to name the first.
+    Raises at the first fault, reading the nodes as three integers each
+    before any other check; the fault's ``item`` names the node by its place.
     """
-    if not nodes or {*map(type, nodes)} - {tuple, Node} or {*map(len, nodes)} != {3}:
-        return None
-    ids, firsts, seconds = zip(*nodes)
-    ends = firsts + seconds
-    if (
-        {*map(type, ids), *map(type, ends)} != {int}
-        or min(ids) < 1
-        or len({*ids}) != len(ids)
-        or any(map(operator.eq, firsts, seconds))
-        or min(ends) < 1
-        or max(ends) > gamma
-    ):
-        return None
-    triples = [(i, b, a) if a > b else (i, a, b) for i, a, b in nodes]
-    # tuple.__new__ is what Node._make runs, without a Python call per node
-    return tuple(sorted(map(tuple.__new__, itertools.repeat(Node), triples)))
-
-
-def _walk_nodes(nodes: tuple, gamma: int) -> tuple[Node, ...]:
-    """What `_read_nodes` reads, node by node: raises at the first fault."""
-    raw = tuple(Node(*_integers(n[:3], "node entries")) for n in nodes)
+    raw = tuple(_node(n, k) for k, n in enumerate(nodes))
     seen: set[int] = set()
     normalized: list[Node] = []
     for k, node in enumerate(raw):
@@ -308,7 +286,21 @@ def _walk_nodes(nodes: tuple, gamma: int) -> tuple[Node, ...]:
         if node.first > node.second:
             node = Node(node.id, node.second, node.first)
         normalized.append(node)
-    return tuple(sorted(normalized, key=lambda n: n.id))
+    return tuple(sorted(normalized))  # by id: the ids are distinct
+
+
+def _node(value, k: int) -> Node:
+    """The k-th node given (from 0), from exactly three integers."""
+    try:
+        nid, first, second = value
+    except (TypeError, ValueError):
+        raise _item_fault(
+            f"node at index {k} is not three integers: {value!r}", "node", k
+        ) from None
+    try:
+        return Node(operator.index(nid), operator.index(first), operator.index(second))
+    except TypeError as exc:
+        raise _item_fault(f"node entries must be integers: {exc}", "node", k) from None
 
 
 def chain_curve(genera: Iterable[int]) -> NodalCurve:

@@ -22,7 +22,6 @@ too, from Python 3.11 on).
 from __future__ import annotations
 
 import itertools
-import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -48,11 +47,8 @@ class _Lines(NamedTuple):
     numbers: list[int]
     rows: list[list[str]]
 
-    def part(self, start: int, stop: int | None = None) -> _Lines:
-        return _Lines(self.numbers[start:stop], self.rows[start:stop])
-
-
-_HEAD = operator.itemgetter(0)
+    def part(self, start: int) -> _Lines:
+        return _Lines(self.numbers[start:], self.rows[start:])
 
 
 def _tokens(text: str) -> _Lines:
@@ -105,11 +101,7 @@ def parse_curve_with_sheaf(text: str) -> tuple[NodalCurve, SheafDescriptor | Non
 
 def _parse_curve_part(lines: _Lines) -> tuple[NodalCurve, int | None]:
     """The curve, and the index in ``lines`` of the ``sheaf`` line if there is one."""
-    heads = list(map(_HEAD, lines.rows))
-    sheaf_at = heads.index("sheaf") if "sheaf" in heads else None
-    lines = lines.part(0, sheaf_at)
-    read = _read_curve_lines(lines.rows, heads[:sheaf_at]) or _walk_curve_lines(lines)
-    cids, genera, nodes = read
+    cids, genera, nodes, sheaf_at = _curve_lines(lines)
 
     # faults of the whole file name no line
     if not cids:
@@ -133,37 +125,20 @@ def _parse_curve_part(lines: _Lines) -> tuple[NodalCurve, int | None]:
     return curve, sheaf_at
 
 
-def _read_curve_lines(
-    rows: list[list[str]], heads: list[str]
-) -> tuple[list[int], list[int], list[tuple[int, int, int]]] | None:
+def _curve_lines(
+    lines: _Lines,
+) -> tuple[list[int], list[int], list[tuple[int, int, int]], int | None]:
     """Component ids, their genera and the node triples, in line order.
 
-    One pass per column; None if any line is at fault, for
-    `_walk_curve_lines` to name the first.
+    Also the index of the ``sheaf`` line, None if there is none.  Raises at
+    the first fault.
     """
-    n = heads.count("component")
-    if "component" in heads[n:] or heads.count("node") != len(heads) - n:
-        return None
-    if {*map(len, rows)} - {4}:
-        return None
-    _, cids, keywords, genera = _columns(rows[:n], 4)
-    _, nids, firsts, seconds = _columns(rows[n:], 4)
-    if keywords.count("genus") != n:
-        return None
-    cids, genera, nids, firsts, seconds = map(_ints, (cids, genera, nids, firsts, seconds))
-    if None in (cids, genera, nids, firsts, seconds) or len({*cids}) != n:
-        return None
-    return cids, genera, list(zip(nids, firsts, seconds))
-
-
-def _walk_curve_lines(lines: _Lines) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
-    """What `_read_curve_lines` reads, line by line: raises at the first fault."""
     components: dict[int, int] = {}
     nodes: list[tuple[int, int, int]] = []
-    seen_node = False
-    for line_no, toks in zip(*lines):
+    sheaf_at = None
+    for at, (line_no, toks) in enumerate(zip(*lines)):
         if toks[0] == "component":
-            if seen_node:
+            if nodes:
                 raise ParseError(line_no, "component lines must precede node lines")
             if len(toks) != 4 or toks[2] != "genus":
                 raise ParseError(line_no, "expected: component <id> genus <g>")
@@ -175,7 +150,6 @@ def _walk_curve_lines(lines: _Lines) -> tuple[list[int], list[int], list[tuple[i
         elif toks[0] == "node":
             if len(toks) != 4:
                 raise ParseError(line_no, "expected: node <id> <comp_a> <comp_b>")
-            seen_node = True
             nodes.append(
                 (
                     _int(toks[1], line_no, "node id"),
@@ -183,16 +157,18 @@ def _walk_curve_lines(lines: _Lines) -> tuple[list[int], list[int], list[tuple[i
                     _int(toks[3], line_no, "endpoint"),
                 )
             )
+        elif toks[0] == "sheaf":
+            sheaf_at = at
+            break
         else:
             raise ParseError(line_no, f"unknown directive {toks[0]!r}")
-    return list(components), list(components.values()), nodes
+    return list(components), list(components.values()), nodes, sheaf_at
 
 
 def _parse_sheaf_part(lines: _Lines, curve: NodalCurve) -> SheafDescriptor:
     """The sheaf block from its ``sheaf`` line on."""
     start = lines.numbers[0]
-    read = _read_sheaf_lines(lines.rows, curve.gamma) or _walk_sheaf_lines(lines, curve.gamma)
-    rank, chi, degrees, stalks = read
+    rank, chi, degrees, stalks = _sheaf_lines(lines, curve.gamma)
     if rank is None:
         raise ParseError(start, "sheaf block needs a rank line")
     if chi is None:
@@ -205,43 +181,15 @@ def _parse_sheaf_part(lines: _Lines, curve: NodalCurve) -> SheafDescriptor:
         raise ParseError(start, str(exc)) from exc
 
 
-# rank, chi, degrees (each None if the block has no such line) and the stalks
-# as (node id, (s, a_first, a_second)) pairs in line order
+# rank, chi and degrees (each None if the block has no such line; a later
+# line wins) and the stalks as (node id, LocalType) pairs in line order
 _SheafLines = tuple[
-    tuple[int, ...] | None, int | None, tuple[int, ...] | None, list[tuple[int, tuple]]
+    tuple[int, ...] | None, int | None, tuple[int, ...] | None, list[tuple[int, LocalType]]
 ]
 
 
-def _read_sheaf_lines(rows: list[list[str]], gamma: int) -> _SheafLines | None:
-    """The sheaf block's values, the stalk lines one pass per column.
-
-    None if any line is at fault, for `_walk_sheaf_lines` to name the first.
-    """
-    if len(rows[0]) != 1:
-        return None
-    widths = {"rank": gamma + 1, "chi": 2, "degrees": gamma + 1}
-    last: dict[str, list[int]] = {}  # a later rank, chi or degrees line wins
-    for words in [words for words in rows[1:] if words[0] != "stalk"]:
-        if len(words) != widths.get(words[0]) or (ints := _ints(words[1:])) is None:
-            return None
-        last[words[0]] = ints
-    stalk_rows = [words for words in rows if words[0] == "stalk"]
-    if {*map(len, stalk_rows)} - {5}:
-        return None
-    nids, free, firsts, seconds = map(_ints, _columns(stalk_rows, 5)[1:])
-    if None in (nids, free, firsts, seconds) or len({*nids}) != len(nids):
-        return None
-    rank, chi, degrees = (last.get(head) for head in ("rank", "chi", "degrees"))
-    return (
-        None if rank is None else tuple(rank),
-        None if chi is None else chi[0],
-        None if degrees is None else tuple(degrees),
-        list(zip(nids, zip(free, firsts, seconds))),
-    )
-
-
-def _walk_sheaf_lines(lines: _Lines, gamma: int) -> _SheafLines:
-    """What `_read_sheaf_lines` reads, line by line: raises at the first fault."""
+def _sheaf_lines(lines: _Lines, gamma: int) -> _SheafLines:
+    """The sheaf block's values, line by line: raises at the first fault."""
     rank: tuple[int, ...] | None = None
     chi: int | None = None
     degrees: tuple[int, ...] | None = None
@@ -281,21 +229,6 @@ def _walk_sheaf_lines(lines: _Lines, gamma: int) -> _SheafLines:
         else:
             raise ParseError(line_no, f"unknown sheaf directive {toks[0]!r}")
     return rank, chi, degrees, list(stalks.items())
-
-
-def _columns(rows: list[list[str]], width: int) -> list[tuple[str, ...]]:
-    """The columns of rows that each hold ``width`` words."""
-    return list(zip(*rows)) or [()] * width
-
-
-def _ints(tokens: tuple[str, ...] | list[str]) -> list[int] | None:
-    """The tokens as ints, or None if one is not an integer token `_int` would take."""
-    if "_" in "".join(tokens):
-        return None
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        return None
 
 
 def render_curve(curve: NodalCurve) -> str:

@@ -5,7 +5,7 @@ weights summing to exactly 1 (each strictly below 1 once there are two or
 more components).  All arithmetic is exact: a verdict here is a strict
 inequality between rationals and must never be decided in floating point.
 
-The canonical polarization of a curve with p_a >= 2 is
+The canonical polarization of a curve (every curve has p_a >= 2) is
 
     eta_i = (2 g_i - 2 + delta_i) / (2 p_a - 2).
 
@@ -110,11 +110,13 @@ class GoodnessReport(NamedTuple):
 
 
 def canonical(curve: NodalCurve) -> Polarization:
-    """Canonical weights eta_i = (2 g_i - 2 + delta_i) / (2 p_a - 2)."""
-    pa = curve.arithmetic_genus()
-    if pa < 2:
-        raise PolarizationError(f"canonical polarization needs p_a >= 2, got {pa}")
-    denom = 2 * pa - 2
+    """Canonical weights eta_i = (2 g_i - 2 + delta_i) / (2 p_a - 2).
+
+    The denominator is positive on every curve: `NodalCurve` takes only
+    genera g_i >= 2 and a connected dual graph (delta >= gamma - 1), so
+    p_a = sum(g_i) + delta - gamma + 1 >= 2 gamma >= 2.
+    """
+    denom = 2 * curve.arithmetic_genus() - 2
     return Polarization(
         tuple(
             Fraction(2 * curve.genus(i) - 2 + curve.node_degree(i), denom)

@@ -25,7 +25,6 @@ either side contributes nothing.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
@@ -76,8 +75,8 @@ class SheafDescriptor(_Frozen):
             )
         if any(r < 0 for r in ranks):
             raise DescriptorError("multirank entries must be nonnegative")
-        pairs = tuple(stalks.items() if isinstance(stalks, Mapping) else stalks)
-        stalks = _read_stalks(pairs) or tuple(sorted(_local_type(nid, lt) for nid, lt in pairs))
+        pairs = stalks.items() if isinstance(stalks, Mapping) else stalks
+        stalks = tuple(sorted(map(_local_type, pairs)))
         by_node = dict(stalks)
         if len(by_node) != len(stalks):
             nid = next(a for (a, _), (b, _) in zip(stalks, stalks[1:]) if a == b)
@@ -111,23 +110,6 @@ class SheafDescriptor(_Frozen):
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
 
 
-def _read_stalks(pairs: tuple) -> tuple[tuple[int, LocalType], ...] | None:
-    """(node id, LocalType) pairs sorted, from int pairs ``(nid, (s, a, b))``.
-
-    One pass per column; None if any pair is not of that form, for
-    `_local_type` to read them one by one.
-    """
-    if not pairs or {*map(type, pairs)} != {tuple} or {*map(len, pairs)} != {2}:
-        return None
-    nids, values = zip(*pairs)
-    if {*map(type, values)} - {tuple, LocalType} or {*map(len, values)} != {3}:
-        return None
-    if {*map(type, nids), *map(type, itertools.chain.from_iterable(values))} != {int}:
-        return None
-    # tuple.__new__ is what LocalType._make runs, without a Python call per stalk
-    return tuple(sorted(zip(nids, map(tuple.__new__, itertools.repeat(LocalType), values))))
-
-
 def _walk_stalks(
     ranks: tuple[int, ...], nodes: tuple[Node, ...], by_node: dict[int, LocalType]
 ) -> None:
@@ -148,8 +130,12 @@ def _walk_stalks(
             )
 
 
-def _local_type(nid, value) -> tuple[int, LocalType]:
-    """(node id, LocalType) from a stalk value of three integers."""
+def _local_type(pair) -> tuple[int, LocalType]:
+    """(node id, LocalType) from a (node id, value) pair, the value three integers."""
+    try:
+        nid, value = pair
+    except (TypeError, ValueError):
+        raise DescriptorError(f"stalk entry {pair!r} is not a (node id, value) pair") from None
     try:
         lt = LocalType(*map(operator.index, value))
     except TypeError:

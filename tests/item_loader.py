@@ -1,15 +1,18 @@
-"""The item-by-item loader, the reference for the bulk one.
+"""A frozen copy of the item-by-item text loader, to guard its messages.
 
-The text loader as it was before it validated in bulk: `parsing`'s
-`_tokens`, `_parse_curve_part` and `_parse_sheaf_part`, and the loops of
-`NodalCurve.__init__` and `SheafDescriptor.__init__`, copied verbatim but
-for the line split (now only at LF, CRLF and CR) and for returning plain
+The library reads a curve file by walking its lines, and its nodes and
+stalks, one item at a time, naming the first fault.  This module is a copy
+of that walk, frozen apart from the library: `parsing`'s `_tokens`,
+`_parse_curve_part` and `_parse_sheaf_part`, and the loops of
+`NodalCurve.__init__` and `SheafDescriptor.__init__`, returning plain
 values in place of a curve and a descriptor.  Exceptions and their
-messages are the library's, so a test can compare the two loaders on any
-input: the values, or the exception's type, message and line number.
+messages are the library's, so `test_loader_parity` can compare the two on
+any input: the values, or the exception's type, message, line number and
+faulty item.  A change to what the library accepts or says shows there
+first, and a deliberate one is made here too.
 
 It lives apart from ``oracles.py``, which the benchmark harness compiles
-from source on every run: there, these 270 lines raised the harness's
+from source on every run: there, this module raised the harness's
 own max RSS, which every job's ``peak_rss_mb`` inherits, by 0.6 MB.
 """
 
@@ -174,6 +177,19 @@ def _item_fault(message: str, kind: str, index: int):
     return exc
 
 
+def _item_node(value, k):
+    try:
+        nid, first, second = value
+    except (TypeError, ValueError):
+        raise _item_fault(
+            f"node at index {k} is not three integers: {value!r}", "node", k
+        ) from None
+    try:
+        return Node(operator.index(nid), operator.index(first), operator.index(second))
+    except TypeError as exc:
+        raise _item_fault(f"node entries must be integers: {exc}", "node", k) from None
+
+
 def item_curve(genera, nodes=()):
     """(genera, nodes) as `NodalCurve(genera, nodes)` stores them, or its exception."""
     genera = _item_integers(genera, "genera")
@@ -184,7 +200,7 @@ def item_curve(genera, nodes=()):
             raise _item_fault(
                 f"component {i} has genus {g}; each genus must be >= 2", "component", i
             )
-    raw = tuple(Node(*_item_integers(n[:3], "node entries")) for n in nodes)
+    raw = tuple(_item_node(n, k) for k, n in enumerate(nodes))
     seen: set[int] = set()
     normalized: list = []
     for k, node in enumerate(raw):
@@ -235,7 +251,13 @@ def item_descriptor(curve, multirank, chi, stalks, degrees=None):
     if any(r < 0 for r in ranks):
         raise DescriptorError("multirank entries must be nonnegative")
 
-    def local_type(nid, value):
+    def local_type(pair):
+        try:
+            nid, value = pair
+        except (TypeError, ValueError):
+            raise DescriptorError(
+                f"stalk entry {pair!r} is not a (node id, value) pair"
+            ) from None
         try:
             lt = LocalType(*map(operator.index, value))
         except TypeError:
@@ -245,7 +267,7 @@ def item_descriptor(curve, multirank, chi, stalks, degrees=None):
         return _item_integers((nid,), "stalk node ids", DescriptorError)[0], lt
 
     pairs = stalks.items() if isinstance(stalks, Mapping) else stalks
-    stalks = tuple(sorted(local_type(nid, lt) for nid, lt in pairs))
+    stalks = tuple(sorted(map(local_type, pairs)))
     by_node = dict(stalks)
     if len(by_node) != len(stalks):
         nid = next(a for (a, _), (b, _) in zip(stalks, stalks[1:]) if a == b)

@@ -36,6 +36,19 @@ class TestConstruction:
         with pytest.raises(nb.CurveError, match=f"{what} must be integers"):
             nb.NodalCurve(genera, nodes)
 
+    @pytest.mark.parametrize("bad", [(1, 1, 2, 99), (1, 2), (), 5, None, [1, 2, 3, 4]])
+    def test_rejects_a_node_that_is_not_three_entries(self, bad):
+        """Nothing is dropped or padded; the fault names the node by its place."""
+        with pytest.raises(nb.CurveError) as info:
+            nb.NodalCurve((2, 2, 2), [(1, 1, 2), bad])
+        assert str(info.value) == f"node at index 1 is not three integers: {bad!r}"
+        assert info.value.item == ("node", 1)
+
+    def test_a_non_integer_node_entry_names_its_node(self):
+        with pytest.raises(nb.CurveError, match="node entries must be integers") as info:
+            nb.NodalCurve((2, 2, 2), [(1, 1, 2), (2, 2, "3")])
+        assert info.value.item == ("node", 1)
+
     def test_rejects_empty_genera(self):
         with pytest.raises(nb.CurveError):
             nb.NodalCurve(())

@@ -1,7 +1,9 @@
-"""The bulk loader against the item-by-item one it replaced (`item_loader`).
+"""The library's loader against its frozen copy (`item_loader`).
 
-On any text, and on any direct `NodalCurve` or `SheafDescriptor` call, the
-two give the same value or raise the same exception: its type, message,
+The library walks a curve file's lines, and the nodes and stalks handed to
+`NodalCurve` and `SheafDescriptor`, one item at a time.  On any text, and
+on any direct `NodalCurve` or `SheafDescriptor` call, it gives the same
+value as the frozen copy or raises the same exception: its type, message,
 line number and faulty item.
 """
 

@@ -200,6 +200,25 @@ class TestPerturb:
         )
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 10_000), extra=st.integers(0, 4))
+def test_every_curve_has_arithmetic_genus_at_least_two_gamma(seed, extra):
+    """So `canonical` needs no p_a < 2 refusal: 2 p_a - 2 >= 4 gamma - 2 > 0.
+
+    A random Prüfer tree, with ``extra`` more nodes closing cycles.
+    """
+    rng = random.Random(seed)
+    tree = random_tree_curve(rng, gamma_max=8, genus_range=(2, 3))
+    nodes = list(tree.nodes)
+    if tree.gamma > 1:
+        for nid in range(tree.delta + 1, tree.delta + 1 + extra):
+            nodes.append((nid, *rng.sample(tree.component_ids, 2)))
+    curve = nb.NodalCurve(tree.genera, nodes)
+    assert curve.arithmetic_genus() >= 2 * curve.gamma
+    eta = nb.canonical(curve)
+    assert sum(eta.weights) == 1 and min(eta.weights) > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_split_defects_sum_to_one(seed):

@@ -78,6 +78,13 @@ class TestDescriptorValidation:
             nb.SheafDescriptor(two_curve, (1, 1), -4, stalks)
         assert str(info.value) == f"stalk at node 1 is not three integers: {value!r}"
 
+    @pytest.mark.parametrize("entry", [(1, (1, 0, 0), 9), (1,), (), 7, None])
+    def test_malformed_stalk_entry(self, two_curve, entry):
+        """A stalk entry that is not a (node id, value) pair is refused, not unpacked."""
+        with pytest.raises(nb.DescriptorError) as info:
+            nb.SheafDescriptor(two_curve, (1, 1), 0, [entry])
+        assert str(info.value) == f"stalk entry {entry!r} is not a (node id, value) pair"
+
     @pytest.mark.parametrize(
         "pairs",
         [
