@@ -19,16 +19,21 @@ command pays at start-up only for what it uses.  Parsing, curves,
 sheaves and polarizations load with this module, since almost every
 command reads a curve.  The digest comes from CPython's built-in SHA-256
 module, so no command loads ``hashlib`` and the OpenSSL library under it,
-unless the build has no such module.  The parser is built for the
-command named on the command line (see ``_build_parser``).
+unless the build has no such module.
+
+A well-formed command line is read without argparse (see ``_read``), so
+such a command loads neither ``argparse`` nor the ``gettext`` and
+``locale`` modules under it.  Every other command line goes to argparse,
+whose parser is built for the command it names (see ``_build_parser``):
+help, usage errors and their exit codes are argparse's own.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .curve import (
@@ -65,6 +70,7 @@ from .sheaf import (
 )
 
 if TYPE_CHECKING:
+    import argparse
     from collections.abc import Iterable
 
     from . import components as comp
@@ -182,7 +188,7 @@ def _resolve_omega(text: str, curve: NodalCurve) -> Polarization:
     return omega
 
 
-def _begin(args: argparse.Namespace, report: Report) -> tuple[NodalCurve, SheafDescriptor | None]:
+def _begin(args: SimpleNamespace, report: Report) -> tuple[NodalCurve, SheafDescriptor | None]:
     curve, sheaf, digest = _load_curve(args.curve)
     report.kv("curve_digest", digest)
     report.blank()
@@ -192,7 +198,7 @@ def _begin(args: argparse.Namespace, report: Report) -> tuple[NodalCurve, SheafD
 # -- curve ------------------------------------------------------------
 
 
-def cmd_curve_validate(args: argparse.Namespace, report: Report) -> int:
+def cmd_curve_validate(args: SimpleNamespace, report: Report) -> int:
     curve, _ = _begin(args, report)
     report.kv("gamma", curve.gamma)
     report.kv("delta", curve.delta)
@@ -207,13 +213,13 @@ def cmd_curve_validate(args: argparse.Namespace, report: Report) -> int:
     return 0
 
 
-def cmd_curve_classify(args: argparse.Namespace, report: Report) -> int:
+def cmd_curve_classify(args: SimpleNamespace, report: Report) -> int:
     curve, _ = _begin(args, report)
     report.kv("classification", curve.classify().value)
     return 0
 
 
-def cmd_order(args: argparse.Namespace, report: Report) -> int:
+def cmd_order(args: SimpleNamespace, report: Report) -> int:
     from . import ordering
 
     curve, _ = _begin(args, report)
@@ -248,7 +254,7 @@ def _proxy_section(report: Report, curve: NodalCurve, omega: Polarization) -> bo
     return passed
 
 
-def cmd_polarization_canonical(args: argparse.Namespace, report: Report) -> int:
+def cmd_polarization_canonical(args: SimpleNamespace, report: Report) -> int:
     curve, _ = _begin(args, report)
     eta = canonical(curve)
     report.kv("eta", eta.weights)
@@ -257,7 +263,7 @@ def cmd_polarization_canonical(args: argparse.Namespace, report: Report) -> int:
     return 0
 
 
-def cmd_polarization_check(args: argparse.Namespace, report: Report) -> int:
+def cmd_polarization_check(args: SimpleNamespace, report: Report) -> int:
     curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
     report.kv("omega", omega.weights)
@@ -267,7 +273,7 @@ def cmd_polarization_check(args: argparse.Namespace, report: Report) -> int:
 # -- sheaf ------------------------------------------------------------
 
 
-def cmd_sheaf_info(args: argparse.Namespace, report: Report) -> int:
+def cmd_sheaf_info(args: SimpleNamespace, report: Report) -> int:
     curve, sheaf = _begin(args, report)
     if sheaf is None:
         raise DescriptorError(f"{args.curve} has no sheaf block")
@@ -341,7 +347,7 @@ def _catalog_table(
     report.table("catalog", header, rows)
 
 
-def _rooted(args: argparse.Namespace, report: Report):
+def _rooted(args: SimpleNamespace, report: Report):
     """The curve, omega and the walk from ``--root`` (default gamma); writes omega and rank."""
     from . import ordering
 
@@ -353,7 +359,7 @@ def _rooted(args: argparse.Namespace, report: Report):
     return curve, omega, walk
 
 
-def cmd_components_enumerate(args: argparse.Namespace, report: Report) -> int:
+def cmd_components_enumerate(args: SimpleNamespace, report: Report) -> int:
     from . import components as comp
 
     curve, omega, walk = _rooted(args, report)
@@ -365,7 +371,7 @@ def cmd_components_enumerate(args: argparse.Namespace, report: Report) -> int:
     return 0
 
 
-def _tuple_setup(args: argparse.Namespace, report: Report):
+def _tuple_setup(args: SimpleNamespace, report: Report):
     from . import components as comp
 
     curve, omega, walk = _rooted(args, report)
@@ -378,7 +384,7 @@ def _tuple_setup(args: argparse.Namespace, report: Report):
     return curve, omega, walk, ctuple
 
 
-def cmd_components_check(args: argparse.Namespace, report: Report) -> int:
+def cmd_components_check(args: SimpleNamespace, report: Report) -> int:
     from . import components as comp
 
     curve, omega, walk, ctuple = _tuple_setup(args, report)
@@ -396,7 +402,7 @@ def cmd_components_check(args: argparse.Namespace, report: Report) -> int:
     return 0 if passed else 1
 
 
-def cmd_components_radius(args: argparse.Namespace, report: Report) -> int:
+def cmd_components_radius(args: SimpleNamespace, report: Report) -> int:
     from . import components as comp
 
     radius = comp.robustness_radius(*_tuple_setup(args, report))
@@ -404,7 +410,7 @@ def cmd_components_radius(args: argparse.Namespace, report: Report) -> int:
     return 0
 
 
-def cmd_components_invariance(args: argparse.Namespace, report: Report) -> int:
+def cmd_components_invariance(args: SimpleNamespace, report: Report) -> int:
     from . import components as comp
 
     curve, _ = _begin(args, report)
@@ -430,14 +436,14 @@ def cmd_components_invariance(args: argparse.Namespace, report: Report) -> int:
 # -- brill-noether ----------------------------------------------------
 
 
-def cmd_bn_number(args: argparse.Namespace, report: Report) -> int:
+def cmd_bn_number(args: SimpleNamespace, report: Report) -> int:
     from . import brill_noether as bn
 
     report.kv("beta", bn.bn_number(args.pa, args.r, args.d, args.k))
     return 0
 
 
-def cmd_bn_bounds(args: argparse.Namespace, report: Report) -> int:
+def cmd_bn_bounds(args: SimpleNamespace, report: Report) -> int:
     from . import brill_noether as bn
 
     verdict = bn.bgn_bounds(args.pa, args.r, args.d, args.k)
@@ -447,7 +453,7 @@ def cmd_bn_bounds(args: argparse.Namespace, report: Report) -> int:
     return 0 if verdict.ok else 1
 
 
-def cmd_bn_certify(args: argparse.Namespace, report: Report) -> int:
+def cmd_bn_certify(args: SimpleNamespace, report: Report) -> int:
     from . import brill_noether as bn
 
     curve, _ = _begin(args, report)
@@ -486,14 +492,14 @@ def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve
             for path in itertools.product(choices, repeat=gamma):
                 if path <= path[::-1]:  # dedupe path reversal
                     curves.append(chain_curve(path))
-    else:  # comb: argparse refuses any other family
+    else:  # comb: --family's choices refuse any other family
         for gamma in range(3, gamma_max + 1):
             for teeth in itertools.combinations_with_replacement(choices, gamma - 1):  # sorted
                 curves.extend(comb_curve((*teeth, grip)) for grip in choices)
     return curves
 
 
-def cmd_bn_scan(args: argparse.Namespace, report: Report) -> int:
+def cmd_bn_scan(args: SimpleNamespace, report: Report) -> int:
     from . import brill_noether as bn
 
     curves = _scan_family(args.family, args.gamma_max, args.genus_max)
@@ -523,6 +529,8 @@ def _int(text: str) -> int:
     try:
         return _number(int, text)
     except ValueError:
+        import argparse  # loaded already: only argparse calls this
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
@@ -542,8 +550,8 @@ _NUMBERS = _ints("--pa", "--r", "--d", "--k")
 
 # group -> (help, leaves): each leaf maps an action to its options, and a group
 # given options in place of leaves is a leaf itself.  The leaf `G A` runs
-# cmd_G_A (`G` runs cmd_G), looked up by name when the parser is built, so a
-# handler rebound on this module (as perfbench's tracer does) is the one run.
+# cmd_G_A (`G` runs cmd_G), looked up by name when a command line is parsed,
+# so a handler rebound on this module (as perfbench's tracer does) is the one run.
 COMMANDS: dict[str, tuple[str, dict | tuple]] = {
     "curve": ("validate and classify curve files", {
         "validate": (_CURVE, ("--echo", {"action": "store_true",
@@ -575,14 +583,72 @@ COMMANDS: dict[str, tuple[str, dict | tuple]] = {
 }
 
 
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse builds from a well-formed argv, or None for any other.
+
+    Well-formed: the group, its action if it has actions, then that leaf's
+    flags, each word spelled exactly as in ``COMMANDS``.  A flag other than
+    a ``store_true`` one is followed by its value, which starts with ``-``
+    only as a plain negative integer (argparse takes that as a value, since
+    no flag looks like a number).  Each integer value reads with
+    ``_number``, each value is among its flag's choices, and every required
+    flag is given; a repeated flag keeps its last value.  Help,
+    abbreviations, ``--flag=value`` and every error return None and are
+    left to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    name, options = argv[0], COMMANDS[argv[0]][1]
+    values: dict[str, object] = {"group": name}
+    words = iter(argv[1:])
+    if isinstance(options, dict):  # a group of leaves: the next word names one
+        action = next(words, None)
+        if action not in options:
+            return None
+        values["action"] = action
+        name, options = f"{name}_{action}", options[action]
+    for flag, spec in options:
+        store_true = spec.get("action") == "store_true"
+        values[flag[2:].replace("-", "_")] = spec.get("default", False if store_true else None)
+    specs = dict(options)
+    given = set()
+    for flag in words:
+        spec = specs.get(flag)
+        if spec is None:
+            return None
+        given.add(flag)
+        value: object = True
+        if spec.get("action") != "store_true":
+            text = next(words, None)
+            if text is None or text[:1] == "-" and not text[1:].isdecimal():
+                return None
+            value = text
+            if spec.get("type") is _int:
+                try:
+                    value = _number(int, text)
+                except ValueError:
+                    return None
+            elif "choices" in spec and text not in spec["choices"]:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    if any(spec.get("required") and flag not in given for flag, spec in options):
+        return None
+    values["func"] = globals()[f"cmd_{name}"]
+    return SimpleNamespace(**values)
+
+
 def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     """The parser for argv, with every group and leaf of ``COMMANDS`` listed.
 
-    Only a group whose name is a word of argv gets its actions, and only
-    such a leaf gets its options and handler.  argparse picks a subparser
-    by its exact name, so the leaf that a parse of argv reaches is always
-    built in full, and every help or error text is the full parser's.
+    Only a command line that `_read` declines comes here: help, usage
+    errors and the rare line argparse accepts in another spelling.  Only a
+    group whose name is a word of argv gets its actions, and only such a
+    leaf gets its options and handler.  argparse picks a subparser by its
+    exact name, so the leaf that a parse of argv reaches is always built in
+    full, and every help or error text is the full parser's.
     """
+    import argparse
+
     words = set(argv)
     parser = argparse.ArgumentParser(
         prog="nodalbn",
@@ -625,11 +691,12 @@ EXIT_CODES: tuple[tuple[type[ValueError], int], ...] = (
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    args = _read(argv)
+    if args is None:
+        try:
+            args = SimpleNamespace(**vars(_build_parser(argv).parse_args(argv)))
+        except SystemExit as exc:
+            return 0 if exc.code in (0, None) else 2
     report = Report(argv)
     try:  # a handler that raises has written nothing to stdout
         code = args.func(args, report)

@@ -83,9 +83,7 @@ class SheafDescriptor(_Frozen):
             raise DescriptorError(f"stalk at node {nid} defined twice")
         expected = [n.id for n in curve.nodes]
         if sorted(by_node) != expected:
-            raise DescriptorError(
-                f"stalks cover nodes {sorted(by_node)}, curve has {expected}"
-            )
+            raise DescriptorError(_coverage_fault(by_node, expected))
         _walk_stalks(ranks, curve.nodes, by_node)
         if degrees is not None:
             degrees = _integers(degrees, "degrees", DescriptorError)
@@ -108,6 +106,15 @@ class SheafDescriptor(_Frozen):
 
     def is_locally_free(self) -> bool:
         return all(lt.a_first == 0 and lt.a_second == 0 for _, lt in self.stalks)
+
+
+def _coverage_fault(by_node: Mapping[int, LocalType], expected: list[int]) -> str:
+    """Name the least node id that has a stalk but no node, or a node but no stalk."""
+    missing = set(expected).difference(by_node)
+    nid = min(missing.union(set(by_node).difference(expected)))
+    if nid in missing:
+        return f"no stalk at node {nid}"
+    return f"stalk at node {nid}, which the curve does not have"
 
 
 def _walk_stalks(

@@ -274,7 +274,11 @@ def item_descriptor(curve, multirank, chi, stalks, degrees=None):
         raise DescriptorError(f"stalk at node {nid} defined twice")
     expected = [n.id for n in curve_nodes]
     if sorted(by_node) != expected:
-        raise DescriptorError(f"stalks cover nodes {sorted(by_node)}, curve has {expected}")
+        missing = set(expected) - set(by_node)
+        nid = min(missing | (set(by_node) - set(expected)))
+        if nid in missing:
+            raise DescriptorError(f"no stalk at node {nid}")
+        raise DescriptorError(f"stalk at node {nid}, which the curve does not have")
     for node in curve_nodes:
         lt = by_node[node.id]
         if min(lt) < 0:

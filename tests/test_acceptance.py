@@ -22,6 +22,7 @@ from conftest import (
 from oracles import (
     brute_force_catalog,
     brute_force_small_slope,
+    raw_connected,
     raw_crossing_count,
     raw_split_sides,
 )
@@ -41,7 +42,7 @@ def connected_subsets(curve):
     ids = list(curve.component_ids)
     for size in range(1, len(ids) + 1):
         for combo in itertools.combinations(ids, size):
-            if curve.is_connected_subcurve(combo):
+            if raw_connected(curve.nodes, combo):
                 yield frozenset(combo)
 
 

@@ -296,6 +296,26 @@ def test_integer_option_refuses_digit_groups(capsys, argv):
         assert err.endswith(f" error: argument {argv[-1]}: invalid int value: {value!r}\n")
 
 
+@pytest.mark.parametrize(
+    "plain, spelled",
+    [
+        (["bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"],
+         ["bn", "number", "--pa=3", "--r", "2", "--d", "4", "--k", "1"]),
+        (["curve", "validate", "--curve", "{path}", "--echo"],
+         ["curve", "validate", "--cur", "{path}", "--ec"]),
+        (["order", "--curve", "{path}", "--root", "-1"],
+         ["order", "--curve", "{path}", "--root=-1"]),
+    ],
+    ids=["flag=value", "abbreviations", "negative-root"],
+)
+def test_argparse_spellings_run_the_same_command(capsys, two_path, plain, spelled):
+    # the reader declines these spellings and argparse reads them
+    fill = [[word.format(path=two_path) for word in argv] for argv in (plain, spelled)]
+    assert cli._read(fill[0]) is not None and cli._read(fill[1]) is None
+    (code, out, err), (code2, out2, err2) = (run(capsys, *argv) for argv in fill)
+    assert (code, err, out.splitlines()[1:]) == (code2, err2, out2.splitlines()[1:])
+
+
 def test_omega_reads_a_finite_decimal_exactly(capsys, two_path):
     code, out, err = run(
         capsys, "polarization", "check", "--curve", two_path, "--omega", "0.5,1/2"

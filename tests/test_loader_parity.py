@@ -169,7 +169,7 @@ def test_the_mutations_reach_every_kind_of_fault():
         "endpoint must be", "free rank must be", "rank needs", "degrees needs", "duplicate node",
         "node id 0 must be", "joins component", "references unknown", "dual graph is not",
         "component ids must be", "sheaf block needs a rank", "sheaf block needs a chi",
-        "stalks cover nodes", "negative stalk", "defined twice",
+        "no stalk at node", "which the curve does not have", "negative stalk", "defined twice",
     ]:
         assert any(message.startswith(start) or f" {start}" in message for message in seen), (
             start, sorted(seen))

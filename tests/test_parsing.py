@@ -200,8 +200,28 @@ class TestParseSheaf:
 
     def test_descriptor_errors_become_parse_errors(self):
         text = TWO_CURVE_TEXT + "sheaf\nrank 2 2\nchi -6\n"
-        with pytest.raises(nb.ParseError, match="stalks cover"):
+        with pytest.raises(nb.ParseError, match="no stalk at node 1"):
             nb.parse_curve_with_sheaf(text)
+
+    @pytest.mark.parametrize(
+        "ids, fault",
+        [
+            (range(1, 999), "no stalk at node 999"),
+            (range(1, 1001), "stalk at node 1000, which the curve does not have"),
+        ],
+        ids=["missing", "extra"],
+    )
+    def test_coverage_fault_names_one_node(self, ids, fault):
+        # listing every node id made this error 9,819 bytes long
+        gamma = 1000
+        lines = [f"component {i} genus 2" for i in range(1, gamma + 1)]
+        lines += [f"node {i} {i} {i + 1}" for i in range(1, gamma)]
+        lines += ["sheaf", "rank " + " ".join(["1"] * gamma), "chi 0"]
+        lines += [f"stalk {i} 1 0 0" for i in ids]
+        with pytest.raises(nb.ParseError) as info:
+            nb.parse_curve_with_sheaf("\n".join(lines) + "\n")
+        assert str(info.value) == f"line {2 * gamma}: {fault}"  # the sheaf line
+        assert len(str(info.value)) < 80
 
 
 class TestRender:
