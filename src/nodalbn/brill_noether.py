@@ -20,14 +20,14 @@ every component, and a small-slope degree tuple in the rank-s catalog.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
-from .curve import NodalCurve, _integer
-from .polarization import Polarization, _SplitTable, canonical
-
 if TYPE_CHECKING:
+    from fractions import Fraction
+
     from .components import ComponentTuple
+    from .curve import NodalCurve
+    from .polarization import Polarization
 
 
 class Verdict(NamedTuple):
@@ -117,6 +117,8 @@ def per_component_bgn(
     r: int, k: int, degrees: Sequence[int], genera: Sequence[int]
 ) -> tuple[ComponentBound, ...]:
     """Per-component bound k <= (d_i + r(g_i - 1)) / g_i, exact rationals."""
+    from fractions import Fraction
+
     if len(degrees) != len(genera):
         raise ValueError(
             f"{len(degrees)} degrees against {len(genera)} genus values"
@@ -141,6 +143,8 @@ def certify_bn_component(
     naming the argument.
     """
     from .components import WindowTable
+    from .curve import _integer
+    from .polarization import _SplitTable
 
     s, k, d = _integer(s, "rank s"), _integer(k, "section count k"), _integer(d, "degree d")
     curve.require_compact_type()
@@ -291,6 +295,7 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     here ever claims a refutation.
     """
     from .components import WindowTable
+    from .polarization import _SplitTable, canonical
 
     s_values = tuple(s_values)
     rows = []

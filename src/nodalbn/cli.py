@@ -12,14 +12,22 @@ Exit codes: 0 for pass/certified, 1 for a failed hypothesis or verdict,
 2 for unparseable input or bad command lines.  Handlers fill the report
 `main` hands them and return 0 or 1; `main` writes it only when the
 handler returns, so a command that raises writes nothing to stdout.
+If the reader of stdout goes away, the rest of the report is dropped
+and the command still exits with its handler's code, which is known
+before the first byte is written.
 
-Each handler imports the modules it runs: ``ordering``, ``components``
-and ``brill_noether`` load inside the handlers that call them, so a
-command pays at start-up only for what it uses.  Parsing, curves,
-sheaves and polarizations load with this module, since almost every
-command reads a curve.  The digest comes from CPython's built-in SHA-256
-module, so no command loads ``hashlib`` and the OpenSSL library under it,
-unless the build has no such module.
+Each handler imports the modules it runs, so a command pays at start-up
+only for what it uses.  This module loads no other module of the
+package: a command that reads a curve loads ``parsing``, ``curve`` and
+``sheaf``; ``ordering``, ``components`` and ``brill_noether`` load in the
+handlers that call them.  Only a command that resolves ``--omega`` or
+prints a rational loads ``polarization`` and ``fractions`` (with the
+``decimal`` and ``numbers`` under it): ``bn number`` and ``bn bounds``
+load neither, nor does any ``curve`` command or ``order``, even on a
+file with a sheaf block.  An error's exit code is looked up only when a
+handler raises (see ``_exit_code``).  The digest comes from CPython's
+built-in SHA-256 module, so no command loads ``hashlib`` and the OpenSSL
+library under it, unless the build has no such module.
 
 A well-formed command line is read without argparse (see ``_read``), so
 such a command loads neither ``argparse`` nor the ``gettext`` and
@@ -31,49 +39,19 @@ help, usage errors and their exit codes are argparse's own.
 from __future__ import annotations
 
 import itertools
+import os
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
-
-from .curve import (
-    CurveError,
-    HypothesisError,
-    NodalCurve,
-    NotCompactTypeError,
-    chain_curve,
-    comb_curve,
-)
-from .parsing import (
-    ParseError,
-    _number,
-    parse_curve_with_sheaf,
-    parse_ints,
-    parse_rationals,
-    render_curve,
-)
-from .polarization import (
-    Polarization,
-    PolarizationError,
-    _check_lengths,
-    _SplitTable,
-    canonical,
-)
-from .sheaf import (
-    DescriptorError,
-    SheafDescriptor,
-    degree_defect,
-    global_ext_defect,
-    wdeg,
-    wrank,
-    wslope,
-)
 
 if TYPE_CHECKING:
     import argparse
     from collections.abc import Iterable
 
     from . import components as comp
+    from .curve import NodalCurve
+    from .polarization import Polarization
+    from .sheaf import SheafDescriptor
 
 
 class Report:
@@ -119,8 +97,8 @@ _ID_TEXT: list[str] = []
 
 
 def _fmt(value: object) -> str:
-    kind = type(value)  # exact types: isinstance on Fraction goes through the ABCs
-    if kind is int or kind is str or kind is Fraction:
+    kind = type(value)  # a Fraction falls through to str(value)
+    if kind is int or kind is str:
         return str(value)
     if kind is bool:
         return "yes" if value else "no"
@@ -139,6 +117,9 @@ def _verdict(ok: bool) -> str:
 
 
 def _load_curve(path: str) -> tuple[NodalCurve, SheafDescriptor | None, str]:
+    from .curve import CurveError
+    from .parsing import parse_curve_with_sheaf
+
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -170,6 +151,8 @@ def _digest(data: bytes) -> str:
 
 def _option(flag: str, parse, text: str):
     """``parse(text)`` for the value of ``flag``; a bad token names the flag."""
+    from .parsing import ParseError
+
     try:
         return parse(text)
     except ParseError as exc:
@@ -177,6 +160,9 @@ def _option(flag: str, parse, text: str):
 
 
 def _resolve_omega(text: str, curve: NodalCurve) -> Polarization:
+    from .parsing import parse_rationals
+    from .polarization import Polarization, PolarizationError, _check_lengths, canonical
+
     if text == "canonical":
         return canonical(curve)
     weights = _option("--omega", parse_rationals, text)
@@ -207,6 +193,8 @@ def cmd_curve_validate(args: SimpleNamespace, report: Report) -> int:
     report.kv("compact_type", curve.is_compact_type())
     report.kv("classification", curve.classify().value)
     if args.echo:
+        from .parsing import render_curve
+
         report.blank()
         report.raw("#echo")
         report.raw(render_curve(curve).rstrip("\n"))
@@ -238,6 +226,10 @@ def cmd_order(args: SimpleNamespace, report: Report) -> int:
 
 def _proxy_section(report: Report, curve: NodalCurve, omega: Polarization) -> bool:
     """`goodness_proxy`'s verdict, from the integers, then each side built as its row prints."""
+    from fractions import Fraction
+
+    from .polarization import _SplitTable
+
     splits = _SplitTable(curve, omega)
     D = splits.denominator
     found = splits.proxy_rows()
@@ -255,6 +247,8 @@ def _proxy_section(report: Report, curve: NodalCurve, omega: Polarization) -> bo
 
 
 def cmd_polarization_canonical(args: SimpleNamespace, report: Report) -> int:
+    from .polarization import canonical
+
     curve, _ = _begin(args, report)
     eta = canonical(curve)
     report.kv("eta", eta.weights)
@@ -274,6 +268,15 @@ def cmd_polarization_check(args: SimpleNamespace, report: Report) -> int:
 
 
 def cmd_sheaf_info(args: SimpleNamespace, report: Report) -> int:
+    from .sheaf import (
+        DescriptorError,
+        degree_defect,
+        global_ext_defect,
+        wdeg,
+        wrank,
+        wslope,
+    )
+
     curve, sheaf = _begin(args, report)
     if sheaf is None:
         raise DescriptorError(f"{args.curve} has no sheaf block")
@@ -314,6 +317,8 @@ def _catalog_table(
     is then its subtree sums, one lookup per window, a min and a join.
     The bounds print from the integer numerators; no A_j is built.
     """
+    from fractions import Fraction
+
     D = table.denominator
     bounds = [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in zip(table.lowers, table.uppers)]
     header = ["tuple"]
@@ -373,6 +378,7 @@ def cmd_components_enumerate(args: SimpleNamespace, report: Report) -> int:
 
 def _tuple_setup(args: SimpleNamespace, report: Report):
     from . import components as comp
+    from .parsing import parse_ints
 
     curve, omega, walk = _rooted(args, report)
     degrees = _option("--tuple", parse_ints, args.tuple)
@@ -485,6 +491,8 @@ def cmd_bn_certify(args: SimpleNamespace, report: Report) -> int:
 
 
 def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve]:
+    from .curve import chain_curve, comb_curve
+
     curves = []
     choices = range(2, genus_max + 1)  # every genus a component may take
     if family == "chain":
@@ -525,11 +533,16 @@ def cmd_bn_scan(args: SimpleNamespace, report: Report) -> int:
 
 
 def _int(text: str) -> int:
-    """An integer option's value, refusing ``_`` digit groups as the curve grammar does."""
+    """An integer option's value, refusing ``_`` digit groups as the curve grammar does.
+
+    Only argparse calls this, on a command line that `_read` declined.
+    """
+    from .parsing import _number
+
     try:
         return _number(int, text)
     except ValueError:
-        import argparse  # loaded already: only argparse calls this
+        import argparse  # loaded already
 
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
@@ -590,11 +603,12 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     flags, each word spelled exactly as in ``COMMANDS``.  A flag other than
     a ``store_true`` one is followed by its value, which starts with ``-``
     only as a plain negative integer (argparse takes that as a value, since
-    no flag looks like a number).  Each integer value reads with
-    ``_number``, each value is among its flag's choices, and every required
-    flag is given; a repeated flag keeps its last value.  Help,
-    abbreviations, ``--flag=value`` and every error return None and are
-    left to argparse.
+    no flag looks like a number).  Each integer value is decimal digits,
+    perhaps after a ``-``, read by ``int``; each value is among its flag's
+    choices, and every required flag is given; a repeated flag keeps its
+    last value.  Help, abbreviations, ``--flag=value``, an integer spelled
+    otherwise (``+4``, `` 4``, ``1_0``) and every error return None and are
+    left to argparse, whose `_int` reads any spelling ``int`` takes.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
@@ -624,10 +638,9 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
                 return None
             value = text
             if spec.get("type") is _int:
-                try:
-                    value = _number(int, text)
-                except ValueError:
+                if not text.removeprefix("-").isdecimal():
                     return None
+                value = int(text)
             elif "choices" in spec and text not in spec["choices"]:
                 return None
         values[flag[2:].replace("-", "_")] = value
@@ -676,17 +689,29 @@ def _leaf(parser: argparse.ArgumentParser, name: str, options: tuple) -> None:
     parser.set_defaults(func=globals()[f"cmd_{name}"])
 
 
-# Exit code per error class; the first match wins, so subclasses come first.
-# 1 is a negative answer about usable input, 2 is input that cannot be used.
-EXIT_CODES: tuple[tuple[type[ValueError], int], ...] = (
-    (ParseError, 2),
-    (HypothesisError, 1),
-    (NotCompactTypeError, 1),
-    (PolarizationError, 1),
-    (CurveError, 2),
-    (DescriptorError, 2),
-    (ValueError, 2),
-)
+def _exit_code(exc: ValueError) -> int:
+    """The exit code for an error a handler raised.
+
+    1 is a negative answer about usable input, 2 is input that cannot be
+    used.  The error takes the code of the first row it is an instance of,
+    so subclasses come first.  The table is built only when a handler
+    raises, so no command loads a module just for its error class.
+    """
+    from .curve import CurveError, HypothesisError, NotCompactTypeError
+    from .parsing import ParseError
+    from .polarization import PolarizationError
+    from .sheaf import DescriptorError
+
+    exit_codes = (
+        (ParseError, 2),
+        (HypothesisError, 1),
+        (NotCompactTypeError, 1),
+        (PolarizationError, 1),
+        (CurveError, 2),
+        (DescriptorError, 2),
+        (ValueError, 2),
+    )
+    return next(code for kind, code in exit_codes if isinstance(exc, kind))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -700,11 +725,17 @@ def main(argv: list[str] | None = None) -> int:
     report = Report(argv)
     try:  # a handler that raises has written nothing to stdout
         code = args.func(args, report)
-        report.emit()
-        return code
-    except ValueError as exc:  # every class in EXIT_CODES is a ValueError
+    except ValueError as exc:  # every class `_exit_code` lists is a ValueError
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+        return _exit_code(exc)
+    try:
+        report.emit()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: what is left of the report, flushed again at
+        # shutdown, goes to the null device, and the answer's code stands
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -22,11 +22,13 @@ too, from Python 3.11 on).
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .curve import CurveError, NodalCurve
 from .sheaf import DescriptorError, LocalType, SheafDescriptor
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ParseError(ValueError):
@@ -242,6 +244,8 @@ def render_curve(curve: NodalCurve) -> str:
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals: 'p', 'p/q' or finite decimal tokens, no '_'."""
+    from fractions import Fraction
+
     return _values(text, Fraction, "rational")
 
 

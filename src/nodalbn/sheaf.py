@@ -26,11 +26,14 @@ either side contributes nothing.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .curve import NodalCurve, Node, _Frozen, _integers
-from .polarization import Polarization, _check_lengths
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .polarization import Polarization
 
 
 class DescriptorError(ValueError):
@@ -178,6 +181,10 @@ def locally_free_descriptor(
 
 
 def wrank(desc: SheafDescriptor, omega: Polarization) -> Fraction:
+    from fractions import Fraction
+
+    from .polarization import _check_lengths
+
     _check_lengths(desc.curve, omega)
     return Fraction(
         sum(r * n for r, n in zip(desc.multirank, omega._numerators[1:])), omega._denominator

@@ -2,7 +2,9 @@
 
 import contextlib
 import io
+import os
 import random
+import subprocess
 import sys
 import tempfile
 import time
@@ -1048,3 +1050,88 @@ def test_commands_emit_the_joined_bytes(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.setattr(cli.Report, "emit", lambda self: sys.stdout.write(_joined(self.lines)))
     assert (main(argv), capsys.readouterr().out) == (code, out)
     assert out.endswith("\n") and not out.endswith("\n\n")
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def fresh_cli(cwd, *argv):
+    """``python -m nodalbn.cli argv`` in a fresh interpreter, as a started Popen."""
+    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+    return subprocess.Popen(
+        [sys.executable, "-m", "nodalbn.cli", *argv],
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
+        stdin=subprocess.DEVNULL,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+
+
+# One case or more per row of `cli._exit_code`'s table, run in a fresh interpreter.
+# In this process every module is loaded already, so a row whose class the
+# error branch failed to import would go unseen by the in-process tests.
+EXIT_CASES = {  # row's class -> (exit code, stderr line, argv)
+    "ParseError": (2, "error: line 3: node 1 references unknown component 9",
+                   ("curve", "validate", "--curve", "bad.crv")),
+    "HypothesisError": (
+        1, "error: tuple fails condition 1: -1/4 < 2 < 7/4 is false",
+        ("components", "radius", "--curve", "two.crv", "--rank", "2", "--tuple", "2,0")),
+    "NotCompactTypeError": (
+        1, "error: operation needs a tree dual graph; curve has 2 nodes on 2 components",
+        ("order", "--curve", "cycle.crv", "--root", "1")),
+    "PolarizationError": (
+        1, "error: polarization fails the goodness proxy at node(s) 1 (defect -24/25)",
+        ("bn", "certify", "--curve", "two.crv", "--omega", "1/100,99/100", "--s", "2",
+         "--k", "1", "--d", "2")),
+    "CurveError": (2, "error: cannot read missing.crv: No such file or directory",
+                   ("curve", "validate", "--curve", "missing.crv")),
+    "DescriptorError": (2, "error: two.crv has no sheaf block",
+                        ("sheaf", "info", "--curve", "two.crv")),
+    "ValueError": (2, "error: rank must be >= 2, got 1",
+                   ("bn", "bounds", "--pa", "3", "--r", "1", "--d", "4", "--k", "1")),
+    "ValueError-omega": (
+        2, "error: bad omega: polarization has 3 weights for 2 components",
+        ("components", "check", "--curve", "two.crv", "--omega", "1/2,1/4,1/4", "--rank", "2",
+         "--tuple", "1,1")),
+}
+
+
+@pytest.mark.parametrize("code, err, argv", EXIT_CASES.values(), ids=EXIT_CASES)
+def test_exit_code_in_a_fresh_interpreter(tmp_path, code, err, argv):
+    (tmp_path / "two.crv").write_text(TWO_CURVE)
+    (tmp_path / "cycle.crv").write_text(CYCLE)
+    (tmp_path / "bad.crv").write_text("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 9\n")
+    with fresh_cli(tmp_path, *argv) as proc:
+        out, got_err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, got_err.decode()) == (code, b"", err + "\n")
+
+
+CHAIN5 = "".join(f"component {i} genus 2\n" for i in range(1, 6)) + "".join(
+    f"node {i} {i} {i + 1}\n" for i in range(1, 5)
+)
+# components enumerate on CHAIN5 at s = d = 8 prints about 280 kB, four times a
+# 64 KiB pipe buffer, so the command is still writing when the reader leaves
+BROKEN_PIPE_CASES = [
+    (0, 1, ("components", "enumerate", "--curve", "chain5.crv", "--rank", "8", "--degree", "8")),
+    (0, 0, ("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1")),
+    (1, 0, ("bn", "bounds", "--pa", "2", "--r", "5", "--d", "1", "--k", "4")),
+]
+
+
+@pytest.mark.parametrize("code, lines, argv", BROKEN_PIPE_CASES,
+                         ids=["enumerate", "bn-number", "bn-bounds-fail"])
+def test_reader_leaving_early_keeps_the_exit_code(capsys, monkeypatch, tmp_path, code, lines,
+                                                  argv):
+    (tmp_path / "chain5.crv").write_text(CHAIN5)
+    if lines:  # the whole report would overflow the pipe
+        monkeypatch.chdir(tmp_path)
+        assert main(list(argv)) == code
+        assert len(capsys.readouterr().out) > 4 * 65536
+    with fresh_cli(tmp_path, *argv) as proc:
+        read = [proc.stdout.readline() for _ in range(lines)]
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == code
+    assert err == b""
+    assert all(line.startswith(b"command: nodalbn ") for line in read)

@@ -82,22 +82,54 @@ def fresh_python(code: str, *argv: str) -> dict:
     return json.loads(done.stdout)
 
 
+# fractions imports decimal and numbers: about 2 ms of a command's start-up under
+# -X importtime, 1.2 ms of it decimal (Python 3.11.7, 2 cores).  Only a command
+# that resolves --omega or prints a rational needs them and the polarization layer.
+RATIONALS = {"fractions", "decimal", "numbers", "nodalbn.polarization"}
+CERTIFICATES = {"nodalbn.components", "nodalbn.brill_noether"}
+# a sheaf block: reading one must not load the polarization layer
+SHEAF_FILE = ("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n"
+              "sheaf\nrank 2 2\nchi -6\nstalk 1 1 1 1\n")
+
+
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (("curve", "validate", "--curve", "{curve}"), ("components", "brill_noether")),
-        (("polarization", "canonical", "--curve", "{curve}"), ("components", "brill_noether")),
-        (("order", "--curve", "{curve}", "--root", "2"), ("components", "brill_noether")),
-        (("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"), ("components",)),
+        (("curve", "validate", "--curve", "{curve}", "--echo"), CERTIFICATES | RATIONALS),
+        (("curve", "classify", "--curve", "{curve}"), CERTIFICATES | RATIONALS),
+        (("polarization", "canonical", "--curve", "{curve}"), CERTIFICATES),
+        (("order", "--curve", "{curve}", "--root", "2"), CERTIFICATES | RATIONALS),
+        (("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
+         {f"nodalbn.{m}" for m in SUBMODULES - {"brill_noether"}} | RATIONALS),
+        (("bn", "bounds", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
+         {f"nodalbn.{m}" for m in SUBMODULES - {"brill_noether"}} | RATIONALS),
     ],
-    ids=["curve-validate", "polarization-canonical", "order", "bn-number"],
+    ids=["curve-validate", "curve-classify", "polarization-canonical", "order", "bn-number",
+         "bn-bounds"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
     curve = tmp_path / "two.crv"
-    curve.write_text("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n")
+    curve.write_text(SHEAF_FILE)
     got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
     assert got["code"] == 0
-    assert not {f"nodalbn.{m}" for m in absent} & set(got["loaded"])
+    assert not absent & set(got["added"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sheaf", "info", "--curve", "{curve}"),
+        ("polarization", "canonical", "--curve", "{curve}"),
+    ],
+    ids=["sheaf-info", "polarization-canonical"],
+)
+def test_rational_command_loads_fractions(tmp_path, argv):
+    # the probe sees fractions and polarization where a command loads them
+    curve = tmp_path / "two.crv"
+    curve.write_text(SHEAF_FILE)
+    got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
+    assert got["code"] == 0
+    assert {"fractions", "nodalbn.polarization"} <= set(got["added"])
 
 
 # importing hashlib maps OpenSSL's libcrypto: 4.4-4.8 ms under -X importtime (3.5-3.9 ms
@@ -242,3 +274,9 @@ def test_verify_decomposition_loads_no_dataclass_machinery():
     got = fresh_python(RUN_VERIFY)
     assert got["ok"]
     assert not CODE_GENERATION & set(got["added"])
+
+
+def test_verify_decomposition_loads_no_polarization():
+    got = fresh_python(RUN_VERIFY)
+    assert got["ok"]
+    assert not RATIONALS & set(got["added"])
