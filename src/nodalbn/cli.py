@@ -640,7 +640,10 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
             if spec.get("type") is _int:
                 if not text.removeprefix("-").isdecimal():
                     return None
-                value = int(text)
+                try:  # more digits than int_max_str_digits allows
+                    value = int(text)
+                except ValueError:
+                    return None
             elif "choices" in spec and text not in spec["choices"]:
                 return None
         values[flag[2:].replace("-", "_")] = value

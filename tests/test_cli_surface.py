@@ -109,8 +109,9 @@ def test_reader_declines_every_case(argv):
 # argparse takes as values (plain negatives too) or refuses, empty and odd words
 WORDS = [*TREE, *(a for actions in TREE.values() for a in actions), "-h", "--help", "--",
          "-", "--cur", "--curve=x.crv", "--pa=3", "--s-m", "--small", "--Curve", "-r"]
+# (past int's default limit of 4300 digits, int refuses a digit string)
 INTS = ["3", "0", "-2", "-10", "007", "1_0", "x", "", "-", "--", "-1.5", "1.5", " 4",
-        "-5\n", "\u0663", "-\u0663", "-\u00b2", "-x", "1e3"]
+        "-5\n", "\u0663", "-\u0663", "-\u00b2", "-x", "1e3", "9" * 5000, "-" + "9" * 5000]
 TEXTS = ["x.crv", "", "-3", "1,2", "1/2,1/2", "canonical", "chain", "comb", "a b", "-x",
          "--", "-", "--curve", "-1.5", "-\u0663"]
 
@@ -171,6 +172,16 @@ def test_reader_agrees_with_argparse_or_declines():
             accepted += 1
             assert vars(got) == want, argv
     assert accepted > 600  # the reader takes a good share of the lines argparse takes
+
+
+@pytest.mark.parametrize("value", ["9" * 5000, "-" + "9" * 5000])
+def test_too_long_integer_is_a_usage_error(value, capsys):
+    argv = ["bn", "number", "--pa", value, "--r", "2", "--d", "4", "--k", "1"]
+    assert cli._read(argv) is None
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --pa: invalid int value" in captured.err
 
 
 def test_recording_covers_every_case():
