@@ -20,9 +20,11 @@ every component, and a small-slope degree tuple in the rank-s catalog.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from ._record import Record
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
     from fractions import Fraction
 
     from .components import ComponentTuple
@@ -30,24 +32,24 @@ if TYPE_CHECKING:
     from .polarization import Polarization
 
 
-class Verdict(NamedTuple):
+class Verdict(Record):
     ok: bool
     failures: tuple[str, ...] = ()
 
 
-class ComponentBound(NamedTuple):
+class ComponentBound(Record):
     component: int
     bound: Fraction
     ok: bool
 
 
-class ChecklistItem(NamedTuple):
+class ChecklistItem(Record):
     name: str
     ok: bool
     detail: str
 
 
-class BNCertificate(NamedTuple):
+class BNCertificate(Record):
     """Machine-checkable record of a nonempty Brill-Noether component."""
 
     gamma: int
@@ -67,7 +69,7 @@ class BNCertificate(NamedTuple):
     identity_ok: bool
 
 
-class CertificationFailure(NamedTuple):
+class CertificationFailure(Record):
     """Named hypothesis failures; no certificate was produced."""
 
     checklist: tuple[ChecklistItem, ...]
@@ -77,7 +79,7 @@ class CertificationFailure(NamedTuple):
         return tuple(item for item in self.checklist if not item.ok)
 
 
-class ScanRow(NamedTuple):
+class ScanRow(Record):
     shape: str
     gamma: int
     genera: tuple[int, ...]
@@ -126,7 +128,7 @@ def per_component_bgn(
     out = []
     for i, (d_i, g_i) in enumerate(zip(degrees, genera), start=1):
         bound = Fraction(d_i + r * (g_i - 1), g_i)
-        out.append(ComponentBound(component=i, bound=bound, ok=k <= bound))
+        out.append(ComponentBound(i, bound, k <= bound))
     return tuple(out)
 
 

@@ -27,7 +27,8 @@ load neither, nor does any ``curve`` command or ``order``, even on a
 file with a sheaf block.  An error's exit code is looked up only when a
 handler raises (see ``_exit_code``).  The digest comes from CPython's
 built-in SHA-256 module, so no command loads ``hashlib`` and the OpenSSL
-library under it, unless the build has no such module.
+library under it, unless the build has no such module.  No module
+loads ``typing``, and a module with records loads their base ``_record``.
 
 A well-formed command line is read without argparse (see ``_read``), so
 such a command loads neither ``argparse`` nor the ``gettext`` and
@@ -42,8 +43,8 @@ import itertools
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
     from collections.abc import Iterable

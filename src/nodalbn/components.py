@@ -82,8 +82,8 @@ import math
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, total_ordering
-from typing import NamedTuple
 
+from ._record import Record
 from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
 from .ordering import OrderedDecomposition, _walk
 from .polarization import Polarization, _SplitTable, canonical
@@ -120,7 +120,7 @@ class ComponentTuple(_Frozen):
         return sum(self.degrees)
 
 
-class StabilityRow(NamedTuple):
+class StabilityRow(Record):
     j: int
     subcurve: frozenset[int]
     node: int
@@ -132,18 +132,18 @@ class StabilityRow(NamedTuple):
     slack_upper: Fraction
 
 
-class StabilityReport(NamedTuple):
+class StabilityReport(Record):
     passed: bool
     rows: tuple[StabilityRow, ...]
 
 
-class RootMismatch(NamedTuple):
+class RootMismatch(Record):
     root: int
     missing: tuple[ComponentTuple, ...]
     extra: tuple[ComponentTuple, ...]
 
 
-class InvarianceReport(NamedTuple):
+class InvarianceReport(Record):
     """Root-invariance verdict; ``count`` is the first root's catalog size."""
 
     passed: bool
@@ -151,14 +151,14 @@ class InvarianceReport(NamedTuple):
     mismatches: tuple[RootMismatch, ...]
 
 
-class BuilderResult(NamedTuple):
+class BuilderResult(Record):
     """Construction outcome: which case fired and the tuple it produced."""
 
     case: str
     tuple: ComponentTuple
 
 
-class Witness(NamedTuple):
+class Witness(Record):
     """Perturbation aimed at the binding stability bound of a tuple."""
 
     epsilon: tuple[Fraction, ...]
@@ -166,7 +166,7 @@ class Witness(NamedTuple):
     side: str
 
 
-class Window(NamedTuple):
+class Window(Record):
     """Open window lower < sigma_j < upper for the degree sum over A_j."""
 
     j: int
@@ -271,15 +271,8 @@ class WindowTable(_Frozen):
         for k, (p, sigma, lo, hi) in enumerate(zip(splits.nodes, sums, self.lowers, self.uppers)):
             x = sigma * D
             yield StabilityRow(
-                j=k + 1,
-                subcurve=splits.subcurve(k),
-                node=p,
-                lower=Fraction(lo, D),
-                partial_sum=sigma,
-                upper=Fraction(hi, D),
-                ok=lo < x < hi,
-                slack_lower=Fraction(x - lo, D),
-                slack_upper=Fraction(hi - x, D),
+                k + 1, splits.subcurve(k), p, Fraction(lo, D), sigma, Fraction(hi, D),
+                lo < x < hi, Fraction(x - lo, D), Fraction(hi - x, D),
             )
 
     @cached_property

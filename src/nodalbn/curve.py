@@ -23,7 +23,9 @@ from __future__ import annotations
 
 import enum
 import operator
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
+
+from ._record import Record
 
 
 class CurveError(ValueError):
@@ -51,7 +53,7 @@ class HypothesisError(ValueError):
     """Raised when a construction's hypotheses fail; names the inequality."""
 
 
-class Node(NamedTuple):
+class Node(Record):
     """A node (edge of the dual graph); stored with first < second."""
 
     id: int

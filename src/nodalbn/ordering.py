@@ -32,12 +32,11 @@ check is linear in the size of the decomposition.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from ._record import Record
 from .curve import CurveError, NodalCurve, _integer
 
 
-class OrderedDecomposition(NamedTuple):
+class OrderedDecomposition(Record):
     """A root-first component order with its nested separating subcurves.
 
     ``order[j-1]`` is the component id in position j (the root is last);
@@ -55,12 +54,12 @@ class OrderedDecomposition(NamedTuple):
         return len(self.order)
 
 
-class DecompositionCheck(NamedTuple):
+class DecompositionCheck(Record):
     ok: bool
     violations: tuple[str, ...]
 
 
-class _Walk(NamedTuple):
+class _Walk(Record):
     """The post-order from ``root`` as integers, by position (0-based, root last).
 
     For each position j below the root, ``parents[j]`` is the position of
@@ -122,13 +121,8 @@ def _walk(curve: NodalCurve, root: int) -> _Walk:
 
     position = dict(zip(order, range(len(order))))
     below = order[:-1]
-    return _Walk(
-        root=root,
-        order=tuple(order),
-        parents=tuple(position[parent[v][0]] for v in below),
-        sizes=tuple(size[v] for v in below),
-        nodes=tuple(parent[v][1] for v in below),
-    )
+    return _Walk(root, tuple(order), tuple(position[parent[v][0]] for v in below),
+                 tuple(size[v] for v in below), tuple(parent[v][1] for v in below))
 
 
 def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
@@ -138,10 +132,7 @@ def order_components(curve: NodalCurve, root: int) -> OrderedDecomposition:
     """
     walk = _walk(curve, root)
     return OrderedDecomposition(
-        root=walk.root,
-        order=walk.order,
-        subcurves=tuple(map(walk.subcurve, range(len(walk.nodes)))),
-        separating_nodes=walk.nodes,
+        walk.root, walk.order, tuple(map(walk.subcurve, range(len(walk.nodes)))), walk.nodes
     )
 
 

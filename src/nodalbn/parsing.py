@@ -22,11 +22,12 @@ too, from Python 3.11 on).
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, NamedTuple
 
+from ._record import Record
 from .curve import CurveError, NodalCurve
 from .sheaf import DescriptorError, LocalType, SheafDescriptor
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -43,7 +44,7 @@ class ParseError(ValueError):
         self.line_no = line_no
 
 
-class _Lines(NamedTuple):
+class _Lines(Record):
     """The lines that hold words: each one's number (from 1) and its words."""
 
     numbers: list[int]

@@ -28,12 +28,14 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .curve import NodalCurve, _Frozen
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ordering import OrderedDecomposition, _Walk
 
@@ -95,14 +97,14 @@ class Polarization(_Frozen):
         return Fraction(sum(map(self._numerators.__getitem__, ids)), self._denominator)
 
 
-class SplitDefect(NamedTuple):
+class SplitDefect(Record):
     node: int
     side: frozenset[int]
     defect: Fraction
     ok: bool
 
 
-class GoodnessReport(NamedTuple):
+class GoodnessReport(Record):
     """Per-split defect values for the goodness proxy 0 < defect < 1."""
 
     passed: bool

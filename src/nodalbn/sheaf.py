@@ -26,10 +26,12 @@ either side contributes nothing.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from collections.abc import Iterable, Mapping
 
+from ._record import Record
 from .curve import NodalCurve, Node, _Frozen, _integers
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
 
@@ -40,7 +42,7 @@ class DescriptorError(ValueError):
     """Raised when sheaf data is inconsistent with its curve."""
 
 
-class LocalType(NamedTuple):
+class LocalType(Record):
     """Stalk shape at one node: free rank plus the two branch exponents."""
 
     free_rank: int

@@ -5,12 +5,25 @@ from __future__ import annotations
 import copy
 import heapq
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 
 import nodalbn as nb
 from nodalbn import components
+
+# Hypothesis imports its failure-patch writer only when a test fails, and where
+# libcst is installed that import warns (mypy_extensions' DeprecationWarning).
+# Under -W error the warning then ends the session with INTERNALERROR, hiding the
+# failure and skipping every later test.  Importing the writer here, once, with
+# only that warning silenced, lets a failure print as a failure.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # an older hypothesis, or no libcst: nothing to preload
+        pass
 
 
 @pytest.fixture

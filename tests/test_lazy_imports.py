@@ -69,10 +69,10 @@ print(json.dumps({
 """
 
 
-def fresh_python(code: str, *argv: str) -> dict:
+def fresh_python(code: str, *argv: str, flags: tuple[str, ...] = ()) -> dict:
     path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", code, *argv],
+        [sys.executable, *flags, "-c", code, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
@@ -150,9 +150,10 @@ print(json.dumps({"added": sorted(set(sys.modules) - start)}))
     "code, argv",
     [
         (RUN_CLI, ("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1")),
+        (RUN_CLI, ("bn", "bounds", "--pa", "3", "--r", "2", "--d", "4", "--k", "1")),
         (IMPORT_CLI, ()),
     ],
-    ids=["bn-number", "import-cli"],
+    ids=["bn-number", "bn-bounds", "import-cli"],
 )
 def test_no_digest_without_a_curve(code, argv):
     got = fresh_python(code, *argv)
@@ -164,13 +165,14 @@ def test_no_digest_without_a_curve(code, argv):
     "argv",
     [
         ("curve", "validate", "--curve", "{curve}"),
+        ("curve", "classify", "--curve", "{curve}"),
         ("order", "--curve", "{curve}", "--root", "2"),
         ("polarization", "canonical", "--curve", "{curve}"),
         ("sheaf", "info", "--curve", "{curve}"),
         ("components", "check", "--curve", "{curve}", "--rank", "2", "--tuple", "1,1"),
         ("bn", "certify", "--curve", "{curve}", "--s", "2", "--k", "1", "--d", "2"),
     ],
-    ids=["curve-validate", "order", "polarization-canonical", "sheaf-info",
+    ids=["curve-validate", "curve-classify", "order", "polarization-canonical", "sheaf-info",
          "components-check", "bn-certify"],
 )
 def test_curve_command_digests_without_openssl(tmp_path, argv):
@@ -180,6 +182,12 @@ def test_curve_command_digests_without_openssl(tmp_path, argv):
     got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
     assert got["code"] == 0
     assert not DIGEST & set(got["added"])
+    assert {"_sha2", "_sha256"} & set(got["loaded"])
+
+
+def test_importing_the_cli_loads_no_other_module_of_the_package():
+    got = fresh_python(IMPORT_CLI)
+    assert [m for m in got["added"] if m.startswith("nodalbn")] == ["nodalbn", "nodalbn.cli"]
 
 
 def test_bare_import_loads_nothing_and_resolves_every_name():
@@ -206,36 +214,51 @@ def test_unknown_name_raises_attribute_error():
 ARGUMENT_PARSING = {"argparse", "gettext", "locale"}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("curve", "validate", "--curve", "{curve}", "--echo"),
-        ("curve", "classify", "--curve", "{curve}"),
-        ("order", "--curve", "{curve}", "--root", "2"),
-        ("polarization", "canonical", "--curve", "{curve}"),
-        ("polarization", "check", "--curve", "{curve}", "--omega", "1/2,1/2"),
-        ("sheaf", "info", "--curve", "{curve}"),
-        ("components", "enumerate", "--curve", "{curve}", "--rank", "2", "--degree", "2",
-         "--small-slope"),
-        ("components", "check", "--curve", "{curve}", "--rank", "2", "--tuple", "1,1"),
-        ("components", "radius", "--curve", "{curve}", "--rank", "2", "--tuple", "1,1",
-         "--root", "1"),
-        ("components", "invariance", "--curve", "{curve}", "--rank", "2", "--degree", "2"),
-        ("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
-        ("bn", "bounds", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
-        ("bn", "certify", "--curve", "{curve}", "--s", "2", "--k", "1", "--d", "2"),
-        ("bn", "scan", "--family", "chain", "--gamma-max", "3", "--genus-max", "2",
-         "--s-max", "4"),
-    ],
-    ids=lambda argv: "-".join(word for word in argv[:2] if word[0] != "-"),
-)
-def test_well_formed_command_loads_no_argument_parser(tmp_path, argv):
+# one well-formed line per command; "{curve}" is a two-component curve with a sheaf block
+EVERY_COMMAND = [
+    ("curve", "validate", "--curve", "{curve}", "--echo"),
+    ("curve", "classify", "--curve", "{curve}"),
+    ("order", "--curve", "{curve}", "--root", "2"),
+    ("polarization", "canonical", "--curve", "{curve}"),
+    ("polarization", "check", "--curve", "{curve}", "--omega", "1/2,1/2"),
+    ("sheaf", "info", "--curve", "{curve}"),
+    ("components", "enumerate", "--curve", "{curve}", "--rank", "2", "--degree", "2",
+     "--small-slope"),
+    ("components", "check", "--curve", "{curve}", "--rank", "2", "--tuple", "1,1"),
+    ("components", "radius", "--curve", "{curve}", "--rank", "2", "--tuple", "1,1",
+     "--root", "1"),
+    ("components", "invariance", "--curve", "{curve}", "--rank", "2", "--degree", "2"),
+    ("bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
+    ("bn", "bounds", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"),
+    ("bn", "certify", "--curve", "{curve}", "--s", "2", "--k", "1", "--d", "2"),
+    ("bn", "scan", "--family", "chain", "--gamma-max", "3", "--genus-max", "2", "--s-max", "4"),
+]
+
+
+def command_id(argv):
+    return "-".join(word for word in argv[:2] if word[0] != "-")
+
+
+def run_command(tmp_path, argv, flags=()):
     curve = tmp_path / "two.crv"
-    curve.write_text("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n"
-                     "sheaf\nrank 2 2\nchi -6\nstalk 1 1 1 1\n")
-    got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
+    curve.write_text(SHEAF_FILE)
+    return fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv), flags=flags)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=command_id)
+def test_well_formed_command_loads_no_argument_parser(tmp_path, argv):
+    got = run_command(tmp_path, argv)
     assert got["code"] in (0, 1)
     assert not ARGUMENT_PARSING & set(got["loaded"])
+
+
+# importing typing took 15-17 ms under -S -X importtime (Python 3.11.7, 2 cores) where
+# nothing preloads it; under -S no site hook can load it first and hide it
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=command_id)
+def test_command_loads_no_typing(tmp_path, argv):
+    got = run_command(tmp_path, argv, flags=("-S",))
+    assert got["code"] in (0, 1)
+    assert "typing" not in got["loaded"]
 
 
 def test_help_still_loads_argparse():

@@ -2,12 +2,16 @@
 
 Each case is built by keyword from its documented field names, except
 `WindowTable`, which `stability_windows` builds; its repr is pinned as a
-literal.  Records are NamedTuples, the five validating classes
-(`NodalCurve`, `Polarization`, `SheafDescriptor`, `ComponentTuple`,
-`WindowTable`) plain immutable classes.
+literal.  Records are tuples with named fields, built on the package's
+``_record.Record``, and keep what ``collections.namedtuple`` gives: its
+repr, ``_make``, ``_replace``, ``_fields``, copying and pickling.  The
+five validating classes (`NodalCurve`, `Polarization`, `SheafDescriptor`,
+`ComponentTuple`, `WindowTable`) are plain immutable classes.
 """
 
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -168,6 +172,7 @@ CASES = {
     ),
 }
 VALIDATING = ["NodalCurve", "Polarization", "SheafDescriptor", "ComponentTuple", "WindowTable"]
+RECORDS = [name for name in CASES if name not in VALIDATING]
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -256,3 +261,58 @@ def test_component_tuples_sort_by_rank_then_degrees(seed):
     for a, b in itertools.product(tuples[:4], repeat=2):
         ka, kb = (a.rank, a.degrees), (b.rank, b.degrees)
         assert (a < b, a <= b, a > b, a >= b, a == b) == (ka < kb, ka <= kb, ka > kb, ka >= kb, ka == kb)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_copy_and_pickle_as_their_own_class(name):
+    value = CASES[name][0]()
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value)
+        assert twin == value
+        assert repr(twin) == repr(value)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_make_from_their_field_tuple(name):
+    value = CASES[name][0]()
+    cls = type(value)
+    made = cls._make(tuple(value))
+    assert type(made) is cls
+    assert made == value
+    assert cls._fields == cls.__match_args__
+    assert len(cls._fields) == len(value)
+    with pytest.raises(TypeError):
+        cls._make(tuple(value)[1:])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_refuse_a_missing_repeated_or_unknown_field(name):
+    value = CASES[name][0]()
+    cls = type(value)
+    fields = dict(zip(cls._fields, value))
+    first = cls._fields[0]
+    with pytest.raises(TypeError):
+        cls(**{f: v for f, v in fields.items() if f != first})
+    with pytest.raises(TypeError):
+        cls(**fields, not_a_field=1)
+    with pytest.raises(TypeError):
+        cls(*value, value[0])
+    with pytest.raises(TypeError):
+        cls(value[0], **fields)
+    with pytest.raises((TypeError, ValueError)):  # namedtuple's is ValueError before 3.13
+        value._replace(not_a_field=1)
+    assert cls(*value) == cls(**fields) == value
+
+
+def test_record_fields_match_positionally():
+    match window(2):
+        case comp.Window(j, subcurve, node, upper=upper):
+            assert (j, subcurve, node, upper) == (2, frozenset({1, 2}), 2, F(23, 4))
+        case _:
+            pytest.fail("Window did not match its fields")
+
+
+def test_verdict_failures_default_to_empty():
+    assert bn.Verdict(ok=True).failures == ()
+    assert bn.Verdict(True) == (True, ())
+    assert bn.Verdict(False, ("a",)).failures == ("a",)
