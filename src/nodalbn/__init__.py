@@ -61,7 +61,6 @@ _EXPORTS = {
     "Polarization": "polarization",
     "PolarizationError": "polarization",
     "canonical": "polarization",
-    "delta_structure_sheaf": "polarization",
     "goodness_proxy": "polarization",
     "perturb": "polarization",
     "DescriptorError": "sheaf",

@@ -525,9 +525,9 @@ def stability_windows(
     once, by its length.  A decomposition handed in is checked in this
     order: its subcurve and node counts (ValueError); the first subcurve's
     weight (PolarizationError) and ids (CurveError); omega's length; each
-    later subcurve's weight and ids; then the tree, where a family
-    `verify_decomposition` rejects raises ValueError naming the position,
-    or the order that is no permutation.  An s or d that is no integer
+    later subcurve's weight and ids; then `verify_decomposition`, whose
+    first violation is raised as a ValueError and whose CurveError (an id
+    that is no integer) is raised as it is.  An s or d that is no integer
     raises ValueError too: each is read through `operator.index`, as
     `ComponentTuple` reads its rank.
     """

@@ -252,14 +252,6 @@ class NodalCurve(_Frozen):
             raise CurveError(f"unknown components in subcurve: {sorted(unknown)}")
         return B
 
-    def is_connected_subcurve(self, ids: Iterable[int]) -> bool:
-        B = self.check_subcurve(ids)
-        return self._reachable_from(min(B), B) == set(B)
-
-    def genus_sum(self, ids: Iterable[int]) -> int:
-        B = self.check_subcurve(ids)
-        return sum(self.genera[i - 1] for i in B)
-
 
 def _nodes(nodes: Iterable, gamma: int) -> tuple[Node, ...]:
     """The nodes as `Node` records with first < second, in id order.

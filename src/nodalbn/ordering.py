@@ -18,11 +18,10 @@ in A_j only when i <= j.
 position's parent position, subtree size |A_j| and separating node p_j
 as integers and builds no set, since A_j is the run of positions
 j + 1 - |A_j| .. j.  ``order_components`` builds the public decomposition
-from it, each A_j a frozenset.  ``_read_tree`` reads the tree of
-subcurves from the separating nodes of a decomposition that a caller
-hands in, accepting exactly what ``verify_decomposition`` accepts.  The
-split table in ``polarization`` reads a walk's parents or that tree.
-A_j is the side below p_j, whose other end is C_(j)'s parent.
+from it, each A_j a frozenset.  The split table in ``polarization``
+reads a walk's parents, or the tree of a decomposition that a caller
+hands in once ``verify_decomposition`` accepts it: A_j is the side below
+p_j, whose other end is C_(j)'s parent.
 
 The verifier searches nothing.  On a tree, a set of k components is
 connected exactly when k - 1 nodes join two of its members, so each tail,
@@ -33,7 +32,7 @@ check is linear in the size of the decomposition.
 from __future__ import annotations
 
 from ._record import Record
-from .curve import CurveError, NodalCurve, _integer
+from .curve import CurveError, NodalCurve, _integer, _integers
 
 
 class OrderedDecomposition(Record):
@@ -141,31 +140,34 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
 
     Independent of how the decomposition was produced; each failed clause
     contributes one violation string.  Connectivity is decided by counting
-    nodes, so the check is linear in the size of the decomposition.
+    nodes, so the check is linear in the size of the decomposition.  The
+    root, the order, the separating nodes and each A_j are read as integers
+    (True is 1); any other id raises CurveError.
     """
     curve.require_compact_type()
-    violations: list[str] = []
+    root = _integer(deco.root, "root component", CurveError)
+    order = _integers(deco.order, "decomposition order")
+    separating_nodes = _integers(deco.separating_nodes, "separating nodes")
     gamma = curve.gamma
-
-    if sorted(deco.order) != list(curve.component_ids):
-        violations.append(f"order {deco.order} is not a permutation of 1..{gamma}")
-        return DecompositionCheck(False, tuple(violations))
-    if deco.order[-1] != deco.root:
-        violations.append(f"root {deco.root} is not last in the order")
-    if len(deco.subcurves) != gamma - 1 or len(deco.separating_nodes) != gamma - 1:
+    if sorted(order) != list(curve.component_ids):
+        return DecompositionCheck(False, (f"order {order} is not a permutation of 1..{gamma}",))
+    violations: list[str] = []
+    if order[-1] != root:
+        violations.append(f"root {root} is not last in the order")
+    if len(deco.subcurves) != gamma - 1 or len(separating_nodes) != gamma - 1:
         violations.append(
             f"expected {gamma - 1} subcurves and separating nodes, got "
-            f"{len(deco.subcurves)} and {len(deco.separating_nodes)}"
+            f"{len(deco.subcurves)} and {len(separating_nodes)}"
         )
         return DecompositionCheck(False, tuple(violations))
 
     adj = curve.adjacency()
-    position = {c: i for i, c in enumerate(deco.order, start=1)}
+    position = {c: i for i, c in enumerate(order, start=1)}
     # the tail after position j holds the components at positions > j; add
     # them from the root end, counting the nodes each shares with the tail
     tail_nodes = [0] * (gamma + 1)
     for j in range(gamma - 1, 0, -1):
-        v = deco.order[j]
+        v = order[j]
         tail_nodes[j] = tail_nodes[j + 1] + sum(1 for w, _ in adj[v] if position[w] > j + 1)
     for j in range(1, gamma):
         if tail_nodes[j] != gamma - j - 1:
@@ -175,8 +177,8 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
     for j in range(1, gamma):
         A = deco.subcurves[j - 1]
         label = f"A_{j}"
-        if deco.order[j - 1] not in A:
-            violations.append(f"{label} does not contain component {deco.order[j - 1]}")
+        if order[j - 1] not in A:
+            violations.append(f"{label} does not contain component {order[j - 1]}")
         if A:
             curve.check_subcurve(A)
         # on a tree, a set of k components is connected iff it holds k - 1 nodes
@@ -197,7 +199,7 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
         if len(boundary) != 1:
             violations.append(f"{label} meets its complement in {len(boundary)} nodes, not 1")
         else:
-            p = deco.separating_nodes[j - 1]
+            p = separating_nodes[j - 1]
             if p not in node_ids:
                 violations.append(f"separating node {p} of {label} does not exist")
             elif boundary[0] != p:
@@ -206,40 +208,8 @@ def verify_decomposition(curve: NodalCurve, deco: OrderedDecomposition) -> Decom
                 )
         for i in sorted(position[c] for c in A if position[c] > j):
             violations.append(
-                f"triangularity: position-{i} component {deco.order[i - 1]} lies in {label}"
+                f"triangularity: position-{i} component {order[i - 1]} lies in {label}"
             )
 
     return DecompositionCheck(not violations, tuple(violations))
 
-
-def _read_tree(deco: OrderedDecomposition, ends: dict[int, tuple[int, int]]) -> list[list[int]]:
-    """Children of every position: the positions whose separating node joins them to it.
-
-    ``ends`` maps node ids to their two components.  The order must be a
-    permutation of 1..gamma with the root last, each p_j a node from C_(j)
-    to a later position (its parent), and each A_j C_(j) plus its
-    children's subcurves; the first clause to fail raises ValueError.  A
-    tail that lacked C_(j)'s parent would cut C_(j) off from the root, so
-    on a tree this accepts exactly what `verify_decomposition` accepts.
-    """
-    order, subcurves = deco.order, deco.subcurves
-    gamma = len(subcurves) + 1
-    if sorted(order) != list(range(1, gamma + 1)):
-        raise ValueError(
-            f"decomposition order {order} is not a permutation of the ids 1..{gamma}"
-        )
-    if order[-1] != deco.root:
-        raise ValueError(f"decomposition root {deco.root} is not at position {gamma}")
-    position = {c: j for j, c in enumerate(order)}
-    children: list[list[int]] = [[] for _ in order]
-    for j, (c, A, p) in enumerate(zip(order, subcurves, deco.separating_nodes)):
-        if c not in ends.get(p, ()):
-            raise ValueError(f"separating node {p} at position {j + 1} is not on component {c}")
-        up = position[sum(ends[p]) - c]
-        if up < j:
-            raise ValueError(f"separating node {p} at position {j + 1} joins an earlier position")
-        below = [subcurves[k] for k in children[j]]  # children precede their parent
-        if c not in A or len(A) != 1 + sum(map(len, below)) or not all(B <= A for B in below):
-            raise ValueError(f"A_{j + 1} is not component {c} plus the subcurves below it")
-        children[up].append(j)
-    return children

@@ -9,13 +9,14 @@ The canonical polarization of a curve (every curve has p_a >= 2) is
 
     eta_i = (2 g_i - 2 + delta_i) / (2 p_a - 2).
 
-For a subcurve B the defect of its structure sheaf is computed as
+For a subcurve B the defect of its structure sheaf is
 
     delta_omega(O_B) = 1 - sum_{i in B} g_i - wrank(O_B) (1 - p_a),
 
 which is the omega-degree of O_B whenever B is connected.  At eta, on a
 compact-type curve, this equals half the number of nodes joining B to its
 complement; in particular every one-node split scores exactly 1/2.  The
+library takes the defect only on the sides of one-node splits: the
 goodness proxy and the stability windows of ``components`` read one split
 table per walk or decomposition: each A_j's weight numerator W_j over the
 weights' lcm D and its genus sum G_j, summed once up the tree of
@@ -33,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record
-from .curve import NodalCurve, _Frozen
+from .curve import CurveError, NodalCurve, _Frozen, _integers
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -90,7 +91,7 @@ class Polarization(_Frozen):
 
     def subcurve_weight(self, ids: Iterable[int]) -> Fraction:
         """wrank of the structure sheaf of the subcurve: sum of weights."""
-        ids = tuple(ids)
+        ids = _integers(ids, "subcurve ids", PolarizationError)
         if ids and not (1 <= min(ids) and max(ids) <= len(self.weights)):
             bad = next(i for i in ids if not 1 <= i <= len(self.weights))
             raise PolarizationError(f"no weight for component {bad}")
@@ -127,15 +128,6 @@ def canonical(curve: NodalCurve) -> Polarization:
     )
 
 
-def delta_structure_sheaf(
-    curve: NodalCurve, omega: Polarization, ids: Iterable[int]
-) -> Fraction:
-    """Defect 1 - sum_{i in B} g_i - wrank(O_B)(1 - p_a) of a subcurve B."""
-    B = curve.check_subcurve(ids)
-    _check_lengths(curve, omega)
-    return 1 - curve.genus_sum(B) - omega.subcurve_weight(B) * (1 - curve.arithmetic_genus())
-
-
 def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
     """Check 0 < defect < 1 on every one-node split of a tree curve.
 
@@ -162,8 +154,9 @@ class _SplitTable:
     positions and omega is checked once, by its length.  Or it is a
     decomposition handed in, checked in `components.stability_windows`'
     order: its subcurves are replayed only when omega's length is wrong or
-    `_read_tree` refuses.  ``sizes[k]`` is |A_(k+1)|; `subcurve` builds
-    A_(k+1) only when asked.
+    `ordering.verify_decomposition` refuses, and its tree is read from the
+    separating nodes once verify accepts it.  ``sizes[k]`` is |A_(k+1)|;
+    `subcurve` builds A_(k+1) only when asked.
     """
 
     def __init__(
@@ -172,7 +165,7 @@ class _SplitTable:
         omega: Polarization,
         tree: _Walk | OrderedDecomposition | None = None,
     ) -> None:
-        from .ordering import _read_tree, _walk, _Walk
+        from .ordering import _walk, _Walk, verify_decomposition
 
         curve.require_compact_type()
         if tree is None:
@@ -193,12 +186,12 @@ class _SplitTable:
                     f"components; each must number {curve.gamma - 1}"
                 )
             self.sizes, self.subcurve = tuple(map(len, subcurves)), subcurves.__getitem__
-            fault = None
             try:
-                children = _read_tree(tree, ends)
-            except ValueError as exc:
+                violations = verify_decomposition(curve, tree).violations
+                fault = ValueError(violations[0]) if violations else None
+            except CurveError as exc:
                 fault = exc
-            # a tree `_read_tree` accepts holds only known ids, none empty
+            # a decomposition verify accepts holds only known ids, none empty
             if fault is not None or len(omega) != curve.gamma:
                 for j, A in enumerate(subcurves):  # weight, then ids, then the count
                     omega.subcurve_weight(A)
@@ -206,7 +199,12 @@ class _SplitTable:
                     if j == 0:
                         _check_lengths(curve, omega)
                 _check_lengths(curve, omega)  # gamma = 1: the loop held no subcurve
-                raise fault  # omega passed, so `_read_tree` refused
+                raise fault  # omega passed, so verify refused
+            # p_j joins C_(j) to its parent, which verify puts at a later position
+            position = {c: j for j, c in enumerate(tree.order)}
+            children = [[] for _ in tree.order]
+            for j, (c, p) in enumerate(zip(tree.order, self.nodes)):  # each list sorted
+                children[position[sum(ends[p]) - c]].append(j)
         order = tree.order
         genera = (0, *curve.genera)  # padded like the numerators: index = component id
         weight = [omega._numerators[c] for c in order]

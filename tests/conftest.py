@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import nodalbn as nb
-from nodalbn import components
+from nodalbn import components, ordering, polarization
 
 # Hypothesis imports its failure-patch writer only when a test fails, and where
 # libcst is installed that import warns (mypy_extensions' DeprecationWarning).
@@ -172,6 +172,24 @@ def scaled_zero_sum_eps(
     theta = Fraction(rng.randint(1, 99), 100)
     scale = bound * theta / max(abs(x) for x in ints)
     return [x * scale for x in ints]
+
+
+def split_table_defects(curve: nb.NodalCurve, omega: nb.Polarization) -> dict:
+    """The library's defect of each side of every one-node split, keyed by the side.
+
+    Read from `_SplitTable.proxy_rows` over the walk from every root.  A
+    row's A_j is the side below its node, whose defect is D minus the
+    printed one when the row is flipped; the roots on either side of a
+    node give both its sides.  Walks that give the same side agree.
+    """
+    defects: dict[frozenset[int], Fraction] = {}
+    for root in curve.component_ids:
+        table = polarization._SplitTable(curve, omega, ordering._walk(curve, root))
+        D = table.denominator
+        for _, j, flipped, num in table.proxy_rows():
+            defect = Fraction(D - num if flipped else num, D)
+            assert defects.setdefault(table.subcurve(j), defect) == defect
+    return defects
 
 
 def shift_first_window(monkeypatch, root, shift):

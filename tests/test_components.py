@@ -671,7 +671,7 @@ def test_small_slope_search_rejects_crossed_subcurves(chain4):
         subcurves=(frozenset({1}), frozenset({1, 2}), frozenset({2, 3})),
         separating_nodes=(1, 2, 3),
     )
-    with pytest.raises(ValueError, match=r"A_3 is not component 3 plus"):
+    with pytest.raises(ValueError, match=r"^complement of A_3 is not a connected subcurve$"):
         nb.enumerate_components(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
@@ -685,7 +685,7 @@ def test_search_rejects_laminar_family_that_is_no_decomposition(chain4):
         separating_nodes=(1, 2, 3),
     )
     assert not nb.verify_decomposition(chain4, deco).ok
-    with pytest.raises(ValueError, match=r"A_2 is not component 2 plus"):
+    with pytest.raises(ValueError, match=r"^complement of A_2 is not a connected subcurve$"):
         stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
@@ -722,9 +722,8 @@ def test_search_accepts_valid_non_post_order_decomposition():
 
 
 def test_small_slope_search_rejects_non_triangular(chain4):
-    # A_1 = {1, 2} holds position 2's component, and node 2 is not on
-    # component 1: refused when the table is built, so no question about a
-    # tuple is answered either
+    # A_1 = {1, 2} holds position 2's component: refused when the table is
+    # built, so no question about a tuple is answered either
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
@@ -732,7 +731,7 @@ def test_small_slope_search_rejects_non_triangular(chain4):
         separating_nodes=(2, 2, 3),
     )
     eta = nb.canonical(chain4)
-    fault = "separating node 2 at position 1 is not on component 1"
+    fault = "^triangularity: position-2 component 2 lies in A_1$"
     with pytest.raises(ValueError, match=fault):
         stability_windows(chain4, eta, deco, 3, 6)
     ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
@@ -832,17 +831,17 @@ def test_table_is_built_exactly_when_verify_decomposition_accepts(seed):
     if any(not A or not A <= ids for A in deco.subcurves):
         with pytest.raises((nb.CurveError, nb.PolarizationError)):
             stability_windows(curve, eta, deco, 2, curve.gamma)
-    elif nb.verify_decomposition(curve, deco).ok:
+    elif (check := nb.verify_decomposition(curve, deco)).ok:
         table = stability_windows(curve, eta, deco, 2, curve.gamma)
         assert table.children == read_children(deco.order, deco.subcurves)
     else:
         with pytest.raises(ValueError) as info:
             stability_windows(curve, eta, deco, 2, curve.gamma)
         assert type(info.value) is ValueError
+        assert str(info.value) == check.violations[0]
         if sorted(deco.order) != sorted(ids):
             assert str(info.value) == (
-                f"decomposition order {deco.order} is not a permutation of the ids "
-                f"1..{curve.gamma}"
+                f"order {deco.order} is not a permutation of 1..{curve.gamma}"
             )
 
 
@@ -902,14 +901,14 @@ COMB_SCAN = "bn scan --family comb --gamma-max 4 --genus-max 3 --s-max 24".split
 
 @pytest.mark.parametrize("curve_name", ["chain4", "comb4"])
 def test_each_table_reads_the_tree_once(monkeypatch, capsys, request, curve_name):
-    """One tree read per table: a handed-in decomposition's, or one walk per root,
-    per certify and per scanned curve, which needs neither `order_components`
-    nor `_read_tree`."""
+    """One tree read per table: a handed-in decomposition's, checked by one
+    `verify_decomposition`, or one walk per root, per certify and per scanned
+    curve, which needs neither `order_components` nor `verify_decomposition`."""
     curve = request.getfixturevalue(curve_name)
     eta = nb.canonical(curve)
     deco = canonical_deco(curve)
     patch = monkeypatch.setattr
-    reads = record_calls(ordering, "_read_tree", lambda deco, ends: deco.order[-1], patch)
+    reads = record_calls(ordering, "verify_decomposition", lambda _, deco: deco.root, patch)
     decos = record_calls(ordering, "order_components", lambda _, root: root, patch)
     walks = record_calls(ordering, "_walk", lambda _, root: root, patch)
     table = stability_windows(curve, eta, deco, 3, 6)
@@ -1236,23 +1235,25 @@ def test_a_walk_names_a_short_polarization_by_its_length(chain4, entry):
 
 
 @pytest.mark.parametrize(
-    "last",
+    "last, fault",
     [
-        {2, 3},  # crosses A_2 = {1, 2}, the subcurve below node 2
-        {2, 3, 4},  # has the size of component 3 plus A_2, but not all of A_2
+        # crosses A_2 = {1, 2}, the subcurve below node 2
+        ({2, 3}, "complement of A_3 is not a connected subcurve"),
+        # has the size of component 3 plus A_2, but not all of A_2
+        ({2, 3, 4}, "recorded separating node 3 of A_3 differs from actual 1"),
     ],
     ids=["crosses-A_2", "sized-without-A_2"],
 )
-def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last):
-    """A family that is no tree is not summed subcurve by subcurve: the
-    reader's fault is raised when the table is built, not when it is first read."""
+def test_stability_windows_sums_a_family_that_is_no_tree(chain4, last, fault):
+    """A family that is no tree is not summed subcurve by subcurve: verify's
+    first violation is raised when the table is built, not when it is first read."""
     deco = nb.OrderedDecomposition(
         root=4,
         order=(1, 2, 3, 4),
         subcurves=(frozenset({1}), frozenset({1, 2}), frozenset(last)),
         separating_nodes=(1, 2, 3),
     )
-    with pytest.raises(ValueError, match="A_3 is not component 3 plus the subcurves below it"):
+    with pytest.raises(ValueError, match=f"^{fault}$"):
         stability_windows(chain4, nb.canonical(chain4), deco, 3, 6)
 
 
@@ -1265,7 +1266,7 @@ NO_PERMUTATION = pytest.mark.parametrize(
 def test_stability_windows_rejects_an_order_that_is_no_permutation(chain4, order):
     deco = nb.order_components(chain4, 4)._replace(order=order)
     eta = nb.canonical(chain4)
-    want = re.escape(f"order {order} is not a permutation of the ids 1..4")
+    want = re.escape(f"order {order} is not a permutation of 1..4")
     with pytest.raises(ValueError, match=want):
         stability_windows(chain4, eta, deco, 3, 6)
     ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
@@ -1308,7 +1309,7 @@ def test_catalog_size_rejects_non_triangular(chain4):
         subcurves=(frozenset({1, 2}), frozenset({1, 2}), frozenset({1, 2, 3})),
         separating_nodes=(2, 2, 3),
     )
-    with pytest.raises(ValueError, match="separating node 2 at position 1 is not on"):
+    with pytest.raises(ValueError, match="^triangularity: position-2 component 2 lies in A_1$"):
         nb.enumerate_components(chain4, nb.canonical(chain4), deco, 3, 6)
 
 

@@ -152,13 +152,6 @@ class TestSubcurves:
             chain3_222.check_subcurve(ids)
         assert str(info.value) == f"unknown components in subcurve: {unknown}"
 
-    def test_connected_subcurve(self, chain4):
-        assert chain4.is_connected_subcurve([2, 3])
-        assert not chain4.is_connected_subcurve([1, 3])
-
-    def test_crossing_and_genus_sum(self, chain4):
-        assert chain4.genus_sum([2, 3]) == 7
-
 
 class TestFactories:
     def test_chain_curve(self):

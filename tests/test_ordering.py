@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import nodalbn as nb
 from conftest import random_tree_curve
 from nodalbn import ordering
+from nodalbn.components import stability_windows
 from oracles import post_order, search_verify_decomposition
 
 
@@ -130,6 +131,49 @@ class TestVerifier:
         bad = deco._replace(subcurves=tuple(subs))
         check = nb.verify_decomposition(chain5, bad)
         assert not check.ok
+
+    @pytest.mark.parametrize("inexact", [float, str, lambda v: None], ids=["float", "str", "none"])
+    @pytest.mark.parametrize(
+        "field, what",
+        [
+            ("root", "root component must be an integer"),
+            ("order", "decomposition order must be integers"),
+            ("separating_nodes", "separating nodes must be integers"),
+        ],
+        ids=["root", "order", "nodes"],
+    )
+    def test_rejects_an_id_that_is_no_integer(self, chain3_222, field, what, inexact):
+        """Each id is read as check_subcurve reads a subcurve's: a float equal
+        to the id is refused too, by the verifier and by the table it guards."""
+        deco = nb.order_components(chain3_222, 3)  # order (1, 2, 3), nodes (1, 2)
+        value = getattr(deco, field)
+        if field == "root":
+            bad = inexact(value)
+        else:
+            bad = (value[0], inexact(value[1]), *value[2:])
+        deco = deco._replace(**{field: bad})
+        with pytest.raises(nb.CurveError, match=f"^{what}: "):
+            nb.verify_decomposition(chain3_222, deco)
+        with pytest.raises(nb.CurveError, match=f"^{what}: "):
+            stability_windows(chain3_222, nb.canonical(chain3_222), deco, 2, 3)
+
+    def test_rejects_a_subcurve_id_that_is_no_integer(self, chain3_222):
+        """The verifier names the ids; the table replays the subcurve's weight first."""
+        deco = nb.order_components(chain3_222, 3)
+        deco = deco._replace(subcurves=(frozenset({1}), frozenset({1, 2.0})))
+        with pytest.raises(nb.CurveError, match="^subcurve ids must be integers: "):
+            nb.verify_decomposition(chain3_222, deco)
+        with pytest.raises(nb.PolarizationError, match="^subcurve ids must be integers: "):
+            stability_windows(chain3_222, nb.canonical(chain3_222), deco, 2, 3)
+
+    def test_true_reads_as_one(self, chain3_222):
+        deco = nb.order_components(chain3_222, 1)  # order (3, 2, 1), nodes (2, 1)
+        assert (deco.order, deco.separating_nodes) == ((3, 2, 1), (2, 1))
+        ones = deco._replace(root=True, order=(3, 2, True), separating_nodes=(2, True))
+        assert nb.verify_decomposition(chain3_222, ones).ok
+        eta = nb.canonical(chain3_222)
+        table = stability_windows(chain3_222, eta, ones, 2, 3)
+        assert table.windows == stability_windows(chain3_222, eta, deco, 2, 3).windows
 
 
 @settings(max_examples=150, deadline=None)

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nodalbn as nb
-from nodalbn import polarization
+from nodalbn import ordering, polarization
 from conftest import (
     random_good_polarization,
     random_tree_curve,
     random_valid_polarization,
+    split_table_defects,
 )
 from oracles import (
     complement_goodness_proxy,
@@ -52,6 +53,12 @@ class TestPolarizationType:
     def test_subcurve_weight(self):
         omega = nb.Polarization((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
         assert omega.subcurve_weight([1, 3]) == Fraction(3, 4)
+
+    @pytest.mark.parametrize("inexact", [1.0, "1", None], ids=type_name)
+    def test_subcurve_weight_rejects_an_id_that_is_no_integer(self, inexact):
+        omega = nb.Polarization((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
+        with pytest.raises(nb.PolarizationError, match="^subcurve ids must be integers: "):
+            omega.subcurve_weight([inexact, 3])
 
     def test_subcurve_weight_unknown_id(self):
         omega = nb.Polarization((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
@@ -122,29 +129,37 @@ class TestCanonical:
 
 
 class TestDefect:
+    """The split tables' defects, on each side of every one-node split."""
+
     def test_worked_value(self, two_curve):
         omega = nb.Polarization((Fraction(1, 4), Fraction(3, 4)))
-        assert nb.delta_structure_sheaf(two_curve, omega, [1]) == 0
+        assert split_table_defects(two_curve, omega)[frozenset({1})] == 0
 
     def test_canonical_split_value(self, two_curve):
-        eta = nb.canonical(two_curve)
-        assert nb.delta_structure_sheaf(two_curve, eta, [1]) == Fraction(1, 2)
-        assert nb.delta_structure_sheaf(two_curve, eta, [2]) == Fraction(1, 2)
+        defects = split_table_defects(two_curve, nb.canonical(two_curve))
+        assert defects[frozenset({1})] == Fraction(1, 2)
+        assert defects[frozenset({2})] == Fraction(1, 2)
 
     def test_matches_independent_recomputation(self, comb4):
         rng = random.Random(3)
         for _ in range(10):
             omega = random_valid_polarization(rng, comb4.gamma)
-            for ids in ([1], [2, 4], [1, 2, 4], [1, 2, 3, 4]):
-                expected = raw_defect(
-                    comb4.genera, comb4.nodes, omega.weights, ids
-                )
-                assert nb.delta_structure_sheaf(comb4, omega, ids) == expected
+            defects = split_table_defects(comb4, omega)
+            assert {frozenset({1}), frozenset({1, 2, 4})} <= defects.keys()
+            for side, defect in defects.items():
+                assert defect == raw_defect(comb4.genera, comb4.nodes, omega.weights, side)
 
     def test_whole_curve_defect_is_zero(self, chain4):
+        """The root's entries are the whole curve's: weight 1 and genus sum p_a,
+        so its defect 1 - p_a - 1 (1 - p_a) is 0."""
         rng = random.Random(4)
         omega = random_valid_polarization(rng, chain4.gamma)
-        assert nb.delta_structure_sheaf(chain4, omega, chain4.component_ids) == 0
+        for root in chain4.component_ids:
+            table = polarization._SplitTable(chain4, omega, ordering._walk(chain4, root))
+            assert table.weights[-1] == table.denominator
+            assert table.genera[-1] == chain4.arithmetic_genus()
+        ids = chain4.component_ids
+        assert raw_defect(chain4.genera, chain4.nodes, omega.weights, ids) == 0
 
 
 class TestGoodness:
@@ -228,11 +243,9 @@ def test_split_defects_sum_to_one(seed):
     if curve.gamma == 1:
         return
     omega = random_valid_polarization(rng, curve.gamma)
+    defects = split_table_defects(curve, omega)
     for _, side, rest in raw_split_sides(curve.gamma, curve.nodes):
-        total = nb.delta_structure_sheaf(curve, omega, side) + nb.delta_structure_sheaf(
-            curve, omega, rest
-        )
-        assert total == 1
+        assert defects[side] + defects[rest] == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -247,7 +260,11 @@ def test_canonical_defect_is_half_crossing(seed):
     if not raw_connected(curve.nodes, sub):
         return
     crossing = raw_crossing_count(curve.nodes, sub)
-    assert nb.delta_structure_sheaf(curve, eta, sub) == Fraction(crossing, 2)
+    if crossing == 1:  # a side of a one-node split: the split tables give its defect
+        defect = split_table_defects(curve, eta)[sub]
+    else:
+        defect = raw_defect(curve.genera, curve.nodes, eta.weights, sub)
+    assert defect == Fraction(crossing, 2)
 
 
 @settings(max_examples=60, deadline=None)
