@@ -33,8 +33,8 @@ loads ``typing``, and a module with records loads their base ``_record``.
 A well-formed command line is read without argparse (see ``_read``), so
 such a command loads neither ``argparse`` nor the ``gettext`` and
 ``locale`` modules under it.  Every other command line goes to argparse,
-whose parser is built for the command it names (see ``_build_parser``):
-help, usage errors and their exit codes are argparse's own.
+whose parser is built in full (see ``_build_parser``): help, usage
+errors and their exit codes are argparse's own.
 """
 
 from __future__ import annotations
@@ -654,19 +654,14 @@ def _read(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv, with every group and leaf of ``COMMANDS`` listed.
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser with every group and leaf of ``COMMANDS`` built in full.
 
     Only a command line that `_read` declines comes here: help, usage
-    errors and the rare line argparse accepts in another spelling.  Only a
-    group whose name is a word of argv gets its actions, and only such a
-    leaf gets its options and handler.  argparse picks a subparser by its
-    exact name, so the leaf that a parse of argv reaches is always built in
-    full, and every help or error text is the full parser's.
+    errors and the rare line argparse accepts in another spelling.
     """
     import argparse
 
-    words = set(argv)
     parser = argparse.ArgumentParser(
         prog="nodalbn",
         description="Exact-rational Brill-Noether toolkit for nodal reducible curves",
@@ -674,16 +669,12 @@ def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
     top = parser.add_subparsers(dest="group", required=True)
     for group, (help_text, leaves) in COMMANDS.items():
         group_parser = top.add_parser(group, help=help_text)
-        if group not in words:
-            continue
         if isinstance(leaves, tuple):
             _leaf(group_parser, group, leaves)
             continue
         actions = group_parser.add_subparsers(dest="action", required=True)
         for action, options in leaves.items():
-            leaf_parser = actions.add_parser(action)
-            if action in words:
-                _leaf(leaf_parser, f"{group}_{action}", options)
+            _leaf(actions.add_parser(action), f"{group}_{action}", options)
     return parser
 
 
@@ -723,7 +714,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _read(argv)
     if args is None:
         try:
-            args = SimpleNamespace(**vars(_build_parser(argv).parse_args(argv)))
+            args = SimpleNamespace(**vars(_build_parser().parse_args(argv)))
         except SystemExit as exc:
             return 0 if exc.code in (0, None) else 2
     report = Report(argv)

@@ -521,15 +521,13 @@ def stability_windows(
     polarization's lcm) and genus sum up it, so the windows cost O(gamma)
     once the children are read, and the table keeps them.  The library's
     own callers pass a walk (``ordering._walk``) for ``deco``: its tree is
-    read from the parent positions, no A_j is built, and omega is checked
-    once, by its length.  A decomposition handed in is checked in this
-    order: its subcurve and node counts (ValueError); the first subcurve's
-    weight (PolarizationError) and ids (CurveError); omega's length; each
-    later subcurve's weight and ids; then `verify_decomposition`, whose
-    first violation is raised as a ValueError and whose CurveError (an id
-    that is no integer) is raised as it is.  An s or d that is no integer
-    raises ValueError too: each is read through `operator.index`, as
-    `ComponentTuple` reads its rank.
+    read from the parent positions and no A_j is built.  Faults are raised
+    in this order: s and d are read through `operator.index`, as
+    `ComponentTuple` reads its rank, and s must be at least 1 (ValueError);
+    the curve must be of compact type; omega must have one weight per
+    component (PolarizationError); then a decomposition handed in is
+    refused with `verify_decomposition`'s own CurveError, or with a
+    ValueError carrying its first violation.
     """
     s, d = _integer(s, "rank"), _integer(d, "degree")
     if s < 1:

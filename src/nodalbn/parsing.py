@@ -12,9 +12,10 @@ ignored; a line ends at LF, CRLF or CR only):
     degrees <d_1> ... <d_gamma>       optional
     stalk <node id> <s> <a_first> <a_second>   one line per node
 
-Rational command-line values are comma-separated tokens, each an integer
-``p``, a fraction ``p/q`` or a finite decimal such as ``0.375``, read
-exactly by ``Fraction``.  Every number token, here and in a file, that
+Rational command-line values are comma-separated tokens, each read
+exactly by ``Fraction``: an optional sign, then an integer ``p``, a
+fraction ``p/q`` or a finite decimal with an optional exponent, such as
+``0.375``, ``.5`` or ``1e-1``.  Every number token, here and in a file, that
 holds ``_`` is refused, though ``int`` reads ``1_0`` as 10 (``Fraction``
 too, from Python 3.11 on).
 """
@@ -244,7 +245,8 @@ def render_curve(curve: NodalCurve) -> str:
 
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
-    """Comma-separated exact rationals: 'p', 'p/q' or finite decimal tokens, no '_'."""
+    """Comma-separated exact rationals: 'p', 'p/q' or finite decimal tokens (an
+    exponent such as '1e-1' too), each perhaps signed, no '_'."""
     from fractions import Fraction
 
     return _values(text, Fraction, "rational")

@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record
-from .curve import CurveError, NodalCurve, _Frozen, _integers
+from .curve import NodalCurve, _Frozen, _integers
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -150,13 +150,13 @@ class _SplitTable:
 
     The root's entries, last, are the whole curve's.  ``tree`` is a walk
     (``ordering._walk``), or the goodness proxy's walk from the last
-    component when none is given: its tree is read from the parent
-    positions and omega is checked once, by its length.  Or it is a
-    decomposition handed in, checked in `components.stability_windows`'
-    order: its subcurves are replayed only when omega's length is wrong or
-    `ordering.verify_decomposition` refuses, and its tree is read from the
-    separating nodes once verify accepts it.  ``sizes[k]`` is |A_(k+1)|;
-    `subcurve` builds A_(k+1) only when asked.
+    component when none is given, or a decomposition handed in.  Every
+    table checks, in this order: compact type, omega's length, then for a
+    decomposition `ordering.verify_decomposition`, whose CurveError is
+    raised as it is and whose first violation is raised as a ValueError.
+    A walk's tree is read from its parent positions, a decomposition's
+    from its separating nodes: p_j joins C_(j) to its parent.
+    ``sizes[k]`` is |A_(k+1)|; `subcurve` builds A_(k+1) only when asked.
     """
 
     def __init__(
@@ -168,44 +168,26 @@ class _SplitTable:
         from .ordering import _walk, _Walk, verify_decomposition
 
         curve.require_compact_type()
+        _check_lengths(curve, omega)
         if tree is None:
             tree = _walk(curve, curve.gamma)
         ends = {n.id: (n.first, n.second) for n in curve.nodes}
-        if isinstance(tree, _Walk):  # every subcurve holds known ids: only the count can fail
-            _check_lengths(curve, omega)
-            self.nodes, self.sizes, self.subcurve = tree.nodes, tree.sizes, tree.subcurve
-            children: list[list[int]] = [[] for _ in tree.order]
-            for j, up in enumerate(tree.parents):  # increasing j: each list is sorted
-                children[up].append(j)
+        if isinstance(tree, _Walk):
+            order, self.nodes, parents = tree.order, tree.nodes, tree.parents
+            self.sizes, self.subcurve = tree.sizes, tree.subcurve
         else:
-            subcurves, self.nodes = tree.subcurves, tree.separating_nodes
-            if not len(subcurves) == len(self.nodes) == curve.gamma - 1:
-                raise ValueError(
-                    f"decomposition has {len(subcurves)} subcurves and "
-                    f"{len(self.nodes)} separating nodes for {curve.gamma} "
-                    f"components; each must number {curve.gamma - 1}"
-                )
-            self.sizes, self.subcurve = tuple(map(len, subcurves)), subcurves.__getitem__
-            try:
-                violations = verify_decomposition(curve, tree).violations
-                fault = ValueError(violations[0]) if violations else None
-            except CurveError as exc:
-                fault = exc
-            # a decomposition verify accepts holds only known ids, none empty
-            if fault is not None or len(omega) != curve.gamma:
-                for j, A in enumerate(subcurves):  # weight, then ids, then the count
-                    omega.subcurve_weight(A)
-                    curve.check_subcurve(A)
-                    if j == 0:
-                        _check_lengths(curve, omega)
-                _check_lengths(curve, omega)  # gamma = 1: the loop held no subcurve
-                raise fault  # omega passed, so verify refused
-            # p_j joins C_(j) to its parent, which verify puts at a later position
-            position = {c: j for j, c in enumerate(tree.order)}
-            children = [[] for _ in tree.order]
-            for j, (c, p) in enumerate(zip(tree.order, self.nodes)):  # each list sorted
-                children[position[sum(ends[p]) - c]].append(j)
-        order = tree.order
+            violations = verify_decomposition(curve, tree).violations
+            if violations:
+                raise ValueError(violations[0])
+            # verify accepted: ids read as ints (True is 1); p_j joins C_(j) to its parent
+            order = tuple(map(operator.index, tree.order))
+            self.nodes = tuple(map(operator.index, tree.separating_nodes))
+            self.sizes, self.subcurve = tuple(map(len, tree.subcurves)), tree.subcurves.__getitem__
+            position = {c: j for j, c in enumerate(order)}
+            parents = [position[sum(ends[p]) - c] for c, p in zip(order, self.nodes)]
+        children: list[list[int]] = [[] for _ in order]
+        for j, up in enumerate(parents):  # increasing j: each list is sorted
+            children[up].append(j)
         genera = (0, *curve.genera)  # padded like the numerators: index = component id
         weight = [omega._numerators[c] for c in order]
         genus = [genera[c] for c in order]

@@ -74,7 +74,7 @@ def surface(parse, argv: list[str]) -> dict:
 
 
 def new_parse(argv):
-    return cli._build_parser(argv).parse_args(argv)
+    return cli._build_parser().parse_args(argv)
 
 
 def old_parse(argv):

@@ -813,10 +813,10 @@ def test_table_is_built_exactly_when_verify_decomposition_accepts(seed):
     swapped positions, a subcurve replaced, traded, extended, shrunk,
     emptied or complemented, a duplicate or unknown id in the order, an
     unknown member in a subcurve, two separating nodes swapped, a node at
-    the wrong position, an unknown node id, or a root that is not last.  A
-    subcurve with an unknown member or none raises the replayed
-    `CurveError` or `PolarizationError`; an order that is no permutation
-    of the ids is named as such.
+    the wrong position, an unknown node id, or a root that is not last.
+    Where verify raises (an unknown member in a subcurve), the table raises
+    the same error; where it refuses, the table raises its first violation,
+    and an order that is no permutation of the ids is named as such.
     """
     rng = random.Random(seed)
     curve = random_tree_curve(rng, gamma_max=8)
@@ -827,11 +827,14 @@ def test_table_is_built_exactly_when_verify_decomposition_accepts(seed):
         deco = pruning_decomposition(rng, curve, root)
     deco = _mutated_family(rng, curve, deco)
     eta = nb.canonical(curve)
-    ids = set(curve.component_ids)
-    if any(not A or not A <= ids for A in deco.subcurves):
-        with pytest.raises((nb.CurveError, nb.PolarizationError)):
+    try:
+        check = nb.verify_decomposition(curve, deco)
+    except nb.CurveError as exc:
+        with pytest.raises(nb.CurveError) as info:
             stability_windows(curve, eta, deco, 2, curve.gamma)
-    elif (check := nb.verify_decomposition(curve, deco)).ok:
+        assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        return
+    if check.ok:
         table = stability_windows(curve, eta, deco, 2, curve.gamma)
         assert table.children == read_children(deco.order, deco.subcurves)
     else:
@@ -839,7 +842,7 @@ def test_table_is_built_exactly_when_verify_decomposition_accepts(seed):
             stability_windows(curve, eta, deco, 2, curve.gamma)
         assert type(info.value) is ValueError
         assert str(info.value) == check.violations[0]
-        if sorted(deco.order) != sorted(ids):
+        if sorted(deco.order) != sorted(curve.component_ids):
             assert str(info.value) == (
                 f"order {deco.order} is not a permutation of 1..{curve.gamma}"
             )
@@ -944,7 +947,7 @@ def test_stability_windows_rejects_short_decomposition(chain4, subcurves, nodes)
         subcurves=deco.subcurves[:subcurves],
         separating_nodes=deco.separating_nodes[:nodes],
     )
-    want = f"{subcurves} subcurves and {nodes} separating nodes for 4 components"
+    want = f"^expected 3 subcurves and separating nodes, got {subcurves} and {nodes}$"
     with pytest.raises(ValueError, match=want):
         stability_windows(chain4, nb.canonical(chain4), cut, 3, 6)
 
@@ -1168,22 +1171,25 @@ def test_binding_tie_goes_to_the_smallest_j():
     "root, weights, subcurves, error, message",
     [
         (4, 3, None, nb.PolarizationError, "polarization has 3 weights for 4 components"),
-        (1, 3, None, nb.PolarizationError, "no weight for component 4"),
+        (1, 3, None, nb.PolarizationError, "polarization has 3 weights for 4 components"),
         (4, 5, None, nb.PolarizationError, "polarization has 5 weights for 4 components"),
-        (4, 4, ({7}, {1, 2}, {1, 2, 3}), nb.PolarizationError, "no weight for component 7"),
-        (4, 4, ({1}, set(), {1, 2, 3}), nb.CurveError, "subcurve must be nonempty"),
+        (4, 4, ({7}, {1, 2}, {1, 2, 3}), nb.CurveError, r"unknown components in subcurve: \[7\]"),
+        (4, 4, ({1}, set(), {1, 2, 3}), ValueError, "A_2 does not contain component 2"),
         (4, 9, ({1}, {2}, {1, 2, 3}), nb.PolarizationError, "polarization has 9 weights"),
-        (4, 9, ({8}, {1, 2}, {1, 2, 3}), nb.CurveError, r"unknown components in subcurve: \[8\]"),
+        (4, 9, ({8}, {1, 2}, {1, 2, 3}), nb.PolarizationError,
+         "polarization has 9 weights for 4 components"),
     ],
 )
 def test_stability_windows_faults_in_subcurve_order(chain4, root, weights, subcurves, error, message):
-    """The first subcurve's weight, then its ids, then the weight count; then the next subcurve."""
+    """Omega's length first, whatever the subcurves; then `verify_decomposition`'s
+    own CurveError, or its first violation as a ValueError."""
     omega = nb.Polarization(tuple(Fraction(1, weights) for _ in range(weights)))
     deco = nb.order_components(chain4, root)
     if subcurves is not None:
         deco = deco._replace(subcurves=tuple(map(frozenset, subcurves)))
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message) as info:
         stability_windows(chain4, omega, deco, 3, 6)
+    assert type(info.value) is error
 
 
 @pytest.mark.parametrize(
@@ -1224,14 +1230,14 @@ WALK_ENTRIES = {
 
 @pytest.mark.parametrize("entry", sorted(WALK_ENTRIES))
 def test_a_walk_names_a_short_polarization_by_its_length(chain4, entry):
-    """A walk holds every id, so omega's length is its one check, whatever the root.
-
-    The decomposition rooted at 1 names the first subcurve's missing
-    weight instead ("no weight for component 4"), in subcurve order.
-    """
+    """A walk and a decomposition, at either end of the chain, check omega's
+    length before anything else, whatever the root."""
     omega = nb.Polarization((Fraction(1, 3),) * 3)
-    with pytest.raises(nb.PolarizationError, match="^polarization has 3 weights for 4 components$"):
-        WALK_ENTRIES[entry](chain4, omega, ordering._walk(chain4, 1))
+    for tree, root in itertools.product((ordering._walk, nb.order_components), (1, 4)):
+        with pytest.raises(
+            nb.PolarizationError, match="^polarization has 3 weights for 4 components$"
+        ):
+            WALK_ENTRIES[entry](chain4, omega, tree(chain4, root))
 
 
 @pytest.mark.parametrize(

@@ -158,13 +158,15 @@ class TestVerifier:
             stability_windows(chain3_222, nb.canonical(chain3_222), deco, 2, 3)
 
     def test_rejects_a_subcurve_id_that_is_no_integer(self, chain3_222):
-        """The verifier names the ids; the table replays the subcurve's weight first."""
+        """The verifier names the ids, and the table it guards raises the same error."""
         deco = nb.order_components(chain3_222, 3)
         deco = deco._replace(subcurves=(frozenset({1}), frozenset({1, 2.0})))
-        with pytest.raises(nb.CurveError, match="^subcurve ids must be integers: "):
+        with pytest.raises(nb.CurveError, match="^subcurve ids must be integers: ") as verified:
             nb.verify_decomposition(chain3_222, deco)
-        with pytest.raises(nb.PolarizationError, match="^subcurve ids must be integers: "):
+        with pytest.raises(nb.CurveError) as built:
             stability_windows(chain3_222, nb.canonical(chain3_222), deco, 2, 3)
+        assert type(built.value) is type(verified.value) is nb.CurveError
+        assert str(built.value) == str(verified.value)
 
     def test_true_reads_as_one(self, chain3_222):
         deco = nb.order_components(chain3_222, 1)  # order (3, 2, 1), nodes (2, 1)
@@ -174,6 +176,8 @@ class TestVerifier:
         eta = nb.canonical(chain3_222)
         table = stability_windows(chain3_222, eta, ones, 2, 3)
         assert table.windows == stability_windows(chain3_222, eta, deco, 2, 3).windows
+        assert (table.order, table.splits.nodes) == ((3, 2, 1), (2, 1))
+        assert all(type(x) is int for x in (*table.order, *table.splits.nodes))
 
 
 @settings(max_examples=150, deadline=None)

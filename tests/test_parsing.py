@@ -244,6 +244,11 @@ class TestScalarParsers:
         assert nb.parse_rationals("3/8, 5/8") == (Fraction(3, 8), Fraction(5, 8))
         assert nb.parse_rationals("1") == (Fraction(1),)
         assert nb.parse_rationals("0.375, -2") == (Fraction(3, 8), Fraction(-2))
+        # a sign, a bare point and an exponent, read exactly as Fraction reads them
+        assert nb.parse_rationals("1e-1,0.9") == (Fraction(1, 10), Fraction(9, 10))
+        assert nb.parse_rationals("+1/2, .5, 5., 2.5E1, -1e0") == (
+            Fraction(1, 2), Fraction(1, 2), Fraction(5), Fraction(25), Fraction(-1)
+        )
 
     def test_rational_errors(self):
         with pytest.raises(nb.ParseError):
