@@ -278,7 +278,12 @@ def _certify_cell(
 
 
 def max_section_count(curve: NodalCurve, s: int) -> int:
-    """Largest k with k*g_i <= 1 + s(g_i - 1) on every component."""
+    """Largest k with k*g_i <= 1 + s(g_i - 1) on every component.
+
+    That is `per_component_bgn`'s test k g_i <= d_i + r(g_i - 1) at r = s
+    and d_i = 1, stricter than section_bound's k <= 1 + s(g_i - 1).  Which
+    bound the paper uses is not confirmed: the repository has its abstract only.
+    """
     return min((1 + s * (g - 1)) // g for g in curve.genera)
 
 
@@ -287,7 +292,8 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
 
     The grid per curve: every s in ``s_values`` with 2(gamma-1) <= s, every
     d with gamma <= d <= s, and every k from 1 to `max_section_count`, the
-    largest k with k g_i <= 1 + s(g_i - 1) on every component.  Cells
+    largest k with k g_i <= 1 + s(g_i - 1) on every component (by algebra
+    `per_component_bgn`'s test at r = s and d_i = 1; see there).  Cells
     outside it are skipped, never reported.  A cell is CERTIFIED exactly
     when `bn certify` would certify it: all four `_hypotheses` flags hold,
     the flags its checklist reads.  Per curve the scan builds one split

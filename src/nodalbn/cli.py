@@ -47,7 +47,6 @@ from types import SimpleNamespace
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
-    from collections.abc import Iterable
 
     from . import components as comp
     from .curve import NodalCurve
@@ -305,43 +304,38 @@ def cmd_sheaf_info(args: SimpleNamespace, report: Report) -> int:
 # -- components -------------------------------------------------------
 
 
-def _catalog_table(
-    report: Report,
-    table: comp.WindowTable,
-    tuples: Iterable[tuple[int, ...]],
-) -> None:
+def _catalog_table(report: Report, table: comp.WindowTable, small_slope: bool) -> None:
     """The ``count`` line and the catalog table, one row per degree tuple.
 
     Window k's cells (lower, sigma, upper) and its `slack_key` depend on
-    sigma_k alone, so each (window, sigma) is formatted on first use and
-    kept, as is each distinct radius, keyed by the least slack key.  A row
-    is then its subtree sums, one lookup per window, a min and a join.
-    The bounds print from the integer numerators; no A_j is built.
+    sigma_k alone, so they are built once, up front, for each sigma in
+    the span `WindowTable._narrow` gives window k: each is some row's.
+    Each distinct radius is kept, keyed by the least slack key.  A row is
+    then its subtree sums, one lookup per window, a min and a join.  The
+    bounds print from the integer numerators; no A_j is built.
     """
     from fractions import Fraction
 
     D = table.denominator
-    bounds = [(Fraction(lo, D), Fraction(hi, D)) for lo, hi in zip(table.lowers, table.uppers)]
+    narrowed = table._narrow(table._ranges(small_slope))
+    # each window's sigma span; zip drops the root's, last; empty spans when no tuple fits
+    spans = narrowed[1] if narrowed else [(1, 0)] * len(table.lowers)
     header = ["tuple"]
-    for j in range(1, len(bounds) + 1):
-        header += [f"j{j}_lower", f"j{j}_sigma", f"j{j}_upper"]
+    cells: list[dict[int, str]] = []  # per window: sigma -> its three cells
+    keys: list[dict[int, int]] = []  # per window: sigma -> its slack key
+    for k, (lo, hi, (first, last)) in enumerate(zip(table.lowers, table.uppers, spans)):
+        header += [f"j{k + 1}_lower", f"j{k + 1}_sigma", f"j{k + 1}_upper"]
+        lower, upper, span = Fraction(lo, D), Fraction(hi, D), range(first, last + 1)
+        cells.append({sigma: f"{lower}\t{sigma}\t{upper}" for sigma in span})
+        keys.append({sigma: table.slack_key(k, sigma) for sigma in span})
     header += ["verdict", "radius"]
-    cells: list[dict[int, str]] = [{} for _ in bounds]  # per window: sigma -> its three cells
-    keys: list[dict[int, int]] = [{} for _ in bounds]  # per window: sigma -> its slack key
     radii: dict[int, str] = {}  # least slack key -> radius text
     subtree_sums = table._subtree_sums
-    tail = "\t" + _verdict(True) + "\t"  # `slack_key` raises for a failing tuple
+    tail = "\t" + _verdict(True) + "\t"  # the spans lie inside the windows
     rows = []
-    for degrees in tuples:
+    for degrees in table._tuples(narrowed):
         sums = subtree_sums(degrees)
-        try:
-            row = list(map(dict.__getitem__, cells, sums))
-        except KeyError:
-            for k, ((lower, upper), sigma) in enumerate(zip(bounds, sums)):
-                if sigma not in cells[k]:
-                    keys[k][sigma] = table.slack_key(k, sigma)
-                    cells[k][sigma] = f"{lower}\t{sigma}\t{upper}"
-            row = list(map(dict.__getitem__, cells, sums))
+        row = list(map(dict.__getitem__, cells, sums))
         least = min(map(dict.__getitem__, keys, sums), default=None)
         radius = radii.get(least)
         if radius is None:
@@ -373,7 +367,7 @@ def cmd_components_enumerate(args: SimpleNamespace, report: Report) -> int:
     report.kv("degree", args.degree)
     report.kv("root", walk.root)
     report.kv("order", walk.order)
-    _catalog_table(report, table, table.degree_tuples(small_slope=args.small_slope))
+    _catalog_table(report, table, args.small_slope)
     return 0
 
 

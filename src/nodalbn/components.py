@@ -32,21 +32,23 @@ disjoint, so they are the subtrees of a rooted tree on the positions:
 A_j's children are the positions whose node joins them to C_(j), read
 from a walk's parent positions or from a valid decomposition's
 separating nodes.  One split table per walk or decomposition
-(`polarization._SplitTable`) reads the tree once: A_j's weight numerator
-W_j over the polarization's lcm D and its genus sum G_j are its own
-component's plus its children's, and window j's lower bound is
-(W_j coeff + s (G_j - 1) D) / D.  A dynamic program over subtree sums
-counts the tuples whose position-p degree lies in a range: f_v[sigma]
-counts the ways to fill the subtree of v so that every window inside it
-holds.  It is the convolution of the children's tables with the ones of
-v's own range, trimmed to v's integer window; the count is f_root[d],
-in O(gamma s^2) integer operations for ranges 1..s and bounded
-branching.  Each f_v is positive on exactly one interval (a sum of
-intervals cut by an interval), so whether a partial assignment still
-has a completion is interval arithmetic over the tree, O(gamma), and one
-more pass from the root down narrows every position's range to exactly
-the degrees some tuple takes.  One search (`WindowTable._tuples`) lists
-the tuples in increasing order: ids 1..gamma take their degrees in turn
+(`polarization._SplitTable`) reads the tree once and keeps A_j's weight
+numerator W_j over the polarization's lcm D and its defect numerator
+delta_j D, so window j's lower bound is (W_j d - s delta_j D) / D.  A
+dynamic program over subtree sums counts the tuples whose position-p
+degree lies in a range: f_v[sigma] counts the ways to fill the subtree
+of v so that every window inside it holds.  It is the convolution of the
+children's tables with the ones of v's own range, trimmed to the sums
+narrowing leaves v's subtree; the count is f_root[d], in O(gamma s^2)
+integer operations for ranges 1..s and bounded branching.  Each f_v is
+positive on exactly one interval (a sum of intervals cut by an
+interval), so whether a partial assignment still has a completion is
+interval arithmetic over the tree, O(gamma), and one more pass from the
+root down narrows every position's range and every subtree's sums to
+exactly those some tuple takes.  `WindowTable._narrow` is both passes;
+the count sizes its tables from its sums, and a printed catalog formats
+its cells over them.  One search (`WindowTable._tuples`) lists the
+tuples in increasing order: ids 1..gamma take their degrees in turn
 within the narrowed ranges, each choice narrowed again, so no branch is
 a dead end and its cost follows the number of tuples, not s^(gamma-1).
 The least tuple is the search's first.
@@ -79,9 +81,11 @@ smallest feasible prefix sum, and a grip-weighted assignment for combs.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, total_ordering
+from itertools import accumulate
 
 from ._record import Record
 from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
@@ -176,13 +180,18 @@ class Window(Record):
     upper: Fraction
 
 
+# `_narrow`'s pair: each position's degree span and its subtree's sum span
+_Narrowed = tuple[list[tuple[int, int]], list[tuple[int, int]]]
+
+
 class WindowTable(_Frozen):
     """Every window of one decomposition at rank s and degree d, from its split table.
 
     Window k is ``lowers[k] / denominator < sigma < uppers[k] / denominator``
-    over the polarization's lcm D: ``lowers[k]`` = W_k coeff + s (G_k - 1) D
-    and ``uppers[k]`` = that + s D, where ``coeff`` = d + s(1 - p_a) is how
-    far both bounds move per unit of weight moved into A_k.  ``splits`` is
+    over the polarization's lcm D: ``lowers[k]`` = W_k d - s delta_k D from
+    the split table's weights and defects, and ``uppers[k]`` = that + s D;
+    ``coeff`` = d + s(1 - p_a) is how far both bounds move per unit of
+    weight moved into A_k.  ``splits`` is
     the split table (``order`` its order, root last, and ``children`` the
     tree of subcurves it read).  `sums`, `slack_key` and `binding` are
     integer work, and `_scales` reads the |A_j| as integers.  ``windows``,
@@ -192,7 +201,8 @@ class WindowTable(_Frozen):
 
     The table answers every catalog question: `catalog`, `degree_tuples`,
     `first_small_slope`, `count_small_slope` and `size`.  All but `size`
-    run one search (`_tuples`, `_count`) over the ranges `_ranges` gives.
+    narrow the ranges `_ranges` gives (`_narrow`) and run one search
+    (`_tuples`, `_count`) over what that returns.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -208,13 +218,10 @@ class WindowTable(_Frozen):
 
     def __init__(self, splits: _SplitTable, s: int, d: int) -> None:
         D = splits.denominator
-        coeff = d + s * (1 - splits.pa)
-        lowers = tuple(
-            w * coeff + s * (g - 1) * D for w, g in zip(splits.weights[:-1], splits.genera)
-        )
+        lowers = tuple(w * d - s * delta for w, delta in zip(splits.weights[:-1], splits.defects))
         object.__setattr__(self, "rank", s)
         object.__setattr__(self, "degree", d)
-        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "coeff", d + s * (1 - splits.pa))
         object.__setattr__(self, "order", splits.order)
         object.__setattr__(self, "splits", splits)
         object.__setattr__(self, "children", splits.children)
@@ -333,7 +340,7 @@ class WindowTable(_Frozen):
         With ``small_slope`` only those with every degree in 1..s.  Nothing
         is listed up front: each tuple comes from the search as it is found.
         """
-        return self._tuples(self._ranges(small_slope))
+        return self._tuples(self._narrow(self._ranges(small_slope)))
 
     def first_small_slope(self) -> ComponentTuple | None:
         """The least catalog tuple with every degree in 1..s, None when there is none."""
@@ -373,33 +380,26 @@ class WindowTable(_Frozen):
             for (lo, hi), kids in zip(bounds, self.children)
         ]
 
-    def _supports(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        """Reachable subtree sums per position when position p's degree lies in ranges[p].
+    def _narrow(self, ranges: list[tuple[int, int]]) -> _Narrowed | None:
+        """Each position's degrees and subtree sums over the tuples within ranges.
 
-        None when some subtree can reach no sum inside its window.
+        None when there are no such tuples.  A pass up the tree gives each
+        subtree the sums it can reach inside its window when position p's
+        degree lies in ranges[p]; a pass from the root down cuts each
+        subtree's sums to those some whole tuple gives it, and reads off
+        the own degrees that go with them.  Both passes are exact because
+        each subtree's reachable sums form one interval: every value in
+        either span is some tuple's.
         """
-        out: list[tuple[int, int]] = []
+        sums: list[tuple[int, int]] = []
         for (wlo, whi), kids, (lo, hi) in zip(self._bounds, self.children, ranges):
             for c in kids:  # plain loops: the search runs this once per choice
-                lo += out[c][0]
-                hi += out[c][1]
+                lo += sums[c][0]
+                hi += sums[c][1]
             lo, hi = max(wlo, lo), min(whi, hi)
             if lo > hi:
                 return None
-            out.append((lo, hi))
-        return out
-
-    def _narrow(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
-        """Each position's degrees over the tuples within ranges, None when there are none.
-
-        After `_supports`, a pass from the root down cuts each subtree's
-        sums to those some whole tuple gives it, and reads off the own
-        degrees that go with them.  Both passes are exact because each
-        subtree's reachable sums form one interval.
-        """
-        sums = self._supports(ranges)
-        if sums is None:
-            return None
+            sums.append((lo, hi))
         children = self.children
         out = list(ranges)
         for p in reversed(range(len(ranges))):  # a parent's sums are cut before its children's
@@ -415,22 +415,22 @@ class WindowTable(_Frozen):
                 c_lo, c_hi = sums[c]
                 sums[c] = (max(c_lo, lo - own_hi - kids_hi + c_hi),
                            min(c_hi, hi - own_lo - kids_lo + c_lo))
-        return out
+        return out, sums
 
-    def _tuples(self, ranges: list[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
-        """The degrees of every tuple within ranges, in id order, as plain tuples, increasing.
+    def _tuples(self, narrowed: _Narrowed | None) -> Iterator[tuple[int, ...]]:
+        """The degrees of every tuple `_narrow` held, in id order, as plain tuples, increasing.
 
-        Ids take their degrees in turn, each over its narrowed range, so
-        every choice has a completion.  Only ids with more than one degree
-        left branch, and each choice is narrowed once.  When two ids are
-        left free, the fixed total settles the second once the first is
-        chosen.  The tuples are plain, so a caller that only prints them
-        builds no `ComponentTuple`.
+        ``narrowed`` is `_narrow`'s pair or None.  Ids take their degrees in
+        turn, each over its narrowed range, so every choice has a
+        completion.  Only ids with more than one degree left branch, and
+        each choice is narrowed once.  When two ids are left free, the fixed
+        total settles the second once the first is chosen.  The tuples are
+        plain, so a caller that only prints them builds no `ComponentTuple`.
         """
-        where = sorted(range(len(ranges)), key=self.order.__getitem__)
-        ranges = self._narrow(ranges)
-        if ranges is None:
+        if narrowed is None:
             return
+        ranges = narrowed[0]
+        where = sorted(range(len(ranges)), key=self.order.__getitem__)
         choosing = []  # (ranges, position, degrees left) for each id that branches
         while True:
             free = [i for i, p in enumerate(where) if ranges[p][0] < ranges[p][1]]
@@ -458,30 +458,30 @@ class WindowTable(_Frozen):
                 return
             ranges = list(parent)
             ranges[p] = (x, x)
-            ranges = self._narrow(ranges)
+            ranges = self._narrow(ranges)[0]
 
     def _count(self, ranges: list[tuple[int, int]]) -> int:
         """Number of tuples within ranges: f_root[d].
 
         Only a parent reads a child's table, so each is dropped once its
         parent has convolved it and only the frontier's tables stay alive.
-        The tables run over the narrowed ranges (`_narrow`), which hold the
-        same tuples, so a table is as wide as the sums some tuple gives its
-        subtree, not as p's range: 1..s may be 10^12 wide.
+        One `_narrow` sizes the tables: each runs over the narrowed ranges,
+        which hold the same tuples, and is cut to the sums some tuple gives
+        its subtree, not as wide as p's range: 1..s may be 10^12 wide.
         """
-        ranges = self._narrow(ranges)
-        if ranges is None:
+        narrowed = self._narrow(ranges)
+        if narrowed is None:
             return 0
-        support = self._supports(ranges)
+        ranges, sums = narrowed
         tables: list[list[int] | None] = []
         for p, kids in enumerate(self.children):
             own_lo, own_hi = ranges[p]
             f, low = [1], own_lo  # low: the sum that f[0] counts, once v's degree is in
             for c in kids:
-                f, low = _convolve(f, tables[c]), low + support[c][0]
+                f, low = _convolve(f, tables[c]), low + sums[c][0]
                 tables[c] = None
             f = _convolve_ones(f, own_hi - own_lo + 1)
-            lo, hi = support[p]
+            lo, hi = sums[p]
             tables.append(f[lo - low : hi - low + 1])
         return tables[-1][0]
 
@@ -495,15 +495,9 @@ def _convolve(f: list[int], g: list[int]) -> list[int]:
 
 
 def _convolve_ones(f: list[int], width: int) -> list[int]:
-    """Convolution with width ones: out[i] = f[i-width+1] + ... + f[i]."""
-    out, run = [], 0
-    for i in range(len(f) + width - 1):
-        if i < len(f):
-            run += f[i]
-        if i >= width:
-            run -= f[i - width]
-        out.append(run)
-    return out
+    """Convolution with width ones, out[i] = f[i-width+1] + ... + f[i], by running sums."""
+    run = list(accumulate(f + [0] * (width - 1)))
+    return list(map(operator.sub, run, [0] * width + run[:-width]))
 
 
 def stability_windows(
@@ -515,11 +509,12 @@ def stability_windows(
 ) -> WindowTable:
     """Build the window of every A_j from one split table, for rank s and total degree d.
 
-    With w_j the weight and g_j the genus sum of A_j, window j is
-    w_j coeff + s (g_j - 1) < sigma_j < that + s.  The split table reads
-    the tree of subcurves once and sums A_j's weight numerator (over the
-    polarization's lcm) and genus sum up it, so the windows cost O(gamma)
-    once the children are read, and the table keeps them.  The library's
+    With w_j the weight and delta_j the defect of A_j, window j is
+    w_j d - s delta_j < sigma_j < that + s.  The split table reads the tree
+    of subcurves once, sums A_j's weight numerator (over the polarization's
+    lcm) and genus sum up it and keeps the weight and defect numerators, so
+    the windows cost O(gamma) once the children are read, and the table
+    keeps them.  The library's
     own callers pass a walk (``ordering._walk``) for ``deco``: its tree is
     read from the parent positions and no A_j is built.  Faults are raised
     in this order: s and d are read through `operator.index`, as

@@ -48,10 +48,6 @@ class OrderedDecomposition(Record):
     subcurves: tuple[frozenset[int], ...]
     separating_nodes: tuple[int, ...]
 
-    @property
-    def gamma(self) -> int:
-        return len(self.order)
-
 
 class DecompositionCheck(Record):
     ok: bool

@@ -20,7 +20,8 @@ library takes the defect only on the sides of one-node splits: the
 goodness proxy and the stability windows of ``components`` read one split
 table per walk or decomposition: each A_j's weight numerator W_j over the
 weights' lcm D and its genus sum G_j, summed once up the tree of
-subcurves, so that A_j's defect is delta_j = ((1 - G_j) D - W_j (1 - p_a)) / D.
+subcurves.  The table keeps W_j and A_j's defect numerator
+delta_j D = (1 - G_j) D - W_j (1 - p_a), the one place it is computed.
 Every verdict is decided on these integers.  A_j itself is a set only
 where something asks for it: a printed side, a window record, a witness.
 """
@@ -146,17 +147,20 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
 
 
 class _SplitTable:
-    """Each A_j's weight numerator W_j over ``denominator`` and genus sum G_j, by position.
+    """Each A_j's weight numerator W_j and defect numerator delta_j D over ``denominator``.
 
-    The root's entries, last, are the whole curve's.  ``tree`` is a walk
-    (``ordering._walk``), or the goodness proxy's walk from the last
-    component when none is given, or a decomposition handed in.  Every
-    table checks, in this order: compact type, omega's length, then for a
-    decomposition `ordering.verify_decomposition`, whose CurveError is
-    raised as it is and whose first violation is raised as a ValueError.
-    A walk's tree is read from its parent positions, a decomposition's
-    from its separating nodes: p_j joins C_(j) to its parent.
-    ``sizes[k]`` is |A_(k+1)|; `subcurve` builds A_(k+1) only when asked.
+    By position; the root's entries, last, are the whole curve's.
+    ``defects[k]`` = (1 - G) D - W_(k+1) (1 - p_a), G the genus sum over
+    A_(k+1), so the root's is 0.  ``tree`` is a walk (``ordering._walk``),
+    or the goodness proxy's walk from the last component when none is
+    given, or a decomposition handed in.  Every table checks, in this
+    order: compact type, omega's length, then for a decomposition
+    `ordering.verify_decomposition`, whose CurveError is raised as it is
+    and whose first violation is raised as a ValueError.  A walk's tree is
+    read from its parent positions, a decomposition's from its separating
+    nodes: p_j joins C_(j) to its parent.  ``sizes[k]`` is |A_(k+1)|;
+    `subcurve` builds A_(k+1) only when asked, a handed-in one's members
+    read as ints.
     """
 
     def __init__(
@@ -182,7 +186,9 @@ class _SplitTable:
             # verify accepted: ids read as ints (True is 1); p_j joins C_(j) to its parent
             order = tuple(map(operator.index, tree.order))
             self.nodes = tuple(map(operator.index, tree.separating_nodes))
-            self.sizes, self.subcurve = tuple(map(len, tree.subcurves)), tree.subcurves.__getitem__
+            subcurves = tree.subcurves
+            self.sizes = tuple(map(len, subcurves))
+            self.subcurve = lambda k: frozenset(map(operator.index, subcurves[k]))
             position = {c: j for j, c in enumerate(order)}
             parents = [position[sum(ends[p]) - c] for c, p in zip(order, self.nodes)]
         children: list[list[int]] = [[] for _ in order]
@@ -195,21 +201,21 @@ class _SplitTable:
             for c in kids:
                 weight[p] += weight[c]
                 genus[p] += genus[c]
+        D, pa = omega._denominator, curve.arithmetic_genus()
         self.curve, self.order, self.children, self.ends = curve, order, children, ends
-        self.weights, self.genera = weight, genus
-        self.denominator, self.pa = omega._denominator, curve.arithmetic_genus()
+        self.weights, self.denominator, self.pa = weight, D, pa
+        self.defects = [(1 - g) * D - w * (1 - pa) for w, g in zip(weight, genus)]
 
     def proxy_rows(self) -> list[tuple[int, int, bool, int]]:
         """(node, position, flipped, delta D) per split, by node id: integers only.
 
-        delta_j D = (1 - G_j) D - W_j (1 - p_a).  The printed side holds the
-        node's smaller-id endpoint; ``flipped`` says that it is the
-        complement of A_(position+1), whose defect is D minus A_j's.
+        The printed side holds the node's smaller-id endpoint; ``flipped``
+        says that it is the complement of A_(position+1), whose defect is
+        D minus A_j's.
         """
-        D, ends, c_pa = self.denominator, self.ends, 1 - self.pa
+        D, ends = self.denominator, self.ends
         rows = []
-        for j, (c, nid, w, g) in enumerate(zip(self.order, self.nodes, self.weights, self.genera)):
-            num = (1 - g) * D - w * c_pa
+        for j, (c, nid, num) in enumerate(zip(self.order, self.nodes, self.defects)):
             flipped = ends[nid][1] == c  # the parent is the smaller end: the defects add up to 1
             rows.append((nid, j, flipped, D - num if flipped else num))
         rows.sort()  # node ids are distinct

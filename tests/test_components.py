@@ -558,10 +558,12 @@ def _sub_range(rng, lo, hi):
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_narrowing_is_exact(seed):
-    """`_narrow` gives each position the span of its degree over the tuples within the ranges.
+    """`_narrow` gives each position the span of its degree, and of its subtree's
+    sum sigma_j, over the tuples within the ranges.
 
     The ranges are random sub-ranges of the small-slope and whole-catalog
-    ranges, and the tuples within them come from the oracle.
+    ranges, and the tuples within them come from the oracle.  `_count` and
+    the printed catalog's cells rely on both spans being exact.
     """
     rng = random.Random(seed)
     curve = random_tree_curve(rng, gamma_max=6, genus_range=(2, 5))
@@ -572,9 +574,10 @@ def test_narrowing_is_exact(seed):
         d = rng.randint(-1, s * curve.gamma + 2)
         if brute_force_box_size(curve, omega, deco, s, d) <= ORACLE_BOX_LIMIT:
             break
-    # each catalog tuple's degrees in position order
+    # each catalog tuple's degrees in position order, with its sigma_j (the root's is d)
     catalog = [
-        [t[c - 1] for c in deco.order] for t in brute_force_catalog(curve, omega, deco, s, d)
+        ([t[c - 1] for c in deco.order], [sum(t[i - 1] for i in A) for A in deco.subcurves] + [d])
+        for t in brute_force_catalog(curve, omega, deco, s, d)
     ]
     table = stability_windows(curve, omega, deco, s, d)
     for small_slope in (True, False):
@@ -584,10 +587,17 @@ def test_narrowing_is_exact(seed):
                 for lo, hi in table._ranges(small_slope)
             ]
             inside = [
-                t for t in catalog if all(lo <= x <= hi for x, (lo, hi) in zip(t, ranges))
+                (t, sigmas) for t, sigmas in catalog
+                if all(lo <= x <= hi for x, (lo, hi) in zip(t, ranges))
             ]
-            want = [(min(xs), max(xs)) for xs in zip(*inside)] if inside else None
+            want = None
+            if inside:
+                want = (_spans(t for t, _ in inside), _spans(sigmas for _, sigmas in inside))
             assert table._narrow(ranges) == want
+
+
+def _spans(rows):
+    return [(min(xs), max(xs)) for xs in zip(*rows)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -637,8 +647,7 @@ def _refuse_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a search over subtree sums was run")
 
-    for name in ("_supports", "_narrow"):
-        monkeypatch.setattr(components.WindowTable, name, refuse)
+    monkeypatch.setattr(components.WindowTable, "_narrow", refuse)
 
 
 @pytest.mark.parametrize(
@@ -889,7 +898,7 @@ def test_split_table_from_a_walk_is_the_decompositions(seed):
     walked = polarization._SplitTable(curve, omega, ordering._walk(curve, root))
     deco = nb.order_components(curve, root)
     read = polarization._SplitTable(curve, omega, deco)
-    for name in ("order", "nodes", "sizes", "children", "weights", "genera", "denominator"):
+    for name in ("order", "nodes", "sizes", "children", "weights", "defects", "denominator"):
         assert getattr(walked, name) == getattr(read, name), name
     assert [walked.subcurve(k) for k in range(curve.gamma - 1)] == list(deco.subcurves)
     for _ in range(4):
@@ -897,6 +906,46 @@ def test_split_table_from_a_walk_is_the_decompositions(seed):
         a, b = components.WindowTable(walked, s, d), components.WindowTable(read, s, d)
         assert (a.lowers, a.uppers, a._scales) == (b.lowers, b.uppers, b._scales)
         assert a == b and a.windows == b.windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_extension_windows_nest_exactly_when_each_defect_is_in_zero_one(seed):
+    """A BGN extension's window j contains the rank-s window j exactly when 0 <= delta_j <= 1.
+
+    E has rank r = s + k on every component and the certified multidegree,
+    so its window j is (w_j d - r delta_j, w_j d + r (1 - delta_j)): the
+    lower end does not rise past s's when delta_j >= 0, the upper end does
+    not fall below it when delta_j <= 1.  The interval is closed: at
+    delta_j = 0 or 1 one end is shared and the windows still nest, so
+    nesting fails exactly when delta_j leaves [0, 1], not (0, 1).  Random
+    Pruefer trees, roots and polarizations, good or not; the bounds are
+    integer numerators over the same D, and delta_j D comes from the split table.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=8)
+    omega = rng.choice(
+        [nb.canonical(curve), random_good_polarization(rng, curve),
+         random_valid_polarization(rng, curve.gamma)]
+    )
+    walk = ordering._walk(curve, rng.randint(1, curve.gamma))
+    s, k, d = rng.randint(1, 9), rng.randint(1, 9), rng.randint(-10, 40)
+    small = stability_windows(curve, omega, walk, s, d)
+    wide = stability_windows(curve, omega, walk, s + k, d)
+    D = small.denominator
+    assert wide.denominator == D
+    for lo, hi, wlo, whi, defect in zip(
+        small.lowers, small.uppers, wide.lowers, wide.uppers, small.splits.defects
+    ):
+        assert (wlo <= lo and hi <= whi) == (0 <= defect <= D)
+
+
+def test_extension_windows_nest_at_a_zero_defect():
+    curve = nb.chain_curve((2, 3))
+    omega = nb.Polarization((Fraction(1, 4), Fraction(3, 4)))
+    small, wide = (stability_windows(curve, omega, canonical_deco(curve), r, 4) for r in (2, 3))
+    assert small.splits.defects[0] == 0
+    assert wide.lowers[0] == small.lowers[0] and small.uppers[0] < wide.uppers[0]
 
 
 COMB_SCAN = "bn scan --family comb --gamma-max 4 --genus-max 3 --s-max 24".split()

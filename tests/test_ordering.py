@@ -178,6 +178,14 @@ class TestVerifier:
         assert table.windows == stability_windows(chain3_222, eta, deco, 2, 3).windows
         assert (table.order, table.splits.nodes) == ((3, 2, 1), (2, 1))
         assert all(type(x) is int for x in (*table.order, *table.splits.nodes))
+        # frozenset({True}) == frozenset({1}), so only a type check sees a member kept as True
+        deco = nb.order_components(chain3_222, 3)  # A_1 = {1}, A_2 = {1, 2}
+        ones = deco._replace(subcurves=(frozenset({True}), frozenset({True, 2})))
+        assert nb.verify_decomposition(chain3_222, ones).ok
+        table = stability_windows(chain3_222, eta, ones, 2, 3)
+        assert table.windows == stability_windows(chain3_222, eta, deco, 2, 3).windows
+        rows = nb.stability_conditions(chain3_222, eta, ones, nb.ComponentTuple(2, (1, 1, 1))).rows
+        assert all(type(x) is int for row in (*table.windows, *rows) for x in row.subcurve)
 
 
 @settings(max_examples=150, deadline=None)
