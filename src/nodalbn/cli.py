@@ -225,24 +225,15 @@ def cmd_order(args: SimpleNamespace, report: Report) -> int:
 
 
 def _proxy_section(report: Report, curve: NodalCurve, omega: Polarization) -> bool:
-    """`goodness_proxy`'s verdict, from the integers, then each side built as its row prints."""
-    from fractions import Fraction
-
+    """`goodness_proxy`'s rows, each formatted as it is made, and the verdict they fold to."""
     from .polarization import _SplitTable
 
-    splits = _SplitTable(curve, omega)
-    D = splits.denominator
-    found = splits.proxy_rows()
-    passed = all(0 < num < D for *_, num in found)
+    passed, rows = True, []
+    for row in _SplitTable(curve, omega).defect_rows():
+        passed &= row.ok
+        rows.append(f"{row.node}\t{_fmt(row.side)}\t{row.defect}\t{_verdict(row.ok)}")
     report.kv("goodness_proxy", _verdict(passed))
-    report.table(
-        "splits",
-        ["node", "side", "defect", "verdict"],
-        [
-            f"{nid}\t{_fmt(splits.side(j, flipped))}\t{Fraction(num, D)}\t{_verdict(0 < num < D)}"
-            for nid, j, flipped, num in found
-        ],
-    )
+    report.table("splits", ["node", "side", "defect", "verdict"], rows)
     return passed
 
 

@@ -51,7 +51,10 @@ its cells over them.  One search (`WindowTable._tuples`) lists the
 tuples in increasing order: ids 1..gamma take their degrees in turn
 within the narrowed ranges, each choice narrowed again, so no branch is
 a dead end and its cost follows the number of tuples, not s^(gamma-1).
-The least tuple is the search's first.
+It keeps only its choices, one per branching id, and backtracks by
+narrowing the start again with them fixed: narrowing is exact, so these
+are the ranges a copy per choice would have kept, and its state is
+O(gamma).  The least tuple is the search's first.
 
 Small-slope questions take every range to be 1..s.  The whole catalog
 takes the widest ranges the windows allow: with integer windows [lo, hi]
@@ -202,7 +205,9 @@ class WindowTable(_Frozen):
     The table answers every catalog question: `catalog`, `degree_tuples`,
     `first_small_slope`, `count_small_slope` and `size`.  All but `size`
     narrow the ranges `_ranges` gives (`_narrow`) and run one search
-    (`_tuples`, `_count`) over what that returns.
+    (`_tuples`, `_count`) over what that returns.  `_tuples` keeps its
+    choices, not a copy of the ranges per choice, and re-narrows to
+    backtrack.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -421,22 +426,22 @@ class WindowTable(_Frozen):
         """The degrees of every tuple `_narrow` held, in id order, as plain tuples, increasing.
 
         ``narrowed`` is `_narrow`'s pair or None.  Ids take their degrees in
-        turn, each over its narrowed range, so every choice has a
-        completion.  Only ids with more than one degree left branch, and
-        each choice is narrowed once.  When two ids are left free, the fixed
-        total settles the second once the first is chosen.  The tuples are
-        plain, so a caller that only prints them builds no `ComponentTuple`.
+        turn over their narrowed ranges, so every choice has a completion.
+        Only ids with more than one degree left branch; the search keeps a
+        [position, degree, last degree] for each and narrows the start once
+        per choice with all of them fixed, the ranges being exact.  Two free
+        ids: the total settles the second.  Tuples are plain.
         """
         if narrowed is None:
             return
-        ranges = narrowed[0]
-        where = sorted(range(len(ranges)), key=self.order.__getitem__)
-        choosing = []  # (ranges, position, degrees left) for each id that branches
+        start = ranges = narrowed[0]
+        where = sorted(range(len(start)), key=self.order.__getitem__)
+        chosen: list[list[int]] = []  # O(gamma): the search's only state beyond the start
         while True:
             free = [i for i, p in enumerate(where) if ranges[p][0] < ranges[p][1]]
             if len(free) > 2:
                 p = where[free[0]]
-                choosing.append((ranges, p, iter(range(ranges[p][0], ranges[p][1] + 1))))
+                chosen.append([p, *ranges[p]])
             else:
                 degrees = [ranges[p][0] for p in where]
                 if not free:
@@ -448,16 +453,14 @@ class WindowTable(_Frozen):
                     for x in range(lo, hi + 1):
                         degrees[a], degrees[b] = x, total - x
                         yield tuple(degrees)
-            while choosing:
-                parent, p, left = choosing[-1]
-                x = next(left, None)
-                if x is not None:
-                    break
-                choosing.pop()
-            else:
-                return
-            ranges = list(parent)
-            ranges[p] = (x, x)
+                while chosen and chosen[-1][1] == chosen[-1][2]:
+                    chosen.pop()
+                if not chosen:
+                    return
+                chosen[-1][1] += 1
+            ranges = list(start)
+            for p, x, _ in chosen:
+                ranges[p] = (x, x)
             ranges = self._narrow(ranges)[0]
 
     def _count(self, ranges: list[tuple[int, int]]) -> int:
@@ -467,7 +470,10 @@ class WindowTable(_Frozen):
         parent has convolved it and only the frontier's tables stay alive.
         One `_narrow` sizes the tables: each runs over the narrowed ranges,
         which hold the same tuples, and is cut to the sums some tuple gives
-        its subtree, not as wide as p's range: 1..s may be 10^12 wide.
+        its subtree.  So a table is as wide as those sums, and a leaf's as
+        its whole narrowed range: with ranges 1..s and a wide window that
+        is O(s) ints, copied a few times by a convolution (`bn certify` at
+        s = d = 10^6 on two components peaks at 181 MB max RSS).
         """
         narrowed = self._narrow(ranges)
         if narrowed is None:

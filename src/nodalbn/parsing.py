@@ -17,12 +17,16 @@ exactly by ``Fraction``: an optional sign, then an integer ``p``, a
 fraction ``p/q`` or a finite decimal with an optional exponent, such as
 ``0.375``, ``.5`` or ``1e-1``.  Every number token, here and in a file, that
 holds ``_`` is refused, though ``int`` reads ``1_0`` as 10 (``Fraction``
-too, from Python 3.11 on).
+too, from Python 3.11 on).  No token may pass ``int``'s limit on digits,
+``sys.get_int_max_str_digits()`` (4300 by default): ``int`` refuses a
+longer integer, and a rational whose length before its exponent plus the
+exponent's magnitude passes the limit is refused before it is built.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 
 from ._record import Record
 from .curve import CurveError, NodalCurve
@@ -246,10 +250,19 @@ def render_curve(curve: NodalCurve) -> str:
 
 def parse_rationals(text: str) -> tuple[Fraction, ...]:
     """Comma-separated exact rationals: 'p', 'p/q' or finite decimal tokens (an
-    exponent such as '1e-1' too), each perhaps signed, no '_'."""
+    exponent such as '1e-1' too), each perhaps signed, no '_', none past int's limit."""
+    return _values(text, _rational, "rational")
+
+
+def _rational(token: str) -> Fraction:
+    """``Fraction(token)``, its exponent checked first: '1e-10000000' would build 10^10000000."""
     from fractions import Fraction
 
-    return _values(text, Fraction, "rational")
+    mantissa, _, exponent = token.lower().partition("e")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 3.10.7 added it
+    if exponent and limit and len(mantissa) + abs(int(exponent)) > limit:
+        raise ValueError(token)
+    return Fraction(token)
 
 
 def parse_ints(text: str) -> tuple[int, ...]:

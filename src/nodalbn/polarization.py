@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
 from functools import cached_property
 
@@ -141,7 +141,7 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
     table, delta_j D = (1 - G_j) D - W_j (1 - p_a), so no verdict takes a
     set.  A row's side, the one holding the node's smaller-id endpoint,
     is A_j or its complement.  The command line prints the same rows
-    (`_SplitTable.proxy_rows`), building each side only as it prints it.
+    (`_SplitTable.defect_rows`), formatting each as it is made.
     """
     return _SplitTable(curve, omega).goodness()
 
@@ -230,13 +230,15 @@ class _SplitTable:
     def everything(self) -> frozenset[int]:
         return frozenset(self.curve.component_ids)
 
-    def goodness(self) -> GoodnessReport:
-        """The goodness proxy's report, each side built as a set."""
+    def defect_rows(self) -> Iterator[SplitDefect]:
+        """The goodness proxy's rows by node id, each side built as its row is made."""
         D = self.denominator
-        rows = tuple(
-            SplitDefect(nid, self.side(j, flipped), Fraction(num, D), 0 < num < D)
-            for nid, j, flipped, num in self.proxy_rows()
-        )
+        for nid, j, flipped, num in self.proxy_rows():
+            yield SplitDefect(nid, self.side(j, flipped), Fraction(num, D), 0 < num < D)
+
+    def goodness(self) -> GoodnessReport:
+        """The goodness proxy's report, its rows kept."""
+        rows = tuple(self.defect_rows())
         return GoodnessReport(passed=all(row.ok for row in rows), splits=rows)
 
     def require_good(self) -> _SplitTable:

@@ -262,6 +262,50 @@ def brute_force_small_slope(curve, omega, deco, s, d):
     ]
 
 
+def copying_search(table, narrowed):
+    """`WindowTable._tuples` as it was when it copied its ranges for every choice.
+
+    Each branching id pushes the ranges it chose from, its position and an
+    iterator over its degrees; a choice copies those ranges, fixes the
+    position and narrows the copy (``table._narrow``, the one library call
+    here).  It holds O(gamma) range lists at once where the library's
+    search keeps one choice per id and re-narrows from the start, so the
+    two must list the same tuples in the same order with as many narrows.
+    """
+    if narrowed is None:
+        return
+    ranges = narrowed[0]
+    where = sorted(range(len(ranges)), key=table.order.__getitem__)
+    choosing = []  # (ranges, position, degrees left) for each id that branches
+    while True:
+        free = [i for i, p in enumerate(where) if ranges[p][0] < ranges[p][1]]
+        if len(free) > 2:
+            p = where[free[0]]
+            choosing.append((ranges, p, iter(range(ranges[p][0], ranges[p][1] + 1))))
+        else:
+            degrees = [ranges[p][0] for p in where]
+            if not free:
+                yield tuple(degrees)
+            else:
+                a, b = free
+                lo, hi = ranges[where[a]]
+                total = lo + ranges[where[b]][1]
+                for x in range(lo, hi + 1):
+                    degrees[a], degrees[b] = x, total - x
+                    yield tuple(degrees)
+        while choosing:
+            parent, p, left = choosing[-1]
+            x = next(left, None)
+            if x is not None:
+                break
+            choosing.pop()
+        else:
+            return
+        ranges = list(parent)
+        ranges[p] = (x, x)
+        ranges = table._narrow(ranges)[0]
+
+
 class EnumeratedInvariance(NamedTuple):
     passed: bool
     catalog: tuple

@@ -327,6 +327,23 @@ def test_omega_reads_a_finite_decimal_exactly(capsys, two_path):
     assert (code, kv(out)["goodness_proxy"]) == (1, "fail")  # the side {1} has defect 1
 
 
+# Fraction('1e-10000000') builds 10^10000000 before it checks anything, seconds of
+# work; '1e-5000' parses, but its 5,001-digit denominator cannot be printed under
+# int's limit on string conversion
+@pytest.mark.parametrize("omega", ["1e-10000000,1", "1e-5000,5e-1"])
+def test_omega_exponent_past_the_int_limit_is_refused_unbuilt(tmp_path, omega):
+    (tmp_path / "two.crv").write_text(TWO_CURVE)
+    argv = ("polarization", "check", "--curve", "two.crv", "--omega", omega)
+    with fresh_cli(tmp_path, *argv) as proc:
+        try:
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+    token = omega.split(",")[0]
+    want = f"error: --omega: bad rational token {token!r}\n"
+    assert (proc.returncode, out, err.decode()) == (2, b"", want)
+
+
 class TestSheafCommand:
     def test_info(self, capsys, tmp_path):
         path = tmp_path / "sheaf.crv"
@@ -346,6 +363,16 @@ class TestSheafCommand:
         code, _, err = run(capsys, "sheaf", "info", "--curve", two_path)
         assert code == 2
         assert "no sheaf block" in err
+
+    @pytest.mark.parametrize("text, err", [
+        (WITH_SHEAF + "sheaf\n", "error: line 8: only one sheaf block is allowed\n"),
+        (WITH_SHEAF.replace("stalk", "degrees 1\nstalk"),
+         "error: line 7: degrees needs 2 values, got 1\n"),
+    ], ids=["second-sheaf-line", "short-degrees-line"])
+    def test_info_names_a_faulty_block_line(self, capsys, tmp_path, text, err):
+        path = tmp_path / "sheaf.crv"
+        path.write_text(text)
+        assert run(capsys, "sheaf", "info", "--curve", str(path)) == (2, "", err)
 
 
 class TestComponentsCommands:

@@ -6,6 +6,7 @@ import random
 import re
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from oracles import (
     brute_force_catalog,
     brute_force_small_slope,
     complement_goodness_proxy,
+    copying_search,
     enumerating_invariance_check,
     raw_arithmetic_genus,
     raw_defect,
@@ -598,6 +600,61 @@ def test_narrowing_is_exact(seed):
 
 def _spans(rows):
     return [(min(xs), max(xs)) for xs in zip(*rows)]
+
+
+# listings compared whole hold at most this many tuples; the uncut ones are
+# compared up to it
+SEARCH_LIMIT = 2_000
+
+
+def _listing(search, narrowed):
+    """The first SEARCH_LIMIT tuples ``search`` lists from ``narrowed``, and its `_narrow` calls."""
+    calls = []
+    real = components.WindowTable._narrow
+
+    def counted(self, ranges):
+        calls.append(ranges)
+        return real(self, ranges)
+
+    with mock.patch.object(components.WindowTable, "_narrow", counted):
+        tuples = list(itertools.islice(search(narrowed), SEARCH_LIMIT))
+    return tuples, len(calls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_search_matches_the_copying_search(seed):
+    """`_tuples`, which keeps one choice per id and narrows the start again, lists what
+    the search that copied its ranges per choice listed, in order, with as many narrows.
+
+    Random Pruefer trees of 8 to 16 components, past what the brute-force
+    oracle can enumerate; leaf-pruning decompositions; canonical and good
+    perturbed polarizations.  Ranges 1..s and the whole catalog's are
+    compared up to SEARCH_LIMIT tuples, then cut one position at a time to
+    a sub-range of its narrowed range (so some tuple is left) until
+    `_count` holds at most SEARCH_LIMIT, and compared whole.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=16, genus_range=(2, 5))
+    while curve.gamma < 8:
+        curve = random_tree_curve(rng, gamma_max=16, genus_range=(2, 5))
+    deco = pruning_decomposition(rng, curve, rng.randint(1, curve.gamma))
+    omega = nb.canonical(curve) if rng.random() < 0.5 else random_good_polarization(rng, curve)
+    s = rng.randint(1, 6)
+    d = rng.randint(curve.gamma - 1, s * curve.gamma + 1)  # mostly small-slope tuples too
+    table = stability_windows(curve, omega, deco, s, d)
+    for small_slope in (True, False):
+        narrowed = table._narrow(table._ranges(small_slope))
+        for cut in (False, True):
+            while cut and narrowed is not None and table._count(narrowed[0]) > SEARCH_LIMIT:
+                ranges = list(narrowed[0])
+                p = rng.randrange(len(ranges))
+                ranges[p] = _sub_range(rng, *ranges[p])
+                narrowed = table._narrow(ranges)
+            got = _listing(table._tuples, narrowed)
+            assert got == _listing(lambda n: copying_search(table, n), narrowed)
+            if cut and narrowed is not None:
+                assert len(got[0]) == table._count(narrowed[0])
 
 
 @settings(max_examples=80, deadline=None)

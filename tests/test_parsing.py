@@ -1,5 +1,7 @@
 """Text format: parsing, rendering, line-numbered errors."""
 
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -249,6 +251,15 @@ class TestScalarParsers:
         assert nb.parse_rationals("+1/2, .5, 5., 2.5E1, -1e0") == (
             Fraction(1, 2), Fraction(1, 2), Fraction(5), Fraction(25), Fraction(-1)
         )
+
+    def test_exponent_within_the_int_limit(self):
+        assert nb.parse_rationals("3e-1,7e-1") == (Fraction(3, 10), Fraction(7, 10))
+        # the length before the exponent plus its magnitude may reach the limit, not pass it
+        limit = sys.get_int_max_str_digits()
+        assert nb.parse_rationals(f"1e-{limit - 1}") == (Fraction(1, 10 ** (limit - 1)),)
+        for token in (f"1e-{limit}", f"1e{limit}", f"-1E+{limit - 1}", f"0.5e-{limit - 2}"):
+            with pytest.raises(nb.ParseError, match=f"bad rational token '{re.escape(token)}'"):
+                nb.parse_rationals(f"1/2,{token}")
 
     def test_rational_errors(self):
         with pytest.raises(nb.ParseError):
