@@ -171,14 +171,16 @@ def _hypotheses(
     per_component_degree_bound: k g_i <= d_i + r(g_i - 1) for r = s + k
     and chosen's degrees d_i, which is `per_component_bgn`'s test times
     g_i > 0.  degree_range: 0 < d_i <= r.  Without a tuple the last two
-    are False.  Integer comparisons only: `_certify_cell` and
-    `conjecture_scan` both take their verdicts from here.
+    are False.  Integer comparisons only: `_certify_cell` takes its
+    verdicts from here.
 
     The first two imply the last two.  With 1 <= d_i <= s, k <= 1 + s(g_i - 1)
     gives k <= d_i + s(g_i - 1), which is k g_i <= d_i + r(g_i - 1), and
     d_i <= s < r.  Inside `conjecture_scan`'s grid, k g_i <= 1 + s(g_i - 1)
     gives the section bound too, so a scanned cell is CERTIFIED exactly
-    when its least small-slope tuple exists.
+    when some small-slope tuple exists.  The scan therefore never calls
+    this: it asks `WindowTable.has_small_slope`, one pass up the tree of
+    subcurves, once per (s, d) and for every k of that cell at once.
     """
     section_ok = k <= 1 + s * (min(genera) - 1)
     if chosen is None:
@@ -204,8 +206,8 @@ def _certify_cell(
 ) -> BNCertificate | CertificationFailure:
     """Checklist and certificate for k sections, given the cell's small-slope answer.
 
-    The four hypothesis rows take their ok flags from `_hypotheses`, as the
-    scan does; this adds only what `bn certify` prints: each row's detail
+    The four hypothesis rows take their ok flags from `_hypotheses`; this
+    adds only what `bn certify` prints: each row's detail
     text (the failing components' section caps, the small-slope count, the
     `per_component_bgn` bounds as Fractions) and the certificate's
     dimension count.
@@ -296,11 +298,14 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     `per_component_bgn`'s test at r = s and d_i = 1; see there).  Cells
     outside it are skipped, never reported.  A cell is CERTIFIED exactly
     when `bn certify` would certify it: all four `_hypotheses` flags hold,
-    the flags its checklist reads.  Per curve the scan builds one split
-    table, per (s, d) one window table and its least small-slope tuple,
-    and per row only the flags and beta: no checklist, no certificate, no
-    count of the small-slope tuples.  A cell that fails is OPEN; nothing
-    here ever claims a refutation.
+    the flags its checklist reads, and inside the grid that is exactly
+    when some small-slope tuple exists (see `_hypotheses`).  Per curve the
+    scan builds one split table, and per (s, d) one window table, which
+    tests existence with one pass up the tree (`has_small_slope`) and
+    gives every k of the cell that verdict; per row it computes only
+    beta.  No tuple is listed or counted, and no checklist or certificate
+    is built.  A cell that fails is OPEN; nothing here ever claims a
+    refutation.
     """
     from .components import WindowTable
     from .polarization import _SplitTable, canonical
@@ -319,9 +324,8 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                chosen = WindowTable(splits, s, d).first_small_slope()
+                certified = WindowTable(splits, s, d).has_small_slope()
                 for k in ks:
-                    certified = all(_hypotheses(genera, s, k, chosen))
                     beta = bn_number(pa, s + k, d, k)
                     rows.append(ScanRow(shape, gamma, genera, s, d, k, certified, beta))
     rows.sort(key=lambda r: (r.gamma, r.genera, r.s, r.d, r.k))

@@ -9,7 +9,9 @@ changes it.  Rationals print reduced (``p/q``, or ``p`` for integers).
 Output for identical inputs is byte-identical.
 
 Exit codes: 0 for pass/certified, 1 for a failed hypothesis or verdict,
-2 for unparseable input or bad command lines.  Handlers fill the report
+2 for unparseable input or bad command lines, and 2 with the one line
+``error: out of memory`` when a handler runs out of memory, so that a
+script cannot take it for a refusal.  Handlers fill the report
 `main` hands them and return 0 or 1; `main` writes it only when the
 handler returns, so a command that raises writes nothing to stdout.
 If the reader of stdout goes away, the rest of the report is dropped
@@ -139,13 +141,13 @@ def _digest(data: bytes) -> str:
     the fallback for a build without that module.  Imported here: ``bn
     number`` reads no curve.
     """
-    try:
-        from _sha2 import sha256
-    except ImportError:
-        try:
+    try:  # by version: a failed import of the other name searches every sys.path entry
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
             from _sha256 import sha256
-        except ImportError:
-            from hashlib import sha256
+    except ImportError:
+        from hashlib import sha256
     return sha256(data).hexdigest()[:12]
 
 
@@ -508,7 +510,7 @@ def cmd_bn_scan(args: SimpleNamespace, report: Report) -> int:
         "scan",
         ["shape", "gamma", "genera", "s", "d", "k", "status", "beta"],
         [
-            [r.shape, r.gamma, genera[r.genera], r.s, r.d, r.k, r.status, r.beta]
+            f"{r.shape}\t{r.gamma}\t{genera[r.genera]}\t{r.s}\t{r.d}\t{r.k}\t{r.status}\t{r.beta}"
             for r in rows
         ],
     )
@@ -708,6 +710,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # every class `_exit_code` lists is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)
+    except MemoryError:
+        code = None  # reported below, once the traceback and the frames it holds are freed
+    if code is None:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     try:
         report.emit()
         sys.stdout.flush()

@@ -25,9 +25,10 @@ binding window (ties go to the smallest j) and fixes the radius, key /
 and each distinct radius once, and the bounds become Fractions only where
 they are printed.
 
-The window table answers every catalog question, all but its size by
-one search.  Component in position i lies in A_j only for i <= j,
-position j itself always does, and the A_j of a tree are nested or
+The window table answers every catalog question, all but its size and
+whether a small-slope tuple exists by one search.  Component in position
+i lies in A_j only for i <= j, position j itself always does, and the
+A_j of a tree are nested or
 disjoint, so they are the subtrees of a rooted tree on the positions:
 A_j's children are the positions whose node joins them to C_(j), read
 from a walk's parent positions or from a valid decomposition's
@@ -47,7 +48,10 @@ interval arithmetic over the tree, O(gamma), and one more pass from the
 root down narrows every position's range and every subtree's sums to
 exactly those some tuple takes.  `WindowTable._narrow` is both passes;
 the count sizes its tables from its sums, and a printed catalog formats
-its cells over them.  One search (`WindowTable._tuples`) lists the
+its cells over them.  The up-pass alone (`WindowTable._reach`) decides
+whether any tuple exists, since the root's window is (d, d): that is
+`has_small_slope`, which `bn scan` asks of every (s, d) cell.  One
+search (`WindowTable._tuples`) lists the
 tuples in increasing order: ids 1..gamma take their degrees in turn
 within the narrowed ranges, each choice narrowed again, so no branch is
 a dead end and its cost follows the number of tuples, not s^(gamma-1).
@@ -203,11 +207,13 @@ class WindowTable(_Frozen):
     `check` rows build their A_j one row at a time (`_rows`).
 
     The table answers every catalog question: `catalog`, `degree_tuples`,
-    `first_small_slope`, `count_small_slope` and `size`.  All but `size`
-    narrow the ranges `_ranges` gives (`_narrow`) and run one search
-    (`_tuples`, `_count`) over what that returns.  `_tuples` keeps its
-    choices, not a copy of the ranges per choice, and re-narrows to
-    backtrack.
+    `first_small_slope`, `has_small_slope`, `count_small_slope` and
+    `size`.  `has_small_slope` is the up-pass alone (`_reach`) over the
+    ranges 1..s: whether a tuple exists, with no search.  The others but
+    `size` narrow the ranges `_ranges` gives (`_narrow`, which starts with
+    that pass) and run one search (`_tuples`, `_count`) over what that
+    returns.  `_tuples` keeps its choices, not a copy of the ranges per
+    choice, and re-narrows to backtrack.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -352,6 +358,10 @@ class WindowTable(_Frozen):
         degrees = next(self.degree_tuples(small_slope=True), None)
         return None if degrees is None else ComponentTuple(self.rank, degrees)
 
+    def has_small_slope(self) -> bool:
+        """Whether some catalog tuple has every degree in 1..s: `_reach` alone, no search."""
+        return self._reach(self._ranges(True)) is not None
+
     def count_small_slope(self) -> int:
         """Number of catalog tuples with every degree in 1..s, without listing them."""
         return self._count(self._ranges(True))
@@ -385,16 +395,13 @@ class WindowTable(_Frozen):
             for (lo, hi), kids in zip(bounds, self.children)
         ]
 
-    def _narrow(self, ranges: list[tuple[int, int]]) -> _Narrowed | None:
-        """Each position's degrees and subtree sums over the tuples within ranges.
+    def _reach(self, ranges: list[tuple[int, int]]) -> list[tuple[int, int]] | None:
+        """Each subtree's sums inside its window with position p's degree in ranges[p].
 
-        None when there are no such tuples.  A pass up the tree gives each
-        subtree the sums it can reach inside its window when position p's
-        degree lies in ranges[p]; a pass from the root down cuts each
-        subtree's sums to those some whole tuple gives it, and reads off
-        the own degrees that go with them.  Both passes are exact because
-        each subtree's reachable sums form one interval: every value in
-        either span is some tuple's.
+        One pass up the tree, children before parents; None when some
+        subtree reaches none, so that no tuple lies within the ranges.  The
+        root's window is (d, d), so a span for every subtree means a tuple:
+        each subtree's reachable sums form one interval.
         """
         sums: list[tuple[int, int]] = []
         for (wlo, whi), kids, (lo, hi) in zip(self._bounds, self.children, ranges):
@@ -405,6 +412,22 @@ class WindowTable(_Frozen):
             if lo > hi:
                 return None
             sums.append((lo, hi))
+        return sums
+
+    def _narrow(self, ranges: list[tuple[int, int]]) -> _Narrowed | None:
+        """Each position's degrees and subtree sums over the tuples within ranges.
+
+        None when there are no such tuples.  A pass up the tree (`_reach`)
+        gives each subtree the sums it can reach inside its window when
+        position p's degree lies in ranges[p]; a pass from the root down
+        cuts each subtree's sums to those some whole tuple gives it, and
+        reads off the own degrees that go with them.  Both passes are exact
+        because each subtree's reachable sums form one interval: every
+        value in either span is some tuple's.
+        """
+        sums = self._reach(ranges)
+        if sums is None:
+            return None
         children = self.children
         out = list(ranges)
         for p in reversed(range(len(ranges))):  # a parent's sums are cut before its children's

@@ -333,19 +333,26 @@ def _refuse(*args, **kwargs):
 
 
 def test_scan_builds_no_certificate(monkeypatch):
-    """The rows stay the same with every certificate-building name refusing to run."""
+    """The rows stay the same with every certificate-building name refusing to run.
+
+    The tuple search is refused too (least tuple, listing and count), so
+    the scan lists no tuple: existence alone decides a cell.
+    """
     want = certificate_scan(SCAN_CURVES, range(1, 9))
     assert want and all(row.certified for row in want)
-    for name in ("BNCertificate", "CertificationFailure", "_certify_cell", "per_component_bgn"):
+    for name in (
+        "BNCertificate", "CertificationFailure", "_certify_cell", "per_component_bgn", "_hypotheses",
+    ):
         monkeypatch.setattr(brill_noether, name, _refuse)
-    monkeypatch.setattr(components.WindowTable, "count_small_slope", _refuse)
+    for name in ("count_small_slope", "first_small_slope", "_tuples", "_count"):
+        monkeypatch.setattr(components.WindowTable, name, _refuse)
     assert nb.conjecture_scan(SCAN_CURVES, range(1, 9)) == want
 
 
 def test_scan_without_a_small_slope_tuple_is_open(monkeypatch):
     """A cell whose search finds no tuple is OPEN: the verdict reads the search."""
     want = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
-    monkeypatch.setattr(components.WindowTable, "first_small_slope", lambda self: None)
+    monkeypatch.setattr(components.WindowTable, "has_small_slope", lambda self: False)
     rows = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
     assert rows == [row._replace(certified=False) for row in want]
     assert rows and all(row.status == "OPEN" for row in rows)

@@ -782,7 +782,7 @@ class TestBnCommands:
     def test_scan_with_an_open_cell_exits_one(self, capsys, monkeypatch):
         from nodalbn import components
 
-        monkeypatch.setattr(components.WindowTable, "first_small_slope", lambda self: None)
+        monkeypatch.setattr(components.WindowTable, "has_small_slope", lambda self: False)
         code, out, _ = run(
             capsys,
             "bn", "scan", "--family", "comb",
@@ -820,6 +820,23 @@ class TestHarness:
     def test_command_echo_first_line(self, capsys, two_path):
         _, out, _ = run(capsys, "curve", "classify", "--curve", two_path)
         assert out.splitlines()[0] == f"command: nodalbn curve classify --curve {two_path}"
+
+    @pytest.mark.parametrize("spelling", [("--s", "2"), ("--s=2",)])
+    def test_out_of_memory_exits_two_with_one_line(self, capsys, monkeypatch, two_path, spelling):
+        """A handler that runs out of memory exits 2, not 1: one stderr line, no report.
+
+        Both readers of the command line (`_read` and argparse's) reach the
+        same handler.
+        """
+        def exhaust(args, report):
+            report.kv("partial", "written")
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_bn_certify", exhaust)
+        code, out, err = run(
+            capsys, "bn", "certify", "--curve", two_path, *spelling, "--k", "1", "--d", "2"
+        )
+        assert (code, out, err) == (2, "", "error: out of memory\n")
 
 
 CYCLE = "component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\nnode 2 1 2\n"

@@ -498,6 +498,32 @@ def test_small_slope_search_matches_brute_force(seed):
         _check_small_slope_search(curve, omega, deco, s, d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_has_small_slope_is_whether_the_least_tuple_exists(seed):
+    """The up-pass alone decides existence, as the search's least tuple and the oracle do.
+
+    Random Pruefer trees, leaf-pruning decompositions, and canonical, good
+    and arbitrary valid polarizations; d runs from -1 to s gamma + 2, so
+    empty cells on both sides are drawn too.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=7, genus_range=(2, 5))
+    deco = pruning_decomposition(rng, curve, rng.randint(1, curve.gamma))
+    s = rng.randint(1, 7)
+    d = rng.randint(-1, s * curve.gamma + 2)
+    for omega in (
+        nb.canonical(curve),
+        random_good_polarization(rng, curve),
+        random_valid_polarization(rng, curve.gamma),
+    ):
+        table = stability_windows(curve, omega, deco, s, d)
+        found = table.has_small_slope()
+        assert found == (table.first_small_slope() is not None)
+        if brute_force_box_size(curve, omega, deco, s, d) <= ORACLE_BOX_LIMIT:
+            assert found == bool(brute_force_small_slope(curve, omega, deco, s, d))
+
+
 @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
 def test_small_slope_search_every_degree(gamma):
     """Every d from -1 to s*gamma + 2, so both ends of the range are crossed."""
