@@ -307,6 +307,8 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     is built.  A cell that fails is OPEN; nothing here ever claims a
     refutation.
     """
+    from operator import itemgetter  # loaded already, under fractions
+
     from .components import WindowTable
     from .polarization import _SplitTable, canonical
 
@@ -328,5 +330,5 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
                 for k in ks:
                     beta = bn_number(pa, s + k, d, k)
                     rows.append(ScanRow(shape, gamma, genera, s, d, k, certified, beta))
-    rows.sort(key=lambda r: (r.gamma, r.genera, r.s, r.d, r.k))
+    rows.sort(key=itemgetter(1, 2, 3, 4, 5))  # (gamma, genera, s, d, k), ScanRow's fields 1-5
     return rows

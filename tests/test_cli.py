@@ -1,6 +1,7 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import contextlib
+import gc
 import io
 import os
 import random
@@ -1099,11 +1100,21 @@ def test_commands_emit_the_joined_bytes(capsys, monkeypatch, tmp_path, argv):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def fresh_cli(cwd, *argv):
-    """``python -m nodalbn.cli argv`` in a fresh interpreter, as a started Popen."""
-    path = os.pathsep.join(p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p)
+# the two ways a command starts: the console script's (and the benchmark's) line, and -m
+ENTRIES = {
+    "console-script": ("-c", "import sys; from nodalbn.cli import main; sys.exit(main())"),
+    "module": ("-m", "nodalbn.cli"),
+}
+
+
+def fresh_cli(cwd, *argv, entry=ENTRIES["module"], paths=()):
+    """``python -m nodalbn.cli argv`` in a fresh interpreter, as a started Popen.
+
+    ``entry`` replaces ``-m nodalbn.cli``; ``paths`` go ahead of ``src`` on the path.
+    """
+    path = os.pathsep.join(p for p in (*paths, str(SRC), os.environ.get("PYTHONPATH")) if p)
     return subprocess.Popen(
-        [sys.executable, "-m", "nodalbn.cli", *argv],
+        [sys.executable, *entry, *argv],
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
         stdin=subprocess.DEVNULL,
@@ -1179,3 +1190,83 @@ def test_reader_leaving_early_keeps_the_exit_code(capsys, monkeypatch, tmp_path,
         assert proc.wait(timeout=60) == code
     assert err == b""
     assert all(line.startswith(b"command: nodalbn ") for line in read)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to count descriptors")
+@pytest.mark.parametrize("code, argv", [(code, argv) for code, _, argv in BROKEN_PIPE_CASES[1:]],
+                         ids=["bn-number", "bn-bounds-fail"])
+def test_closed_reader_in_process_keeps_the_code_and_every_descriptor(monkeypatch, code, argv):
+    # the BrokenPipeError branch, reached in this process: the report goes to a
+    # pipe nobody reads, and the null device put in its place must be the only trace
+    before = len(os.listdir("/dev/fd"))
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w", encoding="utf-8") as pipe, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", pipe)
+        assert main(list(argv)) == code
+    assert len(os.listdir("/dev/fd")) == before
+
+
+# A sitecustomize module registers this probe before any command runs.  Exit
+# handlers run last in, first out, so the probe runs after the one `main`
+# registers and appends whether the heap was frozen by then.
+FREEZE_PROBE = """
+import atexit, gc, os
+
+def _probe(path=os.path.join(os.path.dirname(os.path.abspath(__file__)), "frozen.txt")):
+    with open(path, "a", encoding="utf-8") as seen:
+        seen.write(f"{gc.get_freeze_count() > 0}\\n")
+
+atexit.register(_probe)
+"""
+FREEZE_CASES = {  # case -> (exit code, argv)
+    "exit-0": (0, ("components", "enumerate", "--curve", "two.crv", "--rank", "2",
+                   "--degree", "2")),
+    "refused-certify": (1, ("bn", "certify", "--curve", "two.crv", "--s", "2", "--k", "1",
+                            "--d", "1")),
+    "parse-fault": (2, ("curve", "validate", "--curve", "bad.crv")),
+    "argparse": (0, ("bn", "number", "--pa=3", "--r", "2", "--d", "4", "--k", "1")),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES.values(), ids=ENTRIES)
+@pytest.mark.parametrize("code, argv", FREEZE_CASES.values(), ids=FREEZE_CASES)
+def test_command_exits_with_a_frozen_heap(capsys, monkeypatch, tmp_path, entry, code, argv):
+    (tmp_path / "two.crv").write_text(TWO_CURVE)
+    (tmp_path / "bad.crv").write_text("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 9\n")
+    probe = tmp_path / "probe"
+    probe.mkdir()
+    (probe / "sitecustomize.py").write_text(FREEZE_PROBE)
+    monkeypatch.chdir(tmp_path)
+    assert main(list(argv)) == code
+    want = capsys.readouterr().out.encode()
+    with fresh_cli(tmp_path, *argv, entry=entry, paths=(str(probe),)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out) == (code, want)
+    assert code or err == b""
+    assert (probe / "frozen.txt").read_text() == "True\n"
+
+
+def test_main_in_process_freezes_nothing(capsys, two_path):
+    frozen = gc.get_freeze_count()
+    main(["curve", "validate", "--curve", two_path])
+    main(["bn", "number", "--pa=3", "--r", "2", "--d", "4", "--k", "1"])
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+ONE_EXIT_HANDLER = """
+import atexit, contextlib, io
+from nodalbn.cli import main
+before = atexit._ncallbacks()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["bn", "number", "--pa", "3", "--r", "2", "--d", "4", "--k", "1"])
+             for _ in range(3)]
+print(codes, atexit._ncallbacks() - before)
+"""
+
+
+def test_three_calls_register_one_exit_handler(tmp_path):
+    with fresh_cli(tmp_path, entry=("-c", ONE_EXIT_HANDLER)) as proc:
+        out, err = proc.communicate(timeout=60)
+    assert (proc.returncode, out, err) == (0, b"[0, 0, 0] 1\n", b"")
