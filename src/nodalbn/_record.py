@@ -3,7 +3,11 @@
 The fields are the class annotations, each with an optional default, and
 a record has namedtuple's repr, ``_make``, ``_replace`` and pickling.
 Building a record class reads the field names and compiles nothing.
+`_integer`, the one-integer reader every layer uses, lives here too, so
+that ``brill_noether`` reads its integers without loading ``curve``.
 """
+
+from operator import index as _index
 
 try:
     from _collections import _tuplegetter  # namedtuple's field property, without collections
@@ -53,3 +57,11 @@ class Record(tuple, metaclass=_RecordType):
 
     def __getnewargs__(self):
         return tuple(self)
+
+
+def _integer(value: int, what: str, error: type[ValueError] = ValueError) -> int:
+    """The value as an int (True is 1); a float or any other non-integer raises ``error``."""
+    try:
+        return _index(value)
+    except TypeError as exc:
+        raise error(f"{what} must be an integer: {exc}") from None

@@ -20,7 +20,7 @@ every component, and a small-slope degree tuple in the rank-s catalog.
 
 from __future__ import annotations
 
-from ._record import Record
+from ._record import Record, _integer
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -95,12 +95,32 @@ class ScanRow(Record):
 
 
 def bn_number(pa: int, r: int, d: int, k: int) -> int:
-    """Expected dimension r^2(p_a-1) + 1 - k(k - d + r(p_a-1))."""
+    """Expected dimension r^2(p_a-1) + 1 - k(k - d + r(p_a-1)).
+
+    Each argument is read through `operator.index`: anything else raises
+    ValueError naming it.
+    """
+    return _beta(
+        _integer(pa, "arithmetic genus pa"),
+        _integer(r, "rank r"),
+        _integer(d, "degree d"),
+        _integer(k, "section count k"),
+    )
+
+
+def _beta(pa: int, r: int, d: int, k: int) -> int:
+    """`bn_number` on arguments already read as ints."""
     return r * r * (pa - 1) + 1 - k * (k - d + r * (pa - 1))
 
 
 def bgn_bounds(pa: int, r: int, d: int, k: int) -> Verdict:
-    """Existence bounds for rank r, degree d, k sections at genus p_a."""
+    """Existence bounds for rank r, degree d, k sections at genus p_a.
+
+    Each argument is read through `operator.index` first: anything else
+    raises ValueError naming it.
+    """
+    pa, r = _integer(pa, "arithmetic genus pa"), _integer(r, "rank r")
+    d, k = _integer(d, "degree d"), _integer(k, "section count k")
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if k < 1:
@@ -118,15 +138,27 @@ def bgn_bounds(pa: int, r: int, d: int, k: int) -> Verdict:
 def per_component_bgn(
     r: int, k: int, degrees: Sequence[int], genera: Sequence[int]
 ) -> tuple[ComponentBound, ...]:
-    """Per-component bound k <= (d_i + r(g_i - 1)) / g_i, exact rationals."""
+    """Per-component bound k <= (d_i + r(g_i - 1)) / g_i, exact rationals.
+
+    r, k, the degrees and the genera are read through `operator.index`:
+    anything else raises ValueError naming them, as does a genus below 1,
+    naming its component.
+    """
     from fractions import Fraction
 
+    from .curve import _integers
+
+    r, k = _integer(r, "rank r"), _integer(k, "section count k")
+    degrees = _integers(degrees, "degrees", ValueError)
+    genera = _integers(genera, "genera", ValueError)
     if len(degrees) != len(genera):
         raise ValueError(
             f"{len(degrees)} degrees against {len(genera)} genus values"
         )
     out = []
     for i, (d_i, g_i) in enumerate(zip(degrees, genera), start=1):
+        if g_i < 1:
+            raise ValueError(f"component {i} has genus {g_i}; each genus must be >= 1")
         bound = Fraction(d_i + r * (g_i - 1), g_i)
         out.append(ComponentBound(i, bound, k <= bound))
     return tuple(out)
@@ -143,9 +175,20 @@ def certify_bn_component(
     d) return a failure report naming each failed item.  s, k and d are
     read through `operator.index` first: anything else raises ValueError
     naming the argument.
+
+    The checklist, in order: compact_type and goodness_proxy (past the
+    hard errors, both pass); section_bound, k <= 1 + s(g_i - 1) on every
+    component; small_slope_tuple, the least catalog tuple with every
+    degree in 1..s, and how many there are; then, once those two pass,
+    per_component_degree_bound, `per_component_bgn`'s k g_i <= d_i +
+    r(g_i - 1) on the tuple's degrees d_i, and degree_range, 0 < d_i <= r.
+    The last two follow from the two before: with 1 <= d_i <= s,
+    k <= 1 + s(g_i - 1) gives k <= d_i + s(g_i - 1), which is
+    k g_i <= d_i + r(g_i - 1), and d_i <= s < r.  Each still prints the
+    verdict it computes, so a certificate's six rows pass because each
+    was checked.
     """
     from .components import WindowTable
-    from .curve import _integer
     from .polarization import _SplitTable
 
     s, k, d = _integer(s, "rank s"), _integer(k, "section count k"), _integer(d, "degree d")
@@ -155,64 +198,12 @@ def certify_bn_component(
     if k < 1:
         raise ValueError(f"section count k must be >= 1, got {k}")
     table = WindowTable(_SplitTable(curve, omega).require_good(), s, d)
-    return _certify_cell(
-        curve, omega, s, k, d, table.first_small_slope(), table.count_small_slope()
-    )
-
-
-def _hypotheses(
-    genera: Sequence[int], s: int, k: int, chosen: ComponentTuple | None
-) -> tuple[bool, bool, bool, bool]:
-    """The four hypothesis flags of one (curve, s, d, k) cell, in checklist order.
-
-    section_bound: k <= 1 + s(g_i - 1) on every component, tested at the
-    least g_i since the cap grows with g_i (s >= 1).
-    small_slope_tuple: ``chosen``, the cell's least small-slope tuple, exists.
-    per_component_degree_bound: k g_i <= d_i + r(g_i - 1) for r = s + k
-    and chosen's degrees d_i, which is `per_component_bgn`'s test times
-    g_i > 0.  degree_range: 0 < d_i <= r.  Without a tuple the last two
-    are False.  Integer comparisons only: `_certify_cell` takes its
-    verdicts from here.
-
-    The first two imply the last two.  With 1 <= d_i <= s, k <= 1 + s(g_i - 1)
-    gives k <= d_i + s(g_i - 1), which is k g_i <= d_i + r(g_i - 1), and
-    d_i <= s < r.  Inside `conjecture_scan`'s grid, k g_i <= 1 + s(g_i - 1)
-    gives the section bound too, so a scanned cell is CERTIFIED exactly
-    when some small-slope tuple exists.  The scan therefore never calls
-    this: it asks `WindowTable.has_small_slope`, one pass up the tree of
-    subcurves, once per (s, d) and for every k of that cell at once.
-    """
-    section_ok = k <= 1 + s * (min(genera) - 1)
-    if chosen is None:
-        return section_ok, False, False, False
-    r = s + k
-    degrees = chosen.degrees
-    return (
-        section_ok,
-        True,
-        all(k * g <= x + r * (g - 1) for x, g in zip(degrees, genera)),
-        0 < min(degrees) and max(degrees) <= r,
-    )
-
-
-def _certify_cell(
-    curve: NodalCurve,
-    omega: Polarization,
-    s: int,
-    k: int,
-    d: int,
-    chosen: ComponentTuple | None,
-    count: int,
-) -> BNCertificate | CertificationFailure:
-    """Checklist and certificate for k sections, given the cell's small-slope answer.
-
-    The four hypothesis rows take their ok flags from `_hypotheses`; this
-    adds only what `bn certify` prints: each row's detail
-    text (the failing components' section caps, the small-slope count, the
-    `per_component_bgn` bounds as Fractions) and the certificate's
-    dimension count.
-    """
-    section_ok, tuple_ok, per_comp_ok, range_ok = _hypotheses(curve.genera, s, k, chosen)
+    chosen = table.first_small_slope()
+    over = [
+        f"component {i}: k = {k} > 1 + s(g-1) = {1 + s * (g - 1)}"
+        for i, g in zip(curve.component_ids, curve.genera)
+        if k > 1 + s * (g - 1)
+    ]
     checklist = [
         ChecklistItem("compact_type", True, f"tree with {curve.gamma} components"),
         ChecklistItem(
@@ -220,43 +211,36 @@ def _certify_cell(
             True,
             "every one-node split defect strictly between 0 and 1",
         ),
-    ]
-    if section_ok:
-        section = f"k = {k} <= 1 + s(g_i - 1) on every component"
-    else:  # name each component whose own flag fails
-        section = "; ".join(
-            f"component {i}: k = {k} > 1 + s(g-1) = {1 + s * (g - 1)}"
-            for i, g in zip(curve.component_ids, curve.genera)
-            if not _hypotheses((g,), s, k, None)[0]
-        )
-    checklist.append(ChecklistItem("section_bound", section_ok, section))
-    checklist.append(
         ChecklistItem(
-            "small_slope_tuple",
-            tuple_ok,
-            f"first of {count} small-slope tuples: {chosen.degrees}"
-            if tuple_ok
-            else f"no rank-{s} degree-{d} tuple with every degree in 1..{s}",
-        )
-    )
-    if not (section_ok and tuple_ok):
+            "section_bound",
+            not over,
+            "; ".join(over) or f"k = {k} <= 1 + s(g_i - 1) on every component",
+        ),
+    ]
+    if chosen is None:
+        detail = f"no rank-{s} degree-{d} tuple with every degree in 1..{s}"
+    else:  # counted only here, where it is printed
+        detail = f"first of {table.count_small_slope()} small-slope tuples: {chosen.degrees}"
+    checklist.append(ChecklistItem("small_slope_tuple", chosen is not None, detail))
+    if over or chosen is None:
         return CertificationFailure(checklist=tuple(checklist))
 
-    r = s + k
-    per_comp = per_component_bgn(r, k, chosen.degrees, curve.genera)
+    r, degrees = s + k, chosen.degrees
+    per_comp = per_component_bgn(r, k, degrees, curve.genera)
     checklist.append(
         ChecklistItem(
             "per_component_degree_bound",
-            per_comp_ok,
+            all(c.ok for c in per_comp),
             "; ".join(f"component {c.component}: k <= {c.bound}" for c in per_comp),
         )
     )
-    checklist.append(ChecklistItem("degree_range", range_ok, f"every degree in 1..{r}"))
-    if not (per_comp_ok and range_ok):
-        return CertificationFailure(checklist=tuple(checklist))
-
+    checklist.append(
+        ChecklistItem(
+            "degree_range", 0 < min(degrees) and max(degrees) <= r, f"every degree in 1..{r}"
+        )
+    )
     pa = curve.arithmetic_genus()
-    beta = bn_number(pa, r, d, k)
+    beta = _beta(pa, r, d, k)
     moduli_dim = s * s * (pa - 1) + 1
     h1_dual = d + s * (pa - 1)
     fiber_dim = k * (h1_dual - k)
@@ -285,7 +269,10 @@ def max_section_count(curve: NodalCurve, s: int) -> int:
     That is `per_component_bgn`'s test k g_i <= d_i + r(g_i - 1) at r = s
     and d_i = 1, stricter than section_bound's k <= 1 + s(g_i - 1).  Which
     bound the paper uses is not confirmed: the repository has its abstract only.
+    s is read through `operator.index` first: anything else raises
+    ValueError.
     """
+    s = _integer(s, "rank s")
     return min((1 + s * (g - 1)) // g for g in curve.genera)
 
 
@@ -297,9 +284,11 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     largest k with k g_i <= 1 + s(g_i - 1) on every component (by algebra
     `per_component_bgn`'s test at r = s and d_i = 1; see there).  Cells
     outside it are skipped, never reported.  A cell is CERTIFIED exactly
-    when `bn certify` would certify it: all four `_hypotheses` flags hold,
-    the flags its checklist reads, and inside the grid that is exactly
-    when some small-slope tuple exists (see `_hypotheses`).  Per curve the
+    when `bn certify` would certify it, and inside the grid that is
+    exactly when some small-slope tuple exists: k g_i <= 1 + s(g_i - 1)
+    gives the section bound, and the section bound with a small-slope
+    tuple gives the two degree rows (see `certify_bn_component`).  The
+    s values are read as ints once, up front.  Per curve the
     scan builds one split table, and per (s, d) one window table, which
     tests existence with one pass up the tree (`has_small_slope`) and
     gives every k of the cell that verdict; per row it computes only
@@ -310,9 +299,10 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     from operator import itemgetter  # loaded already, under fractions
 
     from .components import WindowTable
+    from .curve import _integers
     from .polarization import _SplitTable, canonical
 
-    s_values = tuple(s_values)
+    s_values = _integers(s_values, "s values", ValueError)
     rows = []
     for curve in curves:
         curve.require_compact_type()
@@ -328,7 +318,7 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
             for d in range(gamma, s + 1):
                 certified = WindowTable(splits, s, d).has_small_slope()
                 for k in ks:
-                    beta = bn_number(pa, s + k, d, k)
+                    beta = _beta(pa, s + k, d, k)
                     rows.append(ScanRow(shape, gamma, genera, s, d, k, certified, beta))
     rows.sort(key=itemgetter(1, 2, 3, 4, 5))  # (gamma, genera, s, d, k), ScanRow's fields 1-5
     return rows

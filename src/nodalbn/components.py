@@ -94,8 +94,8 @@ from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate
 
-from ._record import Record
-from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integer, _integers
+from ._record import Record, _integer
+from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integers
 from .ordering import OrderedDecomposition, _walk
 from .polarization import Polarization, _SplitTable, canonical
 

@@ -79,14 +79,6 @@ def _integers(
         raise error(f"{what} must be integers: {exc}") from None
 
 
-def _integer(value: int, what: str, error: type[ValueError] = ValueError) -> int:
-    """The value as an int (True is 1); a float or any other non-integer raises ``error``."""
-    try:
-        return operator.index(value)
-    except TypeError as exc:
-        raise error(f"{what} must be an integer: {exc}") from None
-
-
 class _Frozen:
     """Immutable value over the fields named in ``__match_args__``.
 
@@ -153,7 +145,7 @@ class NodalCurve(_Frozen):
         object.__setattr__(self, "genera", genera)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "_adj", adj)  # built once; not a field
-        if len(self._reachable_from(1, frozenset(self.component_ids))) != len(genera):
+        if len(self._reachable_from(1)) != len(genera):
             raise CurveError("dual graph is not connected")
 
     # -- basic counts -------------------------------------------------
@@ -191,13 +183,13 @@ class NodalCurve(_Frozen):
         """Map component id -> list of (neighbor id, node id), node-id order."""
         return {i: list(edges) for i, edges in self._adj.items()}
 
-    def _reachable_from(self, start: int, within: frozenset[int]) -> set[int]:
+    def _reachable_from(self, start: int) -> set[int]:
         seen = {start}
         stack = [start]
         while stack:
             v = stack.pop()
             for w, _ in self._adj[v]:
-                if w in within and w not in seen:
+                if w not in seen:
                     seen.add(w)
                     stack.append(w)
         return seen

@@ -31,8 +31,8 @@ check is linear in the size of the decomposition.
 
 from __future__ import annotations
 
-from ._record import Record
-from .curve import CurveError, NodalCurve, _integer, _integers
+from ._record import Record, _integer
+from .curve import CurveError, NodalCurve, _integers
 
 
 class OrderedDecomposition(Record):

@@ -35,7 +35,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._record import Record
-from .curve import NodalCurve, _Frozen, _integers
+from .curve import NodalCurve, _Frozen
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -90,14 +90,6 @@ class Polarization(_Frozen):
             raise PolarizationError(f"no weight for component {i}")
         return self.weights[i - 1]
 
-    def subcurve_weight(self, ids: Iterable[int]) -> Fraction:
-        """wrank of the structure sheaf of the subcurve: sum of weights."""
-        ids = _integers(ids, "subcurve ids", PolarizationError)
-        if ids and not (1 <= min(ids) and max(ids) <= len(self.weights)):
-            bad = next(i for i in ids if not 1 <= i <= len(self.weights))
-            raise PolarizationError(f"no weight for component {bad}")
-        return Fraction(sum(map(self._numerators.__getitem__, ids)), self._denominator)
-
 
 class SplitDefect(Record):
     node: int
@@ -143,7 +135,8 @@ def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
     is A_j or its complement.  The command line prints the same rows
     (`_SplitTable.defect_rows`), formatting each as it is made.
     """
-    return _SplitTable(curve, omega).goodness()
+    rows = tuple(_SplitTable(curve, omega).defect_rows())
+    return GoodnessReport(passed=all(row.ok for row in rows), splits=rows)
 
 
 class _SplitTable:
@@ -235,11 +228,6 @@ class _SplitTable:
         D = self.denominator
         for nid, j, flipped, num in self.proxy_rows():
             yield SplitDefect(nid, self.side(j, flipped), Fraction(num, D), 0 < num < D)
-
-    def goodness(self) -> GoodnessReport:
-        """The goodness proxy's report, its rows kept."""
-        rows = tuple(self.defect_rows())
-        return GoodnessReport(passed=all(row.ok for row in rows), splits=rows)
 
     def require_good(self) -> _SplitTable:
         """This table, once omega passes the proxy; `bn certify`'s hard error otherwise."""

@@ -469,47 +469,26 @@ def complement_goodness_proxy(curve, omega):
 
 
 def certificate_scan(curves, s_values):
-    """The scan that builds a certificate per row: the reference for `conjecture_scan`.
+    """The scan that certifies every row: the reference for `conjecture_scan`.
 
-    For every (curve, s, d) cell it counts the small-slope tuples, and for
-    every k it builds `bn certify`'s whole checklist and a `BNCertificate`
-    or `CertificationFailure`, reading only which of the two it got.
+    For every (curve, s, d, k) cell of the scan's grid it runs `bn certify`'s
+    `certify_bn_component` at the canonical polarization, reading only
+    whether a `BNCertificate` came back.  Certify raises the hard errors.
     """
     import nodalbn as nb  # see enumerating_invariance_check
-    from nodalbn.brill_noether import (
-        BNCertificate,
-        ScanRow,
-        _certify_cell,
-        bn_number,
-        max_section_count,
-    )
-    from nodalbn.components import stability_windows
+    from nodalbn.brill_noether import ScanRow
 
     s_values = tuple(s_values)
     rows = []
     for curve in curves:
         curve.require_compact_type()
-        gamma = curve.gamma
-        eta = nb.canonical(curve)
-        shape = curve.classify().value
-        # certify's hard error, once per curve; canonical split defects are all 1/2
-        good = nb.goodness_proxy(curve, eta)
-        if not good.passed:
-            bad = [row for row in good.splits if not row.ok]
-            raise nb.PolarizationError(
-                "polarization fails the goodness proxy at node(s) "
-                + ", ".join(f"{row.node} (defect {row.defect})" for row in bad)
-            )
-        deco = nb.order_components(curve, curve.gamma)
+        gamma, eta, shape = curve.gamma, nb.canonical(curve), curve.classify().value
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
-            ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                table = stability_windows(curve, eta, deco, s, d)
-                cell = table.first_small_slope(), table.count_small_slope()
-                for k in ks:
-                    result = _certify_cell(curve, eta, s, k, d, *cell)
+                for k in range(1, nb.max_section_count(curve, s) + 1):
+                    result = nb.certify_bn_component(curve, eta, s, k, d)
                     rows.append(
                         ScanRow(
                             shape=shape,
@@ -518,8 +497,8 @@ def certificate_scan(curves, s_values):
                             s=s,
                             d=d,
                             k=k,
-                            certified=isinstance(result, BNCertificate),
-                            beta=bn_number(curve.arithmetic_genus(), s + k, d, k),
+                            certified=isinstance(result, nb.BNCertificate),
+                            beta=nb.bn_number(curve.arithmetic_genus(), s + k, d, k),
                         )
                     )
     rows.sort(key=lambda r: (r.gamma, r.genera, r.s, r.d, r.k))

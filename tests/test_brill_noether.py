@@ -1,6 +1,7 @@
 """Expected-dimension arithmetic, existence bounds, certification, scans."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,31 @@ class TestPerComponent:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             nb.per_component_bgn(r=2, k=1, degrees=(1,), genera=(2, 2))
+
+    def test_refuses_a_genus_below_one(self):
+        with pytest.raises(ValueError, match="^component 2 has genus 0; each genus must be >= 1$"):
+            nb.per_component_bgn(r=3, k=1, degrees=(2, 1), genera=(2, 0))
+
+
+# each public entry point of the arithmetic, one integer argument left open, and its name
+INTEGER_ARGUMENTS = {
+    "bn_number": (lambda v: nb.bn_number(5, 3, v, 1), "degree d"),
+    "bgn_bounds": (lambda v: nb.bgn_bounds(v, 3, 2, 1), "arithmetic genus pa"),
+    "per_component_bgn": (lambda v: nb.per_component_bgn(3, 1, (2, 1), (2, v)), "genera"),
+    "max_section_count": (lambda v: nb.max_section_count(nb.chain_curve((2, 3)), v), "rank s"),
+    "conjecture_scan": (lambda v: nb.conjecture_scan([nb.chain_curve((2, 2))], (v, 3)),
+                        "s values"),
+}
+
+
+@pytest.mark.parametrize("inexact", [1.5, Decimal(1), "1"], ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("entry", sorted(INTEGER_ARGUMENTS))
+def test_arithmetic_reads_only_integers(entry, inexact):
+    """A float, a Decimal or a str raises ValueError naming the argument; True reads as 1."""
+    call, what = INTEGER_ARGUMENTS[entry]
+    with pytest.raises(ValueError, match=f"^{what} must be"):
+        call(inexact)
+    assert call(True) == call(1)
 
 
 class TestCertify:
@@ -236,8 +262,9 @@ def _random_trees(rng, count):
 def test_a_scan_cell_is_certified_exactly_when_its_small_slope_tuple_exists(seed):
     """Inside the scan's grid the small-slope row alone decides a cell.
 
-    k g_i <= 1 + s(g_i - 1) with g_i >= 1 gives the section bound, and the
-    section bound with degrees in 1..s gives the two degree rows.
+    k g_i <= 1 + s(g_i - 1) with g_i >= 1 gives the section bound, checked
+    here, and the section bound with degrees in 1..s gives the two degree
+    rows (`test_section_bound_and_small_slope_imply_degree_rows`).
     """
     rng = random.Random(seed)
     curve = random_tree_curve(rng, gamma_max=5, genus_range=(2, 4))
@@ -250,8 +277,7 @@ def test_a_scan_cell_is_certified_exactly_when_its_small_slope_tuple_exists(seed
         for d in range(curve.gamma, s + 1):
             found = components.WindowTable(splits, s, d).first_small_slope()
             for k in range(1, nb.max_section_count(curve, s) + 1):
-                flags = brill_noether._hypotheses(curve.genera, s, k, found)
-                assert flags == (True,) + (found is not None,) * 3
+                assert all(k <= 1 + s * (g - 1) for g in curve.genera)
                 want.append((s, d, k, found is not None))
     rows = nb.conjecture_scan([curve], s_values)
     assert [(row.s, row.d, row.k, row.certified) for row in rows] == want
@@ -268,16 +294,18 @@ def test_scan_matches_the_certificate_scan(seed):
 
 
 def test_hypotheses_are_the_checklist_verdicts():
-    """`_hypotheses` gives the ok column of `certify_bn_component`'s checklist.
+    """`certify_bn_component`'s ok column is the textbook tests.
 
     Random trees and good polarizations, with s below 2(gamma - 1), k above
     `max_section_count` and d outside gamma..s drawn too, so that the
-    section, small-slope and per-component flags each fail somewhere.  The
-    flags are also the textbook tests: every k <= 1 + s(g_i - 1), a tuple,
-    every `per_component_bgn` Fraction bound and every degree in 1..r.
+    section and small-slope rows each fail somewhere.  The tests: every
+    k <= 1 + s(g_i - 1), a small-slope tuple, and on that tuple every
+    `per_component_bgn` Fraction bound and every degree in 1..r.  A
+    certificate has six rows, all passing; a failure has four, failing
+    exactly where the first two tests fail.
     """
     rng = random.Random(1402)
-    failed = [0, 0, 0, 0]
+    failed = [0, 0]
     for _ in range(300):
         curve = random_tree_curve(rng, gamma_max=5, genus_range=(2, 5))
         omega = random_good_polarization(rng, curve)
@@ -286,38 +314,21 @@ def test_hypotheses_are_the_checklist_verdicts():
         d = rng.randint(-1, s * curve.gamma + 2)
         splits = polarization._SplitTable(curve, omega).require_good()
         chosen = components.WindowTable(splits, s, d).first_small_slope()
-        flags = brill_noether._hypotheses(curve.genera, s, k, chosen)
+        section = all(k <= 1 + s * (g - 1) for g in curve.genera)
         result = nb.certify_bn_component(curve, omega, s, k, d)
         oks = tuple(item.ok for item in result.checklist)
-        assert oks[:2] == (True, True)
-        assert oks[2:] == flags[: len(oks) - 2]
-        assert isinstance(result, nb.BNCertificate) == all(flags)
-        r = s + k
-        assert flags == (
-            all(k <= 1 + s * (g - 1) for g in curve.genera),
-            chosen is not None,
-            chosen is not None
-            and all(c.ok for c in nb.per_component_bgn(r, k, chosen.degrees, curve.genera)),
-            chosen is not None and all(0 < x <= r for x in chosen.degrees),
-        )
-        for i, flag in enumerate(flags):
-            failed[i] += not flag
-    assert all(failed[:3]), failed
-
-
-@given(data=st.data())
-def test_hypotheses_degree_flags_on_any_tuple(data):
-    """On any degrees the last two flags are the Fraction bound and the range 1..r."""
-    genera = data.draw(st.lists(st.integers(2, 6), min_size=1, max_size=6))
-    s = data.draw(st.integers(1, 8))
-    k = data.draw(st.integers(1, 12))
-    r = s + k
-    degrees = data.draw(
-        st.lists(st.integers(-2, r + 3), min_size=len(genera), max_size=len(genera))
-    )
-    flags = brill_noether._hypotheses(genera, s, k, nb.ComponentTuple(s, degrees))
-    assert flags[2] == all(c.ok for c in nb.per_component_bgn(r, k, degrees, genera))
-    assert flags[3] == all(0 < x <= r for x in degrees)
+        if isinstance(result, nb.BNCertificate):
+            r = s + k
+            assert section and result.degree_tuple == chosen
+            assert all(c.ok for c in nb.per_component_bgn(r, k, chosen.degrees, curve.genera))
+            assert all(0 < x <= r for x in chosen.degrees)
+            assert oks == (True,) * 6
+        else:
+            assert oks == (True, True, section, chosen is not None)
+            assert not (section and chosen is not None)
+        failed[0] += not section
+        failed[1] += chosen is None
+    assert all(failed), failed
 
 
 SCAN_CURVES = [
@@ -341,7 +352,7 @@ def test_scan_builds_no_certificate(monkeypatch):
     want = certificate_scan(SCAN_CURVES, range(1, 9))
     assert want and all(row.certified for row in want)
     for name in (
-        "BNCertificate", "CertificationFailure", "_certify_cell", "per_component_bgn", "_hypotheses",
+        "BNCertificate", "CertificationFailure", "certify_bn_component", "per_component_bgn",
     ):
         monkeypatch.setattr(brill_noether, name, _refuse)
     for name in ("count_small_slope", "first_small_slope", "_tuples", "_count"):

@@ -908,6 +908,10 @@ GOLDEN_CASES = {
         "--rank", "3", "--degree", "7")),
     "certify_chain7": (0, (
         "bn", "certify", "--curve", "{chain7}", "--s", "12", "--k", "1", "--d", "12")),
+    "certify_refused_section": (1, (
+        "bn", "certify", "--curve", "{curve}", "--s", "8", "--k", "12", "--d", "8")),
+    "certify_refused_both": (1, (
+        "bn", "certify", "--curve", "{curve}", "--s", "8", "--k", "20", "--d", "41")),
     "bn_number": (0, ("bn", "number", "--pa", "5", "--r", "3", "--d", "2", "--k", "1")),
     "bn_bounds": (1, ("bn", "bounds", "--pa", "2", "--r", "5", "--d", "1", "--k", "4")),
     "bn_scan": (0, (

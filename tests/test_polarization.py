@@ -50,22 +50,6 @@ class TestPolarizationType:
         omega = nb.Polarization((Fraction(1),))
         assert omega[1] == 1
 
-    def test_subcurve_weight(self):
-        omega = nb.Polarization((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        assert omega.subcurve_weight([1, 3]) == Fraction(3, 4)
-
-    @pytest.mark.parametrize("inexact", [1.0, "1", None], ids=type_name)
-    def test_subcurve_weight_rejects_an_id_that_is_no_integer(self, inexact):
-        omega = nb.Polarization((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        with pytest.raises(nb.PolarizationError, match="^subcurve ids must be integers: "):
-            omega.subcurve_weight([inexact, 3])
-
-    def test_subcurve_weight_unknown_id(self):
-        omega = nb.Polarization((Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)))
-        for ids in ([0], [1, 4], [2, -1]):
-            with pytest.raises(nb.PolarizationError, match="no weight for component"):
-                omega.subcurve_weight(ids)
-
     def test_rejects_bad_sum_names_total(self):
         with pytest.raises(nb.PolarizationError, match="weights sum to 5/6, not 1"):
             nb.Polarization((Fraction(1, 2), Fraction(1, 3)))
@@ -324,15 +308,3 @@ def test_goodness_proxy_errors_match_complement_oracle(cycle_curve, chain4):
         for proxy in (nb.goodness_proxy, complement_goodness_proxy):
             with pytest.raises(error):
                 proxy(curve, omega)
-
-
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_subcurve_weight_is_the_exact_sum(seed):
-    rng = random.Random(seed)
-    curve = random_tree_curve(rng, gamma_max=12)
-    omega = random_good_polarization(rng, curve)  # denominators differ
-    ids = rng.sample(curve.component_ids, rng.randint(0, curve.gamma))
-    want = sum((omega[i] for i in ids), Fraction(0))
-    assert omega.subcurve_weight(ids) == want
-    assert omega.subcurve_weight(iter(ids)) == want
