@@ -38,7 +38,6 @@ _EXPORTS = {
     "catalog_invariance_check": "components",
     "enumerate_components": "components",
     "robustness_radius": "components",
-    "stability_conditions": "components",
     "HypothesisError": "curve",
     "CurveClass": "curve",
     "CurveError": "curve",
@@ -69,7 +68,6 @@ _EXPORTS = {
     "degree_defect": "sheaf",
     "global_ext_defect": "sheaf",
     "local_ext_dim": "sheaf",
-    "locally_free_descriptor": "sheaf",
     "wdeg": "sheaf",
     "wrank": "sheaf",
     "wslope": "sheaf",

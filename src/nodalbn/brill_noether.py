@@ -117,10 +117,13 @@ def bgn_bounds(pa: int, r: int, d: int, k: int) -> Verdict:
     """Existence bounds for rank r, degree d, k sections at genus p_a.
 
     Each argument is read through `operator.index` first: anything else
-    raises ValueError naming it.
+    raises ValueError naming it, as do p_a < 0, r < 2 and k < 1, in that
+    order.
     """
     pa, r = _integer(pa, "arithmetic genus pa"), _integer(r, "rank r")
     d, k = _integer(d, "degree d"), _integer(k, "section count k")
+    if pa < 0:
+        raise ValueError(f"arithmetic genus pa must be >= 0, got {pa}")
     if r < 2:
         raise ValueError(f"rank must be >= 2, got {r}")
     if k < 1:
@@ -270,9 +273,11 @@ def max_section_count(curve: NodalCurve, s: int) -> int:
     and d_i = 1, stricter than section_bound's k <= 1 + s(g_i - 1).  Which
     bound the paper uses is not confirmed: the repository has its abstract only.
     s is read through `operator.index` first: anything else raises
-    ValueError.
+    ValueError, as does s < 1.
     """
     s = _integer(s, "rank s")
+    if s < 1:
+        raise ValueError(f"rank s must be >= 1, got {s}")
     return min((1 + s * (g - 1)) // g for g in curve.genera)
 
 

@@ -559,16 +559,6 @@ def stability_windows(
     return WindowTable(_SplitTable(curve, omega, deco), s, d)
 
 
-def stability_conditions(
-    curve: NodalCurve,
-    omega: Polarization,
-    deco: OrderedDecomposition,
-    ctuple: ComponentTuple,
-) -> StabilityReport:
-    """Evaluate every per-subcurve degree interval condition for a tuple."""
-    return stability_windows(curve, omega, deco, ctuple.rank, ctuple.total).check(ctuple)
-
-
 def enumerate_components(
     curve: NodalCurve,
     omega: Polarization,
@@ -780,19 +770,20 @@ def build_chain_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     degrees = [0] * gamma
     running = 0
     # rooted at an end, A_j is the first j components of the path; the
-    # window's floor and ceiling are read from its integer numerators over D
+    # window's floor is read from its integer numerator over D
     table = stability_windows(curve, canonical(curve), walk, s, d)
     D = table.denominator
-    for j, (lower, upper) in enumerate(zip(table.lowers, table.uppers), start=1):
+    for j, lower in enumerate(table.lowers, start=1):
         lo = max(running + 1, lower // D + 1)
-        hi = min(d, -(-upper // D)) - (gamma - j)
-        # no case is known to reach this refusal: a sweep of every chain with
-        # 2 <= gamma <= 6, genera 2..5, 2(gamma-1) <= s <= 2(gamma-1)+8 and
-        # gamma <= d <= s found none
-        if lo > hi:
-            raise HypothesisError(
-                f"no integer prefix sum at position {j}: need {lo} <= x <= {hi}"
-            )
+        # lo never passes hi = min(d, ceil(w_j d + s/2)) - (gamma - j), so it is
+        # in window j and leaves 1 for each later component.  Window j is
+        # (w_j d - s/2, w_j d + s/2), w_j = eta(A_j) < 1 rises in j, and the
+        # hypotheses s >= 2(gamma-1), gamma <= d <= s give s >= gamma - i + 1:
+        # - floor(w_j d - s/2) + 1 <= d - gamma + 1, as w_j d - s/2 < d - gamma + 1;
+        # - running + 1 <= d - gamma + j, by induction on j;
+        # - for i <= j, floor(w_i d - s/2) + 1 + (gamma - i) <= w_i d + s/2
+        #   <= w_j d + s/2; running is j - 1 or such a floor plus 1 + (j - 1 - i)
+        #   for some i < j, and j + (gamma - j) = gamma <= ceil(w_j d + s/2).
         degrees[path[j - 1] - 1] = lo - running
         running = lo
     degrees[path[gamma - 1] - 1] = d - running

@@ -157,31 +157,6 @@ def _local_type(pair) -> tuple[int, LocalType]:
     return _integers((nid,), "stalk node ids", DescriptorError)[0], lt
 
 
-def locally_free_descriptor(
-    curve: NodalCurve, rank: int, degrees: Iterable[int]
-) -> SheafDescriptor:
-    """Descriptor of a rank-r locally free sheaf with given degrees.
-
-    chi is forced: chi = sum(degrees) + rank * (1 - p_a).
-    """
-    if rank < 0:
-        raise DescriptorError("rank must be nonnegative")
-    ds = _integers(degrees, "degrees", DescriptorError)
-    if len(ds) != curve.gamma:
-        raise DescriptorError(
-            f"degrees has {len(ds)} entries for {curve.gamma} components"
-        )
-    chi = sum(ds) + rank * (1 - curve.arithmetic_genus())
-    stalks = tuple((n.id, LocalType(rank, 0, 0)) for n in curve.nodes)
-    return SheafDescriptor(
-        curve=curve,
-        multirank=(rank,) * curve.gamma,
-        chi=chi,
-        stalks=stalks,
-        degrees=ds,
-    )
-
-
 def wrank(desc: SheafDescriptor, omega: Polarization) -> Fraction:
     from fractions import Fraction
 

@@ -273,12 +273,13 @@ def test_criterion_08_robustness_radius():
         for curve, eta, deco, tup, rho, wit, moved in cases[:20]:
             margin = min(min(w, 1 - w) for w in eta.weights)
             bound = min(rho, margin)
+            s, d = tup.rank, tup.total
             for _ in range(10):
                 eps = scaled_zero_sum_eps(rng, curve.gamma, bound)
                 assert max(abs(e) for e in eps) < rho
                 shifted = nb.perturb(eta, eps)
-                assert nb.stability_conditions(curve, shifted, deco, tup).passed
-            report = nb.stability_conditions(curve, moved, deco, tup)
+                assert stability_windows(curve, shifted, deco, s, d).check(tup).passed
+            report = stability_windows(curve, moved, deco, s, d).check(tup)
             assert not report.passed
             assert wit.j in [row.j for row in report.rows if not row.ok]
 

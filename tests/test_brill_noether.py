@@ -52,6 +52,11 @@ class TestBgnBounds:
         with pytest.raises(ValueError):
             nb.bgn_bounds(pa=3, r=2, d=1, k=0)
 
+    def test_refuses_a_negative_genus(self):
+        with pytest.raises(ValueError, match="^arithmetic genus pa must be >= 0, got -3$"):
+            nb.bgn_bounds(pa=-3, r=3, d=2, k=1)
+        assert nb.bgn_bounds(pa=0, r=3, d=3, k=1).ok
+
 
 class TestPerComponent:
     def test_bounds_exact(self):
@@ -165,7 +170,7 @@ class TestCertify:
         cert = nb.certify_bn_component(comb4, eta, s=6, k=1, d=5)
         assert isinstance(cert, nb.BNCertificate)
         deco = nb.order_components(comb4, comb4.gamma)
-        assert nb.stability_conditions(comb4, eta, deco, cert.degree_tuple).passed
+        assert components.stability_windows(comb4, eta, deco, 6, 5).check(cert.degree_tuple).passed
 
 
 class TestMaxSections:
@@ -175,6 +180,13 @@ class TestMaxSections:
 
     def test_single_component(self):
         assert nb.max_section_count(nb.NodalCurve((3,)), 5) == (1 + 10) // 3
+
+    def test_refuses_a_rank_below_one(self):
+        curve = nb.chain_curve((2, 3))
+        for s in (0, -4):
+            with pytest.raises(ValueError, match=f"^rank s must be >= 1, got {s}$"):
+                nb.max_section_count(curve, s)
+        assert nb.max_section_count(curve, 1) == 1
 
 
 class TestScan:

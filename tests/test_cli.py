@@ -369,7 +369,14 @@ class TestSheafCommand:
         (WITH_SHEAF + "sheaf\n", "error: line 8: only one sheaf block is allowed\n"),
         (WITH_SHEAF.replace("stalk", "degrees 1\nstalk"),
          "error: line 7: degrees needs 2 values, got 1\n"),
-    ], ids=["second-sheaf-line", "short-degrees-line"])
+        (WITH_SHEAF.replace("sheaf", "sheaf x"), "error: line 4: expected a bare 'sheaf' line\n"),
+        (WITH_SHEAF.replace("chi -6", "chi -6 1"), "error: line 6: expected: chi <int>\n"),
+        (WITH_SHEAF.replace("stalk 1 1 1 1", "stalk 1 1 1"),
+         "error: line 7: expected: stalk <node id> <s> <a_first> <a_second>\n"),
+        (WITH_SHEAF.replace("stalk", "torsion"),
+         "error: line 7: unknown sheaf directive 'torsion'\n"),
+    ], ids=["second-sheaf-line", "short-degrees-line", "sheaf-line-with-a-word", "long-chi-line",
+            "short-stalk-line", "unknown-directive"])
     def test_info_names_a_faulty_block_line(self, capsys, tmp_path, text, err):
         path = tmp_path / "sheaf.crv"
         path.write_text(text)
@@ -718,6 +725,12 @@ class TestBnCommands:
         )
         assert code == 1
         assert kv(out)["bgn_bounds"] == "fail"
+
+    def test_bounds_refuses_a_negative_genus(self, capsys):
+        code, out, err = run(
+            capsys, "bn", "bounds", "--pa", "-3", "--r", "3", "--d", "2", "--k", "1"
+        )
+        assert (code, out, err) == (2, "", "error: arithmetic genus pa must be >= 0, got -3\n")
 
     def test_certify_worked(self, capsys, two_path):
         code, out, _ = run(

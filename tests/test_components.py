@@ -86,7 +86,7 @@ class TestStabilityConditions:
     def test_worked_row(self, two_curve):
         eta = nb.canonical(two_curve)
         deco = canonical_deco(two_curve)
-        report = nb.stability_conditions(two_curve, eta, deco, nb.ComponentTuple(2, (1, 1)))
+        report = stability_windows(two_curve, eta, deco, 2, 2).check(nb.ComponentTuple(2, (1, 1)))
         assert report.passed
         (row,) = report.rows
         assert row.j == 1
@@ -101,7 +101,7 @@ class TestStabilityConditions:
     def test_failing_tuple(self, two_curve):
         eta = nb.canonical(two_curve)
         deco = canonical_deco(two_curve)
-        report = nb.stability_conditions(two_curve, eta, deco, nb.ComponentTuple(2, (3, -1)))
+        report = stability_windows(two_curve, eta, deco, 2, 2).check(nb.ComponentTuple(2, (3, -1)))
         assert not report.passed
 
     def test_window_width_is_rank(self, comb4):
@@ -109,8 +109,8 @@ class TestStabilityConditions:
         omega = random_valid_polarization(rng, comb4.gamma)
         deco = canonical_deco(comb4)
         for s in (1, 3, 5):
-            report = nb.stability_conditions(
-                comb4, omega, deco, nb.ComponentTuple(s, (1, 1, 1, 1))
+            report = stability_windows(comb4, omega, deco, s, 4).check(
+                nb.ComponentTuple(s, (1, 1, 1, 1))
             )
             for row in report.rows:
                 assert row.upper - row.lower == s
@@ -121,7 +121,9 @@ class TestStabilityConditions:
         eta = nb.canonical(chain4)
         deco = canonical_deco(chain4)
         s, d = 3, 5
-        report = nb.stability_conditions(chain4, eta, deco, nb.ComponentTuple(s, (1, 1, 1, 2)))
+        report = stability_windows(chain4, eta, deco, s, d).check(
+            nb.ComponentTuple(s, (1, 1, 1, 2))
+        )
         for row in report.rows:
             wsum = sum(eta[i] for i in row.subcurve)
             assert row.lower == wsum * d - Fraction(s, 2)
@@ -130,18 +132,17 @@ class TestStabilityConditions:
     def test_gamma_one_has_no_rows(self):
         curve = nb.NodalCurve((3,))
         deco = canonical_deco(curve)
-        report = nb.stability_conditions(
-            curve, nb.canonical(curve), deco, nb.ComponentTuple(2, (4,))
+        report = stability_windows(curve, nb.canonical(curve), deco, 2, 4).check(
+            nb.ComponentTuple(2, (4,))
         )
         assert report.passed
         assert report.rows == ()
 
     def test_degree_length_checked(self, two_curve):
         deco = canonical_deco(two_curve)
+        table = stability_windows(two_curve, nb.canonical(two_curve), deco, 2, 1)
         with pytest.raises(ValueError):
-            nb.stability_conditions(
-                two_curve, nb.canonical(two_curve), deco, nb.ComponentTuple(2, (1,))
-            )
+            table.check(nb.ComponentTuple(2, (1,)))
 
 
 class TestEnumeration:
@@ -174,9 +175,10 @@ class TestEnumeration:
         deco = canonical_deco(chain4)
         tuples = nb.enumerate_components(chain4, eta, deco, s=3, d=6)
         assert tuples
+        table = stability_windows(chain4, eta, deco, 3, 6)
         for t in tuples:
             assert t.total == 6
-            assert nb.stability_conditions(chain4, eta, deco, t).passed
+            assert table.check(t).passed
 
     def test_matches_brute_force_on_fixture(self, comb4):
         rng = random.Random(5)
@@ -199,7 +201,7 @@ class TestRobustness:
         eta = nb.canonical(two_curve)
         deco = canonical_deco(two_curve)
         tup = nb.ComponentTuple(2, (3, 5))
-        assert nb.stability_conditions(two_curve, eta, deco, tup).passed
+        assert stability_windows(two_curve, eta, deco, 2, 8).check(tup).passed
         assert nb.robustness_radius(two_curve, eta, deco, tup) is None
 
     def test_radius_none_for_single_component(self):
@@ -226,7 +228,7 @@ class TestRobustness:
         for _ in range(25):
             eps = scaled_zero_sum_eps(rng, chain4.gamma, rho)
             moved = nb.perturb(eta, eps)
-            assert nb.stability_conditions(chain4, moved, deco, tup).passed
+            assert stability_windows(chain4, moved, deco, 3, 5).check(tup).passed
 
     def test_witness_breaks_binding_condition(self, two_curve):
         eta = nb.canonical(two_curve)
@@ -237,7 +239,7 @@ class TestRobustness:
         assert wit.side == "upper"
         assert wit.epsilon == (Fraction(1001, 8000), Fraction(-1001, 8000))
         moved = nb.perturb(eta, wit.epsilon)
-        report = nb.stability_conditions(two_curve, moved, deco, tup)
+        report = stability_windows(two_curve, moved, deco, 2, 2).check(tup)
         assert not report.passed
         bad = [r for r in report.rows if not r.ok]
         assert [r.j for r in bad] == [wit.j]
@@ -254,7 +256,7 @@ class TestRobustness:
                 assert abs(wit.epsilon[i - 1]) == rho * nb.DEFAULT_WITNESS_MULTIPLIER
         assert sum(wit.epsilon) == 0
         moved = nb.perturb(eta, wit.epsilon)
-        report = nb.stability_conditions(chain4, moved, deco, tup)
+        report = stability_windows(chain4, moved, deco, 3, 5).check(tup)
         assert not report.passed
         assert wit.j in [r.j for r in report.rows if not r.ok]
 
@@ -372,9 +374,9 @@ class TestChainBuilder:
 def test_chain_builder_always_builds_a_stable_tuple(data):
     """On chains of gamma <= 6 with genera 2..5, 2(gamma-1) <= s <= 2(gamma-1)+8 and
     gamma <= d <= s, the builder never raises, its tuple is stable at the
-    canonical polarization and every degree lies in 1..d-1.  A sweep of all
-    425,808 such cells found the same; no case is known to reach the
-    builder's "no integer prefix sum" refusal.
+    canonical polarization and every degree lies in 1..d-1.  The builder has
+    no refusal past its hypotheses: the comment in `build_chain_tuple`'s loop
+    proves that the least prefix sum always fits its window.
     """
     gamma = data.draw(st.integers(2, 6), label="gamma")
     genera = data.draw(st.lists(st.integers(2, 5), min_size=gamma, max_size=gamma))
@@ -386,8 +388,8 @@ def test_chain_builder_always_builds_a_stable_tuple(data):
     tup = nb.build_chain_tuple(curve, s, d)
     assert tup.rank == s and tup.total == d
     assert all(1 <= degree <= d - 1 for degree in tup.degrees)
-    report = nb.stability_conditions(curve, nb.canonical(curve), canonical_deco(curve), tup)
-    assert report.passed
+    table = stability_windows(curve, nb.canonical(curve), canonical_deco(curve), s, d)
+    assert table.check(tup).passed
 
 
 class TestCombBuilder:
@@ -459,7 +461,7 @@ def test_split_window_core_matches_oracles(seed, s, d):
     deco = nb.order_components(curve, rng.randint(1, curve.gamma))
     degrees = [rng.randint(-2, 5) for _ in range(curve.gamma - 1)]
     ctuple = nb.ComponentTuple(s, (*degrees, d - sum(degrees)))
-    report = nb.stability_conditions(curve, omega, deco, ctuple)
+    report = stability_windows(curve, omega, deco, s, d).check(ctuple)
     assert [(math.floor(r.lower) + 1, math.ceil(r.upper) - 1) for r in report.rows] == (
         _sigma_windows(curve, omega, deco, s, d)
     )
@@ -826,10 +828,8 @@ def test_small_slope_search_rejects_non_triangular(chain4):
     fault = "^triangularity: position-2 component 2 lies in A_1$"
     with pytest.raises(ValueError, match=fault):
         stability_windows(chain4, eta, deco, 3, 6)
-    ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
-    for question in (nb.stability_conditions, nb.robustness_radius):
-        with pytest.raises(ValueError, match=fault):
-            question(chain4, eta, deco, ctuple)
+    with pytest.raises(ValueError, match=fault):
+        nb.robustness_radius(chain4, eta, deco, nb.ComponentTuple(3, (1, 2, 1, 2)))
 
 
 READER_FAULTS = (
@@ -1335,7 +1335,6 @@ def test_one_component_refuses_a_polarization_of_the_wrong_length(tree):
     entry_points = [
         lambda: stability_windows(curve, omega, deco, 1, 3),
         lambda: nb.enumerate_components(curve, omega, deco, 1, 3),
-        lambda: nb.stability_conditions(curve, omega, deco, ctuple),
         lambda: nb.robustness_radius(curve, omega, deco, ctuple),
         lambda: nb.catalog_invariance_check(curve, omega, 1, 3),
     ]
@@ -1406,10 +1405,8 @@ def test_stability_windows_rejects_an_order_that_is_no_permutation(chain4, order
     want = re.escape(f"order {order} is not a permutation of 1..4")
     with pytest.raises(ValueError, match=want):
         stability_windows(chain4, eta, deco, 3, 6)
-    ctuple = nb.ComponentTuple(3, (1, 2, 1, 2))
-    for question in (nb.stability_conditions, nb.robustness_radius):
-        with pytest.raises(ValueError, match=want):
-            question(chain4, eta, deco, ctuple)
+    with pytest.raises(ValueError, match=want):
+        nb.robustness_radius(chain4, eta, deco, nb.ComponentTuple(3, (1, 2, 1, 2)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -123,6 +123,15 @@ class TestVerifier:
         check = nb.verify_decomposition(chain4, bad)
         assert not check.ok
 
+    @pytest.mark.parametrize("change, violation", [
+        ({"root": 1}, "root 1 is not last in the order"),
+        ({"separating_nodes": (9, 2, 3)}, "separating node 9 of A_1 does not exist"),
+    ], ids=["root-not-last", "unknown-separating-node"])
+    def test_names_the_violation(self, chain4, change, violation):
+        bad = nb.order_components(chain4, root=4)._replace(**change)
+        check = nb.verify_decomposition(chain4, bad)
+        assert violation in check.violations
+
     def test_rejects_disconnected_tail(self):
         chain5 = nb.chain_curve((2, 2, 2, 2, 2))
         deco = nb.order_components(chain5, root=5)
@@ -184,7 +193,7 @@ class TestVerifier:
         assert nb.verify_decomposition(chain3_222, ones).ok
         table = stability_windows(chain3_222, eta, ones, 2, 3)
         assert table.windows == stability_windows(chain3_222, eta, deco, 2, 3).windows
-        rows = nb.stability_conditions(chain3_222, eta, ones, nb.ComponentTuple(2, (1, 1, 1))).rows
+        rows = table.check(nb.ComponentTuple(2, (1, 1, 1))).rows
         assert all(type(x) is int for row in (*table.windows, *rows) for x in row.subcurve)
 
 

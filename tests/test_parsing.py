@@ -91,12 +91,18 @@ class TestCurveFaultLines:
         ("node 1 1 2\nnode 2 3 3\n", 6, "node 2 joins component 3 to itself"),
         ("node 1 1 2\n\nnode 1 2 3\n", 7, "duplicate node id 1"),
         ("node 1 1 2\nnode 0 2 3\n", 6, "node id 0 must be a positive integer"),
-    ], ids=["unknown-endpoint", "self-loop", "duplicate-id", "id-zero"])
+        ("node 1 1 2\nnode 2 1\n", 6, "expected: node <id> <comp_a> <comp_b>"),
+    ], ids=["unknown-endpoint", "self-loop", "duplicate-id", "id-zero", "short-line"])
     def test_node_fault_names_its_line(self, nodes, line_no, message):
         with pytest.raises(nb.ParseError) as info:
             nb.parse_curve(THREE_COMPONENTS + nodes)
         assert info.value.line_no == line_no
         assert str(info.value) == f"line {line_no}: {message}"
+
+    def test_short_component_line_names_its_form(self):
+        with pytest.raises(nb.ParseError) as info:
+            nb.parse_curve(THREE_COMPONENTS + "component 4 genus\n")
+        assert str(info.value) == "line 5: expected: component <id> genus <g>"
 
     def test_genus_fault_names_the_component_line(self):
         text = "component 2 genus 3\ncomponent 1 genus 2\n# c\ncomponent 3 genus 1\n"

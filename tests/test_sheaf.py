@@ -15,9 +15,13 @@ def descriptor(curve, multirank, chi, stalks, degrees=None):
     return nb.SheafDescriptor(curve, tuple(multirank), chi, tuple(stalks), degrees)
 
 
+# a locally free sheaf has chi = sum of degrees + r(1 - p_a); two_curve has
+# p_a = 5 and chain3_222 has p_a = 6
+
+
 class TestDescriptorValidation:
     def test_structure_sheaf(self, two_curve):
-        desc = nb.locally_free_descriptor(two_curve, 1, (0, 0))
+        desc = descriptor(two_curve, (1, 1), -4, [(1, (1, 0, 0))], (0, 0))
         assert desc.chi == 1 - two_curve.arithmetic_genus()
         assert desc.is_locally_free()
         assert desc.stalk(1) == nb.LocalType(1, 0, 0)
@@ -40,8 +44,8 @@ class TestDescriptorValidation:
             descriptor(two_curve, (1, 1), -4, [(1, (-1, 2, 2))])
 
     def test_degrees_length_checked(self, two_curve):
-        with pytest.raises(nb.DescriptorError):
-            nb.locally_free_descriptor(two_curve, 1, (0, 0, 0))
+        with pytest.raises(nb.DescriptorError, match="^degrees has 3 entries for 2 components$"):
+            descriptor(two_curve, (1, 1), -4, [(1, (1, 0, 0))], (0, 0, 0))
 
     @pytest.mark.parametrize("multirank, chi, degrees, what", [
         ((1.5, 1), -4, None, "multirank"),
@@ -51,10 +55,6 @@ class TestDescriptorValidation:
     def test_descriptor_rejects_float_entries(self, two_curve, multirank, chi, degrees, what):
         with pytest.raises(nb.DescriptorError, match=f"{what} must be integers"):
             descriptor(two_curve, multirank, chi, [(1, (1, 0, 0))], degrees)
-
-    def test_locally_free_rejects_float_degrees(self, two_curve):
-        with pytest.raises(nb.DescriptorError, match="degrees must be integers"):
-            nb.locally_free_descriptor(two_curve, 1, (0.5, 0))
 
     def test_mixed_stalk_accepted(self, two_curve):
         # rank (2, 2) with one free direction and one torn pair at the node
@@ -113,14 +113,14 @@ class TestDescriptorValidation:
 class TestWeightedNumerics:
     def test_structure_sheaf_slope_zero(self, two_curve):
         eta = nb.canonical(two_curve)
-        desc = nb.locally_free_descriptor(two_curve, 1, (0, 0))
+        desc = descriptor(two_curve, (1, 1), -4, [(1, (1, 0, 0))], (0, 0))
         assert nb.wrank(desc, eta) == 1
         assert nb.wdeg(desc, eta) == 0
         assert nb.wslope(desc, eta) == 0
 
     def test_locally_free_wdeg_is_weighted_degree_sum(self, two_curve):
         eta = nb.canonical(two_curve)
-        desc = nb.locally_free_descriptor(two_curve, 2, (1, 3))
+        desc = descriptor(two_curve, (2, 2), -4, [(1, (2, 0, 0))], (1, 3))
         # chi = 4 + 2 (1 - 5) = -4, wrank = 2, wdeg = chi - 2 (1 - 5) = 4
         assert nb.wdeg(desc, eta) == 4
         assert nb.degree_defect(desc, eta) == 0
@@ -144,13 +144,24 @@ class TestWeightedNumerics:
 
 
     def test_wrank_needs_matching_lengths(self, two_curve, chain3_222):
-        desc = nb.locally_free_descriptor(two_curve, 1, (0, 0))
+        desc = descriptor(two_curve, (1, 1), -4, [(1, (1, 0, 0))], (0, 0))
         with pytest.raises(nb.PolarizationError):
             nb.wrank(desc, nb.canonical(chain3_222))
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda curve, eta: nb.locally_free_descriptor(curve, -1, (0, 0)), "rank must be nonnegative"),
+    (
+        lambda curve, eta: descriptor(curve, (-1, -1), 4, [(1, (0, 0, 0))], (0, 0)),
+        "multirank entries must be nonnegative",
+    ),
+    (
+        lambda curve, eta: descriptor(curve, (1, 1, 1), -5, [(1, (1, 1, 1))]),
+        "multirank has 3 entries for 2 components",
+    ),
+    (
+        lambda curve, eta: descriptor(curve, (1, 2), -5, [(1, (1, 1, 1))]),
+        "node 1: rank 1 on component 1 != free rank 1 + 1",
+    ),
     (
         lambda curve, eta: nb.wslope(descriptor(curve, (0, 0), 0, [(1, (0, 0, 0))]), eta),
         "slope needs positive weighted rank, got 0",
@@ -159,7 +170,8 @@ class TestWeightedNumerics:
         lambda curve, eta: nb.degree_defect(descriptor(curve, (1, 1), -4, [(1, (1, 0, 0))]), eta),
         "degree defect needs recorded degrees",
     ),
-], ids=["negative-rank", "zero-weighted-rank", "no-degrees"])
+], ids=["negative-rank", "multirank-length", "first-side-rank", "zero-weighted-rank",
+        "no-degrees"])
 def test_descriptor_faults_are_named(two_curve, call, message):
     with pytest.raises(nb.DescriptorError) as info:
         call(two_curve, nb.canonical(two_curve))
@@ -231,12 +243,14 @@ class TestGlobalExt:
         assert nb.global_ext_defect(first, second) == 2
 
     def test_locally_free_pair_vanishes(self, chain3_222):
-        first = nb.locally_free_descriptor(chain3_222, 2, (1, 1, 1))
-        second = nb.locally_free_descriptor(chain3_222, 3, (0, 1, 0))
+        first = descriptor(chain3_222, (2, 2, 2), -7, [(1, (2, 0, 0)), (2, (2, 0, 0))], (1, 1, 1))
+        second = descriptor(
+            chain3_222, (3, 3, 3), -14, [(1, (3, 0, 0)), (2, (3, 0, 0))], (0, 1, 0)
+        )
         assert nb.global_ext_defect(first, second) == 0
 
     def test_requires_same_curve(self, two_curve, chain3_222):
-        first = nb.locally_free_descriptor(two_curve, 1, (0, 0))
-        second = nb.locally_free_descriptor(chain3_222, 1, (0, 0, 0))
+        first = descriptor(two_curve, (1, 1), -4, [(1, (1, 0, 0))], (0, 0))
+        second = descriptor(chain3_222, (1, 1, 1), -5, [(1, (1, 0, 0)), (2, (1, 0, 0))], (0, 0, 0))
         with pytest.raises(nb.DescriptorError):
             nb.global_ext_defect(first, second)

@@ -242,8 +242,11 @@ def test_library_values_equal_their_keyword_builds():
     assert deco == CASES["OrderedDecomposition"][0]()
     assert comp.stability_windows(c, eta, deco, 4, 5) == table()
     assert nb.goodness_proxy(c, eta).splits[0] == split()
-    assert nb.stability_conditions(c, eta, deco, nb.ComponentTuple(4, (1, 2, 2))).rows[0] == row()
-    assert nb.locally_free_descriptor(c, 2, (1, 0, 1)) == CASES["SheafDescriptor"][0]()
+    report = comp.stability_windows(c, eta, deco, 4, 5).check(nb.ComponentTuple(4, (1, 2, 2)))
+    assert report.rows[0] == row()
+    # plain triples in a mapping and a degree list read as the keyword build's values
+    sheaf = nb.SheafDescriptor(c, [2, 2, 2], -10, {2: (2, 0, 0), 1: (2, 0, 0)}, [1, 0, 1])
+    assert sheaf == CASES["SheafDescriptor"][0]()
     assert nb.build_small_slope_tuple(c, 4, 3) == CASES["BuilderResult"][0]()
     assert nb.catalog_invariance_check(c, eta, 4, 5) == nb.InvarianceReport(True, 16, ())
     assert len(nb.enumerate_components(c, eta, nb.order_components(c, 1), 4, 5)) == 16
