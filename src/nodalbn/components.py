@@ -51,14 +51,16 @@ the count sizes its tables from its sums, and a printed catalog formats
 its cells over them.  The up-pass alone (`WindowTable._reach`) decides
 whether any tuple exists, since the root's window is (d, d): that is
 `has_small_slope`, which `bn scan` asks of every (s, d) cell.  One
-search (`WindowTable._tuples`) lists the
-tuples in increasing order: ids 1..gamma take their degrees in turn
-within the narrowed ranges, each choice narrowed again, so no branch is
-a dead end and its cost follows the number of tuples, not s^(gamma-1).
-It keeps only its choices, one per branching id, and backtracks by
-narrowing the start again with them fixed: narrowing is exact, so these
-are the ranges a copy per choice would have kept, and its state is
-O(gamma).  The least tuple is the search's first.
+search (`WindowTable._tuples`) lists the tuples in increasing order:
+ids 1..gamma take their degrees in turn, each within its range narrowed
+with the earlier choices fixed, so no branch is a dead end and its cost
+follows the number of tuples, not s^(gamma-1).  It narrows once, at the
+start, and then keeps the narrowing up to date (`WindowTable._live`):
+fixing a position moves the up-pass spans of its ancestors only, and
+the next id's range is the down-pass along its path from the root, run
+from the deepest span still current.  So a choice costs O(depth) at
+most and the state is O(gamma) ints.  The least tuple is the search's
+first.
 
 Small-slope questions take every range to be 1..s.  The whole catalog
 takes the widest ranges the windows allow: with integer windows [lo, hi]
@@ -89,7 +91,7 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate
@@ -212,8 +214,8 @@ class WindowTable(_Frozen):
     ranges 1..s: whether a tuple exists, with no search.  The others but
     `size` narrow the ranges `_ranges` gives (`_narrow`, which starts with
     that pass) and run one search (`_tuples`, `_count`) over what that
-    returns.  `_tuples` keeps its choices, not a copy of the ranges per
-    choice, and re-narrows to backtrack.
+    returns.  `_tuples` narrows no more: `_live` keeps the narrowing up
+    to date as it fixes positions and gives them back.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -449,42 +451,141 @@ class WindowTable(_Frozen):
         """The degrees of every tuple `_narrow` held, in id order, as plain tuples, increasing.
 
         ``narrowed`` is `_narrow`'s pair or None.  Ids take their degrees in
-        turn over their narrowed ranges, so every choice has a completion.
-        Only ids with more than one degree left branch; the search keeps a
-        [position, degree, last degree] for each and narrows the start once
-        per choice with all of them fixed, the ranges being exact.  Two free
-        ids: the total settles the second.  Tuples are plain.
+        turn, each over its range narrowed with the earlier ids fixed, so
+        every choice has a completion.  Only the ids free in the start
+        take part: the first reads its range from the start, the last takes
+        d less the others' degrees, and each one between reads its range
+        from `_live`, which keeps the narrowing up to date.  So a start
+        with at most two free ids builds no state.  A level gives its
+        position each degree of its range in turn and, once done, its start
+        range back.
         """
         if narrowed is None:
             return
-        start = ranges = narrowed[0]
+        start = narrowed[0]
         where = sorted(range(len(start)), key=self.order.__getitem__)
-        chosen: list[list[int]] = []  # O(gamma): the search's only state beyond the start
+        degrees = [start[p][0] for p in where]
+        free = [i for i, p in enumerate(where) if start[p][0] < start[p][1]]
+        if len(free) < 2:  # no free id: with exactly one, d would leave it no choice
+            yield tuple(degrees)
+            return
+        *ids, last = free
+        top = len(ids) - 1
+        if top:
+            settle, cut = self._live(start)
+        # rest: d less every degree but those of ids[k:] and the last free id
+        k, rest = 0, self.degree - sum(degrees) + sum(degrees[i] for i in free)
+        lo, hi = start[where[ids[0]]]
+        lows, highs = [0] * top, [0] * top  # the range of each level above the last
         while True:
-            free = [i for i, p in enumerate(where) if ranges[p][0] < ranges[p][1]]
-            if len(free) > 2:
-                p = where[free[0]]
-                chosen.append([p, *ranges[p]])
+            if k < top:  # level k starts at the low end of its range
+                lows[k], highs[k], x = lo, hi, lo
             else:
-                degrees = [ranges[p][0] for p in where]
-                if not free:
+                i = ids[k]
+                for y in range(lo, hi + 1):
+                    degrees[i], degrees[last] = y, rest - y
                     yield tuple(degrees)
-                else:
-                    a, b = free
-                    lo, hi = ranges[where[a]]
-                    total = lo + ranges[where[b]][1]
-                    for x in range(lo, hi + 1):
-                        degrees[a], degrees[b] = x, total - x
-                        yield tuple(degrees)
-                while chosen and chosen[-1][1] == chosen[-1][2]:
-                    chosen.pop()
-                if not chosen:
-                    return
-                chosen[-1][1] += 1
-            ranges = list(start)
-            for p, x, _ in chosen:
-                ranges[p] = (x, x)
-            ranges = self._narrow(ranges)[0]
+                while True:  # back to the deepest level with a degree left
+                    k -= 1
+                    if k < 0:
+                        return
+                    i = ids[k]
+                    x = degrees[i]
+                    rest += x
+                    if x < highs[k]:
+                        x += 1
+                        break
+                    if lows[k] < highs[k]:  # settled: its start range goes back
+                        settle(where[i], *start[where[i]])
+            i = ids[k]
+            degrees[i] = x
+            if lows[k] < highs[k]:
+                settle(where[i], x, x)
+            rest -= x
+            k += 1
+            lo, hi = cut(where[ids[k]])
+
+    def _live(
+        self, start: list[tuple[int, int]]
+    ) -> tuple[Callable[[int, int, int], None], Callable[[int], tuple[int, int]]]:
+        """`_narrow` kept up to date as positions' ranges change: ``(settle, cut)``.
+
+        ``settle(p, lo, hi)`` gives position p the range lo..hi and ``cut(p)``
+        is p's range narrowed, as `_narrow` would give it over the ranges
+        as they stand.  The ranges start as ``start``, which holds some
+        tuple (`_narrow` gave it), and every range settled must keep one.
+        The state is O(gamma) ints: per position its range, its up-pass
+        span (`_reach`), the sum of its children's, and its down-pass span.
+        A range moves the up-pass spans of its ancestors only, up to the
+        first that stays, and those are all `settle` updates.  Every
+        down-pass span below that one may move, so the current down-pass
+        spans are kept on one path from the root: `cut` runs the down-pass
+        from the deepest current span on p's path, and `settle` drops
+        those below where it stopped.  Each costs O(depth) at most; on a
+        chain read from its far end, a few steps.  The spans are a function
+        of the ranges, so a range given back gives its spans back.
+        """
+        children, root = self.children, len(start) - 1
+        parent = [root] * len(start)
+        for p, kids in enumerate(children):
+            for c in kids:
+                parent[c] = p
+        own_lo, own_hi = map(list, zip(*start))
+        win_lo, win_hi = zip(*self._bounds)
+        # up_*: `_reach`'s span per subtree, kid_*: the sum of its children's
+        up_lo, up_hi = map(list, zip(*self._reach(start)))
+        kid_lo = [sum(up_lo[c] for c in kids) for kids in children]
+        kid_hi = [sum(up_hi[c] for c in kids) for kids in children]
+        # cut_*: the down-pass span, current on the path from the root to w; at
+        # first the root's alone, whose sum is d
+        cut_lo, cut_hi = [self.degree] * len(start), [self.degree] * len(start)
+        current = [False] * root + [True]
+        w = root
+
+        def settle(p: int, lo: int, hi: int) -> None:
+            nonlocal w
+            own_lo[p], own_hi[p] = lo, hi
+            while p != root:  # the root's span stays (d, d)
+                lo, hi = own_lo[p] + kid_lo[p], own_hi[p] + kid_hi[p]
+                if lo < win_lo[p]:  # compared inline: max and min cost a call each
+                    lo = win_lo[p]
+                if hi > win_hi[p]:
+                    hi = win_hi[p]
+                was_lo, was_hi = up_lo[p], up_hi[p]
+                if lo == was_lo and hi == was_hi:
+                    break
+                up_lo[p], up_hi[p] = lo, hi
+                p = parent[p]
+                kid_lo[p] += lo - was_lo
+                kid_hi[p] += hi - was_hi
+            if current[p]:  # p's down-pass span and those above it stay
+                while w != p:
+                    current[w] = False
+                    w = parent[w]
+
+        def cut(p: int) -> tuple[int, int]:
+            nonlocal w
+            path, v = [], p
+            while not current[v]:
+                path.append(v)
+                v = parent[v]
+            while w != v:  # the current spans stay one path from the root
+                current[w] = False
+                w = parent[w]
+            lo, hi = cut_lo[v], cut_hi[v]
+            for c in reversed(path):  # c's sums, cut as `_narrow` cuts a child's
+                c_lo, c_hi = up_lo[c], up_hi[c]
+                lo, hi = lo - own_hi[v] - kid_hi[v] + c_hi, hi - own_lo[v] - kid_lo[v] + c_lo
+                if lo < c_lo:
+                    lo = c_lo
+                if hi > c_hi:
+                    hi = c_hi
+                cut_lo[c], cut_hi[c], current[c] = lo, hi, True
+                v = c
+            w = p
+            return max(own_lo[p], lo - kid_hi[p]), min(own_hi[p], hi - kid_lo[p])
+
+        return settle, cut
 
     def _count(self, ranges: list[tuple[int, int]]) -> int:
         """Number of tuples within ranges: f_root[d].
@@ -505,9 +606,9 @@ class WindowTable(_Frozen):
         tables: list[list[int] | None] = []
         for p, kids in enumerate(self.children):
             own_lo, own_hi = ranges[p]
-            f, low = [1], own_lo  # low: the sum that f[0] counts, once v's degree is in
-            for c in kids:
-                f, low = _convolve(f, tables[c]), low + sums[c][0]
+            f, low = [1], own_lo  # low: the sum that f[0] counts, once p's degree is in
+            for n, c in enumerate(kids):  # the first child's table is f as it stands
+                f, low = _convolve(f, tables[c]) if n else tables[c], low + sums[c][0]
                 tables[c] = None
             f = _convolve_ones(f, own_hi - own_lo + 1)
             lo, hi = sums[p]

@@ -5,9 +5,12 @@ Runs the Tier-1 suite once with a copy of ``sitecustomize.py`` first on
 record the package lines they run.  The executable lines are those of the
 compiled modules' code objects (``co_lines()``).  Every executable line
 that no process ran must be listed in ``allowlist.json``, keyed by its
-file and its stripped source text, with the reason it cannot run.  The
-gate exits 1 naming each unrun line that is not listed and each listed
-line that ran (or is gone), and also when the suite itself fails.
+file and its stripped source text, with the reason it cannot run and the
+number of unrun lines in that file that carry the text.  The gate exits 1
+naming each unrun line that is not listed and each entry whose count
+differs from the unrun lines found (so a new dead line that copies a
+listed text fails it, as does a listed line that ran or is gone), and
+also when the suite itself fails.
 
 Needs Python 3.12 or later (``sys.monitoring``).  From the repository root:
 
@@ -56,9 +59,9 @@ def main() -> int:
             cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
         )
         processes, ran = recorded_lines(work)
-    allowed = {(e["file"], e["source"]): e["reason"]
-               for e in json.loads((HERE / "allowlist.json").read_text())}
-    used, unlisted, total = set(), [], 0
+    allowed = {(e["file"], e["source"]): e for e in json.loads((HERE / "allowlist.json").read_text())}
+    unrun: dict[tuple[str, str], int] = {}  # per listed text, the unrun lines carrying it
+    unlisted, total = [], 0
     for path in sorted((SRC / "nodalbn").glob("*.py")):
         file, text = path.relative_to(ROOT).as_posix(), path.read_text().splitlines()
         lines = executable_lines(path)
@@ -68,18 +71,25 @@ def main() -> int:
                 continue
             key = (file, text[number - 1].strip())
             if key in allowed:
-                used.add(key)
+                unrun[key] = unrun.get(key, 0) + 1
             else:
                 unlisted.append(f"{file}:{number}: {key[1]}")
+    miscounted = [
+        (file, source, entry, unrun.get((file, source), 0))
+        for (file, source), entry in sorted(allowed.items())
+        if unrun.get((file, source), 0) != entry["count"]
+    ]
     print(f"line gate: {processes} processes recorded; {total} executable lines,"
-          f" {len(unlisted)} unrun and unlisted, {len(used)} of {len(allowed)} listed texts unrun")
+          f" {len(unlisted)} unrun and unlisted, {sum(unrun.values())} unrun and listed"
+          f" ({sum(e['count'] for e in allowed.values())} by the counts)")
     for line in unlisted:
         print(f"never ran and not listed: {line}")
-    for file, source in sorted(allowed.keys() - used):
-        print(f"listed but ran or gone: {file}: {source} ({allowed[file, source]})")
+    for file, source, entry, found in miscounted:
+        print(f"listed for {entry['count']} unrun line(s), {found} found:"
+              f" {file}: {source} ({entry['reason']})")
     if suite.returncode != 0:
         print(f"the suite exited {suite.returncode}")
-    return 1 if unlisted or allowed.keys() - used or suite.returncode else 0
+    return 1 if unlisted or miscounted or suite.returncode else 0
 
 
 if __name__ == "__main__":

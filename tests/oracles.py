@@ -268,9 +268,10 @@ def copying_search(table, narrowed):
     Each branching id pushes the ranges it chose from, its position and an
     iterator over its degrees; a choice copies those ranges, fixes the
     position and narrows the copy (``table._narrow``, the one library call
-    here).  It holds O(gamma) range lists at once where the library's
-    search keeps one choice per id and re-narrows from the start, so the
-    two must list the same tuples in the same order with as many narrows.
+    here), one whole narrowing per choice.  It holds O(gamma) range lists
+    at once where the library's search narrows once and then keeps its
+    narrowing up to date, O(gamma) ints in all; the two must list the same
+    tuples in the same order.
     """
     if narrowed is None:
         return

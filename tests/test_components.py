@@ -652,8 +652,8 @@ def _listing(search, narrowed):
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000))
 def test_search_matches_the_copying_search(seed):
-    """`_tuples`, which keeps one choice per id and narrows the start again, lists what
-    the search that copied its ranges per choice listed, in order, with as many narrows.
+    """`_tuples`, which keeps its narrowing up to date, lists what the search that
+    copied its ranges per choice listed, in order, and calls `_narrow` zero times.
 
     Random Pruefer trees of 8 to 16 components, past what the brute-force
     oracle can enumerate; leaf-pruning decompositions; canonical and good
@@ -679,10 +679,126 @@ def test_search_matches_the_copying_search(seed):
                 p = rng.randrange(len(ranges))
                 ranges[p] = _sub_range(rng, *ranges[p])
                 narrowed = table._narrow(ranges)
-            got = _listing(table._tuples, narrowed)
-            assert got == _listing(lambda n: copying_search(table, n), narrowed)
+            got, narrows = _listing(table._tuples, narrowed)
+            assert narrows == 0
+            assert got == _listing(lambda n: copying_search(table, n), narrowed)[0]
             if cut and narrowed is not None:
-                assert len(got[0]) == table._count(narrowed[0])
+                assert len(got) == table._count(narrowed[0])
+
+
+def _record_search_calls(monkeypatch):
+    """Lists that gain an entry per `_narrow`, `_reach` and `_live` call, by name."""
+    return {
+        name: record_calls(components.WindowTable, name, lambda *args: None, monkeypatch.setattr)
+        for name in ("_narrow", "_reach", "_live")
+    }
+
+
+def _free_ids(narrowed):
+    return sum(lo < hi for lo, hi in narrowed[0])
+
+
+def _star(gamma):
+    return nb.comb_curve([2] * gamma)  # every other component meets the last
+
+
+@pytest.mark.parametrize(
+    "curve, root",
+    [
+        (nb.NodalCurve((3,)), 1),
+        (nb.chain_curve((2, 3)), 2),
+        (nb.chain_curve((2, 3)), 1),
+        (nb.chain_curve((2, 3, 2, 4, 2)), 5),
+        (nb.chain_curve((2, 3, 2, 4, 2)), 1),
+        (_star(5), 5),
+        (_star(5), 1),
+    ],
+    ids=["gamma-1", "gamma-2", "gamma-2-other-root", "chain5-root-5", "chain5-root-1",
+         "star5-centre", "star5-leaf"],
+)
+def test_search_at_the_edges(monkeypatch, curve, root):
+    """`_tuples` against the copying search and the brute-force oracle on small shapes.
+
+    Every (s, d) with s <= 4 and -1 <= d <= s gamma + 1, canonical windows,
+    ranges 1..s and the whole catalog's.  The search never calls `_narrow`,
+    and builds its state (`_live`, which calls `_reach` once) only when
+    three ids or more are free in the start: the first free id reads its
+    range from the start and the last takes what d leaves.
+    """
+    deco = nb.order_components(curve, root)
+    omega = nb.canonical(curve)
+    for s in range(1, 5):
+        for d in range(-1, s * curve.gamma + 2):
+            table = stability_windows(curve, omega, deco, s, d)
+            for small_slope in (True, False):
+                narrowed = table._narrow(table._ranges(small_slope))
+                calls = _record_search_calls(monkeypatch)
+                got = list(table._tuples(narrowed))
+                builds = 0 if narrowed is None or _free_ids(narrowed) < 3 else 1
+                assert {name: len(keys) for name, keys in calls.items()} == {
+                    "_narrow": 0, "_reach": builds, "_live": builds,
+                }
+                monkeypatch.undo()
+                assert got == list(copying_search(table, narrowed))
+                oracle = brute_force_small_slope if small_slope else brute_force_catalog
+                assert got == oracle(curve, omega, deco, s, d)
+
+
+def test_search_from_a_start_with_every_id_fixed_reads_nothing(monkeypatch):
+    """One tuple, with no `_narrow`, `_reach` or `_live` call: nothing is read but the start.
+
+    The start is one catalog tuple fixed by hand, and the whole rank-1
+    catalog, whose every window holds one integer.
+    """
+    curve = nb.chain_curve((2, 3, 2, 4, 2))
+    deco = nb.order_components(curve, 3)
+    omega = nb.canonical(curve)
+    table = stability_windows(curve, omega, deco, 3, 7)
+    want = brute_force_catalog(curve, omega, deco, 3, 7)[5]
+    starts = [table._narrow([(want[c - 1], want[c - 1]) for c in deco.order])]
+    rank1 = stability_windows(curve, omega, deco, 1, 3)
+    starts.append(rank1._narrow(rank1._ranges(False)))
+    wants = [[want], brute_force_catalog(curve, omega, deco, 1, 3)]
+    assert len(wants[1]) == 1
+    for start, which, expected in zip(starts, (table, rank1), wants):
+        assert _free_ids(start) == 0
+        calls = _record_search_calls(monkeypatch)
+        assert list(which._tuples(start)) == expected
+        assert calls == {"_narrow": [], "_reach": [], "_live": []}
+        monkeypatch.undo()
+
+
+def test_search_with_one_or_two_free_ids(monkeypatch):
+    """No narrowed start has exactly one free id; with two, no state is built.
+
+    Positions of a star rooted at a leaf are fixed by hand to one catalog
+    tuple's degrees but for one or two of them.  With one left, d fixes it
+    too and `_narrow` says so.  With two, the first runs over its start
+    range, the second takes what d leaves, and no `_live` state is built.
+    """
+    curve = _star(5)
+    deco = nb.order_components(curve, 1)
+    omega = nb.canonical(curve)
+    s, d = 4, 10
+    table = stability_windows(curve, omega, deco, s, d)
+    catalog = brute_force_catalog(curve, omega, deco, s, d)
+    ranges = table._narrow(table._ranges(False))[0]
+    for t in catalog[::7]:
+        for loose in itertools.combinations(range(curve.gamma), 2):
+            fixed = [(t[c - 1], t[c - 1]) for c in deco.order]
+            for n in (1, 2):
+                start = list(fixed)
+                for p in loose[:n]:
+                    start[p] = ranges[p]
+                narrowed = table._narrow(start)
+                want = [u for u in catalog
+                        if all(lo <= u[c - 1] <= hi for c, (lo, hi) in zip(deco.order, start))]
+                assert _free_ids(narrowed) == (0 if n == 1 else int(len(want) > 1) * 2)
+                calls = _record_search_calls(monkeypatch)
+                got = list(table._tuples(narrowed))
+                assert calls == {"_narrow": [], "_reach": [], "_live": []}
+                monkeypatch.undo()
+                assert got == want == list(copying_search(table, narrowed))
 
 
 @settings(max_examples=80, deadline=None)
