@@ -57,10 +57,9 @@ with the earlier choices fixed, so no branch is a dead end and its cost
 follows the number of tuples, not s^(gamma-1).  It narrows once, at the
 start, and then keeps the narrowing up to date (`WindowTable._live`):
 fixing a position moves the up-pass spans of its ancestors only, and
-the next id's range is the down-pass along its path from the root, run
-from the deepest span still current.  So a choice costs O(depth) at
-most and the state is O(gamma) ints.  The least tuple is the search's
-first.
+the next id's range is the down-pass from the root along its path
+alone.  So a choice costs O(depth) and the state is O(gamma) ints.  The
+least tuple is the search's first.
 
 Small-slope questions take every range to be 1..s.  The whole catalog
 takes the widest ranges the windows allow: with integer windows [lo, hi]
@@ -515,35 +514,22 @@ class WindowTable(_Frozen):
         as they stand.  The ranges start as ``start``, which holds some
         tuple (`_narrow` gave it), and every range settled must keep one.
         The state is O(gamma) ints: per position its range, its up-pass
-        span (`_reach`), the sum of its children's, and its down-pass span.
-        A range moves the up-pass spans of its ancestors only, up to the
-        first that stays, and those are all `settle` updates.  Every
-        down-pass span below that one may move, so the current down-pass
-        spans are kept on one path from the root: `cut` runs the down-pass
-        from the deepest current span on p's path, and `settle` drops
-        those below where it stopped.  Each costs O(depth) at most; on a
-        chain read from its far end, a few steps.  The spans are a function
-        of the ranges, so a range given back gives its spans back.
+        span (`_reach`) and the sum of its children's.  A range moves the
+        up-pass spans of its ancestors only, up to the first that stays,
+        and `settle` updates those.  `cut` runs `_narrow`'s down-pass from
+        the root along p's path alone.  Each costs O(depth) at most.  The
+        spans are a function of the ranges, so a range given back gives
+        its spans back.
         """
-        children, root = self.children, len(start) - 1
-        parent = [root] * len(start)
-        for p, kids in enumerate(children):
-            for c in kids:
-                parent[c] = p
+        children, parent, root = self.children, self.splits.parents, len(start) - 1
         own_lo, own_hi = map(list, zip(*start))
         win_lo, win_hi = zip(*self._bounds)
         # up_*: `_reach`'s span per subtree, kid_*: the sum of its children's
         up_lo, up_hi = map(list, zip(*self._reach(start)))
         kid_lo = [sum(up_lo[c] for c in kids) for kids in children]
         kid_hi = [sum(up_hi[c] for c in kids) for kids in children]
-        # cut_*: the down-pass span, current on the path from the root to w; at
-        # first the root's alone, whose sum is d
-        cut_lo, cut_hi = [self.degree] * len(start), [self.degree] * len(start)
-        current = [False] * root + [True]
-        w = root
 
         def settle(p: int, lo: int, hi: int) -> None:
-            nonlocal w
             own_lo[p], own_hi[p] = lo, hi
             while p != root:  # the root's span stays (d, d)
                 lo, hi = own_lo[p] + kid_lo[p], own_hi[p] + kid_hi[p]
@@ -553,36 +539,26 @@ class WindowTable(_Frozen):
                     hi = win_hi[p]
                 was_lo, was_hi = up_lo[p], up_hi[p]
                 if lo == was_lo and hi == was_hi:
-                    break
+                    return
                 up_lo[p], up_hi[p] = lo, hi
                 p = parent[p]
                 kid_lo[p] += lo - was_lo
                 kid_hi[p] += hi - was_hi
-            if current[p]:  # p's down-pass span and those above it stay
-                while w != p:
-                    current[w] = False
-                    w = parent[w]
 
         def cut(p: int) -> tuple[int, int]:
-            nonlocal w
-            path, v = [], p
-            while not current[v]:
-                path.append(v)
-                v = parent[v]
-            while w != v:  # the current spans stay one path from the root
-                current[w] = False
-                w = parent[w]
-            lo, hi = cut_lo[v], cut_hi[v]
+            path = []
+            while p != root:
+                path.append(p)
+                p = parent[p]
+            lo = hi = self.degree  # the root's sum
             for c in reversed(path):  # c's sums, cut as `_narrow` cuts a child's
                 c_lo, c_hi = up_lo[c], up_hi[c]
-                lo, hi = lo - own_hi[v] - kid_hi[v] + c_hi, hi - own_lo[v] - kid_lo[v] + c_lo
+                lo, hi = lo - own_hi[p] - kid_hi[p] + c_hi, hi - own_lo[p] - kid_lo[p] + c_lo
                 if lo < c_lo:
                     lo = c_lo
                 if hi > c_hi:
                     hi = c_hi
-                cut_lo[c], cut_hi[c], current[c] = lo, hi, True
-                v = c
-            w = p
+                p = c
             return max(own_lo[p], lo - kid_hi[p]), min(own_hi[p], hi - kid_lo[p])
 
         return settle, cut

@@ -151,7 +151,9 @@ class _SplitTable:
     `ordering.verify_decomposition`, whose CurveError is raised as it is
     and whose first violation is raised as a ValueError.  A walk's tree is
     read from its parent positions, a decomposition's from its separating
-    nodes: p_j joins C_(j) to its parent.  ``sizes[k]`` is |A_(k+1)|;
+    nodes: p_j joins C_(j) to its parent.  ``parents[j]`` is position j's
+    parent for j below the root, and ``children[p]`` lists p's children in
+    increasing order.  ``sizes[k]`` is |A_(k+1)|;
     `subcurve` builds A_(k+1) only when asked, a handed-in one's members
     read as ints.
     """
@@ -183,7 +185,7 @@ class _SplitTable:
             self.sizes = tuple(map(len, subcurves))
             self.subcurve = lambda k: frozenset(map(operator.index, subcurves[k]))
             position = {c: j for j, c in enumerate(order)}
-            parents = [position[sum(ends[p]) - c] for c, p in zip(order, self.nodes)]
+            parents = tuple(position[sum(ends[p]) - c] for c, p in zip(order, self.nodes))
         children: list[list[int]] = [[] for _ in order]
         for j, up in enumerate(parents):  # increasing j: each list is sorted
             children[up].append(j)
@@ -195,7 +197,8 @@ class _SplitTable:
                 weight[p] += weight[c]
                 genus[p] += genus[c]
         D, pa = omega._denominator, curve.arithmetic_genus()
-        self.curve, self.order, self.children, self.ends = curve, order, children, ends
+        self.curve, self.order, self.ends = curve, order, ends
+        self.parents, self.children = parents, children
         self.weights, self.denominator, self.pa = weight, D, pa
         self.defects = [(1 - g) * D - w * (1 - pa) for w, g in zip(weight, genus)]
 

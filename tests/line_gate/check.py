@@ -5,12 +5,12 @@ Runs the Tier-1 suite once with a copy of ``sitecustomize.py`` first on
 record the package lines they run.  The executable lines are those of the
 compiled modules' code objects (``co_lines()``).  Every executable line
 that no process ran must be listed in ``allowlist.json``, keyed by its
-file and its stripped source text, with the reason it cannot run and the
-number of unrun lines in that file that carry the text.  The gate exits 1
-naming each unrun line that is not listed and each entry whose count
-differs from the unrun lines found (so a new dead line that copies a
-listed text fails it, as does a listed line that ran or is gone), and
-also when the suite itself fails.
+file and its stripped source text, with the reason it cannot run: one
+entry per unrun line, so two dead lines with one text are listed twice.
+The gate exits 1 naming each unrun line that is not listed and each text
+listed more or fewer times than it has unrun lines (a new dead line that
+copies a listed text, or a listed line that ran or is gone), and also
+when the suite itself fails.
 
 Needs Python 3.12 or later (``sys.monitoring``).  From the repository root:
 
@@ -23,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -59,8 +60,10 @@ def main() -> int:
             cwd=ROOT, env={**os.environ, "PYTHONPATH": path},
         )
         processes, ran = recorded_lines(work)
-    allowed = {(e["file"], e["source"]): e for e in json.loads((HERE / "allowlist.json").read_text())}
-    unrun: dict[tuple[str, str], int] = {}  # per listed text, the unrun lines carrying it
+    entries = json.loads((HERE / "allowlist.json").read_text())
+    allowed = Counter((e["file"], e["source"]) for e in entries)
+    reasons = {(e["file"], e["source"]): e["reason"] for e in entries}
+    unrun: Counter[tuple[str, str]] = Counter()  # the listed texts' unrun lines
     unlisted, total = [], 0
     for path in sorted((SRC / "nodalbn").glob("*.py")):
         file, text = path.relative_to(ROOT).as_posix(), path.read_text().splitlines()
@@ -71,22 +74,18 @@ def main() -> int:
                 continue
             key = (file, text[number - 1].strip())
             if key in allowed:
-                unrun[key] = unrun.get(key, 0) + 1
+                unrun[key] += 1
             else:
                 unlisted.append(f"{file}:{number}: {key[1]}")
-    miscounted = [
-        (file, source, entry, unrun.get((file, source), 0))
-        for (file, source), entry in sorted(allowed.items())
-        if unrun.get((file, source), 0) != entry["count"]
-    ]
+    miscounted = sorted(key for key in allowed if unrun[key] != allowed[key])
     print(f"line gate: {processes} processes recorded; {total} executable lines,"
-          f" {len(unlisted)} unrun and unlisted, {sum(unrun.values())} unrun and listed"
-          f" ({sum(e['count'] for e in allowed.values())} by the counts)")
+          f" {len(unlisted)} unrun and unlisted, {unrun.total()} unrun and listed"
+          f" ({allowed.total()} entries)")
     for line in unlisted:
         print(f"never ran and not listed: {line}")
-    for file, source, entry, found in miscounted:
-        print(f"listed for {entry['count']} unrun line(s), {found} found:"
-              f" {file}: {source} ({entry['reason']})")
+    for file, source in miscounted:
+        print(f"listed {allowed[file, source]} time(s), {unrun[file, source]} unrun:"
+              f" {file}: {source} ({reasons[file, source]})")
     if suite.returncode != 0:
         print(f"the suite exited {suite.returncode}")
     return 1 if unlisted or miscounted or suite.returncode else 0

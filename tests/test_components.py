@@ -1096,7 +1096,8 @@ def test_split_table_from_a_walk_is_the_decompositions(seed):
     walked = polarization._SplitTable(curve, omega, ordering._walk(curve, root))
     deco = nb.order_components(curve, root)
     read = polarization._SplitTable(curve, omega, deco)
-    for name in ("order", "nodes", "sizes", "children", "weights", "defects", "denominator"):
+    for name in ("order", "nodes", "sizes", "parents", "children", "weights", "defects",
+                 "denominator"):
         assert getattr(walked, name) == getattr(read, name), name
     assert [walked.subcurve(k) for k in range(curve.gamma - 1)] == list(deco.subcurves)
     for _ in range(4):
