@@ -32,7 +32,6 @@ import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from functools import cached_property
 
 from ._record import Record
 from .curve import NodalCurve, _Frozen
@@ -217,20 +216,12 @@ class _SplitTable:
         rows.sort()  # node ids are distinct
         return rows
 
-    def side(self, j: int, flipped: bool) -> frozenset[int]:
-        """A proxy row's side: A_(j+1), or its complement when ``flipped``, built now."""
-        A = self.subcurve(j)
-        return self.everything - A if flipped else A
-
-    @cached_property
-    def everything(self) -> frozenset[int]:
-        return frozenset(self.curve.component_ids)
-
     def defect_rows(self) -> Iterator[SplitDefect]:
         """The goodness proxy's rows by node id, each side built as its row is made."""
-        D = self.denominator
+        D, everything = self.denominator, frozenset(self.curve.component_ids)
         for nid, j, flipped, num in self.proxy_rows():
-            yield SplitDefect(nid, self.side(j, flipped), Fraction(num, D), 0 < num < D)
+            side = everything - self.subcurve(j) if flipped else self.subcurve(j)
+            yield SplitDefect(nid, side, Fraction(num, D), 0 < num < D)
 
     def require_good(self) -> _SplitTable:
         """This table, once omega passes the proxy; `bn certify`'s hard error otherwise."""

@@ -295,8 +295,8 @@ def test_proxy_rows_are_the_split_sides(seed, good):
     report = nb.goodness_proxy(curve, omega)
     assert report == complement_goodness_proxy(curve, omega)
     D = splits.denominator
-    for (nid, j, flipped, num), (_, side, _), row in zip(rows, raw, report.splits):
-        assert splits.side(j, flipped) == side == row.side
+    for (_, _, _, num), (_, side, _), row in zip(rows, raw, report.splits):
+        assert side == row.side
         assert Fraction(num, D) == row.defect
         assert (0 < num < D) == row.ok
 
