@@ -1,7 +1,11 @@
 """Exact-rational Brill-Noether toolkit for polarized nodal reducible curves.
 
-Everything that decides a statement works over ``fractions.Fraction``;
-no verdict depends on floating point.
+Everything that decides a statement is exact: integers, or
+``fractions.Fraction`` where a rational is built for a caller or for
+printing, and no verdict depends on floating point.  The verdicts
+themselves are integer comparisons of numerators over a common
+denominator, so a path that prints no rational, such as ``bn scan`` at
+the canonical polarization, never imports ``fractions``.
 
 Names load on first use (PEP 562).  ``_EXPORTS`` maps each public name
 to the submodule that defines it, and ``__all__`` is its keys.  The

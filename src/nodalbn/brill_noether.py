@@ -293,37 +293,49 @@ def conjecture_scan(curves: Iterable[NodalCurve], s_values: Iterable[int]) -> li
     exactly when some small-slope tuple exists: k g_i <= 1 + s(g_i - 1)
     gives the section bound, and the section bound with a small-slope
     tuple gives the two degree rows (see `certify_bn_component`).  The
-    s values are read as ints once, up front.  Per curve the
-    scan builds one split table, and per (s, d) one window table, which
-    tests existence with one pass up the tree (`has_small_slope`) and
-    gives every k of the cell that verdict; per row it computes only
-    beta.  No tuple is listed or counted, and no checklist or certificate
-    is built.  A cell that fails is OPEN; nothing here ever claims a
-    refutation.
+    cells come from `_scan_cells`, which `bn scan` formats as they come;
+    this keeps one `ScanRow` per k and sorts them by (gamma, genera, s,
+    d, k), since a caller may pass the curves in any order.  A cell that
+    fails is OPEN; nothing here ever claims a refutation.
     """
-    from operator import itemgetter  # loaded already, under fractions
+    from operator import itemgetter  # loaded already, by polarization
 
-    from .components import WindowTable
+    rows = [
+        ScanRow(shape, curve.gamma, curve.genera, s, d, k, certified, beta)
+        for curve, shape, s, d, certified, betas in _scan_cells(curves, s_values)
+        for k, beta in enumerate(betas, start=1)
+    ]
+    rows.sort(key=itemgetter(1, 2, 3, 4, 5))  # (gamma, genera, s, d, k), ScanRow's fields 1-5
+    return rows
+
+
+def _scan_cells(
+    curves: Iterable[NodalCurve], s_values: Iterable[int]
+) -> Iterable[tuple[NodalCurve, str, int, int, bool, list[int]]]:
+    """`conjecture_scan`'s cells as (curve, shape, s, d, certified, betas), as they come.
+
+    Curve by curve in the order given, then s in the order given, then d
+    increasing; ``betas[k - 1]`` is beta at k for k = 1 to
+    `max_section_count`.  The s values are read as ints once, before the
+    first cell.  Per curve: certify's hard errors and one split table at
+    the canonical polarization.  Per (s, d) cell: one pass up the tree of
+    subcurves (`_SplitTable.has_small_slope`), which decides every k of
+    the cell, and no window table, tuple, checklist or certificate.
+    """
     from .curve import _integers
     from .polarization import _SplitTable, canonical
 
     s_values = _integers(s_values, "s values", ValueError)
-    rows = []
     for curve in curves:
         curve.require_compact_type()
-        gamma, genera, pa = curve.gamma, curve.genera, curve.arithmetic_genus()
-        eta = canonical(curve)
+        gamma, pa = curve.gamma, curve.arithmetic_genus()
         shape = curve.classify().value
         # certify's hard error and split table, once per curve; canonical defects are all 1/2
-        splits = _SplitTable(curve, eta).require_good()
+        splits = _SplitTable(curve, canonical(curve)).require_good()
         for s in s_values:
             if s < max(1, 2 * (gamma - 1)):
                 continue
             ks = range(1, max_section_count(curve, s) + 1)  # nonempty: every g_i >= 2
             for d in range(gamma, s + 1):
-                certified = WindowTable(splits, s, d).has_small_slope()
-                for k in ks:
-                    beta = _beta(pa, s + k, d, k)
-                    rows.append(ScanRow(shape, gamma, genera, s, d, k, certified, beta))
-    rows.sort(key=itemgetter(1, 2, 3, 4, 5))  # (gamma, genera, s, d, k), ScanRow's fields 1-5
-    return rows
+                betas = [_beta(pa, s + k, d, k) for k in ks]
+                yield curve, shape, s, d, splits.has_small_slope(s, d), betas

@@ -29,10 +29,15 @@ only for what it uses.  This module loads no other module of the
 package: a command that reads a curve loads ``parsing``, ``curve`` and
 ``sheaf``; ``ordering``, ``components`` and ``brill_noether`` load in the
 handlers that call them.  Only a command that resolves ``--omega`` or
-prints a rational loads ``polarization`` and ``fractions`` (with the
-``decimal`` and ``numbers`` under it): ``bn number`` and ``bn bounds``
-load neither, nor does any ``curve`` command or ``order``, even on a
-file with a sheaf block.  An error's exit code is looked up only when a
+reads the canonical polarization loads ``polarization``, and only one
+that prints a rational other than a weight loads ``fractions`` (with the
+``decimal`` and ``numbers`` under it): every ``omega:`` line prints from
+the weights' integer numerators (`_weights`), and the canonical weights
+are integers until read.  So ``bn scan``, a refused ``bn certify`` and
+``components invariance`` at the canonical polarization load no
+``fractions``; ``bn number`` and ``bn bounds`` load neither module, nor
+does any ``curve`` command or ``order``, even on a file with a sheaf
+block.  An error's exit code is looked up only when a
 handler raises (see ``_exit_code``).  The digest comes from CPython's
 built-in SHA-256 module, so no command loads ``hashlib`` and the OpenSSL
 library under it, unless the build has no such module.  No module
@@ -184,6 +189,20 @@ def _resolve_omega(text: str, curve: NodalCurve) -> Polarization:
     return omega
 
 
+def _weights(omega: Polarization) -> str:
+    """The weights as `_fmt` prints Fractions, read from their integer numerators over D.
+
+    So printing the canonical polarization builds no Fraction.
+    """
+    from math import gcd
+
+    D, texts = omega._denominator, []
+    for n in omega._numerators[1:]:
+        common = gcd(n, D)
+        texts.append(str(n // common) if common == D else f"{n // common}/{D // common}")
+    return ",".join(texts)
+
+
 def _begin(args: SimpleNamespace, report: Report) -> tuple[NodalCurve, SheafDescriptor | None]:
     curve, sheaf, digest = _load_curve(args.curve)
     report.kv("curve_digest", digest)
@@ -252,7 +271,7 @@ def cmd_polarization_canonical(args: SimpleNamespace, report: Report) -> int:
 
     curve, _ = _begin(args, report)
     eta = canonical(curve)
-    report.kv("eta", eta.weights)
+    report.kv("eta", _weights(eta))
     if curve.is_compact_type():
         _proxy_section(report, curve, eta)
     return 0
@@ -261,7 +280,7 @@ def cmd_polarization_canonical(args: SimpleNamespace, report: Report) -> int:
 def cmd_polarization_check(args: SimpleNamespace, report: Report) -> int:
     curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
-    report.kv("omega", omega.weights)
+    report.kv("omega", _weights(omega))
     return 0 if _proxy_section(report, curve, omega) else 1
 
 
@@ -355,7 +374,7 @@ def _rooted(args: SimpleNamespace, report: Report):
     curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
     walk = ordering._walk(curve, curve.gamma if args.root is None else args.root)
-    report.kv("omega", omega.weights)
+    report.kv("omega", _weights(omega))
     report.kv("rank", args.rank)
     return curve, omega, walk
 
@@ -418,7 +437,7 @@ def cmd_components_invariance(args: SimpleNamespace, report: Report) -> int:
     curve, _ = _begin(args, report)
     omega = _resolve_omega(args.omega, curve)
     inv = comp.catalog_invariance_check(curve, omega, args.rank, args.degree)
-    report.kv("omega", omega.weights)
+    report.kv("omega", _weights(omega))
     report.kv("rank", args.rank)
     report.kv("degree", args.degree)
     report.kv("invariance", _verdict(inv.passed))
@@ -463,7 +482,7 @@ def cmd_bn_certify(args: SimpleNamespace, report: Report) -> int:
     result = bn.certify_bn_component(curve, omega, args.s, args.k, args.d)
     certified = isinstance(result, bn.BNCertificate)
     report.kv("certified", certified)
-    report.kv("omega", omega.weights)
+    report.kv("omega", _weights(omega))
     report.kv("s", args.s)
     report.kv("k", args.k)
     report.kv("d", args.d)
@@ -487,6 +506,7 @@ def cmd_bn_certify(args: SimpleNamespace, report: Report) -> int:
 
 
 def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve]:
+    """The family's curves in strictly increasing (gamma, genera), each genus vector once."""
     from .curve import chain_curve, comb_curve
 
     curves = []
@@ -498,30 +518,36 @@ def _scan_family(family: str, gamma_max: int, genus_max: int) -> list[NodalCurve
                     curves.append(chain_curve(path))
     else:  # comb: --family's choices refuse any other family
         for gamma in range(3, gamma_max + 1):
-            for teeth in itertools.combinations_with_replacement(choices, gamma - 1):  # sorted
+            for teeth in itertools.combinations_with_replacement(choices, gamma - 1):  # increasing
                 curves.extend(comb_curve((*teeth, grip)) for grip in choices)
     return curves
 
 
 def cmd_bn_scan(args: SimpleNamespace, report: Report) -> int:
+    """`conjecture_scan`'s rows, each formatted as its cell comes.
+
+    `_scan_family` lists the curves in increasing (gamma, genera) and the
+    s values increase, so the cells come in the order `conjecture_scan`
+    sorts its rows into: no row record is built and nothing is sorted.
+    """
     from . import brill_noether as bn
 
     curves = _scan_family(args.family, args.gamma_max, args.genus_max)
-    rows = bn.conjecture_scan(curves, range(1, args.s_max + 1))
-    open_rows = [r for r in rows if not r.certified]
+    rows: list[str] = []
+    shown, head, open_rows = None, "", 0
+    for curve, shape, s, d, certified, betas in bn._scan_cells(curves, range(1, args.s_max + 1)):
+        if curve is not shown:  # the curve's columns, joined once
+            shown, head = curve, f"{shape}\t{curve.gamma}\t{_fmt(curve.genera)}\t"
+        cell = f"{head}{s}\t{d}\t"
+        status = "\tCERTIFIED\t" if certified else "\tOPEN\t"
+        if not certified:
+            open_rows += len(betas)
+        rows.extend([f"{cell}{k}{status}{beta}" for k, beta in enumerate(betas, start=1)])
     report.kv("family", args.family)
     report.kv("curves", len(curves))
     report.kv("rows", len(rows))
-    report.kv("open", len(open_rows))
-    genera = {c.genera: ",".join(map(str, c.genera)) for c in curves}  # joined once per curve
-    report.table(
-        "scan",
-        ["shape", "gamma", "genera", "s", "d", "k", "status", "beta"],
-        [
-            f"{r.shape}\t{r.gamma}\t{genera[r.genera]}\t{r.s}\t{r.d}\t{r.k}\t{r.status}\t{r.beta}"
-            for r in rows
-        ],
-    )
+    report.kv("open", open_rows)
+    report.table("scan", ["shape", "gamma", "genera", "s", "d", "k", "status", "beta"], rows)
     return 0 if not open_rows else 1
 
 

@@ -23,7 +23,9 @@ an integer that depends on sigma_j alone; the least key picks the
 binding window (ties go to the smallest j) and fixes the radius, key /
 (D |coeff| L).  So a printed catalog formats each (window, sigma_j) cell
 and each distinct radius once, and the bounds become Fractions only where
-they are printed.
+they are printed.  ``fractions`` loads only there, inside the functions
+that build one: a question answered in integers (a catalog size, whether
+a small-slope tuple exists, the invariance check) loads none.
 
 The window table answers every catalog question, all but its size and
 whether a small-slope tuple exists by one search.  Component in position
@@ -48,9 +50,11 @@ interval arithmetic over the tree, O(gamma), and one more pass from the
 root down narrows every position's range and every subtree's sums to
 exactly those some tuple takes.  `WindowTable._narrow` is both passes;
 the count sizes its tables from its sums, and a printed catalog formats
-its cells over them.  The up-pass alone (`WindowTable._reach`) decides
-whether any tuple exists, since the root's window is (d, d): that is
-`has_small_slope`, which `bn scan` asks of every (s, d) cell.  One
+its cells over them.  The up-pass alone decides whether any tuple
+exists, since the root's window is (d, d).  For the ranges 1..s that is
+`has_small_slope`, which the split table answers from W_j and delta_j D
+with no window table (`polarization._SplitTable.has_small_slope`), so
+`bn scan` asks it of every (s, d) cell without building one.  One
 search (`WindowTable._tuples`) lists the tuples in increasing order:
 ids 1..gamma take their degrees in turn, each within its range narrowed
 with the earlier choices fixed, so no branch is a dead end and its cost
@@ -91,7 +95,6 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Callable, Iterable, Iterator
-from fractions import Fraction
 from functools import cached_property, total_ordering
 from itertools import accumulate
 
@@ -100,7 +103,21 @@ from .curve import CurveClass, HypothesisError, NodalCurve, _Frozen, _integers
 from .ordering import OrderedDecomposition, _walk
 from .polarization import Polarization, _SplitTable, canonical
 
-DEFAULT_WITNESS_MULTIPLIER = Fraction(1001, 1000)
+# ``Fraction`` in an annotation is fractions.Fraction, imported by each function that builds one
+
+
+def __getattr__(name: str) -> object:
+    """``DEFAULT_WITNESS_MULTIPLIER``, Fraction(1001, 1000), built when first read.
+
+    So importing this module loads no ``fractions``: only what builds a
+    Fraction does, inside the function that builds it.
+    """
+    if name != "DEFAULT_WITNESS_MULTIPLIER":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from fractions import Fraction
+
+    value = globals()[name] = Fraction(1001, 1000)
+    return value
 
 
 @total_ordering
@@ -209,12 +226,14 @@ class WindowTable(_Frozen):
 
     The table answers every catalog question: `catalog`, `degree_tuples`,
     `first_small_slope`, `has_small_slope`, `count_small_slope` and
-    `size`.  `has_small_slope` is the up-pass alone (`_reach`) over the
-    ranges 1..s: whether a tuple exists, with no search.  The others but
-    `size` narrow the ranges `_ranges` gives (`_narrow`, which starts with
-    that pass) and run one search (`_tuples`, `_count`) over what that
-    returns.  `_tuples` narrows no more: `_live` keeps the narrowing up
-    to date as it fixes positions and gives them back.
+    `size`.  `has_small_slope` is the split table's one pass up the tree
+    over the ranges 1..s (`_SplitTable.has_small_slope`, which `bn scan`
+    calls with no window table): whether a tuple exists, with no search.
+    The others but `size` narrow the ranges `_ranges` gives (`_narrow`,
+    which starts with the up-pass `_reach`) and run one search
+    (`_tuples`, `_count`) over what that returns.  `_tuples` narrows no
+    more: `_live` keeps the narrowing up to date as it fixes positions
+    and gives them back.
     """
 
     __match_args__ = ("rank", "degree", "coeff", "windows", "order")
@@ -244,6 +263,8 @@ class WindowTable(_Frozen):
     @cached_property
     def windows(self) -> tuple[Window, ...]:
         """The windows as `Window` records with reduced Fraction bounds, each A_j a set."""
+        from fractions import Fraction
+
         D, splits = self.denominator, self.splits
         return tuple(
             Window(k + 1, splits.subcurve(k), p, Fraction(lo, D), Fraction(hi, D))
@@ -286,6 +307,8 @@ class WindowTable(_Frozen):
 
     def _rows(self, sums: list[int]) -> Iterator[StabilityRow]:
         """`check`'s rows for a tuple's sigma_j, each A_j built as its row is made."""
+        from fractions import Fraction
+
         D, splits = self.denominator, self.splits
         for k, (p, sigma, lo, hi) in enumerate(zip(splits.nodes, sums, self.lowers, self.uppers)):
             x = sigma * D
@@ -311,6 +334,8 @@ class WindowTable(_Frozen):
         D, lo, hi = self.denominator, self.lowers[k], self.uppers[k]
         x = sigma * D
         if not lo < x < hi:
+            from fractions import Fraction
+
             raise HypothesisError(
                 f"tuple fails condition {k + 1}: "
                 f"{Fraction(lo, D)} < {sigma} < {Fraction(hi, D)} is false"
@@ -324,6 +349,8 @@ class WindowTable(_Frozen):
         """
         if self.coeff == 0:
             return None
+        from fractions import Fraction
+
         return Fraction(key, self.denominator * abs(self.coeff) * self._scales[0])
 
     def binding(self, sums: list[int]) -> tuple[int, Fraction] | None:
@@ -360,8 +387,12 @@ class WindowTable(_Frozen):
         return None if degrees is None else ComponentTuple(self.rank, degrees)
 
     def has_small_slope(self) -> bool:
-        """Whether some catalog tuple has every degree in 1..s: `_reach` alone, no search."""
-        return self._reach(self._ranges(True)) is not None
+        """Whether some catalog tuple has every degree in 1..s, with no search.
+
+        The split table's one pass up the tree (`_SplitTable.has_small_slope`),
+        which `bn scan` runs on the split table directly, with no window table.
+        """
+        return self.splits.has_small_slope(self.rank, self.degree)
 
     def count_small_slope(self) -> int:
         """Number of catalog tuples with every degree in 1..s, without listing them."""
@@ -680,6 +711,8 @@ def binding_witness(
     `DEFAULT_WITNESS_MULTIPLIER` (1.001) times the radius; any multiplier
     above 1 would produce a violation.
     """
+    from .components import DEFAULT_WITNESS_MULTIPLIER  # this module's, built when first read
+
     table = stability_windows(curve, omega, deco, ctuple.rank, ctuple.total)
     sums = table.sums(ctuple)
     found = table.binding(sums)
@@ -777,6 +810,8 @@ def build_small_slope_tuple(curve: NodalCurve, s: int, d: int) -> BuilderResult:
     Returns the first case that applies; raises HypothesisError when
     none does, and ValueError naming s or d when it is no integer.
     """
+    from fractions import Fraction
+
     s, d = _integer(s, "rank s"), _integer(d, "degree d")
     curve.require_compact_type()
     if s < 1:
@@ -874,6 +909,8 @@ def build_comb_tuple(curve: NodalCurve, s: int, d: int) -> ComponentTuple:
     degree (eta_j d >= s/2 + 1) the general case-b construction applies
     verbatim; otherwise every tooth takes 1 and the grip the rest.
     """
+    from fractions import Fraction
+
     s, d = _shape_hypotheses(curve, CurveClass.COMB, s, d)
     gamma = curve.gamma
     eta = canonical(curve)

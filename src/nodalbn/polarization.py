@@ -24,6 +24,10 @@ subcurves.  The table keeps W_j and A_j's defect numerator
 delta_j D = (1 - G_j) D - W_j (1 - p_a), the one place it is computed.
 Every verdict is decided on these integers.  A_j itself is a set only
 where something asks for it: a printed side, a window record, a witness.
+So is a ``Fraction``: `canonical` keeps its weights as integers until
+they are read, and ``fractions`` loads inside the functions that build
+one, so that the canonical path from curve to small-slope verdict
+(`_SplitTable.has_small_slope`) loads no ``fractions``.
 """
 
 from __future__ import annotations
@@ -31,11 +35,12 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from fractions import Fraction
+from functools import cached_property
 
 from ._record import Record
 from .curve import NodalCurve, _Frozen
 
+# ``Fraction`` in an annotation is fractions.Fraction, imported by each function that builds one
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .ordering import OrderedDecomposition, _Walk
@@ -50,11 +55,12 @@ class Polarization(_Frozen):
 
     Weight i is ``_numerators[i] / _denominator`` over the lcm of the
     denominators (``_numerators[0]`` pads the 1-based ids), so a subcurve
-    weight is one integer sum.
+    weight is one integer sum.  `canonical` builds its polarization from
+    these integers alone (`_reduced`); ``weights`` is then built when it
+    is first read.
     """
 
     __match_args__ = ("weights",)
-    weights: tuple[Fraction, ...]
 
     def __init__(self, weights: Iterable[Fraction | int]) -> None:
         ws = _exact(weights, "weight")
@@ -73,15 +79,39 @@ class Polarization(_Frozen):
         denominator = math.lcm(*dens)
         numerators = (0, *map(operator.mul, nums, map(denominator.__floordiv__, dens)))
         if sum(numerators) != denominator:
+            from fractions import Fraction
+
             raise PolarizationError(
                 f"weights sum to {Fraction(sum(numerators), denominator)}, not 1"
             )
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", ws)  # shadows the class's lazy `weights`
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_numerators", numerators)
 
+    @classmethod
+    def _reduced(cls, numerators: Sequence[int], total: int) -> Polarization:
+        """The weights n_i / total for positive ints n_i summing to total, unchecked.
+
+        Dividing by the gcd of total and every n_i gives the lcm of the
+        reduced weights' denominators and the numerators over it, as
+        `__init__` computes them from the weights.
+        """
+        common = math.gcd(total, *numerators)
+        self = cls.__new__(cls)
+        object.__setattr__(self, "_denominator", total // common)
+        object.__setattr__(self, "_numerators", (0, *(n // common for n in numerators)))
+        return self
+
+    @cached_property
+    def weights(self) -> tuple[Fraction, ...]:
+        """The weights as reduced Fractions, built from the integers when first read."""
+        from fractions import Fraction
+
+        D = self._denominator
+        return tuple(Fraction(n, D) for n in self._numerators[1:])
+
     def __len__(self) -> int:
-        return len(self.weights)
+        return len(self._numerators) - 1
 
     def __getitem__(self, i: int) -> Fraction:
         """Weight of component i (1-based)."""
@@ -109,15 +139,14 @@ def canonical(curve: NodalCurve) -> Polarization:
 
     The denominator is positive on every curve: `NodalCurve` takes only
     genera g_i >= 2 and a connected dual graph (delta >= gamma - 1), so
-    p_a = sum(g_i) + delta - gamma + 1 >= 2 gamma >= 2.
+    p_a = sum(g_i) + delta - gamma + 1 >= 2 gamma >= 2.  Each numerator
+    is at least 2 and they sum to 2 p_a - 2, so the weights need no
+    check, and no Fraction is built until ``weights`` is read.
     """
-    denom = 2 * curve.arithmetic_genus() - 2
-    return Polarization(
-        tuple(
-            Fraction(2 * curve.genus(i) - 2 + curve.node_degree(i), denom)
-            for i in curve.component_ids
-        )
-    )
+    numerators = [
+        2 * g - 2 + curve.node_degree(i) for i, g in zip(curve.component_ids, curve.genera)
+    ]
+    return Polarization._reduced(numerators, 2 * curve.arithmetic_genus() - 2)
 
 
 def goodness_proxy(curve: NodalCurve, omega: Polarization) -> GoodnessReport:
@@ -218,6 +247,8 @@ class _SplitTable:
 
     def defect_rows(self) -> Iterator[SplitDefect]:
         """The goodness proxy's rows by node id, each side built as its row is made."""
+        from fractions import Fraction
+
         D, everything = self.denominator, frozenset(self.curve.component_ids)
         for nid, j, flipped, num in self.proxy_rows():
             side = everything - self.subcurve(j) if flipped else self.subcurve(j)
@@ -228,11 +259,50 @@ class _SplitTable:
         D = self.denominator
         bad = [(nid, num) for nid, _, _, num in self.proxy_rows() if not 0 < num < D]
         if bad:
+            from fractions import Fraction
+
             raise PolarizationError(
                 "polarization fails the goodness proxy at node(s) "
                 + ", ".join(f"{nid} (defect {Fraction(num, D)})" for nid, num in bad)
             )
         return self
+
+    def has_small_slope(self, s: int, d: int) -> bool:
+        """Whether a tuple with every degree in 1..s meets every window at rank s, degree d.
+
+        The windows are `components.WindowTable`'s: window j holds sigma_j
+        strictly between x_j / D and x_j / D + s, x_j = W_j d - s delta_j D,
+        so its integers run from x_j // D + 1 to (x_j - 1) // D + s, and the
+        root's sum is d.  One pass up the tree gives each subtree the sums
+        it reaches inside its window with every degree in 1..s: one
+        interval, or none, and then no tuple exists.  Integer work on the
+        table's W_j and delta_j D, with no window built; s >= 1 and d are
+        ints.  `bn scan` asks this of every (s, d) cell and
+        `WindowTable.has_small_slope` asks it of its own.
+        """
+        D, children = self.denominator, self.children
+        lows: list[int] = []
+        highs: list[int] = []
+        for w, delta, kids in zip(self.weights, self.defects, children[:-1]):
+            lo, hi = 1, s
+            for c in kids:  # plain loops: the scan runs this once per cell
+                lo += lows[c]
+                hi += highs[c]
+            x = w * d - s * delta
+            least, most = x // D + 1, (x - 1) // D + s  # the window's integers
+            if lo < least:
+                lo = least
+            if hi > most:
+                hi = most
+            if lo > hi:
+                return False
+            lows.append(lo)
+            highs.append(hi)
+        lo, hi = 1, s
+        for c in children[-1]:  # the root's window is (d, d)
+            lo += lows[c]
+            hi += highs[c]
+        return lo <= d <= hi
 
 
 def perturb(omega: Polarization, eps: Sequence[Fraction | int]) -> Polarization:
@@ -257,6 +327,8 @@ def _exact(values: Iterable[Fraction | int], what: str) -> tuple[Fraction, ...]:
 
     A Fraction is kept as it is; an int, or a Fraction subclass, becomes a Fraction.
     """
+    from fractions import Fraction
+
     out = []
     for i, v in enumerate(values, start=1):
         if not isinstance(v, Fraction):

@@ -44,7 +44,16 @@ class TestBgnBounds:
     def test_degree_and_section_failures(self):
         verdict = nb.bgn_bounds(pa=3, r=2, d=0, k=2)
         assert not verdict.ok
-        assert len(verdict.failures) >= 2
+        assert verdict.failures == (
+            "degree 0 must be positive",
+            "sections k = 2 must stay below rank 2",
+            "rank bound fails: 2 > 0 + (2-2)*3 = 0",
+        )
+
+    def test_sections_equal_to_the_rank_fail_alone(self):
+        # k = r is the boundary: the rank bound r <= d + 0 holds and d > 0
+        verdict = nb.bgn_bounds(pa=3, r=2, d=2, k=2)
+        assert verdict == (False, ("sections k = 2 must stay below rank 2",))
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -367,7 +376,7 @@ def test_scan_builds_no_certificate(monkeypatch):
         "BNCertificate", "CertificationFailure", "certify_bn_component", "per_component_bgn",
     ):
         monkeypatch.setattr(brill_noether, name, _refuse)
-    for name in ("count_small_slope", "first_small_slope", "_tuples", "_count"):
+    for name in ("__init__", "count_small_slope", "first_small_slope", "_tuples", "_count"):
         monkeypatch.setattr(components.WindowTable, name, _refuse)
     assert nb.conjecture_scan(SCAN_CURVES, range(1, 9)) == want
 
@@ -375,7 +384,7 @@ def test_scan_builds_no_certificate(monkeypatch):
 def test_scan_without_a_small_slope_tuple_is_open(monkeypatch):
     """A cell whose search finds no tuple is OPEN: the verdict reads the search."""
     want = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
-    monkeypatch.setattr(components.WindowTable, "has_small_slope", lambda self: False)
+    monkeypatch.setattr(polarization._SplitTable, "has_small_slope", lambda self, s, d: False)
     rows = nb.conjecture_scan(SCAN_CURVES, range(1, 9))
     assert rows == [row._replace(certified=False) for row in want]
     assert rows and all(row.status == "OPEN" for row in rows)

@@ -203,6 +203,33 @@ class TestPolarizationCommands:
         assert kv(out)["goodness_proxy"] == "fail"
         assert "1\t1\t0\tfail" in out
 
+    # a two-component genus-(2, 2) curve: component 1's side has defect 1 - 2 + 3 w_1
+    def test_check_at_a_defect_of_one_over_the_denominator_passes(self, capsys, tmp_path):
+        path = tmp_path / "twos.crv"
+        path.write_text("component 1 genus 2\ncomponent 2 genus 2\nnode 1 1 2\n")
+        code, out, _ = run(
+            capsys, "polarization", "check", "--curve", str(path), "--omega", "2/5,3/5"
+        )
+        assert code == 0
+        assert kv(out)["goodness_proxy"] == "pass"
+        assert "\n1\t1\t1/5\tpass\n" in out
+
+    def test_a_defect_of_one_fails_the_check_and_certify(self, capsys, tmp_path):
+        path = tmp_path / "twos.crv"
+        path.write_text("component 1 genus 2\ncomponent 2 genus 2\nnode 1 1 2\n")
+        code, out, _ = run(
+            capsys, "polarization", "check", "--curve", str(path), "--omega", "2/3,1/3"
+        )
+        assert code == 1
+        assert kv(out)["goodness_proxy"] == "fail"
+        assert "\n1\t1\t1\tfail\n" in out
+        code, out, err = run(
+            capsys, "bn", "certify", "--curve", str(path), "--omega", "2/3,1/3",
+            "--s", "2", "--k", "1", "--d", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: polarization fails the goodness proxy at node(s) 1 (defect 1)\n"
+
     def test_check_invalid_weights_exit_two(self, capsys, two_path):
         code, _, err = run(
             capsys, "polarization", "check", "--curve", two_path, "--omega", "1/4,1/4"
@@ -794,9 +821,10 @@ class TestBnCommands:
         assert kv(out)["open"] == "0"
 
     def test_scan_with_an_open_cell_exits_one(self, capsys, monkeypatch):
-        from nodalbn import components
+        from nodalbn import polarization
 
-        monkeypatch.setattr(components.WindowTable, "has_small_slope", lambda self: False)
+        # the scan's one existence test per cell, which `WindowTable.has_small_slope` calls too
+        monkeypatch.setattr(polarization._SplitTable, "has_small_slope", lambda self, s, d: False)
         code, out, _ = run(
             capsys,
             "bn", "scan", "--family", "comb",
@@ -807,6 +835,42 @@ class TestBnCommands:
         assert pairs["open"] == pairs["rows"] != "0"
         assert out.count("\tOPEN\t") == int(pairs["rows"])
         assert "CERTIFIED" not in out
+
+
+@pytest.mark.parametrize("family", ["chain", "comb"])
+@pytest.mark.parametrize("genus_max", [2, 3, 4])
+def test_scan_family_lists_curves_in_increasing_order(family, genus_max):
+    """`bn scan` prints rows as they come, so its curves must come sorted: gamma <= 5."""
+    curves = cli._scan_family(family, 5, genus_max)
+    keys = [(curve.gamma, curve.genera) for curve in curves]
+    assert keys and all(a < b for a, b in zip(keys, keys[1:]))
+    assert {curve.gamma for curve in curves} == set(range(2 if family == "chain" else 3, 6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    family=st.sampled_from(["chain", "comb"]),
+    gamma_max=st.integers(2, 4),
+    genus_max=st.integers(2, 3),
+    s_max=st.integers(1, 9),
+)
+def test_scan_prints_the_sorted_rows_of_conjecture_scan(family, gamma_max, genus_max, s_max):
+    """The rows `bn scan` formats as its cells come are `conjecture_scan`'s, sorted."""
+    argv = ["bn", "scan", "--family", family, "--gamma-max", str(gamma_max),
+            "--genus-max", str(genus_max), "--s-max", str(s_max)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    rows = nb.conjecture_scan(cli._scan_family(family, gamma_max, genus_max), range(1, s_max + 1))
+    want = [
+        f"{r.shape}\t{r.gamma}\t{','.join(map(str, r.genera))}\t{r.s}\t{r.d}\t{r.k}"
+        f"\t{r.status}\t{r.beta}"
+        for r in rows
+    ]
+    text = out.getvalue()
+    assert text.split("\nshape\tgamma\tgenera\ts\td\tk\tstatus\tbeta\n", 1)[1].splitlines() == want
+    opened = sum(not r.certified for r in rows)
+    assert (kv(text)["rows"], kv(text)["open"], code) == (str(len(rows)), str(opened), int(opened > 0))
 
 
 class TestHarness:

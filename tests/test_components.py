@@ -526,6 +526,36 @@ def test_has_small_slope_is_whether_the_least_tuple_exists(seed):
             assert found == bool(brute_force_small_slope(curve, omega, deco, s, d))
 
 
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000))
+def test_split_table_existence_test_matches_the_oracle(seed):
+    """`_SplitTable.has_small_slope`, the scan's one pass per cell, against the oracle.
+
+    Random Pruefer trees, a walk and a leaf-pruning decomposition from one
+    root, and canonical, good and arbitrary valid polarizations; d runs
+    from -1 to s gamma + 2.  The table's general up-pass over the ranges
+    1..s (`WindowTable._reach`) says the same.
+    """
+    rng = random.Random(seed)
+    curve = random_tree_curve(rng, gamma_max=7, genus_range=(2, 5))
+    root = rng.randint(1, curve.gamma)
+    deco = pruning_decomposition(rng, curve, root)
+    s = rng.randint(1, 7)
+    d = rng.randint(-1, s * curve.gamma + 2)
+    for omega in (
+        nb.canonical(curve),
+        random_good_polarization(rng, curve),
+        random_valid_polarization(rng, curve.gamma),
+    ):
+        found = polarization._SplitTable(curve, omega, deco).has_small_slope(s, d)
+        walked = polarization._SplitTable(curve, omega, ordering._walk(curve, root))
+        assert walked.has_small_slope(s, d) == found
+        table = stability_windows(curve, omega, deco, s, d)
+        assert (table._reach(table._ranges(True)) is not None) == found
+        if brute_force_box_size(curve, omega, deco, s, d) <= ORACLE_BOX_LIMIT:
+            assert found == bool(brute_force_small_slope(curve, omega, deco, s, d))
+
+
 @pytest.mark.parametrize("gamma", [1, 2, 3, 4])
 def test_small_slope_search_every_degree(gamma):
     """Every d from -1 to s*gamma + 2, so both ends of the range are crossed."""

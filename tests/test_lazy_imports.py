@@ -82,10 +82,14 @@ def fresh_python(code: str, *argv: str, flags: tuple[str, ...] = ()) -> dict:
     return json.loads(done.stdout)
 
 
-# fractions imports decimal and numbers: about 2 ms of a command's start-up under
-# -X importtime, 1.2 ms of it decimal (Python 3.11.7, 2 cores).  Only a command
-# that resolves --omega or prints a rational needs them and the polarization layer.
-RATIONALS = {"fractions", "decimal", "numbers", "nodalbn.polarization"}
+# fractions imports decimal and numbers: 2.0-2.1 ms of a command's start-up under
+# -X importtime, 1.2 ms of it decimal, and 2.1 ms of wall time per process
+# (`python3 -c "import fractions"` against `-c pass`, medians of 40 alternating runs;
+# Python 3.11.7, 2 cores).  Only a command that prints a rational other than an
+# integer-built weight needs them; the polarization layer loads only where a command
+# resolves --omega.
+FRACTIONS = {"fractions", "decimal", "numbers"}
+RATIONALS = FRACTIONS | {"nodalbn.polarization"}
 CERTIFICATES = {"nodalbn.components", "nodalbn.brill_noether"}
 # a sheaf block: reading one must not load the polarization layer
 SHEAF_FILE = ("component 1 genus 2\ncomponent 2 genus 3\nnode 1 1 2\n"
@@ -113,6 +117,26 @@ def test_command_loads_only_what_it_runs(tmp_path, argv, absent):
     got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
     assert got["code"] == 0
     assert not absent & set(got["added"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("bn", "scan", "--family", "chain", "--gamma-max", "4", "--genus-max", "3",
+          "--s-max", "8"), 0),
+        (("bn", "scan", "--family", "comb", "--gamma-max", "4", "--genus-max", "3",
+          "--s-max", "8"), 0),
+        (("bn", "certify", "--curve", "{curve}", "--s", "4", "--k", "1", "--d", "1"), 1),
+        (("components", "invariance", "--curve", "{curve}", "--rank", "2", "--degree", "2"), 0),
+    ],
+    ids=["bn-scan-chain", "bn-scan-comb", "bn-certify-refused", "components-invariance"],
+)
+def test_integer_command_at_canonical_omega_loads_no_fractions(tmp_path, argv, code):
+    # canonical weights stay integers, and each verdict is an integer comparison;
+    # the certify cell has d < gamma, so it is refused with no tuple to print
+    got = run_command(tmp_path, argv)
+    assert got["code"] == code
+    assert not FRACTIONS & set(got["added"])
 
 
 @pytest.mark.parametrize(
@@ -291,6 +315,30 @@ def test_command_loads_no_dataclass_machinery(tmp_path, argv):
     got = fresh_python(RUN_CLI, *(a.format(curve=curve) for a in argv))
     assert got["code"] == 0
     assert not CODE_GENERATION & set(got["added"])
+
+
+IMPORT_COMPONENTS = """
+import sys
+start = set(sys.modules)
+import json
+import nodalbn as nb
+from nodalbn import components
+imported = sorted(set(sys.modules) - start)
+value = components.DEFAULT_WITNESS_MULTIPLIER
+print(json.dumps({
+    "imported": imported,
+    "value": [type(value).__name__, value.numerator, value.denominator],
+    "same": nb.DEFAULT_WITNESS_MULTIPLIER is value,
+    "missing": not hasattr(components, "no_such_name"),
+}))
+"""
+
+
+def test_witness_multiplier_is_built_when_first_read():
+    got = fresh_python(IMPORT_COMPONENTS)
+    assert not FRACTIONS & set(got["imported"])
+    assert got["value"] == ["Fraction", 1001, 1000]
+    assert got["same"] and got["missing"]
 
 
 def test_verify_decomposition_loads_no_dataclass_machinery():

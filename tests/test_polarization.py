@@ -112,6 +112,33 @@ class TestCanonical:
             assert omega[i] == expected
 
 
+@pytest.mark.parametrize("genera, edges", [
+    ((4,), ()),
+    ((2, 3), ((1, 2),)),
+    ((2, 2, 2, 2), ((1, 4), (2, 4), (3, 4))),
+    ((3, 2, 5, 2, 4), ((1, 2), (2, 3), (2, 4), (4, 5))),
+])
+def test_canonical_is_the_polarization_of_its_weights(genera, edges):
+    """Built from integers, the canonical polarization is the value its weights give."""
+    import copy
+    import pickle
+
+    curve = nb.NodalCurve(genera, [(i, a, b) for i, (a, b) in enumerate(edges, start=1)])
+    built = nb.Polarization(nb.canonical(curve).weights)
+    for eta in (
+        nb.canonical(curve),  # its weights are built when `==` below first reads them
+        pickle.loads(pickle.dumps(nb.canonical(curve))),  # pickled before they are read
+        copy.deepcopy(nb.canonical(curve)),
+    ):
+        assert (eta._denominator, eta._numerators) == (built._denominator, built._numerators)
+        assert len(eta) == len(built) == len(genera)
+        assert eta == built and hash(eta) == hash(built) and repr(eta) == repr(built)
+        assert eta.weights == built.weights
+        assert all(type(w) is Fraction for w in eta.weights)
+    eta = nb.canonical(curve)
+    assert pickle.loads(pickle.dumps(eta)) == eta == copy.deepcopy(eta)
+
+
 class TestDefect:
     """The split tables' defects, on each side of every one-node split."""
 
@@ -161,6 +188,28 @@ class TestGoodness:
         assert not report.passed
         bad = [s for s in report.splits if not s.ok]
         assert bad and bad[0].defect == 0
+
+    # genus (2, 2) on two components: p_a = 4, so component 1's side has
+    # defect 1 - 2 + 3 w_1, exactly 1/D at w_1 = 2/5 and exactly 1 at w_1 = 2/3
+    def test_defect_of_exactly_one_over_the_denominator_passes(self):
+        curve = nb.chain_curve((2, 2))
+        report = nb.goodness_proxy(curve, nb.Polarization((Fraction(2, 5), Fraction(3, 5))))
+        assert report.passed
+        assert [(split.side, split.defect, split.ok) for split in report.splits] == [
+            (frozenset({1}), Fraction(1, 5), True)
+        ]
+
+    def test_defect_of_exactly_one_fails(self):
+        curve = nb.chain_curve((2, 2))
+        omega = nb.Polarization((Fraction(2, 3), Fraction(1, 3)))
+        report = nb.goodness_proxy(curve, omega)
+        assert not report.passed
+        assert [(split.defect, split.ok) for split in report.splits] == [(1, False)]
+        with pytest.raises(
+            nb.PolarizationError,
+            match=r"^polarization fails the goodness proxy at node\(s\) 1 \(defect 1\)$",
+        ):
+            polarization._SplitTable(curve, omega).require_good()
 
     def test_grip_weight_majority_iff_many_nodes(self):
         # the grip's weight reaches 1/2 exactly when its node count
